@@ -817,7 +817,14 @@ def _selftest_battery() -> Sequence[Tuple[str, Callable[[], Optional[str]]]]:
     )
 
 
-_FAULTS = ("gaussian_cdf",)
+# fault name -> (module, attribute, corrupted version of the original); each
+# is a small bias that some check of the battery must catch
+_FAULTS = {
+    # every closed-form comparison routed through the module attribute
+    "gaussian_cdf": (numerics, "gaussian_cdf", lambda f: lambda x: f(x) + 1e-3),
+    # every cell mass of a measure, hence its normalizer, scaled by e^{1e-3}
+    "measure_cdf": (measure1d, "gaussian_log_mass", lambda f: lambda a, b: f(a, b) + 1e-3),
+}
 
 
 def cmd_selftest(cfg: RunConfig, inject_fault: Optional[str]) -> int:
@@ -826,11 +833,11 @@ def cmd_selftest(cfg: RunConfig, inject_fault: Optional[str]) -> int:
             f"unknown fault {inject_fault!r} (supported: {', '.join(_FAULTS)})"
         )
 
-    original = numerics.gaussian_cdf
-    if inject_fault == "gaussian_cdf":
-        # a small bias: every closed-form comparison routed through the
-        # module attribute must now miss its tolerance
-        numerics.gaussian_cdf = lambda x: original(x) + 1e-3  # type: ignore[assignment]
+    patch = _FAULTS.get(inject_fault)
+    if patch is not None:
+        module, attribute, corrupt = patch
+        original = getattr(module, attribute)
+        setattr(module, attribute, corrupt(original))
     results = []
     try:
         for name, check in _selftest_battery():
@@ -840,7 +847,8 @@ def cmd_selftest(cfg: RunConfig, inject_fault: Optional[str]) -> int:
                 detail = f"{type(exc).__name__}: {exc}"
             results.append((name, detail))
     finally:
-        numerics.gaussian_cdf = original  # type: ignore[assignment]
+        if patch is not None:
+            setattr(module, attribute, original)
 
     for name, detail in results:
         if detail is None:

@@ -16,12 +16,18 @@ that bound is, so this module provides:
 * four potential families (``gaussian``, ``truncated_gaussian``,
   ``perturbed_gaussian``, ``tabulated_convex``) behind one
   :class:`PotentialSpec` record that serializes to plain dicts,
-* :class:`Measure1D` with fast table-backed ``cdf``/``quantile``,
+* :class:`Measure1D` with closed-form ``cdf``/``sf``/``quantile``,
 * a midpoint-dyadic :func:`check_one_convexity` test,
 * perimeter of finite unions of intervals (sum of ``exp(-psi)`` over the
   interior boundary points) and :func:`brute_force_minimizer`, an exhaustive
   grid search over candidate sets of at most two components that serves as
   an honest competitor to the half-line predicted by Bobkov's theorem.
+
+Every family is a *cell potential*, ``psi_hat(x) = x^2/2 + beta_i*x +
+gamma_i`` on the cells ``(e_i, e_{i+1})`` of the domain.  On a cell the
+density is a Gaussian of mean ``-beta_i``, so masses, normalizer, cdf, upper
+tail and quantile are differences and inverses of ``Phi`` at ``x + beta_i``:
+no quadrature and no root search.
 
 Conventions: all intervals are open; the density is ``0`` off ``I``; boundary
 points lying on the closure of ``I`` but not in its interior contribute no
@@ -31,29 +37,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
 from functools import cached_property
-from typing import Callable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InfeasibleError,
-    InvalidPotentialError,
-    NonIntegrableError,
-    QuadratureError,
-)
+from .errors import DomainError, InvalidPotentialError, NonIntegrableError
 from .numerics import (
     DEFAULT_SETTINGS,
     LOG_SQRT_2PI,
     REAL_LINE,
     Interval,
     QuadratureSettings,
-    find_root,
-    gaussian_cdf,
+    gaussian_log_mass,
     gaussian_pdf,
     gaussian_quantile,
-    integrate,
+    gaussian_quantile_log,
 )
 
 __all__ = [
@@ -82,29 +82,46 @@ __all__ = [
 
 ArrayLike = Union[float, np.ndarray]
 
-# Gauss-Legendre rule used for all cdf-table cells; order 12 on cells of
-# width <= 0.05 integrates the smooth densities here far below 1e-15.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
-_CELL_WIDTH = 0.05
 # Density mass beyond +-16 standard deviations from the potential minimum is
-# below 1e-55 for any 1-convex measure; the cdf table stops there.
-_TABLE_HALF_WIDTH = 16.0
+# below 1e-55 for any 1-convex measure.
+_SUPPORT_HALF_WIDTH = 16.0
 
 
-def _vec(fn: Callable[[np.ndarray], np.ndarray], x: ArrayLike) -> ArrayLike:
-    arr = np.asarray(x, dtype=float)
-    out = fn(arr)
-    if arr.ndim == 0:
-        return float(out)
-    return out
+def _vec(fn: Callable[[ArrayLike], ArrayLike], x: ArrayLike) -> ArrayLike:
+    """Apply ``fn`` to a float (0-d arrays are unwrapped) or to an array of
+    dimension >= 1; kernels take a cheap path for the floats that quadrature
+    callbacks pass."""
+    if not isinstance(x, float):
+        arr = np.asarray(x, dtype=float)
+        if arr.ndim:
+            return fn(arr)
+        x = float(arr)
+    return float(fn(x))
+
+
+def _clip(x: ArrayLike, lo: float, hi: float) -> ArrayLike:
+    if isinstance(x, float):
+        return min(max(x, lo), hi)
+    return np.minimum(np.maximum(x, lo), hi)
+
+
+def _cell(edges: np.ndarray, x: ArrayLike) -> ArrayLike:
+    """Index of the cell ``(edges[i], edges[i+1])`` holding ``x``; an
+    interior edge belongs to the cell on its right, and points beyond the
+    ends to the end cells."""
+    if isinstance(x, float):
+        return bisect_right(edges, x, 1, edges.size - 1) - 1
+    return np.searchsorted(edges[1:-1], x, side="right")
 
 
 @dataclass(frozen=True)
 class PotentialSpec:
     """A potential ``psi_hat`` on an open interval, before normalization.
 
-    ``value`` and ``right_derivative`` accept floats or numpy arrays.
-    ``family`` is one of ``gaussian | truncated_gaussian |
+    ``psi_hat(x) = x^2/2 + slopes[i]*x + offsets[i]`` on the cell
+    ``(edges[i], edges[i+1])``; ``edges`` runs from ``domain.lo`` to
+    ``domain.hi``.  ``value`` and ``right_derivative`` accept floats or
+    numpy arrays.  ``family`` is one of ``gaussian | truncated_gaussian |
     perturbed_gaussian | tabulated_convex`` and ``params`` holds enough
     plain data (including the accumulated ``shift``) to reconstruct the
     spec via :func:`potential_from_config`.
@@ -113,8 +130,9 @@ class PotentialSpec:
     domain: Interval
     family: str
     params: Mapping[str, object]
-    value: Callable[[ArrayLike], ArrayLike]
-    right_derivative: Callable[[ArrayLike], ArrayLike]
+    edges: np.ndarray = field(repr=False, compare=False)
+    slopes: np.ndarray = field(repr=False, compare=False)
+    offsets: np.ndarray = field(repr=False, compare=False)
 
     def to_dict(self) -> dict:
         out = {"family": self.family}
@@ -124,8 +142,8 @@ class PotentialSpec:
     def knots(self) -> Tuple[float, ...]:
         """Interior non-smooth points, in current (shifted) coordinates.
 
-        Quadratures and cdf tables align their cells with these so that
-        each cell integrates a smooth piece.
+        Quadratures align their pieces with these so that each piece
+        integrates a smooth function.
         """
         shift = float(self.params.get("shift", 0.0))
         if self.family == "perturbed_gaussian":
@@ -136,6 +154,42 @@ class PotentialSpec:
             raw = ()
         return tuple(float(b) + shift for b in raw)  # type: ignore[union-attr]
 
+    def value(self, x: ArrayLike) -> ArrayLike:
+        def impl(a: ArrayLike) -> ArrayLike:
+            i = _cell(self.edges, a)
+            return 0.5 * a * a + self.slopes[i] * a + self.offsets[i]
+
+        return _vec(impl, x)
+
+    def right_derivative(self, x: ArrayLike) -> ArrayLike:
+        return _vec(lambda a: a + self.slopes[_cell(self.edges, a)], x)
+
+    def argmin(self) -> float:
+        """Where ``psi_hat`` is least on the closure of the domain: the
+        lowest of the cell vertices ``-slopes[i]``, each clipped to its cell."""
+        x = np.clip(-self.slopes, self.edges[:-1], self.edges[1:])
+        return float(x[np.argmin(self.value(x))])
+
+    def _log_masses(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per cell ``(a, b)``, the logs of ``int exp(-psi_hat)`` over the
+        whole line, ``sqrt(2*pi) * exp(beta^2/2 - gamma)``, and over the
+        cell, that times ``Phi(b + beta) - Phi(a + beta)``."""
+        log_weight = LOG_SQRT_2PI + 0.5 * self.slopes**2 - self.offsets
+        cell = gaussian_log_mass(self.edges[:-1] + self.slopes, self.edges[1:] + self.slopes)
+        return log_weight, log_weight + cell
+
+
+def _cells(domain: Interval, family: str, params: dict, edges, slopes, offsets) -> PotentialSpec:
+    """Spec from cell arrays covering the whole line, cut to ``domain``."""
+    e = np.asarray(edges, dtype=float)
+    first = int(np.searchsorted(e, domain.lo, side="right")) - 1
+    last = int(np.searchsorted(e, domain.hi, side="left"))
+    e = e[first : last + 1].copy()
+    e[0], e[-1] = domain.lo, domain.hi
+    cut = slice(first, last)
+    return PotentialSpec(domain, family, params, e, np.array(slopes, dtype=float)[cut],
+                         np.array(offsets, dtype=float)[cut])
+
 
 def gaussian_psi(x: ArrayLike) -> ArrayLike:
     """The standard Gaussian potential ``x^2/2 + log sqrt(2*pi)``."""
@@ -144,13 +198,8 @@ def gaussian_psi(x: ArrayLike) -> ArrayLike:
 
 def gaussian_potential() -> PotentialSpec:
     """Potential of the standard Gaussian on the whole line."""
-    return PotentialSpec(
-        domain=REAL_LINE,
-        family="gaussian",
-        params={"shift": 0.0},
-        value=gaussian_psi,
-        right_derivative=lambda x: _vec(lambda a: a, x),
-    )
+    return _cells(REAL_LINE, "gaussian", {"shift": 0.0},
+                  (-math.inf, math.inf), (0.0,), (LOG_SQRT_2PI,))
 
 
 def truncated_gaussian_potential(
@@ -180,42 +229,8 @@ def truncated_gaussian_potential(
         if not dom.is_bounded and dom == REAL_LINE:
             raise DomainError("truncation interval must be a proper sub-interval")
         params = {"lo": dom.lo, "hi": dom.hi, "shift": 0.0}
-    return PotentialSpec(
-        domain=dom,
-        family="truncated_gaussian",
-        params=params,
-        value=gaussian_psi,
-        right_derivative=lambda x: _vec(lambda a: a, x),
-    )
-
-
-def _piecewise_linear(
-    breakpoints: np.ndarray, slopes: np.ndarray
-) -> Tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
-    """Continuous piecewise-linear function with the given knot structure.
-
-    Slope ``slopes[i]`` applies on the i-th piece; the function is anchored
-    to 0 at the first breakpoint (an additive constant is irrelevant after
-    normalization), or at the origin when there are no breakpoints.
-    """
-    if breakpoints.size == 0:
-        s0 = float(slopes[0])
-        return (lambda x: s0 * x), (lambda x: np.full_like(x, s0))
-    # knot value recursion: v[0] = 0, v[i] = v[i-1] + slopes[i]*(b[i]-b[i-1])
-    v = np.zeros(breakpoints.size)
-    if breakpoints.size > 1:
-        v[1:] = np.cumsum(slopes[1:-1] * np.diff(breakpoints))
-
-    def value(x: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(breakpoints, x, side="right")
-        j = np.maximum(idx - 1, 0)
-        return v[j] + slopes[idx] * (x - breakpoints[j])
-
-    def rderiv(x: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(breakpoints, x, side="right")
-        return slopes[idx]
-
-    return value, rderiv
+    return _cells(dom, "truncated_gaussian", params,
+                  (-math.inf, math.inf), (0.0,), (LOG_SQRT_2PI,))
 
 
 def perturbed_gaussian_potential(
@@ -227,8 +242,10 @@ def perturbed_gaussian_potential(
 
     ``slopes`` has one more entry than ``breakpoints`` and must be
     nondecreasing -- that makes the perturbation convex, hence the potential
-    exactly 1-convex by construction.  A perturbation with no breakpoints is
-    a pure linear tilt, i.e. a mean shift with zero deficit.
+    exactly 1-convex by construction.  The perturbation is continuous and
+    vanishes at the first breakpoint (at the origin when there are none); a
+    perturbation with no breakpoints is a pure linear tilt, i.e. a mean
+    shift with zero deficit.
     """
     b = np.asarray(breakpoints, dtype=float)
     s = np.asarray(slopes, dtype=float)
@@ -240,19 +257,26 @@ def perturbed_gaussian_potential(
         raise InvalidPotentialError("breakpoints and slopes must be finite")
     if np.any(np.diff(s) < -1e-15):
         raise InvalidPotentialError("slopes must be nondecreasing (convex perturbation)")
-    pl_value, pl_rd = _piecewise_linear(b, s)
-    return PotentialSpec(
-        domain=domain,
-        family="perturbed_gaussian",
-        params={
+    # the perturbation on cell i is v[j] + s[i]*(x - b[j]), anchored at the
+    # breakpoint j = max(i - 1, 0) with value v[j]
+    offsets = np.full(s.size, LOG_SQRT_2PI)
+    if b.size:
+        v = np.concatenate([[0.0], np.cumsum(s[1:-1] * np.diff(b))])
+        j = np.maximum(np.arange(s.size) - 1, 0)
+        offsets += v[j] - s * b[j]
+    return _cells(
+        domain,
+        "perturbed_gaussian",
+        {
             "breakpoints": tuple(float(t) for t in b),
             "slopes": tuple(float(t) for t in s),
             "lo": domain.lo,
             "hi": domain.hi,
             "shift": 0.0,
         },
-        value=lambda x: _vec(lambda a: 0.5 * a * a + LOG_SQRT_2PI + pl_value(a), x),
-        right_derivative=lambda x: _vec(lambda a: a + pl_rd(a), x),
+        np.concatenate([[-math.inf], b, [math.inf]]),
+        s,
+        offsets,
     )
 
 
@@ -268,10 +292,8 @@ def tabulated_potential(
     between the grid points, so the reconstructed potential is exactly
     1-convex provided the tabulated convex part has nondecreasing secant
     slopes; tables violating that (beyond ``convexity_tol``) are rejected.
-    The domain is the open hull of the grid.  The right derivative is a
-    forward difference with step ``1e-7`` (the interpolant is piecewise
-    smooth, so this is accurate to ~1e-7 away from, and exact at, the
-    knots).
+    The domain is the open hull of the grid, and each grid interval is one
+    cell, whose slope is the secant slope of ``t``.
     """
     x = np.asarray(xs, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -288,16 +310,6 @@ def tabulated_potential(
         raise InvalidPotentialError(
             f"tabulated convex part is not convex: secant slope drops by {-worst:.3e}"
         )
-    xs_t, ts_t = x.copy(), t.copy()
-
-    def value(a: np.ndarray) -> np.ndarray:
-        return 0.5 * a * a + np.interp(a, xs_t, ts_t)
-
-    h = 1e-7
-
-    def rderiv(a: np.ndarray) -> np.ndarray:
-        return (value(a + h) - value(a)) / h
-
     return PotentialSpec(
         domain=Interval(float(x[0]), float(x[-1])),
         family="tabulated_convex",
@@ -306,8 +318,9 @@ def tabulated_potential(
             "values": tuple(float(u) for u in v),
             "shift": 0.0,
         },
-        value=lambda a: _vec(value, a),
-        right_derivative=lambda a: _vec(rderiv, a),
+        edges=x.copy(),
+        slopes=secants,
+        offsets=t[:-1] - secants * x[:-1],
     )
 
 
@@ -320,21 +333,25 @@ def tabulated_potential_from_csv(path: str) -> PotentialSpec:
 
 
 def translate_potential(spec: PotentialSpec, s: float) -> PotentialSpec:
-    """The potential of the pushforward under ``x -> x + s``."""
+    """The potential of the pushforward under ``x -> x + s``.
+
+    ``psi_hat(x - s)`` is again a cell potential: each cell moves by ``s``,
+    its slope becomes ``beta - s`` and its offset ``gamma + s^2/2 - beta*s``.
+    """
     s = float(s)
     if not math.isfinite(s):
         raise DomainError("translation must be finite")
     if s == 0.0:
         return spec
-    base_v, base_rd = spec.value, spec.right_derivative
     params = dict(spec.params)
     params["shift"] = float(params.get("shift", 0.0)) + s
     return PotentialSpec(
         domain=Interval(spec.domain.lo + s, spec.domain.hi + s),
         family=spec.family,
         params=params,
-        value=lambda x: base_v(np.asarray(x, dtype=float) - s),
-        right_derivative=lambda x: base_rd(np.asarray(x, dtype=float) - s),
+        edges=spec.edges + s,
+        slopes=spec.slopes - s,
+        offsets=spec.offsets + (0.5 * s * s - spec.slopes * s),
     )
 
 
@@ -378,27 +395,15 @@ def _potential_from_config(config: Mapping[str, object]) -> PotentialSpec:
     return translate_potential(spec, shift) if shift else spec
 
 
-def _scan_minimum(spec: PotentialSpec, lo: float, hi: float) -> float:
-    """Approximate argmin of the potential on [lo, hi] by a refined scan."""
-    xs = np.linspace(lo, hi, 513)
-    vals = np.asarray(spec.value(xs), dtype=float)
-    i = int(np.argmin(vals))
-    a = xs[max(0, i - 1)]
-    b = xs[min(len(xs) - 1, i + 1)]
-    fine = np.linspace(a, b, 65)
-    vals_f = np.asarray(spec.value(fine), dtype=float)
-    return float(fine[int(np.argmin(vals_f))])
-
-
 @dataclass(frozen=True)
 class Measure1D:
     """A probability measure ``exp(-psi) dx`` on an open interval.
 
     Construct through :func:`normalize`; ``psi = potential + log_normalizer``
-    integrates to one.  ``cdf`` and ``quantile`` are backed by a lazily built
-    composite Gauss-Legendre table over the effective support (potential
-    minimum +- 16, intersected with the domain), so repeated calls -- the
-    workhorse of quantile-coupling transport integrals -- cost microseconds.
+    integrates to one.  ``cdf``, ``sf`` and ``quantile`` are closed forms on
+    the potential's cells: the normalized cell masses and their cumulative
+    sums from either end are computed once, and a point then only needs the
+    ``Phi`` difference (or inverse) inside its own cell.
     """
 
     potential: PotentialSpec
@@ -409,13 +414,19 @@ class Measure1D:
     def domain(self) -> Interval:
         return self.potential.domain
 
+    @cached_property
+    def effective_support(self) -> Interval:
+        """The potential minimum +- 16, intersected with the domain; the
+        mass outside it is negligible (below 1e-55)."""
+        c = self.potential.argmin()
+        return Interval(
+            max(self.domain.lo, c - _SUPPORT_HALF_WIDTH),
+            min(self.domain.hi, c + _SUPPORT_HALF_WIDTH),
+        )
+
     def psi(self, x: ArrayLike) -> ArrayLike:
         """Normalized potential; finite on the domain, meaningless off it."""
-        return _vec(
-            lambda a: np.asarray(self.potential.value(a), dtype=float)
-            + self.log_normalizer,
-            x,
-        )
+        return self.potential.value(x) + self.log_normalizer
 
     def psi_right_derivative(self, x: ArrayLike) -> ArrayLike:
         return self.potential.right_derivative(x)
@@ -423,10 +434,12 @@ class Measure1D:
     def density(self, x: ArrayLike) -> ArrayLike:
         """``exp(-psi)`` on the domain, 0 outside (and at the endpoints)."""
 
-        def impl(a: np.ndarray) -> np.ndarray:
+        def impl(a: ArrayLike) -> ArrayLike:
+            if isinstance(a, float):
+                return math.exp(-self.psi(a)) if self.domain.contains(a) else 0.0
             inside = (a > self.domain.lo) & (a < self.domain.hi)
             with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-                val = np.exp(-np.asarray(self.psi(a), dtype=float))
+                val = np.exp(-self.psi(a))
             return np.where(inside, val, 0.0)
 
         return _vec(impl, x)
@@ -437,88 +450,98 @@ class Measure1D:
             translate_potential(self.potential, s), self.log_normalizer, self.settings
         )
 
-    # -- cdf / quantile table ------------------------------------------------
+    # -- closed forms on the cells ------------------------------------------
 
     @cached_property
-    def _table(self) -> Tuple[np.ndarray, np.ndarray]:
-        lo = max(self.domain.lo, -self.settings.tail_cutoff)
-        hi = min(self.domain.hi, self.settings.tail_cutoff)
-        center = _scan_minimum(self.potential, lo, hi)
-        a = max(lo, center - _TABLE_HALF_WIDTH)
-        b = min(hi, center + _TABLE_HALF_WIDTH)
-        n_cells = int(min(8192, max(64, math.ceil((b - a) / _CELL_WIDTH))))
-        edges = np.linspace(a, b, n_cells + 1)
-        # align cells with potential kinks so every cell is smooth inside
-        knots = [k for k in self.potential.knots() if a < k < b]
-        if knots:
-            edges = np.unique(np.concatenate([edges, np.asarray(knots)]))
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * np.diff(edges)
-        nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-        dens = np.asarray(self.density(nodes.ravel()), dtype=float).reshape(
-            edges.size - 1, _GL_NODES.size
-        )
-        cell_mass = half * (dens @ _GL_WEIGHTS)
-        cum = np.concatenate([[0.0], np.cumsum(cell_mass)])
-        return edges, cum
-
-    def _partial_cells(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Vector of integrals of the density over [a_i, b_i] (b >= a)."""
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-        dens = np.asarray(self.density(nodes.ravel()), dtype=float).reshape(
-            a.size, _GL_NODES.size
-        )
-        return half * (dens @ _GL_WEIGHTS)
+    def _sides(self) -> Tuple["_Side", "_Side"]:
+        """The cells seen from the left end, and mirrored (``x -> -x``) so
+        that the right end comes first; upper tails are then lower tails of
+        the mirror, with the same precision."""
+        pot = self.potential
+        log_weight, log_mass = pot._log_masses()
+        log_weight, mass = log_weight - self.log_normalizer, np.exp(log_mass - self.log_normalizer)
+        left = _Side(pot.edges, pot.slopes, log_weight,
+                     np.concatenate([[0.0], np.cumsum(mass)]))
+        right = _Side(-pot.edges[::-1], -pot.slopes[::-1], log_weight[::-1],
+                      np.concatenate([[0.0], np.cumsum(mass[::-1])]))
+        return left, right
 
     def cdf_many(self, x: ArrayLike) -> ArrayLike:
         """Vectorized cdf; see :meth:`cdf`."""
-
-        def impl(arr: np.ndarray) -> np.ndarray:
-            edges, cum = self._table
-            flat = arr.ravel()
-            out = np.empty_like(flat)
-            below = flat <= edges[0]
-            above = flat >= edges[-1]
-            mid = ~(below | above)
-            out[below] = 0.0
-            out[above] = min(1.0, float(cum[-1]))
-            if np.any(mid):
-                xm = flat[mid]
-                k = np.searchsorted(edges, xm, side="right") - 1
-                out[mid] = cum[k] + self._partial_cells(edges[k], xm)
-            return np.minimum(np.maximum(out.reshape(arr.shape), 0.0), 1.0)
-
-        return _vec(impl, x)
+        return _vec(lambda a: self._sides[0].mass_below(a), x)
 
     def cdf(self, x: float) -> float:
         """Mass of ``(-inf, x]``; 0 at the left end of the domain, 1 at the
-        right end (up to quadrature tolerance)."""
+        right end."""
         return float(self.cdf_many(float(x)))
 
-    def quantile(self, theta: float) -> float:
-        """Generalized inverse of the cdf on (0, 1).
+    def sf(self, x: ArrayLike) -> ArrayLike:
+        """Mass of ``(x, inf)``; floats or arrays.  Summed from the right
+        end, so it keeps its relative precision where ``1 - cdf`` cancels."""
+        return _vec(lambda a: self._sides[1].mass_below(-a), x)
 
-        Solved by Brent iteration inside the single table cell that brackets
-        ``theta``; the result satisfies ``|cdf(q) - theta| <= 1e-12``.
-        ``theta`` beyond the resolvable tail mass (~1e-55 for the families
-        here) raises ``DomainError``.
+    def quantile(self, theta: ArrayLike) -> ArrayLike:
+        """Generalized inverse of the cdf on (0, 1); floats or arrays.
+
+        ``theta <= 1/2`` is inverted from the left end and ``theta > 1/2``
+        from the right end, as the upper mass ``1 - theta``, so both tails
+        are resolved equally well.
         """
-        theta = float(theta)
-        if math.isnan(theta) or not 0.0 < theta < 1.0:
-            raise DomainError(f"quantile: theta={theta!r} outside (0, 1)")
-        edges, cum = self._table
-        if theta >= cum[-1]:
-            raise DomainError(
-                f"theta={theta!r} beyond the resolvable upper tail ({cum[-1]!r})"
-            )
-        k = int(np.searchsorted(cum, theta))  # cum[k-1] < theta <= cum[k]
-        return find_root(
-            lambda t: self.cdf(t) - theta,
-            Interval(float(edges[k - 1]), float(edges[k])),
-            tol=1e-13,
+        left, right = self._sides
+
+        def impl(t: ArrayLike) -> ArrayLike:
+            if isinstance(t, float):
+                if not 0.0 < t < 1.0:
+                    raise DomainError(f"quantile: theta={t!r} outside (0, 1)")
+                return left.invert(t) if t <= 0.5 else -right.invert(1.0 - t)
+            if not np.all((t > 0.0) & (t < 1.0)):
+                raise DomainError("quantile: some theta outside (0, 1)")
+            out = np.empty_like(t)
+            upper = t > 0.5
+            out[~upper] = left.invert(t[~upper])
+            out[upper] = -right.invert(1.0 - t[upper])
+            return out
+
+        return _vec(impl, theta)
+
+
+class _Side(NamedTuple):
+    """A normalized measure's cells read from one end: ``log_weight[i]`` is
+    the log of the mass of cell ``i``'s Gaussian ``exp(-psi)`` over the whole
+    line and ``cum[i]`` the mass below ``edges[i]``."""
+
+    edges: np.ndarray
+    slopes: np.ndarray
+    log_weight: np.ndarray
+    cum: np.ndarray
+
+    def mass_below(self, x: ArrayLike) -> ArrayLike:
+        """Mass of ``(-inf, x]``: the cells below ``x`` plus the ``Phi``
+        difference inside the cell of ``x``."""
+        x = _clip(x, self.edges[0], self.edges[-1])
+        k = _cell(self.edges, x)
+        beta = self.slopes[k]
+        part = np.exp(self.log_weight[k] + gaussian_log_mass(self.edges[k] + beta, x + beta))
+        return np.minimum(self.cum[k] + part, 1.0)
+
+    def invert(self, mass: ArrayLike) -> ArrayLike:
+        """The point with ``mass`` below it, for ``0 < mass <= 1/2``.
+
+        In the cell with ``cum[k] < mass <= cum[k+1]`` the cell's Gaussian
+        puts ``Phi(edges[k] + beta) + (mass - cum[k]) / weight`` below the
+        point, which ``Phi^{-1}`` inverts in log space.
+        """
+        if isinstance(mass, float):
+            k = bisect_left(self.cum, mass, 1, self.cum.size - 1) - 1
+        else:
+            k = np.searchsorted(self.cum[1:-1], mass)
+        beta = self.slopes[k]
+        log_p = np.logaddexp(
+            gaussian_log_mass(-math.inf, self.edges[k] + beta),
+            np.log(mass - self.cum[k]) - self.log_weight[k],
         )
+        y = gaussian_quantile_log(np.minimum(log_p, 0.0))
+        return _clip(y - beta, self.edges[k], self.edges[k + 1])
 
 
 def normalize(
@@ -526,21 +549,15 @@ def normalize(
 ) -> Measure1D:
     """Normalize ``exp(-psi_hat)`` to a probability measure.
 
-    Raises ``NonIntegrableError`` when the quadrature diverges or the mass
-    is not a positive finite number.
+    ``log Z`` is the log-sum of the closed-form cell masses; ``settings``
+    are kept for the quadratures over the measure (``L^p``, entropy,
+    transport).  Raises ``NonIntegrableError`` when the mass is not a
+    positive finite number.
     """
-
-    def f(x: float) -> float:
-        with np.errstate(over="ignore", under="ignore"):
-            return float(np.exp(-np.asarray(spec.value(x), dtype=float)))
-
-    try:
-        z = integrate(f, spec.domain, settings, points=spec.knots())
-    except QuadratureError as exc:
-        raise NonIntegrableError(f"normalization quadrature failed: {exc}") from exc
-    if not (math.isfinite(z) and z > 0.0):
-        raise NonIntegrableError(f"normalization mass is {z!r}")
-    return Measure1D(potential=spec, log_normalizer=math.log(z), settings=settings)
+    log_z = float(np.logaddexp.reduce(spec._log_masses()[1]))
+    if not math.isfinite(log_z):
+        raise NonIntegrableError(f"normalization mass is exp({log_z!r})")
+    return Measure1D(potential=spec, log_normalizer=log_z, settings=settings)
 
 
 def gaussian_measure() -> Measure1D:
@@ -586,7 +603,7 @@ def check_one_convexity(
         raise DomainError("tol must be nonnegative")
     lo = max(spec.domain.lo, -DEFAULT_SETTINGS.tail_cutoff)
     hi = min(spec.domain.hi, DEFAULT_SETTINGS.tail_cutoff)
-    center = _scan_minimum(spec, lo, hi)
+    center = min(max(spec.argmin(), lo), hi)
     a = max(lo, center - 8.0)
     b = min(hi, center + 8.0)
     xs = np.linspace(a, b, grid_points)
@@ -699,30 +716,6 @@ _MASS_EPS = 1e-9  # tail clip for candidate endpoint masses
 _MASS_GAP = 1e-6  # disjointness margin between pieces, in mass
 
 
-def _quantile_grid(m: Measure1D, ts: np.ndarray) -> np.ndarray:
-    """Vectorized approximate quantiles: interpolation seed + clipped Newton.
-
-    Accurate to ~1e-12 in mass wherever the density is bounded away from 0
-    (and the residual mass error decays with the density elsewhere).  Used
-    only to *rank* candidates in :func:`brute_force_minimizer`; the winner
-    is re-evaluated with the rigorous scalar quantile.
-    """
-    lo = m.quantile(float(np.min(ts)))
-    hi = m.quantile(float(np.max(ts)))
-    if hi <= lo:
-        return np.full(ts.shape, lo)
-    xs = np.linspace(lo, hi, 4097)
-    Fs = np.maximum.accumulate(np.asarray(m.cdf_many(xs), dtype=float))
-    x = np.interp(ts, Fs, xs)
-    clip = max(4.0 * float(xs[1] - xs[0]), 1e-3)
-    for _ in range(4):
-        F = np.asarray(m.cdf_many(x), dtype=float)
-        d = np.asarray(m.density(x), dtype=float)
-        step = np.clip((F - ts) / np.maximum(d, 1e-300), -clip, clip)
-        x = np.clip(x - step, lo, hi)
-    return x
-
-
 def brute_force_minimizer(
     m: Measure1D,
     theta: float,
@@ -742,9 +735,8 @@ def brute_force_minimizer(
     single-interval resolution: the mass grid matches an x-pitch of roughly
     ``grid_step`` through the bulk of the measure.
 
-    The minimizing candidate is re-evaluated with the rigorous scalar
-    quantile and competes against the exact half-lines; ties within 1e-12
-    go to the half-line.  Under 1-convexity Bobkov's theorem says the
+    The minimizing candidate competes against the exact half-lines; ties
+    within 1e-12 go to the half-line.  Under 1-convexity Bobkov's theorem says the
     half-line always wins -- this function checks that rather than assuming
     it.
     """
@@ -821,7 +813,7 @@ def brute_force_minimizer(
     flat = ends.ravel()
     known = ~np.isnan(flat)
     uniq, inverse = np.unique(flat[known], return_inverse=True)
-    dens_at_q = np.asarray(m.density(_quantile_grid(m, uniq)), dtype=float)
+    dens_at_q = np.asarray(m.density(m.quantile(uniq)), dtype=float)
     contrib = np.zeros(flat.size)
     contrib[known] = dens_at_q[inverse]
     peri = contrib.reshape(ends.shape).sum(axis=1)

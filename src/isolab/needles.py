@@ -53,9 +53,10 @@ from .numerics import (
     gaussian_cdf,
     gaussian_pdf,
     gaussian_quantile,
+    gaussian_sf,
     integrate,
 )
-from .stability import lp_distance
+from .stability import lp_distance, solve_truncation_for_deficit
 
 __all__ = [
     "Needle",
@@ -210,9 +211,9 @@ def _integration_range(ens: NeedleEnsemble) -> Tuple[float, float, list]:
     lo, hi = -9.0, 9.0
     inner = []
     for nd in ens.needles:
-        edges, _ = nd.measure._table
-        lo = min(lo, float(edges[0]))
-        hi = max(hi, float(edges[-1]))
+        support = nd.measure.effective_support
+        lo = min(lo, support.lo)
+        hi = max(hi, support.hi)
         for e in (nd.measure.domain.lo, nd.measure.domain.hi):
             if math.isfinite(e):
                 inner.append(float(e))
@@ -286,7 +287,7 @@ def _mixture_l1(ens: NeedleEnsemble) -> float:
     crossings = _sign_change_roots(diff_vec, diff_scalar, lo, hi)
     edges = _segment_edges(lo, hi, list(inner) + crossings)
     body = _composite_integral(lambda x: np.abs(diff_vec(x)), edges)
-    tails = gaussian_cdf(lo) + (1.0 - gaussian_cdf(hi))
+    tails = gaussian_cdf(lo) + gaussian_sf(hi)
     return body + tails
 
 
@@ -590,27 +591,6 @@ class EnsembleConfig:
         return cls(**{k: v for k, v in d.items()})  # type: ignore[arg-type]
 
 
-def _truncated_deficit_of_D(D: float, theta: float) -> float:
-    """Deficit of the symmetric truncated Gaussian, in closed Phi-form.
-
-    cdf is ``(Phi(x) - Phi(-D)) / gamma(I)`` on ``(-D, D)``, so the
-    theta-quantile ``r`` solves ``Phi(r) = theta * gamma(I) + Phi(-D)`` and
-    the (centering-invariant) deficit is ``phi(r)/gamma(I) - profile``.
-    """
-    gamma_I = gaussian_cdf(D) - gaussian_cdf(-D)
-    r = gaussian_quantile(theta * gamma_I + gaussian_cdf(-D))
-    return gaussian_pdf(r) / gamma_I - gaussian_profile(theta)
-
-
-def _solve_truncation_for_deficit(target: float, theta: float) -> float:
-    """Radius ``D`` whose truncated Gaussian has the target deficit."""
-    return find_root(
-        lambda D: _truncated_deficit_of_D(D, theta) - target,
-        Interval(0.05, 9.0),
-        tol=1e-12,
-    )
-
-
 # Base translation of bad needles: far enough that their mass is disjoint
 # from the Gaussian bulk, so each contributes needle_l1 ~ 2 and fails the
 # centering criterion for every delta in the sweep range.
@@ -667,7 +647,7 @@ def generate_ensemble(config: EnsembleConfig | Mapping[str, object]) -> NeedleEn
             if target <= 1e-300:
                 measure = gaussian_measure()
             else:
-                D = _solve_truncation_for_deficit(float(target), theta)
+                D = solve_truncation_for_deficit(float(target), theta)
                 measure = normalize(truncated_gaussian_potential(D))
             needles.append(make_needle(float(w), measure, theta))
     if n_bad and b > 0.0:

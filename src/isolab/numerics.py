@@ -4,15 +4,19 @@ Everything downstream (measures, deficits, transport distances) funnels its
 numerics through the four operations in this module so that tolerances and
 failure behaviour are controlled in exactly one place:
 
-* ``gaussian_cdf`` / ``gaussian_quantile`` -- the standard normal CDF ``Phi``
-  and its inverse, accurate to ~1 ulp resp. ``|Phi(x) - theta| <~ 1e-13``.
+* ``gaussian_cdf`` / ``gaussian_sf`` / ``gaussian_quantile`` -- the standard
+  normal CDF ``Phi``, its upper tail ``1 - Phi`` and the inverse of ``Phi``,
+  accurate to ~1 ulp resp. ``|Phi(x) - theta| <~ 1e-13``;
+  ``gaussian_log_mass`` / ``gaussian_quantile_log`` are their array forms in
+  log space, which the closed-form measure kernels use.
 * ``integrate`` -- adaptive quadrature with an *explicit* failure mode: if the
   estimated error exceeds the requested tolerance a ``QuadratureError`` is
   raised instead of silently returning a bad value.
 * ``find_root`` -- bracketed root finding with explicit bracket validation.
 
 The quadrature and root kernels delegate to scipy (QUADPACK / Brent) behind
-this contract; the Gaussian CDF uses the C library's ``erfc``.
+this contract; the scalar Gaussian CDF uses the C library's ``erfc`` and the
+array forms use ``scipy.special``.
 """
 from __future__ import annotations
 
@@ -20,8 +24,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
 from scipy import integrate as _sci_integrate
 from scipy import optimize as _sci_optimize
+from scipy import special as _sci_special
 
 from .errors import BracketError, DomainError, QuadratureError
 
@@ -33,7 +39,10 @@ __all__ = [
     "DEFAULT_SETTINGS",
     "gaussian_pdf",
     "gaussian_cdf",
+    "gaussian_sf",
     "gaussian_quantile",
+    "gaussian_log_mass",
+    "gaussian_quantile_log",
     "integrate",
     "find_root",
 ]
@@ -130,6 +139,55 @@ def gaussian_cdf(x: float) -> float:
     if math.isnan(x):
         raise DomainError("gaussian_cdf: x must not be NaN")
     return 0.5 * math.erfc(-x * _INV_SQRT2)
+
+
+def gaussian_sf(x: float) -> float:
+    """Standard normal upper tail ``1 - Phi(x)``, accurate in both tails.
+
+    The mirror of :func:`gaussian_cdf`: ``0.5*erfc(x/sqrt 2)`` keeps full
+    relative precision for large positive ``x``, where ``1 - Phi(x)`` would
+    cancel to a multiple of the ulp of 1.
+    """
+    x = float(x)
+    if math.isnan(x):
+        raise DomainError("gaussian_sf: x must not be NaN")
+    return 0.5 * math.erfc(x * _INV_SQRT2)
+
+
+def gaussian_log_mass(a, b):
+    """``log(Phi(b) - Phi(a))`` for ``a <= b``, on floats or elementwise on
+    arrays; ``-inf`` where ``a == b``.
+
+    Both endpoints may be infinite.  Pairs with ``a > 0`` are mirrored to
+    ``log(Phi(-a) - Phi(-b))``, so the difference is always taken in the
+    lower tail, from ``log Phi``: a mass far out in either tail keeps its
+    relative precision instead of cancelling against 1 or underflowing.
+    """
+    if isinstance(a, float) and isinstance(b, float):
+        if not a < b:
+            return -math.inf
+        if a > 0.0:
+            a, b = -b, -a
+        log_hi = _sci_special.log_ndtr(b)
+        gap = -math.expm1(_sci_special.log_ndtr(a) - log_hi)
+        return log_hi + math.log(gap) if gap > 0.0 else -math.inf
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    upper = a > 0.0
+    log_hi = _sci_special.log_ndtr(np.where(upper, -a, b))
+    log_lo = _sci_special.log_ndtr(np.where(upper, -b, a))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = log_hi + np.log(-np.expm1(log_lo - log_hi))
+    return np.where(a < b, out, -math.inf)
+
+
+def gaussian_quantile_log(log_p):
+    """``Phi^{-1}(exp(log_p))`` for ``log_p <= 0``, on floats or arrays.
+
+    The inverse of ``log Phi``: a lower-tail mass given by its logarithm is
+    inverted without ever forming the mass, so it may lie far below the
+    smallest double.
+    """
+    return _sci_special.ndtri_exp(log_p)
 
 
 def _quantile_seed(theta: float) -> float:

@@ -42,7 +42,6 @@ from .needles import (
     NeedleEnsemble,
     aggregate_l1,
     generate_ensemble,
-    _solve_truncation_for_deficit,
 )
 from .numerics import Interval, find_root
 from .stability import (
@@ -50,6 +49,7 @@ from .stability import (
     deficit,
     lp_distance,
     relative_entropy,
+    solve_truncation_for_deficit,
     w1_to_gaussian,
     w2_to_gaussian,
 )
@@ -304,7 +304,7 @@ class Example23SweepFamily:
     name: str = "example23"
 
     def at_deficit(self, delta: float, theta: float) -> Measure1D:
-        D = _solve_truncation_for_deficit(float(delta), theta)
+        D = solve_truncation_for_deficit(float(delta), theta)
         m = normalize(truncated_gaussian_potential(D))
         centered, _ = center(m, theta)
         return _verify_deficit(centered, theta, float(delta))

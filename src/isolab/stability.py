@@ -49,12 +49,15 @@ from .measure1d import (
 )
 from .numerics import (
     DEFAULT_SETTINGS,
+    LOG_SQRT_2PI,
     SQRT_2PI,
     Interval,
     QuadratureSettings,
+    find_root,
     gaussian_cdf,
     gaussian_pdf,
     gaussian_quantile,
+    gaussian_sf,
     integrate,
 )
 
@@ -75,6 +78,8 @@ __all__ = [
     "talagrand_check",
     "w1_dual_bound",
     "example23",
+    "truncated_deficit",
+    "solve_truncation_for_deficit",
 ]
 
 # t-range for quantile-coupling integrals; the discarded Gaussian-type tails
@@ -326,7 +331,7 @@ def check_gap_bounds(
 def _gaussian_tail_mass(domain: Interval) -> float:
     """``gamma(R \\ I)`` -- the Gaussian mass off the domain."""
     below = gaussian_cdf(domain.lo) if math.isfinite(domain.lo) else 0.0
-    above = 1.0 - gaussian_cdf(domain.hi) if math.isfinite(domain.hi) else 0.0
+    above = gaussian_sf(domain.hi) if math.isfinite(domain.hi) else 0.0
     return below + above
 
 
@@ -335,6 +340,17 @@ def _interior_knots(m: Measure1D, extra: Tuple[float, ...] = ()) -> Optional[Tup
     dom = m.domain
     pts = sorted({k for k in (*m.potential.knots(), *extra) if dom.lo < k < dom.hi})
     return tuple(pts) or None
+
+
+def _ratio_crossings(m: Measure1D) -> Tuple[float, ...]:
+    """Where the density ratio ``exp(psi_g - psi)`` crosses 1, the kinks of
+    ``|ratio - 1|``: on each cell ``psi_g - psi`` is linear,
+    ``log sqrt(2*pi) - gamma_i - log Z - beta_i * x``, so its zero is exact."""
+    pot = m.potential
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = (LOG_SQRT_2PI - pot.offsets - m.log_normalizer) / pot.slopes
+    inside = (x > pot.edges[:-1]) & (x < pot.edges[1:])
+    return tuple(float(t) for t in x[inside])
 
 
 def lp_distance(m: Measure1D, p: float) -> float:
@@ -358,7 +374,9 @@ def lp_distance(m: Measure1D, p: float) -> float:
         g = float(gaussian_psi(x)) - float(m.psi(x))
         return abs(math.exp(g) - 1.0) ** p * gaussian_pdf(x)
 
-    inside = integrate(integrand, m.domain, m.settings, points=_interior_knots(m))
+    inside = integrate(
+        integrand, m.domain, m.settings, points=_interior_knots(m, _ratio_crossings(m))
+    )
     outside = _gaussian_tail_mass(m.domain)
     return (inside + outside) ** (1.0 / p)
 
@@ -483,7 +501,7 @@ def w1_dual_bound(m: Measure1D, theta: float) -> float:
 
     total = integrate(
         inside, centered.domain, centered.settings,
-        points=_interior_knots(centered, (a_theta,)),
+        points=_interior_knots(centered, (a_theta, *_ratio_crossings(centered))),
     )
     dom = centered.domain
     if math.isfinite(dom.lo):
@@ -523,3 +541,24 @@ def example23(D: float) -> Tuple[Measure1D, Example23Family, Example23ClosedForm
 
     closed = Example23ClosedForms(deficit=delta_E / SQRT_2PI, lp=lp_closed)
     return m, fam, closed
+
+
+def truncated_deficit(D: float, theta: float) -> float:
+    """Deficit of the symmetric truncated Gaussian, in closed Phi-form.
+
+    cdf is ``(Phi(x) - Phi(-D)) / gamma(I)`` on ``(-D, D)``, so the
+    theta-quantile ``r`` solves ``Phi(r) = theta * gamma(I) + Phi(-D)`` and
+    the (centering-invariant) deficit is ``phi(r)/gamma(I) - profile``.
+    """
+    gamma_I = gaussian_cdf(D) - gaussian_cdf(-D)
+    r = gaussian_quantile(theta * gamma_I + gaussian_cdf(-D))
+    return gaussian_pdf(r) / gamma_I - gaussian_profile(theta)
+
+
+def solve_truncation_for_deficit(target: float, theta: float) -> float:
+    """Radius ``D`` whose truncated Gaussian has the target deficit."""
+    return find_root(
+        lambda D: truncated_deficit(D, theta) - target,
+        Interval(0.05, 9.0),
+        tol=1e-12,
+    )

@@ -90,3 +90,45 @@ def truncation_excess_decimal(D: Decimal | float | int) -> Decimal:
         mass = erf_decimal(Decimal(D) / Decimal(2).sqrt())
         result = 1 / mass - 1
     return +result
+
+
+@lru_cache(maxsize=None)
+def _phi_decimal(x: Decimal) -> Decimal:
+    """``Phi`` that also takes the infinities."""
+    if x.is_infinite():
+        return Decimal(0) if x < 0 else Decimal(1)
+    return gaussian_cdf_decimal(x)
+
+
+def log_sqrt_2pi_decimal() -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = PRECISION + 10
+        result = (2 * pi_decimal()).ln() / 2
+    return +result
+
+
+def piecewise_mass_decimal(cells, lo=None, hi=None) -> Decimal:
+    """``int exp(-psi_hat)`` over ``(lo, hi)`` for a cell potential.
+
+    ``cells`` lists ``(a, b, beta, gamma)`` with ``psi_hat(x) = x^2/2 +
+    beta*x + gamma`` on ``(a, b)``, in Decimal (``a``/``b`` may be
+    infinite); ``lo``/``hi`` default to the whole line.  Each cell adds its
+    completed-square mass
+
+        sqrt(2*pi) * exp(beta^2/2 - gamma) * (Phi(b' + beta) - Phi(a' + beta))
+
+    over ``(a', b') = (a, b)`` intersected with ``(lo, hi)``.
+    """
+    lo = Decimal("-Infinity") if lo is None else Decimal(lo)
+    hi = Decimal("Infinity") if hi is None else Decimal(hi)
+    with localcontext() as ctx:
+        ctx.prec = PRECISION + 10
+        sqrt_2pi = (2 * pi_decimal()).sqrt()
+        total = Decimal(0)
+        for a, b, beta, gamma in cells:
+            a, b = max(a, lo), min(b, hi)
+            if a >= b:
+                continue
+            weight = sqrt_2pi * (beta * beta / 2 - gamma).exp()
+            total += weight * (_phi_decimal(b + beta) - _phi_decimal(a + beta))
+    return +total

@@ -7,7 +7,7 @@ import pytest
 
 import oracle_constants as oc
 from isolab import ConfigError
-from isolab.cli import RunConfig, main
+from isolab.cli import _FAULTS, RunConfig, main
 
 
 def run(tmp_path, *argv):
@@ -393,17 +393,20 @@ def test_selftest_battery_passes(tmp_path, capsys):
     assert len(report["results"]) == 14
 
 
-def test_selftest_fault_injection(tmp_path, capsys):
-    code = main(
-        ["selftest", "--inject-fault", "gaussian_cdf", "--out", str(tmp_path)]
-    )
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+def test_selftest_fault_injection(fault, tmp_path, capsys):
+    code = main(["selftest", "--inject-fault", fault, "--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert code == 1
-    assert "FAIL numerics.gaussian_cdf" in out
+    assert "FAIL " in out
+    if fault == "gaussian_cdf":
+        assert "FAIL numerics.gaussian_cdf" in out
     report = json.loads((tmp_path / "selftest_report.json").read_text())
     assert report["passed"] is False
-    assert report["injected_fault"] == "gaussian_cdf"
+    assert report["injected_fault"] == fault
 
+
+def test_selftest_rejects_unknown_fault(tmp_path, capsys):
     code = main(
         ["selftest", "--inject-fault", "unknown_routine", "--out", str(tmp_path)]
     )

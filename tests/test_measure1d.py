@@ -1,12 +1,15 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.special import ndtri
+
 import oracle_constants as oc
-from oracle_erf import gaussian_cdf_oracle
+from oracle_erf import gaussian_cdf_oracle, log_sqrt_2pi_decimal, piecewise_mass_decimal
 from isolab import (
     DomainError,
     Interval,
@@ -144,10 +147,27 @@ def test_quantile_monotone_property(a, b):
     assert KINKED.quantile(lo) <= KINKED.quantile(hi) + 1e-12
 
 
+def test_quantile_upper_tail_matches_ndtri():
+    # counted from the right, the upper tail is as accurate as the lower one
+    theta = 1.0 - 1e-12
+    assert GAUSSIAN.quantile(theta) == pytest.approx(float(ndtri(theta)), abs=1e-9)
+    assert GAUSSIAN.quantile(1e-12) == pytest.approx(float(ndtri(1e-12)), abs=1e-9)
+
+
+def test_quantile_accepts_arrays():
+    thetas = np.array([[1e-6, 0.3], [0.5, 1 - 1e-6]])
+    got = KINKED.quantile(thetas)
+    assert got.shape == thetas.shape
+    want = [[KINKED.quantile(float(t)) for t in row] for row in thetas]
+    assert np.array_equal(got, want)
+
+
 def test_quantile_rejects_bad_theta():
     for bad in (0.0, 1.0, -1.0, math.nan):
         with pytest.raises(DomainError):
             GAUSSIAN.quantile(bad)
+    with pytest.raises(DomainError):
+        GAUSSIAN.quantile(np.array([0.5, 1.0]))
 
 
 def test_translate_moves_quantiles():
@@ -265,3 +285,104 @@ def test_minimizer_result_reports_a_theta_mass():
 def test_minimizer_theta_validation():
     with pytest.raises(DomainError):
         brute_force_minimizer(GAUSSIAN, 1.2)
+
+
+# -- closed forms against the decimal piecewise-mass oracle --------------------
+
+_INF = Decimal("Infinity")
+_LOG_SQRT_2PI = log_sqrt_2pi_decimal()
+
+
+def _perturbed_cells(breakpoints, slopes):
+    """Cells of x^2/2 + log sqrt(2 pi) + the continuous piecewise-linear
+    perturbation that vanishes at the first breakpoint."""
+    b = [Decimal(t) for t in breakpoints]
+    s = [Decimal(t) for t in slopes]
+    edges = [-_INF] + b + [_INF]
+    cells, anchor, value = [], b[0], Decimal(0)
+    for i, slope in enumerate(s):
+        if i >= 2:
+            value += s[i - 1] * (b[i - 1] - b[i - 2])
+            anchor = b[i - 1]
+        cells.append((edges[i], edges[i + 1], slope, _LOG_SQRT_2PI + value - slope * anchor))
+    return cells
+
+
+def _tabulated_cells(xs, values):
+    """Cells of x^2/2 + the linear interpolant of values - xs^2/2."""
+    x = [Decimal(t) for t in xs]
+    t = [Decimal(v) - u * u / 2 for u, v in zip(x, values)]
+    cells = []
+    for i in range(len(x) - 1):
+        slope = (t[i + 1] - t[i]) / (x[i + 1] - x[i])
+        cells.append((x[i], x[i + 1], slope, t[i] - slope * x[i]))
+    return cells
+
+
+_KINK_ARGS = ((-0.7, 0.4, 1.1), (-0.6, -0.1, 0.3, 0.9))
+_TAB_XS = np.linspace(-3.0, 3.0, 13)
+_TAB_VALUES = 0.5 * _TAB_XS**2 + 0.4 * np.logaddexp(_TAB_XS - 0.3, 0.3 - _TAB_XS)
+
+# (measure, oracle cells, translation the measure applies to them)
+ORACLE_CASES = {
+    "kinked": (KINKED, _perturbed_cells(*_KINK_ARGS), 0.0),
+    "kinked+0.37": (KINKED.translate(0.37), _perturbed_cells(*_KINK_ARGS), 0.37),
+    "truncated(-1,3)": (
+        normalize(truncated_gaussian_potential(lo=-1.0, hi=3.0)),
+        [(Decimal(-1), Decimal(3), Decimal(0), _LOG_SQRT_2PI)],
+        0.0,
+    ),
+    "tabulated": (
+        normalize(tabulated_potential(_TAB_XS, _TAB_VALUES)),
+        _tabulated_cells(_TAB_XS, _TAB_VALUES),
+        0.0,
+    ),
+}
+
+
+def _oracle_masses(cells, shift, x):
+    """(total, below x, above x) of the oracle cells moved by shift."""
+    u = Decimal(x) - Decimal(shift)
+    return (
+        piecewise_mass_decimal(cells),
+        piecewise_mass_decimal(cells, hi=u),
+        piecewise_mass_decimal(cells, lo=u),
+    )
+
+
+def _probe_points(m):
+    lo = max(m.domain.lo, -6.0 + m.quantile(0.5))
+    hi = min(m.domain.hi, 8.0 + m.quantile(0.5))
+    return [*np.linspace(lo, hi, 11)[1:-1], *m.potential.knots()]
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_normalizer_matches_decimal_oracle(case):
+    m, cells, _ = ORACLE_CASES[case]
+    want = float(piecewise_mass_decimal(cells).ln())
+    assert m.log_normalizer == pytest.approx(want, abs=1e-14)
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_cdf_and_sf_match_decimal_oracle(case):
+    m, cells, shift = ORACLE_CASES[case]
+    for x in _probe_points(m):
+        total, below, above = _oracle_masses(cells, shift, x)
+        assert m.cdf(x) == pytest.approx(float(below / total), abs=1e-14)
+        assert m.sf(x) == pytest.approx(float(above / total), abs=1e-14)
+
+
+@pytest.mark.parametrize("case", ["kinked", "kinked+0.37"])
+def test_sf_upper_tail_relative_accuracy(case):
+    m, cells, shift = ORACLE_CASES[case]
+    for x in np.linspace(3.0, 8.0, 6):
+        total, _, above = _oracle_masses(cells, shift, x)
+        assert m.sf(x) == pytest.approx(float(above / total), rel=1e-10)
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_quantile_round_trip_against_decimal_oracle(case):
+    m, cells, shift = ORACLE_CASES[case]
+    for theta in (1e-6, 0.02, 0.31, 0.5, 0.77, 0.999, 1 - 1e-6):
+        total, below, _ = _oracle_masses(cells, shift, m.quantile(theta))
+        assert float(below / total) == pytest.approx(theta, abs=2e-11)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_constants as oc
+from oracle_erf import gaussian_cdf_oracle
 from isolab import (
     ConfigError,
     DomainError,
@@ -140,6 +141,16 @@ def test_needle_l1_truncated_value():
     # convention already carries the tail mass, nothing is added on top
     nd = make_needle(1.0, normalize(truncated_gaussian_potential(2.0)), 0.5)
     assert needle_l1(nd) == pytest.approx(oc.NEEDLE_L1_D2, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "s", [6.575603216677612, 6.730512905988127, 6.922046728373387]
+)
+def test_needle_l1_translated_gaussian_closed_form(s):
+    # bad needles of generated ensembles; |ratio - 1| has its kink at s/2,
+    # which the quadrature must be told about to meet its tolerance
+    nd = make_needle(1.0, GAUSSIAN.translate(s), 0.5)
+    assert needle_l1(nd) == pytest.approx(4.0 * gaussian_cdf_oracle(s / 2.0) - 2.0, abs=1e-10)
 
 
 def test_needle_l1_trivial_bound():

@@ -1,11 +1,11 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle_constants as oc
-from oracle_erf import gaussian_cdf_oracle
+from oracle_erf import gaussian_cdf_decimal, gaussian_cdf_oracle
 from isolab import (
     DEFAULT_SETTINGS,
     BracketError,
@@ -18,6 +18,7 @@ from isolab import (
     gaussian_cdf,
     gaussian_pdf,
     gaussian_quantile,
+    gaussian_sf,
     integrate,
 )
 
@@ -31,6 +32,8 @@ from isolab import (
 def test_cdf_matches_decimal_oracle(x):
     want = gaussian_cdf_oracle(x)
     assert gaussian_cdf(x) == pytest.approx(want, abs=1e-16, rel=1e-13)
+    upper = float(1 - gaussian_cdf_decimal(x))
+    assert gaussian_sf(x) == pytest.approx(upper, abs=1e-16, rel=1e-13)
 
 
 def test_cdf_frozen_anchors():
@@ -45,8 +48,17 @@ def test_cdf_symmetry(x):
 
 
 @given(st.floats(min_value=-8.0, max_value=7.9), st.floats(min_value=1e-3, max_value=0.1))
+@example(x=7.75, h=2**-9)
 def test_cdf_monotone(x, h):
-    assert gaussian_cdf(x + h) > gaussian_cdf(x)
+    # Phi near 1 (and 1 - Phi near 1) can rise by less than half an ulp of 1
+    # over a step h, so strictness is asserted on the tail that is stored
+    # with full relative precision: Phi below 0, gaussian_sf above it.
+    assert gaussian_cdf(x + h) >= gaussian_cdf(x)
+    assert gaussian_sf(x + h) <= gaussian_sf(x)
+    if x < 0.0:
+        assert gaussian_cdf(x + h) > gaussian_cdf(x)
+    else:
+        assert gaussian_sf(x + h) < gaussian_sf(x)
 
 
 def test_pdf_values():
