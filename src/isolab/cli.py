@@ -17,7 +17,7 @@ given (config, seed) -- outputs are byte-identical across runs.
 Exit status: 0 when all hard invariants/checks pass, 1 on invariant or
 check failures (partial reports are still written), 2 on configuration
 errors.  Quadrature warnings alone never change the exit status; only
-check outcomes do.  ``ISO_LAB_THREADS`` caps sweep worker threads.
+check outcomes do.
 """
 from __future__ import annotations
 
@@ -824,6 +824,8 @@ _FAULTS = {
     "gaussian_cdf": (numerics, "gaussian_cdf", lambda f: lambda x: f(x) + 1e-3),
     # every cell mass of a measure, hence its normalizer, scaled by e^{1e-3}
     "measure_cdf": (measure1d, "gaussian_log_mass", lambda f: lambda a, b: f(a, b) + 1e-3),
+    # every quadrature routed through the module attribute, scaled by 1 + 1e-6
+    "integrate": (numerics, "integrate", lambda f: lambda *a, **k: f(*a, **k) * (1.0 + 1e-6)),
 }
 
 

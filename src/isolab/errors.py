@@ -30,10 +30,6 @@ class NonIntegrableError(IsolabError):
     """exp(-psi) has no finite integral over the stated domain."""
 
 
-class InfeasibleError(IsolabError):
-    """A search or solve has no admissible candidate for the given inputs."""
-
-
 class ConfigError(IsolabError, ValueError):
     """A run configuration is malformed or contains unknown keys."""
 

@@ -89,8 +89,9 @@ _SUPPORT_HALF_WIDTH = 16.0
 
 def _vec(fn: Callable[[ArrayLike], ArrayLike], x: ArrayLike) -> ArrayLike:
     """Apply ``fn`` to a float (0-d arrays are unwrapped) or to an array of
-    dimension >= 1; kernels take a cheap path for the floats that quadrature
-    callbacks pass."""
+    dimension >= 1.  Kernels take a cheap path for floats, which root solves
+    and per-needle set-up still pass: there a float costs 4 to 9 times less
+    than a 1-element array."""
     if not isinstance(x, float):
         arr = np.asarray(x, dtype=float)
         if arr.ndim:
@@ -140,19 +141,12 @@ class PotentialSpec:
         return out
 
     def knots(self) -> Tuple[float, ...]:
-        """Interior non-smooth points, in current (shifted) coordinates.
+        """Interior non-smooth points: the cell edges inside the domain.
 
         Quadratures align their pieces with these so that each piece
         integrates a smooth function.
         """
-        shift = float(self.params.get("shift", 0.0))
-        if self.family == "perturbed_gaussian":
-            raw = self.params.get("breakpoints", ())
-        elif self.family == "tabulated_convex":
-            raw = self.params.get("xs", ())
-        else:
-            raw = ()
-        return tuple(float(b) + shift for b in raw)  # type: ignore[union-attr]
+        return tuple(self.edges[1:-1].tolist())
 
     def value(self, x: ArrayLike) -> ArrayLike:
         def impl(a: ArrayLike) -> ArrayLike:

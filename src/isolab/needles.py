@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -47,7 +47,6 @@ from .measure1d import (
     truncated_gaussian_potential,
 )
 from .numerics import (
-    SQRT_2PI,
     Interval,
     find_root,
     gaussian_cdf,
@@ -76,10 +75,7 @@ __all__ = [
     "aggregate_l1",
     "theorem31_experiment",
     "generate_ensemble",
-    "ensemble_to_dict",
 ]
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
 @dataclass(frozen=True)
@@ -202,10 +198,10 @@ def mixture_density(ens: NeedleEnsemble, x) -> float | np.ndarray:
     return acc
 
 
-# -- piecewise composite integration of mixture integrands --------------------
+# -- mixture integrals ---------------------------------------------------------
 
 
-def _integration_range(ens: NeedleEnsemble) -> Tuple[float, float, list]:
+def _integration_range(ens: NeedleEnsemble) -> Tuple[Interval, list]:
     """Range covering all needle effective supports plus the Gaussian bulk,
     and the interior breakpoints (finite needle endpoints)."""
     lo, hi = -9.0, 9.0
@@ -217,41 +213,21 @@ def _integration_range(ens: NeedleEnsemble) -> Tuple[float, float, list]:
         for e in (nd.measure.domain.lo, nd.measure.domain.hi):
             if math.isfinite(e):
                 inner.append(float(e))
-    return lo, hi, inner
-
-
-def _composite_integral(
-    fvec: Callable[[np.ndarray], np.ndarray],
-    segment_edges: np.ndarray,
-    max_cell: float = 0.05,
-) -> float:
-    """Gauss-Legendre composite integral with cells refined below
-    ``max_cell`` and aligned to ``segment_edges`` (integrand kinks)."""
-    pieces = []
-    for a, b in zip(segment_edges[:-1], segment_edges[1:]):
-        k = max(1, int(math.ceil((b - a) / max_cell)))
-        pieces.append(np.linspace(a, b, k + 1)[:-1])
-    edges = np.concatenate(pieces + [segment_edges[-1:]])
-    a_v, b_v = edges[:-1], edges[1:]
-    mid = 0.5 * (a_v + b_v)
-    half = 0.5 * (b_v - a_v)
-    nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    vals = np.asarray(fvec(nodes.ravel()), dtype=float).reshape(a_v.size, -1)
-    return float(np.sum(half * (vals @ _GL_WEIGHTS)))
+    return Interval(lo, hi), inner
 
 
 def _sign_change_roots(
-    fvec: Callable[[np.ndarray], np.ndarray],
-    fscalar: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
     probe_step: float = 0.01,
 ) -> list:
-    """Locate roots of a continuous function by probing then Brent refining;
-    used to split ``|rho - phi|`` at its crossing points."""
+    """Locate roots of a continuous function of floats or arrays by probing
+    then Brent refining; used to split ``|rho - phi|`` at its crossing
+    points."""
     n = max(16, int(math.ceil((hi - lo) / probe_step)) + 1)
     xs = np.linspace(lo, hi, n)
-    vals = np.asarray(fvec(xs), dtype=float)
+    vals = np.asarray(f(xs), dtype=float)
     sign = np.sign(vals)
     flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     if flips.size > 500:
@@ -260,35 +236,21 @@ def _sign_change_roots(
         )
     roots = []
     for i in flips:
-        roots.append(find_root(fscalar, Interval(float(xs[i]), float(xs[i + 1])), tol=1e-12))
+        roots.append(find_root(f, Interval(float(xs[i]), float(xs[i + 1])), tol=1e-12))
     return roots
-
-
-def _segment_edges(lo: float, hi: float, inner: Sequence[float]) -> np.ndarray:
-    pts = [lo, hi] + [p for p in inner if lo < p < hi]
-    edges = np.array(sorted(pts), dtype=float)
-    keep = np.concatenate([[True], np.diff(edges) > 1e-12])
-    return edges[keep]
 
 
 def _mixture_l1(ens: NeedleEnsemble) -> float:
     """``|| rho e^{psi_g} - 1 ||_{L^1(gamma)} = int |rho - phi| dx`` plus the
     analytic Gaussian tail mass beyond the covered range."""
-    lo, hi, inner = _integration_range(ens)
+    span, inner = _integration_range(ens)
 
-    def diff_vec(x: np.ndarray) -> np.ndarray:
-        return np.asarray(mixture_density(ens, x), dtype=float) - np.exp(
-            -0.5 * x * x
-        ) / SQRT_2PI
+    def diff(x):
+        return mixture_density(ens, x) - gaussian_pdf(x)
 
-    def diff_scalar(x: float) -> float:
-        return float(mixture_density(ens, x)) - gaussian_pdf(x)
-
-    crossings = _sign_change_roots(diff_vec, diff_scalar, lo, hi)
-    edges = _segment_edges(lo, hi, list(inner) + crossings)
-    body = _composite_integral(lambda x: np.abs(diff_vec(x)), edges)
-    tails = gaussian_cdf(lo) + gaussian_sf(hi)
-    return body + tails
+    crossings = _sign_change_roots(diff, span.lo, span.hi)
+    body = integrate(lambda x: np.abs(diff(x)), span, points=(*inner, *crossings))
+    return body + gaussian_cdf(span.lo) + gaussian_sf(span.hi)
 
 
 def disintegration_check(
@@ -297,26 +259,19 @@ def disintegration_check(
     """Fubini consistency: ``int h rho dx`` vs ``sum_q w_q int h dm_q``.
 
     ``h`` must accept numpy arrays (any polynomial/ufunc composition does).
-    The two sides are computed by *different* quadratures -- a composite
-    rule on the mixture and per-needle adaptive quadrature -- so agreement
-    within 1e-8 genuinely exercises the disintegration identity.
+    The two sides differ in integrand and partition -- the mixture is
+    integrated once, with its pieces starting at every needle endpoint, and
+    each needle on its own domain -- so agreement within 1e-8 genuinely
+    exercises the disintegration identity.
     """
-    lo, hi, inner = _integration_range(ens)
-    edges = _segment_edges(lo, hi, inner)
-    lhs = _composite_integral(
-        lambda x: np.asarray(h(x), dtype=float)
-        * np.asarray(mixture_density(ens, x), dtype=float),
-        edges,
-    )
+    span, inner = _integration_range(ens)
+    lhs = integrate(lambda x: h(x) * mixture_density(ens, x), span, points=tuple(inner))
     rhs = 0.0
     for nd in ens.needles:
         if nd.weight == 0.0:
             continue
         rhs += nd.weight * integrate(
-            lambda t: float(np.asarray(h(np.asarray(t, dtype=float)), dtype=float))
-            * float(nd.measure.density(t)),
-            nd.measure.domain,
-            nd.measure.settings,
+            lambda x: h(x) * nd.measure.density(x), nd.measure.domain, nd.measure.settings
         )
     return DisintegrationReport(lhs=lhs, rhs=rhs)
 
@@ -427,8 +382,8 @@ def shifted_gaussian_l1(s: float) -> float:
     if s == 0.0:
         return 0.0
 
-    def integrand(x: float) -> float:
-        return abs(gaussian_pdf(x - s) - gaussian_pdf(x))
+    def integrand(x: np.ndarray) -> np.ndarray:
+        return np.abs(gaussian_pdf(x - s) - gaussian_pdf(x))
 
     lo = min(-9.0, s - 9.0)
     hi = max(9.0, s + 9.0)
@@ -658,28 +613,3 @@ def generate_ensemble(config: EnsembleConfig | Mapping[str, object]) -> NeedleEn
                 make_needle(float(w), base.translate(_BAD_SHIFT_BASE * float(f)), theta)
             )
     return NeedleEnsemble(needles=tuple(needles), theta=theta, epsilon=config.epsilon)
-
-
-def ensemble_to_dict(
-    ens: NeedleEnsemble, config: Optional[EnsembleConfig] = None
-) -> dict:
-    """JSON-ready description: family tags, parameters, weights, quantiles,
-    and (when given) the generating config including the seed."""
-    return {
-        "theta": ens.theta,
-        "epsilon": ens.epsilon,
-        "needles": [
-            {
-                "weight": nd.weight,
-                "family": nd.measure.potential.family,
-                "params": {
-                    k: (list(v) if isinstance(v, tuple) else v)
-                    for k, v in nd.measure.potential.params.items()
-                },
-                "r_minus": nd.r_minus,
-                "r_plus": nd.r_plus,
-            }
-            for nd in ens.needles
-        ],
-        "config": config.to_dict() if config is not None else None,
-    }

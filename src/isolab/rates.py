@@ -14,22 +14,17 @@ while quadratures stay well-conditioned.
 
 Family parameters are solved from ``delta`` by bracketed root finding; a
 grid point whose solve fails is skipped and logged, never silently filled.
-``ISO_LAB_THREADS`` caps the number of worker threads used to evaluate grid
-points concurrently; the reduction is a deterministic sort by delta, so the
-result does not depend on the worker count.
 """
 from __future__ import annotations
 
 import logging
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Protocol, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import BracketError, ConfigError, DomainError, FitError, InfeasibleError
+from .errors import BracketError, DomainError, FitError
 from .measure1d import (
     Measure1D,
     gaussian_measure,
@@ -60,7 +55,6 @@ __all__ = [
     "DEFAULT_DELTA_GRID",
     "sweep",
     "fit_exponent",
-    "worker_count",
     "Example23SweepFamily",
     "PerturbedSweepFamily",
     "GaussianSweepFamily",
@@ -197,18 +191,6 @@ def fit_exponent(
     return _fit(positive)
 
 
-def worker_count(default: int = 1) -> int:
-    """Worker-thread cap from ``ISO_LAB_THREADS`` (>= 1); unset -> default."""
-    raw = os.environ.get("ISO_LAB_THREADS")
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"ISO_LAB_THREADS={raw!r} is not an integer") from exc
-    return max(1, value)
-
-
 def _evaluate_metric(
     metric: Metric, obj: Union[Measure1D, NeedleEnsemble], theta: float
 ) -> float:
@@ -232,17 +214,13 @@ def sweep(
     theta: float,
     metric: Metric,
     delta_grid: Sequence[float] = DEFAULT_DELTA_GRID,
-    *,
-    max_workers: Optional[int] = None,
 ) -> SweepResult:
     """Evaluate ``metric`` on ``family`` across a deficit grid and fit.
 
-    One point per grid entry, evaluated independently (optionally across
-    ``max_workers`` threads, default from ``ISO_LAB_THREADS``) and reduced
-    by a deterministic descending sort on delta.  Solve failures skip the
-    point with a log message; the fit is attempted over the surviving
-    values above the ``_FIT_FLOOR`` noise floor and skipped (NaN fields)
-    when fewer than 3 remain.
+    One point per grid entry, in descending order of delta.  Solve failures
+    skip the point with a log message; the fit is attempted over the
+    surviving values above the ``_FIT_FLOOR`` noise floor and skipped (NaN
+    fields) when fewer than 3 remain.
     """
     grid = sorted({float(d) for d in delta_grid}, reverse=True)
     if not grid:
@@ -254,20 +232,14 @@ def sweep(
         try:
             obj = family.at_deficit(d, theta)
             return d, _evaluate_metric(metric, obj, theta)
-        except (BracketError, InfeasibleError) as exc:
+        except BracketError as exc:
             logger.warning(
                 "skipping delta=%.3e for family %s: %s", d, family.name, exc
             )
             return None
 
-    workers = max_workers if max_workers is not None else worker_count()
-    if workers > 1 and len(grid) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(run_one, grid))
-    else:
-        raw = [run_one(d) for d in grid]
-
-    points = tuple(sorted((r for r in raw if r is not None), key=lambda t: -t[0]))
+    raw = [run_one(d) for d in grid]
+    points = tuple(r for r in raw if r is not None)
     skipped = tuple(d for d, r in zip(grid, raw) if r is None)
     positive = [(d, v) for d, v in points if v > _FIT_FLOOR]
     if len(positive) >= 3:

@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 import oracle_constants as oc
 from oracle_erf import gaussian_cdf_decimal, gaussian_cdf_oracle
@@ -21,6 +27,7 @@ from isolab import (
     gaussian_sf,
     integrate,
 )
+import isolab
 
 
 # -- the Gaussian cdf against the independent decimal oracle ------------------
@@ -87,6 +94,11 @@ def test_quantile_inverts_cdf(theta):
     assert gaussian_cdf(gaussian_quantile(theta)) == pytest.approx(theta, rel=1e-11, abs=1e-13)
 
 
+@pytest.mark.parametrize("theta", [1 - 1e-12, 1 - 1e-10, 1e-12, 0.97])
+def test_quantile_equals_ndtri_in_both_tails(theta):
+    assert gaussian_quantile(theta) == ndtri(theta)
+
+
 def test_quantile_rejects_degenerate():
     for bad in (0.0, 1.0, -0.2, 1.3, math.nan):
         with pytest.raises(DomainError):
@@ -109,6 +121,24 @@ def test_integrate_kink_with_points():
     assert value == pytest.approx(0.3**2 / 2 + 0.7**2 / 2, abs=1e-14)
 
 
+def test_integrate_passes_arrays():
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return gaussian_pdf(x)
+
+    integrate(f, REAL_LINE)
+    assert seen and all(isinstance(x, np.ndarray) and x.ndim == 1 for x in seen)
+    assert all(x.size % 15 == 0 for x in seen)
+
+
+def test_integrate_kink_by_bisection():
+    # no points: the piece holding the kink is bisected until it meets 1e-12
+    value = integrate(lambda x: np.abs(x - 0.3), Interval(0.0, 1.0))
+    assert value == pytest.approx(0.3**2 / 2 + 0.7**2 / 2, abs=1e-12)
+
+
 def test_integrate_empty_after_truncation():
     # the whole domain lies beyond the default tail cutoff of 40
     assert integrate(gaussian_pdf, Interval(41.0, 50.0)) == 0.0
@@ -117,7 +147,26 @@ def test_integrate_empty_after_truncation():
 def test_integrate_reports_failure():
     # oscillation far beyond what 200 subdivisions can resolve
     with pytest.raises(QuadratureError):
-        integrate(lambda x: math.cos(1e5 * x), Interval(0.0, 1.0))
+        integrate(lambda x: np.cos(1e5 * x), Interval(0.0, 1.0))
+    with pytest.raises(QuadratureError):
+        integrate(
+            lambda x: np.cos(1e5 * x),
+            Interval(0.0, 1.0),
+            QuadratureSettings(max_subdivisions=10),
+        )
+
+
+def test_import_leaves_out_scipy_integrate():
+    src = str(Path(isolab.__file__).resolve().parents[1])
+    code = "import sys, isolab; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def test_settings_validation():

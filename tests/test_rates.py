@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isolab import (
-    ConfigError,
     DEFAULT_DELTA_GRID,
     DomainError,
     Example23SweepFamily,
@@ -19,7 +18,6 @@ from isolab import (
     deficit,
     fit_exponent,
     sweep,
-    worker_count,
 )
 
 
@@ -126,25 +124,6 @@ def test_sweep_result_validation_and_dict():
         )
 
 
-# -- worker control -----------------------------------------------------------
-
-
-def test_worker_count_default(monkeypatch):
-    monkeypatch.delenv("ISO_LAB_THREADS", raising=False)
-    assert worker_count() == 1
-    assert worker_count(default=4) == 4
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("ISO_LAB_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("ISO_LAB_THREADS", "0")
-    assert worker_count() == 1  # clamped to at least one worker
-    monkeypatch.setenv("ISO_LAB_THREADS", "many")
-    with pytest.raises(ConfigError):
-        worker_count()
-
-
 # -- families -----------------------------------------------------------------
 
 
@@ -212,15 +191,6 @@ def test_sweep_gaussian_family_yields_no_fit():
     res = sweep(GaussianSweepFamily(), 0.5, Metric.parse("lp:2"), [1e-2, 1e-3, 1e-4])
     assert all(v <= 1e-10 for _, v in res.points)  # zero up to quadrature noise
     assert not res.fit_available  # nothing above the noise floor to fit
-
-
-def test_sweep_threaded_matches_serial():
-    fam = Example23SweepFamily()
-    grid = [1e-2, 1e-3, 1e-4, 1e-5]
-    serial = sweep(fam, 0.5, Metric.parse("lp:2"), grid, max_workers=1)
-    threaded = sweep(fam, 0.5, Metric.parse("lp:2"), grid, max_workers=4)
-    assert serial.points == threaded.points
-    assert serial.fitted_exponent == threaded.fitted_exponent
 
 
 def test_needle_family_sweep_smoke():

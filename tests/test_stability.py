@@ -179,6 +179,12 @@ def test_w1_dual_bound_dominates():
         assert w1_to_gaussian(c) <= w1_dual_bound(m, theta) + 1e-8
 
 
+def test_w1_dual_bound_tails_in_closed_form():
+    # the value both tails gave as half-line quadratures
+    m = normalize(truncated_gaussian_potential(lo=-1.0, hi=3.0))
+    assert w1_dual_bound(m, 0.5) == pytest.approx(0.31666076178447455, abs=1e-12)
+
+
 def test_w2_against_discrete_transport_oracle():
     got = w2_to_gaussian(TRUNCATED_2)
     oracle = discrete_w2_oracle(TRUNCATED_2, n_nodes=50_000)
