@@ -700,6 +700,14 @@ def _selftest_battery() -> Sequence[Tuple[str, Callable[[], Optional[str]]]]:
         r = numerics.find_root(lambda x: x * x - 2.0, Interval(0.0, 2.0))
         if abs(r - math.sqrt(2.0)) > 1e-12:
             return f"root = {r!r}"
+        c = np.array([2.0, 3.0, 5.0])
+        rs, steps = numerics.find_root(
+            lambda x: x * x - c, (np.zeros(3), np.full(3, 3.0)), full_output=True
+        )
+        if np.max(np.abs(rs - np.sqrt(c))) > 1e-12:
+            return f"roots of x^2 - {c.tolist()} = {rs.tolist()!r}"
+        if np.max(steps) > 15:  # bisection needs 45 steps from a width of 3
+            return f"{steps.tolist()} steps to the roots of x^2 - {c.tolist()}"
         return None
 
     def normalize_check() -> Optional[str]:
@@ -826,6 +834,10 @@ _FAULTS = {
     "measure_cdf": (measure1d, "gaussian_log_mass", lambda f: lambda a, b: f(a, b) + 1e-3),
     # every quadrature routed through the module attribute, scaled by 1 + 1e-6
     "integrate": (numerics, "integrate", lambda f: lambda *a, **k: f(*a, **k) * (1.0 + 1e-6)),
+    # every root solve routed through the module attribute: the function is
+    # shifted right by 1e-6, and with it every root
+    "find_root": (numerics, "find_root",
+                  lambda f: lambda g, *a, **k: f(lambda x: g(x - 1e-6), *a, **k)),
 }
 
 

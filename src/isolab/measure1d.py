@@ -82,16 +82,11 @@ __all__ = [
 
 ArrayLike = Union[float, np.ndarray]
 
-# Density mass beyond +-16 standard deviations from the potential minimum is
-# below 1e-55 for any 1-convex measure.
-_SUPPORT_HALF_WIDTH = 16.0
-
-
 def _vec(fn: Callable[[ArrayLike], ArrayLike], x: ArrayLike) -> ArrayLike:
     """Apply ``fn`` to a float (0-d arrays are unwrapped) or to an array of
-    dimension >= 1.  Kernels take a cheap path for floats, which root solves
-    and per-needle set-up still pass: there a float costs 4 to 9 times less
-    than a 1-element array."""
+    dimension >= 1.  Kernels take a cheap path for floats, which scalar root
+    solves (a deficit per step) and single-measure reports still pass: there
+    a float costs 4 to 9 times less than a 1-element array."""
     if not isinstance(x, float):
         arr = np.asarray(x, dtype=float)
         if arr.ndim:
@@ -407,16 +402,6 @@ class Measure1D:
     @property
     def domain(self) -> Interval:
         return self.potential.domain
-
-    @cached_property
-    def effective_support(self) -> Interval:
-        """The potential minimum +- 16, intersected with the domain; the
-        mass outside it is negligible (below 1e-55)."""
-        c = self.potential.argmin()
-        return Interval(
-            max(self.domain.lo, c - _SUPPORT_HALF_WIDTH),
-            min(self.domain.hi, c + _SUPPORT_HALF_WIDTH),
-        )
 
     def psi(self, x: ArrayLike) -> ArrayLike:
         """Normalized potential; finite on the domain, meaningless off it."""

@@ -34,11 +34,11 @@ isoperimetric deficit; at ``theta = 1/2`` they are related by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from .errors import DomainError, InvariantViolation, QuadratureError
 from .measure1d import (
@@ -90,6 +90,10 @@ _T_CLIP = 1e-12
 _EQUALITY_TOL = 1e-13
 
 _TRANSPORT_SETTINGS = QuadratureSettings(abs_tol=1e-10, rel_tol=1e-8)
+# Room that lp_distance leaves beyond its integrand's peak: the log-integrand
+# falls at least like -(x - peak)^2/2 there, so the mass cut off is below
+# Phi(-10) ~ 8e-24 of the total.
+_PEAK_MARGIN = 10.0
 
 
 @dataclass(frozen=True)
@@ -345,26 +349,46 @@ def lp_distance(m: Measure1D, p: float) -> float:
 
     Off ``I`` the density ratio is taken to be 0, so the integrand there is
     ``|0 - 1|^p = 1`` and contributes exactly ``gamma(R \\ I)``.  ``p`` must
-    lie in [1, 64]: the ratio is exponentiated by ``p`` inside the integral
-    and beyond 64 intermediate terms can overflow double precision even for
-    tame gaps.
+    lie in [1, 64].  The integrand is formed in log space, ``exp(p *
+    log|expm1(g)| - psi_g)`` with ``g = psi_g - psi``, and scaled by its
+    peak value when that exceeds 1: the integral itself may
+    overflow a double (about ``e^18144`` for the Gaussian translated by 3 at
+    ``p = 64``, whose integrand peaks at ``x = 192``) while its p-th root
+    does not.
     """
     p = float(p)
     if math.isnan(p) or p < 1.0:
         raise DomainError(f"lp_distance: p={p!r} must be >= 1")
     if p > 64.0:
-        raise DomainError("lp_distance: p > 64 overflows intermediate terms")
+        raise DomainError(f"lp_distance: p={p!r} must be <= 64")
 
-    def integrand(x: np.ndarray) -> np.ndarray:
-        # ratio via exp of the potential difference: stable where both
-        # densities underflow
-        return np.abs(np.expm1(gaussian_psi(x) - m.psi(x))) ** p * gaussian_pdf(x)
+    def log_integrand(x: np.ndarray) -> np.ndarray:
+        psi_g = gaussian_psi(x)
+        g = psi_g - m.psi(x)
+        # log|e^g - 1| = max(g, 0) + log(1 - e^{-|g|}), finite for any g != 0
+        with np.errstate(divide="ignore"):
+            return p * (np.maximum(g, 0.0) + np.log(-np.expm1(-np.abs(g)))) - psi_g
 
+    # Where g >> 0 the log-integrand is p*g - psi_g up to a term of size
+    # p*e^{-g}, and g is linear on each cell, so its peak is near the vertex
+    # -p*beta of the cell, clipped to it: scale by the largest vertex value
+    # when that exceeds 0, and widen the window to hold that vertex.
+    pot, cutoff = m.potential, m.settings.tail_cutoff
+    vertices = np.clip(-p * pot.slopes, pot.edges[:-1], pot.edges[1:])
+    values = log_integrand(vertices)
+    peak = int(np.argmax(values))
+    shift = max(0.0, float(values[peak]))
+    settings = m.settings
+    if math.isfinite(values[peak]) and abs(vertices[peak]) + _PEAK_MARGIN > cutoff:
+        settings = replace(settings, tail_cutoff=abs(float(vertices[peak])) + _PEAK_MARGIN)
     inside = integrate(
-        integrand, m.domain, m.settings, points=(*m.potential.knots(), *_ratio_crossings(m))
+        lambda x: np.exp(log_integrand(x) - shift),
+        m.domain,
+        settings,
+        points=(*pot.knots(), *_ratio_crossings(m)),
     )
-    outside = _gaussian_tail_mass(m.domain)
-    return (inside + outside) ** (1.0 / p)
+    outside = _gaussian_tail_mass(m.domain) * math.exp(-shift)
+    return math.exp(shift / p) * (inside + outside) ** (1.0 / p)
 
 
 def relative_entropy(m: Measure1D) -> float:
@@ -525,22 +549,24 @@ def example23(D: float) -> Tuple[Measure1D, Example23Family, Example23ClosedForm
     return m, fam, closed
 
 
-def truncated_deficit(D: float, theta: float) -> float:
-    """Deficit of the symmetric truncated Gaussian, in closed Phi-form.
+def truncated_deficit(D, theta: float):
+    """Deficit of the symmetric truncated Gaussian, in closed Phi-form;
+    ``D`` a float or an array of radii.
 
     cdf is ``(Phi(x) - Phi(-D)) / gamma(I)`` on ``(-D, D)``, so the
     theta-quantile ``r`` solves ``Phi(r) = theta * gamma(I) + Phi(-D)`` and
     the (centering-invariant) deficit is ``phi(r)/gamma(I) - profile``.
     """
-    gamma_I = gaussian_cdf(D) - gaussian_cdf(-D)
-    r = gaussian_quantile(theta * gamma_I + gaussian_cdf(-D))
+    gamma_I = ndtr(D) - ndtr(-D)
+    r = ndtri(theta * gamma_I + ndtr(-D))
     return gaussian_pdf(r) / gamma_I - gaussian_profile(theta)
 
 
-def solve_truncation_for_deficit(target: float, theta: float) -> float:
-    """Radius ``D`` whose truncated Gaussian has the target deficit."""
-    return find_root(
-        lambda D: truncated_deficit(D, theta) - target,
-        Interval(0.05, 9.0),
-        tol=1e-12,
-    )
+def solve_truncation_for_deficit(target, theta: float):
+    """Radius ``D`` whose truncated Gaussian has the target deficit; for an
+    array of targets, all radii come from one elementwise root solve."""
+    if np.ndim(target) == 0:
+        bracket = Interval(0.05, 9.0)
+    else:
+        bracket = (np.full(np.shape(target), 0.05), np.full(np.shape(target), 9.0))
+    return find_root(lambda D: truncated_deficit(D, theta) - target, bracket, tol=1e-12)

@@ -132,3 +132,32 @@ def piecewise_mass_decimal(cells, lo=None, hi=None) -> Decimal:
             weight = sqrt_2pi * (beta * beta / 2 - gamma).exp()
             total += weight * (_phi_decimal(b + beta) - _phi_decimal(a + beta))
     return +total
+
+
+def lp_translated_gaussian_decimal(s: Decimal | float | int, p: int) -> Decimal:
+    """``|| exp(psi_g - psi) - 1 ||_{L^p(gamma)}`` of the Gaussian translated
+    by ``s``, for an even integer ``p``.
+
+    The density ratio is ``e^{a x + b}`` with ``a = s``, ``b = -s^2/2``, so
+    for even ``p`` the binomial theorem and ``E e^{k a X} = e^{k^2 a^2/2}``
+    give the integral as
+
+        sum_{k=0}^{p} C(p, k) (-1)^{p-k} e^{k b + k^2 a^2 / 2},
+
+    whose terms grow like ``e^{k^2 s^2/2}``: at ``s = 3, p = 64`` the sum is
+    about ``e^18144`` and the top term dominates, so 100 digits are ample.
+    """
+    if p < 2 or p % 2:
+        raise ValueError(f"the binomial oracle needs an even p >= 2, got {p!r}")
+    with localcontext() as ctx:
+        ctx.prec = PRECISION + 10
+        a = Decimal(s)
+        b = -a * a / 2
+        total = Decimal(0)
+        binom = 1
+        for k in range(p + 1):
+            term = binom * (k * b + k * k * a * a / 2).exp()
+            total += term if (p - k) % 2 == 0 else -term
+            binom = binom * (p - k) // (k + 1)
+        result = (total.ln() / p).exp()
+    return +result

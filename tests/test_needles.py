@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import isolab
 import oracle_constants as oc
 from oracle_erf import gaussian_cdf_oracle
 from isolab import (
@@ -21,17 +22,21 @@ from isolab import (
     gaussian_cdf,
     gaussian_measure,
     generate_ensemble,
+    lp_distance,
     make_needle,
     mixture_density,
     needle_l1,
     normalize,
+    perturbed_gaussian_potential,
     shifted_gaussian_l1,
     theorem31_experiment,
     truncated_gaussian_potential,
 )
+from isolab.needles import Needle
 
 GAUSSIAN = gaussian_measure()
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+KINKED = normalize(perturbed_gaussian_potential((-0.4, 0.9), (-0.5, 0.0, 0.7)))
 
 
 def gaussian_pair(s: float, theta: float = 0.5) -> NeedleEnsemble:
@@ -47,6 +52,39 @@ def gaussian_pair(s: float, theta: float = 0.5) -> NeedleEnsemble:
 
 def single_needle(m, theta: float = 0.5) -> NeedleEnsemble:
     return NeedleEnsemble(needles=(make_needle(1.0, m, theta),), theta=theta, epsilon=0.1)
+
+
+def mixture_density_oracle(ens: NeedleEnsemble, x: np.ndarray) -> np.ndarray:
+    """rho by its definition: one Measure1D.density per needle, summed."""
+    return sum(nd.weight * np.asarray(nd.measure.density(x), dtype=float) for nd in ens.needles)
+
+
+def shared_slope_ensemble() -> NeedleEnsemble:
+    """Needles whose slopes repeat: symmetric and one-sided truncations of
+    the Gaussian (slope 0), three copies of one translate, two one-sided
+    truncations translated alike, and one needle with a slope of its own."""
+    right = normalize(truncated_gaussian_potential(lo=-1.0, hi=math.inf))
+    left = normalize(truncated_gaussian_potential(lo=-math.inf, hi=1.5))
+    measures = [
+        normalize(truncated_gaussian_potential(0.7)),
+        normalize(truncated_gaussian_potential(2.0)),
+        normalize(truncated_gaussian_potential(lo=-0.4, hi=math.inf)),
+        GAUSSIAN,
+        GAUSSIAN.translate(2.0),
+        GAUSSIAN.translate(2.0),
+        GAUSSIAN.translate(2.0),
+        right.translate(0.5),
+        left.translate(0.5),
+        normalize(truncated_gaussian_potential(lo=-1.0, hi=3.0)).translate(-0.8),
+    ]
+    weights = np.arange(1.0, len(measures) + 1.0)
+    weights /= weights.sum()
+    weights[-1] = 1.0 - weights[:-1].sum()
+    return NeedleEnsemble(
+        needles=tuple(make_needle(w, m, 0.5) for w, m in zip(weights, measures)),
+        theta=0.5,
+        epsilon=0.1,
+    )
 
 
 # -- construction invariants --------------------------------------------------
@@ -88,6 +126,51 @@ def test_mixture_density_vectorized():
     vals = mixture_density(ens, xs)
     assert vals.shape == (3,)
     assert vals[0] == pytest.approx(vals[2], rel=1e-12)  # symmetry
+
+
+@pytest.mark.parametrize(
+    "ensemble",
+    [
+        lambda: generate_ensemble(
+            EnsembleConfig(needle_count=60, deficit_scale=1e-3, bad_fraction=0.3, seed=5)
+        ),
+        lambda: generate_ensemble(
+            EnsembleConfig(needle_count=300, deficit_scale=1e-5, bad_fraction=0.05, seed=2)
+        ),
+        lambda: gaussian_pair(0.5),
+        shared_slope_ensemble,
+    ],
+    ids=["generated-60", "generated-300", "gaussian-pair", "shared-slopes"],
+)
+def test_mixture_density_matches_needle_by_needle_sum(ensemble):
+    ens = ensemble()
+    ends = np.concatenate([ens.lo, ens.hi])
+    ends = ends[np.isfinite(ends)]
+    xs = np.concatenate([np.linspace(-12.0, 16.0, 4001), ends, np.nextafter(ends, math.inf)])
+    got = mixture_density(ens, xs)
+    np.testing.assert_allclose(got, mixture_density_oracle(ens, xs), rtol=0.0, atol=1e-14)
+    # the density is 0 at every needle endpoint, as Measure1D.density is
+    assert mixture_density(ens, float(xs[100])) == pytest.approx(got[100], abs=1e-15)
+
+
+def test_generated_quantiles_match_measure_quantiles():
+    ens = generate_ensemble(
+        EnsembleConfig(needle_count=50, theta=0.3, deficit_scale=1e-2, bad_fraction=0.2, seed=8)
+    )
+    for nd in ens.needles:
+        assert nd.r_minus == pytest.approx(nd.measure.quantile(0.3), abs=1e-12)
+        assert nd.r_plus == pytest.approx(nd.measure.quantile(0.7), abs=1e-12)
+
+
+def test_needles_must_be_one_cell():
+    with pytest.raises(DomainError):
+        make_needle(1.0, KINKED, 0.5)
+    with pytest.raises(DomainError):
+        NeedleEnsemble(
+            needles=(Needle(weight=1.0, measure=KINKED, r_minus=-0.5, r_plus=0.5),),
+            theta=0.5,
+            epsilon=0.1,
+        )
 
 
 def test_disintegration_identity_for_moments():
@@ -144,13 +227,40 @@ def test_needle_l1_truncated_value():
 
 
 @pytest.mark.parametrize(
-    "s", [6.575603216677612, 6.730512905988127, 6.922046728373387]
+    "s", [6.575603216677612, 6.730512905988127, 6.922046728373387, 0.3]
 )
 def test_needle_l1_translated_gaussian_closed_form(s):
-    # bad needles of generated ensembles; |ratio - 1| has its kink at s/2,
-    # which the quadrature must be told about to meet its tolerance
+    # bad needles of generated ensembles, where a quadrature that missed the
+    # kink of |ratio - 1| at s/2 was off by up to 1.25e-6, and a small shift
     nd = make_needle(1.0, GAUSSIAN.translate(s), 0.5)
     assert needle_l1(nd) == pytest.approx(4.0 * gaussian_cdf_oracle(s / 2.0) - 2.0, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [
+        normalize(truncated_gaussian_potential(0.5)),
+        normalize(truncated_gaussian_potential(2.0)),
+        normalize(truncated_gaussian_potential(6.0)),
+        GAUSSIAN.translate(0.3),
+        GAUSSIAN.translate(-0.3),
+        GAUSSIAN.translate(6.922046728373387),
+        normalize(truncated_gaussian_potential(lo=-1.0, hi=3.0)).translate(0.8),
+        normalize(truncated_gaussian_potential(lo=-0.5, hi=math.inf)).translate(-1.2),
+    ],
+    ids=["D=0.5", "D=2", "D=6", "s=0.3", "s=-0.3", "s=6.922", "truncated-translate",
+         "one-sided-translate"],
+)
+def test_needle_l1_closed_form_matches_quadrature(measure):
+    assert needle_l1(make_needle(1.0, measure, 0.5)) == pytest.approx(
+        lp_distance(measure, 1.0), abs=1e-10
+    )
+
+
+@pytest.mark.parametrize("D", [0.5, 2.0, 6.0])
+def test_needle_l1_of_truncation_is_four_phi_minus_d(D):
+    nd = make_needle(1.0, normalize(truncated_gaussian_potential(D)), 0.5)
+    assert needle_l1(nd) == pytest.approx(4.0 * gaussian_cdf_oracle(-D), rel=1e-14, abs=1e-16)
 
 
 def test_needle_l1_trivial_bound():
@@ -320,3 +430,35 @@ def test_ensemble_config_round_trip_and_validation():
         EnsembleConfig(needle_count=5, bad_fraction=1.5)
     with pytest.raises((ConfigError, TypeError)):
         EnsembleConfig.from_dict({"needle_count": 5, "stray_key": 1})
+
+
+# -- work that does not grow with the needle count ----------------------------
+
+
+def test_needle_experiment_makes_the_same_calls_at_any_needle_count(monkeypatch):
+    # every module that binds integrate or find_root by value gets a counter
+    counts = {"integrate": 0, "find_root": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (isolab.numerics, isolab.measure1d, isolab.stability, isolab.needles):
+        for name in counts:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    seen = []
+    for q in (100, 1000):
+        counts.update(integrate=0, find_root=0)
+        config = EnsembleConfig(
+            needle_count=q, deficit_scale=1e-3, bad_fraction=1e-3 ** (0.9 / 8.7), seed=3
+        )
+        ens = generate_ensemble(config)
+        disintegration_check(ens, np.ones_like)
+        theorem31_experiment(ens, 1e-3)
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]
+    assert seen[0]["integrate"] <= 3 and seen[0]["find_root"] <= 2

@@ -157,8 +157,12 @@ def test_integrate_reports_failure():
 
 
 def test_import_leaves_out_scipy_integrate():
+    # neither QUADPACK nor Brent: the kernel and the root solver are isolab's
     src = str(Path(isolab.__file__).resolve().parents[1])
-    code = "import sys, isolab; print('scipy.integrate' in sys.modules)"
+    code = (
+        "import sys, isolab; "
+        "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -166,7 +170,7 @@ def test_import_leaves_out_scipy_integrate():
         check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_settings_validation():
@@ -201,3 +205,36 @@ def test_find_root_needs_bounded_bracket():
 def test_find_root_linear(c):
     root = find_root(lambda x: x - c, Interval(-11.0, 11.0))
     assert root == pytest.approx(c, abs=1e-12)
+
+
+def test_find_root_on_arrays():
+    c = np.array([2.0, 3.0, 0.5, 10.0])
+    roots = find_root(lambda x: x * x - c, (np.zeros(4), np.full(4, 4.0)))
+    assert roots.shape == (4,)
+    assert roots[0] == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    np.testing.assert_allclose(roots, np.sqrt(c), rtol=0.0, atol=1e-12)
+
+
+def test_find_root_reports_steps_per_element():
+    # a bracket of width 4 needs 45 bisections to reach 1e-13; the
+    # interpolation steps need far fewer, and an exact end needs none
+    c = np.array([2.0, 3.0, 0.0])
+    roots, steps = find_root(
+        lambda x: x * x - c, (np.zeros(3), np.full(3, 4.0)), full_output=True
+    )
+    assert steps.shape == (3,) and steps.dtype.kind == "i"
+    assert steps[2] == 0 and roots[2] == 0.0
+    assert 0 < steps[0] <= 15 and 0 < steps[1] <= 15
+    root, n = find_root(lambda x: x * x - 2.0, Interval(0.0, 2.0), full_output=True)
+    assert isinstance(root, float) and 0 < n <= 15
+
+
+def test_find_root_array_element_without_sign_change():
+    c = np.array([2.0, -1.0, 3.0])  # x^2 + 1 has no root on (0, 4)
+    with pytest.raises(BracketError, match="element"):
+        find_root(lambda x: x * x - c, (np.zeros(3), np.full(3, 4.0)))
+
+
+def test_find_root_array_needs_bounded_brackets():
+    with pytest.raises(DomainError):
+        find_root(lambda x: x, (np.array([-1.0, -math.inf]), np.array([1.0, 1.0])))

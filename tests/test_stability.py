@@ -1,11 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_constants as oc
+from oracle_erf import lp_translated_gaussian_decimal
 from oracle_ot import discrete_w2_oracle
+from isolab.stability import solve_truncation_for_deficit
 from isolab import (
     DomainError,
     center,
@@ -117,6 +120,31 @@ def test_lp_distance_values():
 def test_lp_distance_nondecreasing_in_p():
     values = [lp_distance(KINKED, p) for p in (1.0, 2.0, 4.0, 8.0)]
     assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("s, p", [(3.0, 8), (3.0, 16), (3.0, 64), (0.37, 2), (-1.5, 4)])
+def test_lp_distance_matches_binomial_oracle(s, p):
+    # at s = 3 the integrand |ratio - 1|^p reaches e^924 near x = 40 for
+    # p = 8, and the integral itself is about e^18144 for p = 64, with its
+    # peak at x = 192
+    want = float(lp_translated_gaussian_decimal(s, p))
+    assert lp_distance(GAUSSIAN.translate(s), p) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "measure, p, before",
+    [
+        # values of the |expm1(g)|^p * phi integrand this log-space form replaced
+        (GAUSSIAN.translate(3.0), 2, 90.01157663087234),
+        (GAUSSIAN.translate(3.0), 4, 729416.3698463265),
+        (TRUNCATED_2, 2, 0.21833283369993706),
+        (TRUNCATED_2, 4, 0.46186519813979016),
+        (GAUSSIAN.translate(0.37), 2, 0.38303194571666704),
+        (GAUSSIAN.translate(0.37), 4, 0.5915716149662333),
+    ],
+)
+def test_lp_distance_low_p_unchanged_by_log_space_form(measure, p, before):
+    assert lp_distance(measure, p) == pytest.approx(before, rel=1e-14)
 
 
 def test_lp_distance_validation():
@@ -231,3 +259,23 @@ def test_default_gap_window_widens_as_deficit_shrinks():
     wide = default_gap_window(GAUSSIAN, 0.3, 1e-6)
     assert narrow.contains(a) and wide.contains(a)
     assert wide.length > narrow.length
+
+
+# Radii that Brent's method gave for these deficits (xtol 1e-12); a deficit
+# of 1e-7 is left out because there the deficit, a difference of numbers near
+# 0.4, fixes its root only to about 5e-11.
+TRUNCATION_TARGETS = (1e-2, 3e-3, 1e-4, 2.5e-6, 0.1)
+BRENT_RADII = {
+    0.5: (2.2499309531717095, 2.6754114724634985, 3.6616459681969165,
+          4.517191211896447, 1.2803445540126503),
+    0.3: (2.295988721918105, 2.7168524329379116, 3.6938129214618503,
+          4.543836632413608, 1.3271697194860133),
+}
+
+
+@pytest.mark.parametrize("theta", sorted(BRENT_RADII))
+def test_solve_truncation_for_deficit_on_arrays(theta):
+    radii = solve_truncation_for_deficit(np.array(TRUNCATION_TARGETS), theta)
+    np.testing.assert_allclose(radii, BRENT_RADII[theta], rtol=0.0, atol=1e-12)
+    for target, want in zip(TRUNCATION_TARGETS, BRENT_RADII[theta]):
+        assert solve_truncation_for_deficit(target, theta) == pytest.approx(want, abs=1e-12)
