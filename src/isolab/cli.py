@@ -8,11 +8,14 @@ Subcommands::
     example23   closed-form truncated-Gaussian reproduction (default D = 2)
     selftest    deterministic battery of closed-form and invariant checks
 
-Configuration comes from an optional JSON file (``--config``) overridden by
-flags (flags win).  Machine-readable reports are written to ``--out`` (JSON
-with stable key order, CSV with a fixed header row, two-column plot data);
-a human-readable table goes to stdout.  Every command is deterministic
-given (config, seed) -- outputs are byte-identical across runs.
+Configuration comes from an optional JSON file (``--config``) updated with
+the flags given (flags win): every option's ``dest`` is the
+:class:`RunConfig` field, or ``ensemble`` key, that it sets, and options left
+off the command line are absent.  Every command ends in :func:`_emit`, which
+writes its JSON report (stable key order) to ``--out`` and prints its table,
+a ``[PASS]``/``[FAIL]`` line per check and the verdict; ``sweep`` and
+``needles`` also write a CSV with a fixed header row.  Every command is
+deterministic given (config, seed) -- outputs are byte-identical across runs.
 
 Exit status: 0 when all hard invariants/checks pass, 1 on invariant or
 check failures (partial reports are still written), 2 on configuration
@@ -36,12 +39,11 @@ import numpy as np
 from . import measure1d, needles, numerics, rates, stability
 from .errors import ConfigError, DomainError, FitError, InvalidPotentialError, IsolabError
 from .measure1d import Measure1D, gaussian_measure, normalize, potential_from_config
-from .numerics import SQRT_2PI, Interval, QuadratureSettings
+from .numerics import SQRT_2PI, Interval
 from .rates import DEFAULT_DELTA_GRID, Metric
 
 __all__ = ["RunConfig", "main"]
 
-_COMMANDS = ("verify", "sweep", "needles", "example23", "selftest")
 _ENSEMBLE_KEYS = ("needle_count", "deficit_scale", "bad_fraction")
 _CHECK_TOL = 1e-8  # closed-form / inequality slack used by CLI checks
 
@@ -50,13 +52,15 @@ _CHECK_TOL = 1e-8  # closed-form / inequality slack used by CLI checks
 class RunConfig:
     """One fully resolved invocation; round-trips through ``to_dict``.
 
-    ``measure`` selects a measure (``gaussian``, ``truncated:D``, a JSON
-    potential file) or, for ``sweep``, a family (``example23``,
-    ``perturbed[:seed]``, ``needles``, ``gaussian``).  ``ensemble`` holds
-    generator overrides (keys ``needle_count``, ``deficit_scale``,
-    ``bad_fraction``).  ``tol_abs``/``tol_rel`` feed the quadrature
-    settings; ``alpha_min``/``alpha_max`` are the optional sweep acceptance
-    band.  Unknown keys are rejected by :meth:`from_dict`.
+    ``measure`` selects a measure (``gaussian``, ``truncated:D``,
+    ``perturbed[:seed]``, a JSON potential file) or, for ``sweep``, a family
+    (``example23``, ``perturbed[:seed]``, ``needles``, ``gaussian``).
+    ``ensemble`` holds generator overrides (keys ``needle_count``,
+    ``deficit_scale``, ``bad_fraction``); ``alpha_min``/``alpha_max`` are the
+    optional sweep acceptance band.  Construction normalizes once:
+    ``p_list`` becomes a sorted tuple of floats, ``delta_grid`` a tuple of
+    floats and ``ensemble`` a dict.  Unknown keys are rejected by
+    :meth:`from_dict`.
     """
 
     command: str
@@ -72,10 +76,16 @@ class RunConfig:
     alpha_max: Optional[float] = None
     output_dir: str = "out"
     seed: int = 0
-    tol_abs: float = 1e-12
-    tol_rel: float = 1e-10
 
     def __post_init__(self) -> None:
+        if self.p_list is not None:
+            object.__setattr__(self, "p_list", tuple(sorted(float(p) for p in self.p_list)))
+        if self.delta_grid is not None:
+            object.__setattr__(self, "delta_grid", tuple(float(d) for d in self.delta_grid))
+        if self.ensemble is not None:
+            if not isinstance(self.ensemble, Mapping):
+                raise ConfigError("ensemble spec must be an object")
+            object.__setattr__(self, "ensemble", dict(self.ensemble))
         if self.command not in _COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
         if not (0.0 < self.theta < 1.0):
@@ -100,59 +110,28 @@ class RunConfig:
             raise ConfigError(f"c_threshold out of range: {self.c_threshold!r}")
         if not (isinstance(self.seed, int) and self.seed >= 0):
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if not (self.tol_abs > 0.0 and self.tol_rel >= 0.0):
-            raise ConfigError("tolerances out of range")
         if self.ensemble is not None:
             extra = set(self.ensemble) - set(_ENSEMBLE_KEYS)
             if extra:
                 raise ConfigError(f"unknown ensemble keys: {sorted(extra)}")
 
-    @property
-    def quadrature_settings(self) -> QuadratureSettings:
-        return QuadratureSettings(abs_tol=self.tol_abs, rel_tol=self.tol_rel)
-
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
-        d["p_list"] = sorted(float(p) for p in self.p_list)
-        d["delta_grid"] = [float(x) for x in self.delta_grid]
-        d["ensemble"] = dict(self.ensemble) if self.ensemble is not None else None
+        d["p_list"], d["delta_grid"] = list(self.p_list), list(self.delta_grid)
         return d
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "RunConfig":
-        names = {f.name for f in dataclasses.fields(cls)}
-        extra = set(data) - names
+        extra = set(data) - {f.name for f in dataclasses.fields(cls)}
         if extra:
             raise ConfigError(f"unknown config keys: {sorted(extra)}")
-        kwargs = dict(data)
-        if "p_list" in kwargs and kwargs["p_list"] is not None:
-            kwargs["p_list"] = tuple(sorted(float(p) for p in kwargs["p_list"]))
-        if "delta_grid" in kwargs and kwargs["delta_grid"] is not None:
-            kwargs["delta_grid"] = tuple(float(x) for x in kwargs["delta_grid"])
-        if "ensemble" in kwargs and kwargs["ensemble"] is not None:
-            if not isinstance(kwargs["ensemble"], Mapping):
-                raise ConfigError("ensemble spec must be an object")
-            kwargs["ensemble"] = dict(kwargs["ensemble"])
         try:
-            return cls(**kwargs)
+            return cls(**data)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
 
 
 # -- argument parsing ---------------------------------------------------------
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", default=None, metavar="FILE", help="JSON config file; flags override it")
-    p.add_argument("--measure", default=None, help="gaussian | truncated:D | potential JSON file (sweep: family name)")
-    p.add_argument("--theta", type=float, default=None, help="mass split in (0,1)")
-    p.add_argument("--p", action="append", default=None, metavar="P[,P..]", help="L^p orders (repeatable / comma list)")
-    p.add_argument("--epsilon", type=float, default=None, help="needle-rate parameter in (0,1)")
-    p.add_argument("--delta-grid", default=None, metavar="D1,D2,..", help="deficit grid (comma list)")
-    p.add_argument("--seed", type=int, default=None, help="generator seed")
-    p.add_argument("--out", default=None, metavar="DIR", help="output directory for reports")
-    p.add_argument("--tol-abs", type=float, default=None, help="absolute quadrature tolerance")
-    p.add_argument("--tol-rel", type=float, default=None, help="relative quadrature tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -162,127 +141,121 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    v = sub.add_parser("verify", help="verify one measure end to end")
-    _add_common(v)
+    def command(name: str, help: str, common: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        if common:
+            p.add_argument("--config", metavar="FILE", help="JSON config file; flags override it")
+            p.add_argument("--measure", help="gaussian | truncated:D | perturbed[:seed] | potential JSON file (sweep: family name)")
+            p.add_argument("--theta", type=float, help="mass split in (0,1)")
+            p.add_argument("--p", dest="p_list", action="append", metavar="P[,P..]", help="L^p orders (repeatable / comma list)")
+            p.add_argument("--epsilon", type=float, help="needle-rate parameter in (0,1)")
+            p.add_argument("--delta-grid", metavar="D1,D2,..", help="deficit grid (comma list)")
+            p.add_argument("--seed", type=int, help="generator seed")
+            p.add_argument("--out", dest="output_dir", metavar="DIR", help="output directory for reports")
+        return p
 
-    s = sub.add_parser("sweep", help="deficit sweep of one metric over a family")
-    _add_common(s)
-    s.add_argument("--metric", default=None, help="lp:P | w1 | w2 | entropy | mixture_l1")
-    s.add_argument("--alpha-min", type=float, default=None, help="acceptance band: fitted exponent lower bound")
-    s.add_argument("--alpha-max", type=float, default=None, help="acceptance band: fitted exponent upper bound")
+    command("verify", "verify one measure end to end")
+    s = command("sweep", "deficit sweep of one metric over a family")
+    s.add_argument("--metric", help="lp:P | w1 | w2 | entropy | mixture_l1")
+    s.add_argument("--alpha-min", type=float, help="acceptance band: fitted exponent lower bound")
+    s.add_argument("--alpha-max", type=float, help="acceptance band: fitted exponent upper bound")
 
-    n = sub.add_parser("needles", help="needle-ensemble aggregation experiments")
-    _add_common(n)
-    n.add_argument("--needle-count", type=int, default=None, help="needles per ensemble")
-    n.add_argument("--c-threshold", type=float, default=None, help="centered-classification constant")
-    n.add_argument("--deficit-scale", type=float, default=None, help="pin generator deficit scale (default: the grid delta)")
-    n.add_argument("--bad-fraction", type=float, default=None, help="pin generator bad fraction (default: delta^alpha)")
+    n = command("needles", "needle-ensemble aggregation experiments")
+    n.add_argument("--needle-count", type=int, help="needles per ensemble")
+    n.add_argument("--c-threshold", type=float, help="centered-classification constant")
+    n.add_argument("--deficit-scale", type=float, help="pin generator deficit scale (default: the grid delta)")
+    n.add_argument("--bad-fraction", type=float, help="pin generator bad fraction (default: delta^alpha)")
 
-    e = sub.add_parser("example23", help="truncated-Gaussian closed-form reproduction")
-    _add_common(e)
-
-    t = sub.add_parser("selftest", help="run the built-in check battery")
-    t.add_argument("--out", default=None, metavar="DIR", help="output directory for the report")
-    t.add_argument("--seed", type=int, default=None, help="generator seed")
-    t.add_argument("--inject-fault", default=None, metavar="NAME", help="corrupt one routine (testing the battery itself)")
+    command("example23", "truncated-Gaussian closed-form reproduction")
+    t = command("selftest", "run the built-in check battery", common=False)
+    t.add_argument("--out", dest="output_dir", metavar="DIR", help="output directory for the report")
+    t.add_argument("--seed", type=int, help="generator seed")
+    t.add_argument("--inject-fault", metavar="NAME", help="corrupt one routine (testing the battery itself)")
 
     return parser
 
 
-def _parse_float_list(chunks: Sequence[str]) -> Tuple[float, ...]:
-    out = []
-    for chunk in chunks:
-        for piece in str(chunk).split(","):
-            piece = piece.strip()
-            if piece:
-                out.append(float(piece))
+def _floats(text: str) -> Tuple[float, ...]:
+    """The numbers of a comma list; empty pieces are skipped."""
+    out = tuple(float(piece) for piece in text.split(",") if piece.strip())
     if not out:
         raise ConfigError("empty numeric list")
-    return tuple(out)
+    return out
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    data: dict = {"command": args.command}
-    config_path = getattr(args, "config", None)
-    if config_path is not None:
-        raw = Path(config_path).read_text()
-        try:
-            loaded = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {config_path}: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise ConfigError(f"config file {config_path}: top level must be an object")
-        if loaded.get("command", args.command) != args.command:
-            raise ConfigError(
-                f"config file command {loaded['command']!r} does not match {args.command!r}"
-            )
-        data.update(loaded)
-        data["command"] = args.command
+def _read_object(path: str, what: str) -> dict:
+    """The JSON object in the file ``path`` (a config or potential file)."""
+    try:
+        loaded = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {path}: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise ConfigError(f"{what} {path}: top level must be an object")
+    return loaded
 
-    def override(key: str, value: object) -> None:
-        if value is not None:
-            data[key] = value
 
-    override("measure", getattr(args, "measure", None))
-    override("theta", getattr(args, "theta", None))
-    override("epsilon", getattr(args, "epsilon", None))
-    override("seed", getattr(args, "seed", None))
-    override("output_dir", getattr(args, "out", None))
-    override("tol_abs", getattr(args, "tol_abs", None))
-    override("tol_rel", getattr(args, "tol_rel", None))
-    override("metric", getattr(args, "metric", None))
-    override("alpha_min", getattr(args, "alpha_min", None))
-    override("alpha_max", getattr(args, "alpha_max", None))
-    override("c_threshold", getattr(args, "c_threshold", None))
-    if getattr(args, "p", None) is not None:
-        data["p_list"] = list(_parse_float_list(args.p))
-    if getattr(args, "delta_grid", None) is not None:
-        data["delta_grid"] = list(_parse_float_list([args.delta_grid]))
-
-    ensemble = dict(data.get("ensemble") or {})
-    for key, attr in (
-        ("needle_count", "needle_count"),
-        ("deficit_scale", "deficit_scale"),
-        ("bad_fraction", "bad_fraction"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            ensemble[key] = value
+def config_from_args(flags: Mapping[str, object]) -> RunConfig:
+    """The ``--config`` file's keys updated with the parsed ``flags``."""
+    flags = dict(flags)
+    command = flags["command"]
+    path = flags.pop("config", None)
+    data = _read_object(path, "config file") if path is not None else {}
+    if data.get("command", command) != command:
+        raise ConfigError(f"config file command {data['command']!r} does not match {command!r}")
+    if "p_list" in flags:  # --p repeats, and each takes a comma list
+        flags["p_list"] = _floats(",".join(flags["p_list"]))
+    if "delta_grid" in flags:
+        flags["delta_grid"] = _floats(flags["delta_grid"])
+    ensemble = {key: flags.pop(key) for key in _ENSEMBLE_KEYS if key in flags}
     if ensemble:
-        data["ensemble"] = ensemble
-
-    if args.command == "example23" and "measure" not in data:
-        data["measure"] = "truncated:2"
+        flags["ensemble"] = {**dict(data.get("ensemble") or {}), **ensemble}
+    data.update(flags)
+    if command == "example23":
+        data.setdefault("measure", "truncated:2")
     return RunConfig.from_dict(data)
 
 
-# -- output helpers -----------------------------------------------------------
+# -- output -------------------------------------------------------------------
 
 
-def _json_text(payload: object) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=True) + "\n"
-
-
-def _write(output_dir: str, name: str, text: str) -> None:
-    out = Path(output_dir)
+def _write(cfg: RunConfig, name: str, *lines: str) -> None:
+    out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / name).write_text(text)
+    (out / name).write_text("\n".join(lines) + "\n")
 
 
 def _g(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _print_checks(checks: Mapping[str, bool]) -> bool:
-    ok = True
-    for name in checks:
-        passed = bool(checks[name])
-        ok = ok and passed
-        print(f"  [{'PASS' if passed else 'FAIL'}] {name}")
-    return ok
+def _emit(cfg: RunConfig, name: str, report: dict,
+          checks: Optional[Mapping[str, object]], lines: Sequence[str]) -> int:
+    """Write ``report`` to ``--out`` as ``name``, print ``lines`` and return
+    the exit code.  With ``checks`` the report gains them and ``passed``, and
+    a ``[PASS]``/``[FAIL]`` line per check and the verdict follow ``lines``;
+    without them (``selftest``) the report holds ``passed`` already.
+    """
+    lines = list(lines)
+    if checks is not None:
+        report["checks"] = {key: bool(ok) for key, ok in checks.items()}
+        report["passed"] = all(report["checks"].values())
+        lines += [f"  [{'PASS' if ok else 'FAIL'}] {key}" for key, ok in report["checks"].items()]
+        lines.append("PASS" if report["passed"] else "FAIL")
+    _write(cfg, name, json.dumps(report, sort_keys=True, indent=2, allow_nan=True))
+    print("\n".join(lines))
+    return 0 if report["passed"] else 1
 
 
 # -- measure / family construction --------------------------------------------
+
+
+def _perturbed_family(text: str, cfg: RunConfig) -> Optional[rates.PerturbedSweepFamily]:
+    """The family of a ``perturbed[:seed]`` spec (seed ``cfg.seed`` when
+    none is given), or None for any other spec."""
+    if text != "perturbed" and not text.startswith("perturbed:"):
+        return None
+    seed = int(text.partition(":")[2]) if ":" in text else cfg.seed
+    return rates.PerturbedSweepFamily.seeded(seed)
 
 
 def _build_measure(cfg: RunConfig) -> Measure1D:
@@ -290,25 +263,15 @@ def _build_measure(cfg: RunConfig) -> Measure1D:
     if text == "gaussian":
         return gaussian_measure()
     if text.startswith("truncated:"):
-        D = float(text.partition(":")[2])
-        return normalize(
-            measure1d.truncated_gaussian_potential(D), cfg.quadrature_settings
-        )
-    if text == "perturbed" or text.startswith("perturbed:"):
-        seed = int(text.partition(":")[2]) if ":" in text else cfg.seed
-        family = rates.PerturbedSweepFamily.seeded(seed)
+        return normalize(measure1d.truncated_gaussian_potential(float(text.partition(":")[2])))
+    family = _perturbed_family(text, cfg)
+    if family is not None:
         return family.measure_at(1.0)
-    path = Path(text)
-    if not path.exists():
+    if not Path(text).exists():
         raise ConfigError(f"measure spec {text!r}: not a keyword and no such file")
+    loaded = _read_object(text, "potential file")
     try:
-        loaded = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"potential file {text}: {exc}") from exc
-    if not isinstance(loaded, dict):
-        raise ConfigError(f"potential file {text}: top level must be an object")
-    try:
-        return normalize(potential_from_config(loaded), cfg.quadrature_settings)
+        return normalize(potential_from_config(loaded))
     except IsolabError as exc:
         raise ConfigError(f"potential file {text}: {exc}") from exc
 
@@ -319,18 +282,16 @@ def _build_family(cfg: RunConfig):
         return rates.Example23SweepFamily()
     if text == "gaussian":
         return rates.GaussianSweepFamily()
-    if text == "perturbed" or text.startswith("perturbed:"):
-        seed = int(text.partition(":")[2]) if ":" in text else cfg.seed
-        return rates.PerturbedSweepFamily.seeded(seed)
     if text == "needles":
         count = int((cfg.ensemble or {}).get("needle_count", 100))
-        return rates.NeedleSweepFamily(
-            needle_count=count, epsilon=cfg.epsilon, seed=cfg.seed
+        return rates.NeedleSweepFamily(needle_count=count, epsilon=cfg.epsilon, seed=cfg.seed)
+    family = _perturbed_family(text, cfg)
+    if family is None:
+        raise ConfigError(
+            f"unknown sweep family {text!r} "
+            "(expected example23 | gaussian | perturbed[:seed] | needles)"
         )
-    raise ConfigError(
-        f"unknown sweep family {text!r} "
-        "(expected example23 | gaussian | perturbed[:seed] | needles)"
-    )
+    return family
 
 
 # -- verify -------------------------------------------------------------------
@@ -343,42 +304,28 @@ def cmd_verify(cfg: RunConfig) -> int:
     try:
         conv = measure1d.check_one_convexity(m.potential)
         checks["one_convex"] = bool(conv.passed)
-        report["one_convex"] = {
-            "passed": conv.passed,
-            "worst_violation": conv.worst_violation,
-        }
+        report["one_convex"] = {"passed": conv.passed, "worst_violation": conv.worst_violation}
 
         drep = stability.deficit(m, cfg.theta)
         report.update(drep.to_dict())
         checks["deficit_nonnegative"] = drep.deficit >= -1e-9
 
-        gap = stability.check_gap_bounds(m, cfg.theta)
-        report["gap"] = gap.to_dict()
+        report["gap"] = stability.check_gap_bounds(m, cfg.theta).to_dict()
 
         centered, _ = stability.center(m, cfg.theta)
-        lp_rows = []
-        monotone = True
-        previous = None
-        for p in cfg.p_list:
-            value = stability.lp_distance(centered, p)
-            lp_rows.append({"p": p, "lp": value})
-            if previous is not None and value < previous - _CHECK_TOL:
-                monotone = False
-            previous = value
-        report["lp"] = lp_rows
-        checks["lp_nondecreasing_in_p"] = monotone
+        lp = [stability.lp_distance(centered, p) for p in cfg.p_list]
+        report["lp"] = [{"p": p, "lp": value} for p, value in zip(cfg.p_list, lp)]
+        # a NaN never counts as a drop
+        checks["lp_nondecreasing_in_p"] = not any(b < a - _CHECK_TOL for a, b in zip(lp, lp[1:]))
 
+        # all four before any is reported: a failure leaves none of them
         w1 = stability.w1_to_gaussian(centered)
         w2 = stability.w2_to_gaussian(centered)
         entropy = stability.relative_entropy(centered)
         tal = stability.talagrand_check(centered)
         dual = stability.w1_dual_bound(m, cfg.theta)
-        report["w1"] = w1
-        report["w2"] = w2
-        report["entropy"] = entropy
-        report["talagrand"] = tal.to_dict()
-        report["talagrand_pass"] = tal.passed
-        report["w1_dual_bound"] = dual
+        report.update(w1=w1, w2=w2, entropy=entropy, talagrand=tal.to_dict(),
+                      talagrand_pass=tal.passed, w1_dual_bound=dual)
         checks["talagrand"] = bool(tal.passed)
         checks["w1_le_w2"] = w1 <= w2 + _CHECK_TOL
         checks["w1_le_dual_bound"] = w1 <= dual + _CHECK_TOL
@@ -386,26 +333,13 @@ def cmd_verify(cfg: RunConfig) -> int:
         report["error"] = f"{type(exc).__name__}: {exc}"
         checks["completed"] = False
 
-    passed = all(bool(v) for v in checks.values())
-    report["checks"] = {k: bool(v) for k, v in checks.items()}
-    report["passed"] = passed
-    _write(cfg.output_dir, "verify_report.json", _json_text(report))
-
-    print(f"verify: measure={cfg.measure} theta={cfg.theta:g}")
-    if "deficit" in report:
-        print(f"  a_theta  = {report['a_theta']:.12g}")
-        print(f"  shift    = {report['shift']:.12g}")
-        print(f"  deficit  = {report['deficit']:.12g}")
-        for row in report.get("lp", []):
-            print(f"  lp(p={row['p']:g}) = {row['lp']:.12g}")
-        for key in ("w1", "w2", "entropy"):
-            if key in report:
-                print(f"  {key:8s} = {report[key]:.12g}")
+    lines = [f"verify: measure={cfg.measure} theta={cfg.theta:g}"]
+    lines += [f"  {key:8s} = {report[key]:.12g}" for key in ("a_theta", "shift", "deficit") if key in report]
+    lines += [f"  lp(p={row['p']:g}) = {row['lp']:.12g}" for row in report.get("lp", [])]
+    lines += [f"  {key:8s} = {report[key]:.12g}" for key in ("w1", "w2", "entropy") if key in report]
     if "error" in report:
-        print(f"  error: {report['error']}")
-    _print_checks(report["checks"])
-    print("PASS" if passed else "FAIL")
-    return 0 if passed else 1
+        lines.append(f"  error: {report['error']}")
+    return _emit(cfg, "verify_report.json", report, checks, lines)
 
 
 # -- example23 ----------------------------------------------------------------
@@ -413,78 +347,35 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_example23(cfg: RunConfig) -> int:
     text = cfg.measure.strip()
-    if text.startswith("truncated:"):
-        D = float(text.partition(":")[2])
-    else:
-        raise ConfigError(
-            f"example23 needs a truncated:D measure spec, got {text!r}"
-        )
+    if not text.startswith("truncated:"):
+        raise ConfigError(f"example23 needs a truncated:D measure spec, got {text!r}")
+    D = float(text.partition(":")[2])
     m, fam, closed = stability.example23(D)
-    tol = max(cfg.tol_abs, _CHECK_TOL)
 
-    checks: dict = {}
-    report: dict = {
-        "command": "example23",
-        "D": fam.D,
-        "delta_E": fam.delta_E,
-        "theta": 0.5,
-    }
+    def compare(exact: float, numeric: float) -> dict:
+        return {"closed": exact, "numeric": numeric, "error": abs(numeric - exact)}
 
-    numeric_deficit = stability.deficit(m, 0.5).deficit
-    report["deficit"] = {
-        "closed": closed.deficit,
-        "numeric": numeric_deficit,
-        "error": abs(numeric_deficit - closed.deficit),
-    }
-    checks["deficit_matches"] = report["deficit"]["error"] <= tol
-
-    lp_rows = []
-    for p in cfg.p_list:
-        numeric = stability.lp_distance(m, p)
-        exact = closed.lp(p)
-        lp_rows.append(
-            {"p": p, "closed": exact, "numeric": numeric, "error": abs(numeric - exact)}
-        )
-        checks[f"lp_matches_p{p:g}"] = abs(numeric - exact) <= tol
-    report["lp"] = lp_rows
-
-    entropy_closed = math.log1p(fam.delta_E)
-    entropy_numeric = stability.relative_entropy(m)
-    report["entropy"] = {
-        "closed": entropy_closed,
-        "numeric": entropy_numeric,
-        "error": abs(entropy_numeric - entropy_closed),
-    }
-    checks["entropy_matches"] = report["entropy"]["error"] <= tol
+    report: dict = {"command": "example23", "D": fam.D, "delta_E": fam.delta_E, "theta": 0.5}
+    report["deficit"] = compare(closed.deficit, stability.deficit(m, 0.5).deficit)
+    report["lp"] = [{"p": p, **compare(closed.lp(p), stability.lp_distance(m, p))} for p in cfg.p_list]
+    report["entropy"] = compare(math.log1p(fam.delta_E), stability.relative_entropy(m))
 
     xs = np.linspace(-D + 1e-9, D - 1e-9, 101)
-    closed_cdf = (
-        np.array([numerics.gaussian_cdf(x) - numerics.gaussian_cdf(-D) for x in xs])
-        * (1.0 + fam.delta_E)
-    )
+    lower = numerics.gaussian_cdf(-D)
+    closed_cdf = np.array([numerics.gaussian_cdf(x) - lower for x in xs]) * (1.0 + fam.delta_E)
     numeric_cdf = np.array([m.cdf(float(x)) for x in xs])
-    cdf_err = float(np.max(np.abs(numeric_cdf - np.clip(closed_cdf, 0.0, 1.0))))
-    report["cdf_max_error"] = cdf_err
-    checks["cdf_matches"] = cdf_err <= tol
+    report["cdf_max_error"] = float(np.max(np.abs(numeric_cdf - np.clip(closed_cdf, 0.0, 1.0))))
 
-    passed = all(bool(v) for v in checks.values())
-    report["checks"] = {k: bool(v) for k, v in checks.items()}
-    report["passed"] = passed
-    _write(cfg.output_dir, "example23_report.json", _json_text(report))
+    checks = {"deficit_matches": report["deficit"]["error"] <= _CHECK_TOL}
+    checks.update((f"lp_matches_p{row['p']:g}", row["error"] <= _CHECK_TOL) for row in report["lp"])
+    checks["entropy_matches"] = report["entropy"]["error"] <= _CHECK_TOL
+    checks["cdf_matches"] = report["cdf_max_error"] <= _CHECK_TOL
 
-    print(f"example23: D={D:g} delta_E={fam.delta_E:.12g}")
-    print(f"  deficit closed={closed.deficit:.12g} numeric={numeric_deficit:.12g}")
-    for row in lp_rows:
-        print(
-            f"  lp(p={row['p']:g}) closed={row['closed']:.12g} "
-            f"numeric={row['numeric']:.12g}"
-        )
-    print(
-        f"  entropy closed={entropy_closed:.12g} numeric={entropy_numeric:.12g}"
-    )
-    _print_checks(report["checks"])
-    print("PASS" if passed else "FAIL")
-    return 0 if passed else 1
+    rows = [("deficit", report["deficit"]), *((f"lp(p={row['p']:g})", row) for row in report["lp"]),
+            ("entropy", report["entropy"])]
+    lines = [f"example23: D={D:g} delta_E={fam.delta_E:.12g}"]
+    lines += [f"  {label} closed={row['closed']:.12g} numeric={row['numeric']:.12g}" for label, row in rows]
+    return _emit(cfg, "example23_report.json", report, checks, lines)
 
 
 # -- sweep --------------------------------------------------------------------
@@ -495,167 +386,101 @@ def cmd_sweep(cfg: RunConfig) -> int:
     metric = Metric.parse(cfg.metric)
     result = rates.sweep(family, cfg.theta, metric, cfg.delta_grid)
 
-    csv_lines = ["delta,value"]
-    for d, v in result.points:
-        csv_lines.append(f"{_g(d)},{_g(v)}")
-    _write(cfg.output_dir, "sweep.csv", "\n".join(csv_lines) + "\n")
-
-    plot_lines = ["# log10_delta log10_value"]
-    for d, v in result.points:
-        if v > 0.0:
-            plot_lines.append(f"{math.log10(d):.12g} {math.log10(v):.12g}")
-    _write(cfg.output_dir, "sweep_plot.dat", "\n".join(plot_lines) + "\n")
+    _write(cfg, "sweep.csv", "delta,value", *(f"{_g(d)},{_g(v)}" for d, v in result.points))
+    _write(cfg, "sweep_plot.dat", "# log10_delta log10_value",
+           *(f"{math.log10(d):.12g} {math.log10(v):.12g}" for d, v in result.points if v > 0.0))
 
     checks: dict = {}
     if cfg.alpha_min is not None or cfg.alpha_max is not None:
-        if result.fit_available:
-            in_band = True
-            if cfg.alpha_min is not None:
-                in_band = in_band and result.fitted_exponent >= cfg.alpha_min
-            if cfg.alpha_max is not None:
-                in_band = in_band and result.fitted_exponent <= cfg.alpha_max
-            checks["exponent_in_band"] = in_band
-        else:
-            checks["exponent_in_band"] = False
+        alpha = result.fitted_exponent
+        checks["exponent_in_band"] = (
+            result.fit_available
+            and (cfg.alpha_min is None or alpha >= cfg.alpha_min)
+            and (cfg.alpha_max is None or alpha <= cfg.alpha_max)
+        )
     checks["no_points_skipped"] = not result.skipped
 
-    passed = all(bool(v) for v in checks.values())
-    summary = result.to_dict()
-    summary["command"] = "sweep"
-    summary["theta"] = cfg.theta
-    summary["alpha_min"] = cfg.alpha_min
-    summary["alpha_max"] = cfg.alpha_max
-    summary["checks"] = {k: bool(v) for k, v in checks.items()}
-    summary["passed"] = passed
-    _write(cfg.output_dir, "sweep_summary.json", _json_text(summary))
-
-    print(f"sweep: family={family.name} metric={metric.label} theta={cfg.theta:g}")
-    print("  delta        value")
-    for d, v in result.points:
-        print(f"  {d:<12.6g} {v:.10g}")
+    summary = {**result.to_dict(), "command": "sweep", "theta": cfg.theta,
+               "alpha_min": cfg.alpha_min, "alpha_max": cfg.alpha_max}
+    lines = [f"sweep: family={family.name} metric={metric.label} theta={cfg.theta:g}",
+             "  delta        value"]
+    lines += [f"  {d:<12.6g} {v:.10g}" for d, v in result.points]
     if result.fit_available:
-        print(
+        lines.append(
             f"  alpha = {result.fitted_exponent:.6g}  "
             f"c = {result.fitted_log_constant:.6g}  "
             f"r^2 = {result.r_squared:.8g}"
         )
     else:
-        print("  fit skipped (fewer than 3 positive points)")
-    _print_checks(summary["checks"])
-    print("PASS" if passed else "FAIL")
-    return 0 if passed else 1
+        lines.append("  fit skipped (fewer than 3 positive points)")
+    return _emit(cfg, "sweep_summary.json", summary, checks, lines)
 
 
 # -- needles ------------------------------------------------------------------
 
 
 def cmd_needles(cfg: RunConfig) -> int:
-    spec = dict(cfg.ensemble or {})
+    spec = cfg.ensemble or {}
     needle_count = int(spec.get("needle_count", 100))
-    pinned_scale = spec.get("deficit_scale")
-    pinned_bad = spec.get("bad_fraction")
-    alpha = (1.0 - cfg.epsilon) / (9.0 - 3.0 * cfg.epsilon)
+    pinned_scale, pinned_bad = spec.get("deficit_scale"), spec.get("bad_fraction")
+    alpha = needles.rate_exponent(cfg.epsilon)
 
-    grid = sorted({float(d) for d in cfg.delta_grid}, reverse=True)
     rows = []
-    row_reports = []
-    checks: dict = {}
-    all_ok = True
-    for d in grid:
+    for d in sorted(set(cfg.delta_grid), reverse=True):
         scale = float(pinned_scale) if pinned_scale is not None else d
         bad = float(pinned_bad) if pinned_bad is not None else min(1.0, d**alpha)
-        config = needles.EnsembleConfig(
-            needle_count=needle_count,
-            theta=cfg.theta,
-            epsilon=cfg.epsilon,
-            deficit_scale=scale,
-            bad_fraction=bad,
-            seed=cfg.seed,
+        config = needles.EnsembleConfig(  # a bad config is a ConfigError, exit 2
+            needle_count=needle_count, theta=cfg.theta, epsilon=cfg.epsilon,
+            deficit_scale=scale, bad_fraction=bad, seed=cfg.seed,
         )
         row: dict = {"delta": d, "deficit_scale": scale, "bad_fraction": bad}
         try:
             ens = needles.generate_ensemble(config)
-            mass = needles.disintegration_check(
+            row["mass_total"] = needles.disintegration_check(
                 ens, lambda x: np.ones_like(np.asarray(x, dtype=float))
-            )
-            row["mass_total"] = mass.lhs
-            mass_ok = abs(mass.lhs - 1.0) <= 1e-9
+            ).lhs
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 rep = needles.theorem31_experiment(ens, d, cfg.c_threshold)
             row.update(rep.to_dict())
             row["warnings"] = sorted(str(w.message) for w in caught)
-            row["mass_ok"] = mass_ok
+            row["mass_ok"] = abs(row["mass_total"] - 1.0) <= 1e-9
             row["fully_bad"] = rep.bad_mass >= 1.0 - 1e-12
-            row_ok = mass_ok
         except IsolabError as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
-            row_ok = False
-        row["ok"] = row_ok
-        all_ok = all_ok and row_ok
-        row_reports.append(row)
-        if "mixture_l1" in row:
-            rows.append((d, cfg.epsilon, row["mixture_l1"], row["good_mass"], row["centered_mass"]))
+        row["ok"] = "error" not in row and row["mass_ok"]
+        rows.append(row)
 
-    fit_points = [(d, l1) for d, _, l1, _, _ in rows if l1 > 0.0]
-    if len(fit_points) >= 3:
-        fitted, _, _ = rates.fit_exponent(fit_points)
-    else:
-        fitted = math.nan
+    done = [row for row in rows if "mixture_l1" in row]  # descending delta order
+    fit_points = [(row["delta"], row["mixture_l1"]) for row in done if row["mixture_l1"] > 0.0]
+    fitted = rates.fit_exponent(fit_points)[0] if len(fit_points) >= 3 else math.nan
+    columns = ("delta", "epsilon", "mixture_l1", "good_mass", "centered_mass")
+    _write(cfg, "needles.csv", ",".join(columns) + ",fitted_exponent",
+           *(",".join(_g(x) for x in (*(row[c] for c in columns), fitted)) for row in done))
 
-    csv_lines = ["delta,epsilon,mixture_l1,good_mass,centered_mass,fitted_exponent"]
-    for d, eps, l1, gm, cm in rows:
-        csv_lines.append(
-            f"{_g(d)},{_g(eps)},{_g(l1)},{_g(gm)},{_g(cm)},{_g(fitted)}"
-        )
-    _write(cfg.output_dir, "needles.csv", "\n".join(csv_lines) + "\n")
-
-    checks["all_rows_ok"] = all_ok
+    checks = {"all_rows_ok": all(row["ok"] for row in rows)}
     if pinned_scale is None and pinned_bad is None:
-        if len(rows) >= 2:
-            values = [l1 for _, _, l1, _, _ in rows]  # descending delta order
-            checks["mixture_l1_nonincreasing"] = all(
-                b <= a + 1e-12 for a, b in zip(values, values[1:])
-            )
+        values = [row["mixture_l1"] for row in done]
+        if len(values) >= 2:
+            checks["mixture_l1_nonincreasing"] = all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
         if not math.isnan(fitted):
             checks["exponent_ge_rate_minus_0.05"] = fitted >= alpha - 0.05
 
-    fully_bad = bool(row_reports) and all(
-        r.get("fully_bad", False) for r in row_reports
-    )
-    passed = all(bool(v) for v in checks.values())
-    report = {
-        "command": "needles",
-        "needle_count": needle_count,
-        "theta": cfg.theta,
-        "epsilon": cfg.epsilon,
-        "c_threshold": cfg.c_threshold,
-        "seed": cfg.seed,
-        "rate_exponent": alpha,
-        "fitted_exponent": fitted,
-        "fully_bad_ensemble": fully_bad,
-        "rows": row_reports,
-        "checks": {k: bool(v) for k, v in checks.items()},
-        "passed": passed,
-    }
-    _write(cfg.output_dir, "needles_report.json", _json_text(report))
-
-    print(
-        f"needles: count={needle_count} epsilon={cfg.epsilon:g} "
-        f"theta={cfg.theta:g} seed={cfg.seed}"
-    )
-    print("  delta        mixture_l1    good_mass   centered_mass")
-    for d, _, l1, gm, cm in rows:
-        print(f"  {d:<12.6g} {l1:<13.8g} {gm:<11.8g} {cm:.8g}")
+    fully_bad = bool(rows) and all(row.get("fully_bad", False) for row in rows)
+    report = dict(command="needles", needle_count=needle_count, theta=cfg.theta, epsilon=cfg.epsilon,
+                  c_threshold=cfg.c_threshold, seed=cfg.seed, rate_exponent=alpha,
+                  fitted_exponent=fitted, fully_bad_ensemble=fully_bad, rows=rows)
+    lines = [f"needles: count={needle_count} epsilon={cfg.epsilon:g} theta={cfg.theta:g} seed={cfg.seed}",
+             "  delta        mixture_l1    good_mass   centered_mass"]
+    lines += [f"  {row['delta']:<12.6g} {row['mixture_l1']:<13.8g} {row['good_mass']:<11.8g} "
+              f"{row['centered_mass']:.8g}" for row in done]
     if math.isnan(fitted):
-        print("  exponent fit skipped")
+        lines.append("  exponent fit skipped")
     else:
-        print(f"  fitted exponent = {fitted:.6g} (rate = {alpha:.6g})")
+        lines.append(f"  fitted exponent = {fitted:.6g} (rate = {alpha:.6g})")
     if fully_bad:
-        print("  fully-bad ensemble (bad mass = 1 at every delta)")
-    _print_checks(report["checks"])
-    print("PASS" if passed else "FAIL")
-    return 0 if passed else 1
+        lines.append("  fully-bad ensemble (bad mass = 1 at every delta)")
+    return _emit(cfg, "needles_report.json", report, checks, lines)
 
 
 # -- selftest -----------------------------------------------------------------
@@ -841,11 +666,9 @@ _FAULTS = {
 }
 
 
-def cmd_selftest(cfg: RunConfig, inject_fault: Optional[str]) -> int:
+def cmd_selftest(cfg: RunConfig, inject_fault: Optional[str] = None) -> int:
     if inject_fault is not None and inject_fault not in _FAULTS:
-        raise ConfigError(
-            f"unknown fault {inject_fault!r} (supported: {', '.join(_FAULTS)})"
-        )
+        raise ConfigError(f"unknown fault {inject_fault!r} (supported: {', '.join(_FAULTS)})")
 
     patch = _FAULTS.get(inject_fault)
     if patch is not None:
@@ -864,59 +687,39 @@ def cmd_selftest(cfg: RunConfig, inject_fault: Optional[str]) -> int:
         if patch is not None:
             setattr(module, attribute, original)
 
-    for name, detail in results:
-        if detail is None:
-            print(f"PASS {name}")
-        else:
-            print(f"FAIL {name}: {detail}")
-    failed = [name for name, detail in results if detail is not None]
-    passed = not failed
-    print(f"selftest: {len(results) - len(failed)}/{len(results)} passed")
-
-    report = {
-        "command": "selftest",
-        "injected_fault": inject_fault,
-        "results": [
-            {"name": name, "passed": detail is None, "detail": detail}
-            for name, detail in results
-        ],
-        "passed": passed,
-    }
-    _write(cfg.output_dir, "selftest_report.json", _json_text(report))
-    return 0 if passed else 1
+    lines = [f"PASS {name}" if detail is None else f"FAIL {name}: {detail}" for name, detail in results]
+    failed = sum(detail is not None for _, detail in results)
+    lines.append(f"selftest: {len(results) - failed}/{len(results)} passed")
+    report = {"command": "selftest", "injected_fault": inject_fault, "passed": not failed,
+              "results": [{"name": name, "passed": detail is None, "detail": detail}
+                          for name, detail in results]}
+    return _emit(cfg, "selftest_report.json", report, None, lines)
 
 
 # -- entry point --------------------------------------------------------------
 
+_COMMANDS = {
+    "verify": cmd_verify,
+    "sweep": cmd_sweep,
+    "needles": cmd_needles,
+    "example23": cmd_example23,
+    "selftest": cmd_selftest,
+}
+
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    flags = vars(build_parser().parse_args(argv))
+    # --inject-fault is the one flag that is not configuration
+    extra = {"inject_fault": flags.pop("inject_fault")} if "inject_fault" in flags else {}
     try:
-        cfg = config_from_args(args)
-    except ConfigError as exc:
+        try:
+            cfg = config_from_args(flags)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config: {exc}") from exc
+        return _COMMANDS[cfg.command](cfg, **extra)
+    except (ConfigError, FitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        if args.command == "needles":
-            return cmd_needles(cfg)
-        if args.command == "example23":
-            return cmd_example23(cfg)
-        return cmd_selftest(cfg, getattr(args, "inject_fault", None))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

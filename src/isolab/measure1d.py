@@ -49,7 +49,6 @@ from .numerics import (
     LOG_SQRT_2PI,
     REAL_LINE,
     Interval,
-    QuadratureSettings,
     gaussian_log_mass,
     gaussian_pdf,
     gaussian_quantile,
@@ -66,7 +65,6 @@ __all__ = [
     "truncated_gaussian_potential",
     "perturbed_gaussian_potential",
     "tabulated_potential",
-    "tabulated_potential_from_csv",
     "potential_from_config",
     "translate_potential",
     "gaussian_psi",
@@ -313,14 +311,6 @@ def tabulated_potential(
     )
 
 
-def tabulated_potential_from_csv(path: str) -> PotentialSpec:
-    """Load a two-column CSV ``x, psi_hat(x)`` (comments with ``#``)."""
-    data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-    if data.shape[1] != 2:
-        raise InvalidPotentialError(f"{path}: expected two columns, got {data.shape[1]}")
-    return tabulated_potential(data[:, 0], data[:, 1])
-
-
 def translate_potential(spec: PotentialSpec, s: float) -> PotentialSpec:
     """The potential of the pushforward under ``x -> x + s``.
 
@@ -373,10 +363,7 @@ def _potential_from_config(config: Mapping[str, object]) -> PotentialSpec:
             tuple(cfg.pop("breakpoints")), tuple(cfg.pop("slopes")), dom  # type: ignore[arg-type]
         )
     elif family == "tabulated_convex":
-        if "csv" in cfg:
-            spec = tabulated_potential_from_csv(str(cfg.pop("csv")))
-        else:
-            spec = tabulated_potential(cfg.pop("xs"), cfg.pop("values"))  # type: ignore[arg-type]
+        spec = tabulated_potential(cfg.pop("xs"), cfg.pop("values"))  # type: ignore[arg-type]
     else:
         raise DomainError(f"unknown potential family: {family!r}")
     if cfg:
@@ -397,7 +384,6 @@ class Measure1D:
 
     potential: PotentialSpec
     log_normalizer: float
-    settings: QuadratureSettings = field(default=DEFAULT_SETTINGS, compare=False)
 
     @property
     def domain(self) -> Interval:
@@ -425,9 +411,7 @@ class Measure1D:
 
     def translate(self, s: float) -> "Measure1D":
         """Pushforward under ``x -> x + s`` (normalization is preserved)."""
-        return Measure1D(
-            translate_potential(self.potential, s), self.log_normalizer, self.settings
-        )
+        return Measure1D(translate_potential(self.potential, s), self.log_normalizer)
 
     # -- closed forms on the cells ------------------------------------------
 
@@ -523,20 +507,16 @@ class _Side(NamedTuple):
         return _clip(y - beta, self.edges[k], self.edges[k + 1])
 
 
-def normalize(
-    spec: PotentialSpec, settings: QuadratureSettings = DEFAULT_SETTINGS
-) -> Measure1D:
+def normalize(spec: PotentialSpec) -> Measure1D:
     """Normalize ``exp(-psi_hat)`` to a probability measure.
 
-    ``log Z`` is the log-sum of the closed-form cell masses; ``settings``
-    are kept for the quadratures over the measure (``L^p``, entropy,
-    transport).  Raises ``NonIntegrableError`` when the mass is not a
-    positive finite number.
+    ``log Z`` is the log-sum of the closed-form cell masses.  Raises
+    ``NonIntegrableError`` when the mass is not a positive finite number.
     """
     log_z = float(np.logaddexp.reduce(spec._log_masses()[1]))
     if not math.isfinite(log_z):
         raise NonIntegrableError(f"normalization mass is exp({log_z!r})")
-    return Measure1D(potential=spec, log_normalizer=log_z, settings=settings)
+    return Measure1D(potential=spec, log_normalizer=log_z)
 
 
 def gaussian_measure() -> Measure1D:
@@ -693,26 +673,21 @@ class MinimizerResult:
 
 _MASS_EPS = 1e-9  # tail clip for candidate endpoint masses
 _MASS_GAP = 1e-6  # disjointness margin between pieces, in mass
+_GRID_STEP = 0.01  # x-pitch of the single-interval mass grid in the bulk
 
 
-def brute_force_minimizer(
-    m: Measure1D,
-    theta: float,
-    max_components: int = 2,
-    grid_step: float = 0.01,
-) -> MinimizerResult:
+def brute_force_minimizer(m: Measure1D, theta: float) -> MinimizerResult:
     """Exhaustive search for the least-perimeter set of measure ``theta``.
 
     Candidates are parametrized in *mass coordinates*, so each one has
     measure ``theta`` by construction (up to quantile accuracy): single
     intervals ``(q(t), q(t + theta))`` swept over ``t``, the exact
-    half-lines at ``q(theta)`` / ``q(1 - theta)``, and -- when
-    ``max_components = 2`` -- complements, half-line + interval layouts and
-    unions of two bounded intervals on coarser mass grids.  Sets touching a
-    finite domain endpoint are covered by the half-line-bearing families
-    (their touching endpoint carries no perimeter).  ``grid_step`` sets the
-    single-interval resolution: the mass grid matches an x-pitch of roughly
-    ``grid_step`` through the bulk of the measure.
+    half-lines at ``q(theta)`` / ``q(1 - theta)``, complements, half-line +
+    interval layouts and unions of two bounded intervals on coarser mass
+    grids.  Sets touching a finite domain endpoint are covered by the
+    half-line-bearing families (their touching endpoint carries no
+    perimeter).  The single-interval mass grid matches an x-pitch of
+    roughly ``_GRID_STEP`` through the bulk of the measure.
 
     The minimizing candidate competes against the exact half-lines; ties
     within 1e-12 go to the half-line.  Under 1-convexity Bobkov's theorem says the
@@ -722,15 +697,11 @@ def brute_force_minimizer(
     theta = float(theta)
     if not 0.0 < theta < 1.0:
         raise DomainError(f"theta={theta!r} outside (0, 1)")
-    if max_components not in (1, 2):
-        raise DomainError("max_components must be 1 or 2")
-    if not grid_step > 0.0:
-        raise DomainError("grid_step must be positive")
 
     dom = m.domain
     eps = _MASS_EPS
     span = m.quantile(1.0 - eps) - m.quantile(eps)
-    k_single = int(min(2000.0, max(160.0, math.ceil(span / grid_step) + 1.0)))
+    k_single = int(min(2000.0, max(160.0, math.ceil(span / _GRID_STEP) + 1.0)))
     k_pair = 64
     k_split = 11
 
@@ -757,33 +728,32 @@ def brute_force_minimizer(
         t = np.linspace(eps, 1.0 - theta - eps, k_single)
         add(2, t, t + theta)
 
-    if max_components == 2:
-        # 3: complement pair (-inf, q(t)) u (q(t + 1 - theta), +inf)
-        if theta - eps > eps:
-            t = np.linspace(eps, theta - eps, k_single)
-            add(3, t, t + (1.0 - theta))
+    # 3: complement pair (-inf, q(t)) u (q(t + 1 - theta), +inf)
+    if theta - eps > eps:
+        t = np.linspace(eps, theta - eps, k_single)
+        add(3, t, t + (1.0 - theta))
 
-        splits = np.linspace(
-            theta / (k_split + 1.0), theta * k_split / (k_split + 1.0), k_split
-        )
-        base = np.linspace(eps, 1.0 - eps, k_pair)
-        for s in splits:
-            # 4: left half-line of mass s + interval of mass theta - s
-            lo_t = s + _MASS_GAP
-            hi_t = 1.0 - (theta - s) - eps
-            if hi_t > lo_t:
-                t = np.linspace(lo_t, hi_t, k_pair)
-                add(4, np.full(k_pair, s), t, t + (theta - s))
-            # 5: interval of mass s + right half-line of mass theta - s
-            hi_t = 1.0 - theta - _MASS_GAP
-            if hi_t > eps:
-                t = np.linspace(eps, hi_t, k_pair)
-                add(5, t, t + s, np.full(k_pair, 1.0 - (theta - s)))
-            # 6: two bounded intervals of masses s and theta - s
-            t1, t2 = np.meshgrid(base, base, indexing="ij")
-            ok = (t1 + s + _MASS_GAP <= t2) & (t2 + (theta - s) <= 1.0 - eps)
-            if np.any(ok):
-                add(6, t1[ok], t1[ok] + s, t2[ok], t2[ok] + (theta - s))
+    splits = np.linspace(
+        theta / (k_split + 1.0), theta * k_split / (k_split + 1.0), k_split
+    )
+    base = np.linspace(eps, 1.0 - eps, k_pair)
+    for s in splits:
+        # 4: left half-line of mass s + interval of mass theta - s
+        lo_t = s + _MASS_GAP
+        hi_t = 1.0 - (theta - s) - eps
+        if hi_t > lo_t:
+            t = np.linspace(lo_t, hi_t, k_pair)
+            add(4, np.full(k_pair, s), t, t + (theta - s))
+        # 5: interval of mass s + right half-line of mass theta - s
+        hi_t = 1.0 - theta - _MASS_GAP
+        if hi_t > eps:
+            t = np.linspace(eps, hi_t, k_pair)
+            add(5, t, t + s, np.full(k_pair, 1.0 - (theta - s)))
+        # 6: two bounded intervals of masses s and theta - s
+        t1, t2 = np.meshgrid(base, base, indexing="ij")
+        ok = (t1 + s + _MASS_GAP <= t2) & (t2 + (theta - s) <= 1.0 - eps)
+        if np.any(ok):
+            add(6, t1[ok], t1[ok] + s, t2[ok], t2[ok] + (theta - s))
 
     tags = np.concatenate(tag_chunks)
     ends = np.vstack(end_chunks)

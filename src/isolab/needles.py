@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Callable, Mapping, Optional, Tuple
 
@@ -94,7 +94,13 @@ __all__ = [
     "aggregate_l1",
     "theorem31_experiment",
     "generate_ensemble",
+    "rate_exponent",
 ]
+
+
+def rate_exponent(epsilon: float) -> float:
+    """The needle-mixture rate exponent ``(1 - eps) / (9 - 3 eps)``."""
+    return (1.0 - epsilon) / (9.0 - 3.0 * epsilon)
 
 
 @dataclass(frozen=True)
@@ -180,8 +186,8 @@ class NeedleEnsemble:
 
     @property
     def scaling_exponent(self) -> float:
-        """The rate exponent ``(1 - eps) / (9 - 3 eps)``."""
-        return (1.0 - self.epsilon) / (9.0 - 3.0 * self.epsilon)
+        """The rate exponent :func:`rate_exponent` of ``epsilon``."""
+        return rate_exponent(self.epsilon)
 
     @cached_property
     def _mixture_terms(self) -> Tuple[list, Tuple[np.ndarray, ...]]:
@@ -320,16 +326,18 @@ def _integration_range(ens: NeedleEnsemble) -> Tuple[Interval, np.ndarray]:
     return span, ends[np.isfinite(ends)]
 
 
+_PROBE_STEP = 0.01  # sign-change probe pitch of _sign_change_roots
+
+
 def _sign_change_roots(
     f: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
-    probe_step: float = 0.01,
 ) -> np.ndarray:
-    """Locate roots of a continuous elementwise function of arrays: probe,
-    then refine every bracketed sign change in one root solve; used to split
-    ``|rho - phi|`` at its crossing points."""
-    n = max(16, int(math.ceil((hi - lo) / probe_step)) + 1)
+    """Locate roots of a continuous elementwise function of arrays: probe
+    every ``_PROBE_STEP``, then refine every bracketed sign change in one
+    root solve; used to split ``|rho - phi|`` at its crossing points."""
+    n = max(16, int(math.ceil((hi - lo) / _PROBE_STEP)) + 1)
     xs = np.linspace(lo, hi, n)
     sign = np.sign(np.asarray(f(xs), dtype=float))
     flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
@@ -676,18 +684,10 @@ class EnsembleConfig:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, object]) -> "EnsembleConfig":
-        known = {
-            "needle_count",
-            "theta",
-            "epsilon",
-            "deficit_scale",
-            "bad_fraction",
-            "seed",
-        }
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown ensemble config keys: {sorted(unknown)}")
-        return cls(**{k: v for k, v in d.items()})  # type: ignore[arg-type]
+        return cls(**d)  # type: ignore[arg-type]
 
 
 def _quantiles(lo, hi, beta, log_amp, theta: float):

@@ -37,6 +37,7 @@ from .needles import (
     NeedleEnsemble,
     aggregate_l1,
     generate_ensemble,
+    rate_exponent,
 )
 from .numerics import Interval, find_root
 from .stability import (
@@ -362,7 +363,7 @@ class NeedleSweepFamily:
     name: str = "needle_ensemble"
 
     def at_deficit(self, delta: float, theta: float) -> NeedleEnsemble:
-        alpha = (1.0 - self.epsilon) / (9.0 - 3.0 * self.epsilon)
+        alpha = rate_exponent(self.epsilon)
         config = EnsembleConfig(
             needle_count=self.needle_count,
             theta=theta,

@@ -88,6 +88,8 @@ __all__ = [
 _T_CLIP = 1e-12
 # deficits below this are treated as the exact equality case
 _EQUALITY_TOL = 1e-13
+# sample points per side of check_gap_bounds' fit
+_GAP_SAMPLES = 1000
 
 _TRANSPORT_SETTINGS = QuadratureSettings(abs_tol=1e-10, rel_tol=1e-8)
 # Room that lp_distance leaves beyond its integrand's peak: the log-integrand
@@ -254,34 +256,24 @@ def default_gap_window(m: Measure1D, theta: float, delta: float) -> Interval:
 def check_gap_bounds(
     m: Measure1D,
     theta: float,
-    window: Optional[Interval] = None,
-    sample_count: int = 1000,
     *,
     lower_cap: Optional[float] = None,
     upper_cap: Optional[float] = None,
 ) -> GapBoundReport:
     """Fit the smallest constants making the two gap bounds hold on samples.
 
-    The lower bound is sampled on (the numerically reachable part of) all of
-    ``I``; the upper bound on ``window`` (default
-    :func:`default_gap_window`).  ``delta = 0`` degenerates both bounds to a
+    Both bounds are sampled at ``_GAP_SAMPLES`` points: the lower bound on
+    (the numerically reachable part of) all of ``I``, the upper bound on
+    :func:`default_gap_window`.  ``delta = 0`` degenerates both bounds to a
     linearity check of the gap, reported as ``equality_case`` with both
     constants 0.  When ``lower_cap`` / ``upper_cap`` are given, the report
     carries pass flags ``fitted <= cap``.
     """
-    if sample_count < 8:
-        raise DomainError("sample_count must be at least 8")
     rep = deficit(m, theta)
     delta = rep.deficit
     centered, _ = center(m, theta)
     a_theta = rep.a_theta
-    if window is None:
-        window = default_gap_window(m, theta, max(delta, _EQUALITY_TOL))
-    else:
-        clipped = window.intersect(centered.domain)
-        if clipped is None:
-            raise DomainError("window must intersect the centered domain")
-        window = clipped
+    window = default_gap_window(m, theta, max(delta, _EQUALITY_TOL))
 
     sg = float(centered.psi_right_derivative(a_theta)) - a_theta
 
@@ -294,10 +286,10 @@ def check_gap_bounds(
     # bound samples only the window
     lo_s = min(window.lo, centered.quantile(_T_CLIP))
     hi_s = max(window.hi, centered.quantile(1.0 - _T_CLIP))
-    lo_s = max(lo_s, -centered.settings.tail_cutoff)
-    hi_s = min(hi_s, centered.settings.tail_cutoff)
-    xs_lower = np.linspace(lo_s, hi_s, sample_count)
-    xs_upper = np.linspace(window.lo, window.hi, sample_count)
+    lo_s = max(lo_s, -DEFAULT_SETTINGS.tail_cutoff)
+    hi_s = min(hi_s, DEFAULT_SETTINGS.tail_cutoff)
+    xs_lower = np.linspace(lo_s, hi_s, _GAP_SAMPLES)
+    xs_upper = np.linspace(window.lo, window.hi, _GAP_SAMPLES)
 
     g_lower = gap_at(xs_lower) - sg * (xs_lower - a_theta)
     g_upper = gap_at(xs_upper) - sg * (xs_upper - a_theta)
@@ -373,12 +365,12 @@ def lp_distance(m: Measure1D, p: float) -> float:
     # p*e^{-g}, and g is linear on each cell, so its peak is near the vertex
     # -p*beta of the cell, clipped to it: scale by the largest vertex value
     # when that exceeds 0, and widen the window to hold that vertex.
-    pot, cutoff = m.potential, m.settings.tail_cutoff
+    pot, cutoff = m.potential, DEFAULT_SETTINGS.tail_cutoff
     vertices = np.clip(-p * pot.slopes, pot.edges[:-1], pot.edges[1:])
     values = log_integrand(vertices)
     peak = int(np.argmax(values))
     shift = max(0.0, float(values[peak]))
-    settings = m.settings
+    settings = DEFAULT_SETTINGS
     if math.isfinite(values[peak]) and abs(vertices[peak]) + _PEAK_MARGIN > cutoff:
         settings = replace(settings, tail_cutoff=abs(float(vertices[peak])) + _PEAK_MARGIN)
     inside = integrate(
@@ -402,9 +394,9 @@ def relative_entropy(m: Measure1D) -> float:
     def integrand(x: np.ndarray) -> np.ndarray:
         return (gaussian_psi(x) - m.psi(x)) * m.density(x)
 
-    value = integrate(integrand, m.domain, m.settings, points=m.potential.knots())
+    value = integrate(integrand, m.domain, points=m.potential.knots())
     if value < 0.0:
-        if value >= -10.0 * m.settings.abs_tol:
+        if value >= -10.0 * DEFAULT_SETTINGS.abs_tol:
             return 0.0
         raise InvariantViolation(f"relative entropy came out negative: {value!r}")
     return value
@@ -504,7 +496,7 @@ def w1_dual_bound(m: Measure1D, theta: float) -> float:
         return np.abs(x - a_theta) * ratio_gap * gaussian_pdf(x)
 
     total = integrate(
-        inside, centered.domain, centered.settings,
+        inside, centered.domain,
         points=(*centered.potential.knots(), a_theta, *_ratio_crossings(centered)),
     )
     # off the domain the integrand is |x - a_theta| phi(x), and a_theta lies

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import math
 import subprocess
@@ -6,8 +8,8 @@ import sys
 import pytest
 
 import oracle_constants as oc
-from isolab import ConfigError
-from isolab.cli import _FAULTS, RunConfig, main
+from isolab import ConfigError, QuadratureError, stability
+from isolab.cli import _ENSEMBLE_KEYS, _FAULTS, RunConfig, build_parser, main
 
 
 def run(tmp_path, *argv):
@@ -79,6 +81,34 @@ def test_config_file_applies_and_flags_win(tmp_path):
     assert report["theta"] == 0.4  # flag beats file
 
 
+def test_parser_dests_are_config_fields():
+    # every option sets the RunConfig field (or ensemble key) of its dest;
+    # --config and --inject-fault are the two that are not configuration
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {a.dest for sub in commands.choices.values() for a in sub._actions}
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    assert dests - {"help", "config", "inject_fault"} == (
+        fields - {"command", "ensemble"}
+    ) | set(_ENSEMBLE_KEYS)
+
+
+def test_config_file_rejects_tolerance_keys(tmp_path, capsys):
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({"tol_abs": 1e-4}))
+    code = main(["verify", "--config", str(cfg_file), "--out", str(tmp_path)])
+    assert code == 2
+    assert "unknown config keys: ['tol_abs']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--tol-abs", "--tol-rel"])
+def test_tolerance_flags_are_gone(flag, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", flag, "1e-4", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_config_file_command_mismatch(tmp_path, capsys):
     cfg_file = tmp_path / "run.json"
     cfg_file.write_text(json.dumps({"command": "sweep"}))
@@ -141,6 +171,28 @@ def test_verify_potential_file(tmp_path):
     code, report = run(tmp_path, "verify", "--measure", str(path))
     assert code == 0
     assert report["checks"]["one_convex"] is True
+
+
+def test_verify_failure_writes_partial_report(tmp_path, capsys, monkeypatch):
+    def broken(m):
+        raise QuadratureError("no convergence")
+
+    monkeypatch.setattr(stability, "w2_to_gaussian", broken)
+    code, report = run(tmp_path, "verify", "--measure", "truncated:2")
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert report["error"] == "QuadratureError: no convergence"
+    assert report["checks"]["completed"] is False
+    assert report["passed"] is False
+    # what was computed before the failure is reported and printed; W_1 was
+    # computed too, but it is reported only together with the rest
+    assert "w1" not in report and len(report["lp"]) == 2
+    assert out[1].startswith("  a_theta  = ")
+    assert out[3] == f"  deficit  = {report['deficit']:.12g}"
+    assert out[4].startswith("  lp(p=1) = ") and out[5].startswith("  lp(p=2) = ")
+    assert out[6] == "  error: QuadratureError: no convergence"
+    assert "  [FAIL] completed" in out
+    assert out[-1] == "FAIL"
 
 
 def test_verify_rejects_bad_theta(tmp_path, capsys):
@@ -419,6 +471,54 @@ def test_selftest_restores_patched_routine(tmp_path):
     main(["selftest", "--inject-fault", "gaussian_cdf", "--out", str(tmp_path / "x")])
     code = main(["selftest", "--out", str(tmp_path / "y")])
     assert code == 0
+
+
+# -- report keys --------------------------------------------------------------
+
+
+def test_report_keys_are_stable(tmp_path):
+    """Report keys are only ever added: these are the keys of every report
+    and CSV header as of now."""
+    def keys(out, name):
+        return set(json.loads((tmp_path / out / name).read_text()))
+
+    assert main(["verify", "--out", str(tmp_path / "v")]) == 0
+    assert keys("v", "verify_report.json") == {
+        "a_theta", "checks", "command", "deficit", "entropy", "gap", "lp", "measure",
+        "one_convex", "passed", "perimeter_at_a", "profile_at_theta", "shift",
+        "talagrand", "talagrand_pass", "theta", "w1", "w1_dual_bound", "w2",
+    }
+    assert main(["example23", "--out", str(tmp_path / "e")]) == 0
+    assert keys("e", "example23_report.json") == {
+        "D", "cdf_max_error", "checks", "command", "deficit", "delta_E", "entropy",
+        "lp", "passed", "theta",
+    }
+    assert main(["sweep", "--measure", "example23", "--delta-grid", "1e-2,1e-3,1e-4",
+                 "--out", str(tmp_path / "s")]) == 0
+    assert keys("s", "sweep_summary.json") == {
+        "alpha", "alpha_max", "alpha_min", "c", "checks", "command", "family", "metric",
+        "passed", "points", "r_squared", "skipped_deltas", "theta",
+    }
+    assert (tmp_path / "s" / "sweep.csv").read_text().splitlines()[0] == "delta,value"
+    assert main(["needles", "--needle-count", "10", "--delta-grid", "1e-2,1e-3",
+                 "--out", str(tmp_path / "n")]) == 0
+    assert keys("n", "needles_report.json") == {
+        "c_threshold", "checks", "command", "epsilon", "fitted_exponent",
+        "fully_bad_ensemble", "needle_count", "passed", "rate_exponent", "rows", "seed",
+        "theta",
+    }
+    row = json.loads((tmp_path / "n" / "needles_report.json").read_text())["rows"][0]
+    assert set(row) == {
+        "bad_fraction", "bad_mass", "bad_mass_within_rate", "centered_mass",
+        "decomposition_bound", "deficit_scale", "delta", "epsilon", "fully_bad",
+        "good_contribution", "good_mass", "markov_applies", "mass_ok", "mass_total",
+        "mixture_l1", "needlewise_sum", "ok", "rate_bound_exponent", "warnings",
+    }
+    assert (tmp_path / "n" / "needles.csv").read_text().splitlines()[0] == (
+        "delta,epsilon,mixture_l1,good_mass,centered_mass,fitted_exponent"
+    )
+    assert main(["selftest", "--out", str(tmp_path / "t")]) == 0
+    assert keys("t", "selftest_report.json") == {"command", "injected_fault", "passed", "results"}
 
 
 # -- determinism --------------------------------------------------------------

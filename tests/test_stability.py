@@ -248,11 +248,6 @@ def test_gap_bounds_caps_reported():
     assert uncapped.passed_lower is None and uncapped.passed_upper is None
 
 
-def test_gap_bounds_sample_validation():
-    with pytest.raises(DomainError):
-        check_gap_bounds(GAUSSIAN, 0.5, sample_count=4)
-
-
 def test_default_gap_window_widens_as_deficit_shrinks():
     a = gaussian_quantile(0.3)
     narrow = default_gap_window(GAUSSIAN, 0.3, 1e-2)
