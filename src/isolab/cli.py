@@ -175,9 +175,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _number(text: str, kind: Callable[[str], float] = float) -> float:
+    """``kind(text)``; a malformed number is a configuration error."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"not a valid {kind.__name__}: {text!r}") from None
+
+
 def _floats(text: str) -> Tuple[float, ...]:
     """The numbers of a comma list; empty pieces are skipped."""
-    out = tuple(float(piece) for piece in text.split(",") if piece.strip())
+    out = tuple(_number(piece) for piece in text.split(",") if piece.strip())
     if not out:
         raise ConfigError("empty numeric list")
     return out
@@ -254,7 +262,7 @@ def _perturbed_family(text: str, cfg: RunConfig) -> Optional[rates.PerturbedSwee
     none is given), or None for any other spec."""
     if text != "perturbed" and not text.startswith("perturbed:"):
         return None
-    seed = int(text.partition(":")[2]) if ":" in text else cfg.seed
+    seed = _number(text.partition(":")[2], int) if ":" in text else cfg.seed
     return rates.PerturbedSweepFamily.seeded(seed)
 
 
@@ -263,7 +271,7 @@ def _build_measure(cfg: RunConfig) -> Measure1D:
     if text == "gaussian":
         return gaussian_measure()
     if text.startswith("truncated:"):
-        return normalize(measure1d.truncated_gaussian_potential(float(text.partition(":")[2])))
+        return normalize(measure1d.truncated_gaussian_potential(_number(text.partition(":")[2])))
     family = _perturbed_family(text, cfg)
     if family is not None:
         return family.measure_at(1.0)
@@ -318,16 +326,16 @@ def cmd_verify(cfg: RunConfig) -> int:
         # a NaN never counts as a drop
         checks["lp_nondecreasing_in_p"] = not any(b < a - _CHECK_TOL for a, b in zip(lp, lp[1:]))
 
-        # all four before any is reported: a failure leaves none of them
-        w1 = stability.w1_to_gaussian(centered)
-        w2 = stability.w2_to_gaussian(centered)
-        entropy = stability.relative_entropy(centered)
+        # each number is reported as soon as it is computed, so a failure
+        # keeps the ones before it
+        report["w1"] = w1 = stability.w1_to_gaussian(centered)
+        report["w2"] = w2 = stability.w2_to_gaussian(centered)
+        report["entropy"] = stability.relative_entropy(centered)
         tal = stability.talagrand_check(centered)
-        dual = stability.w1_dual_bound(m, cfg.theta)
-        report.update(w1=w1, w2=w2, entropy=entropy, talagrand=tal.to_dict(),
-                      talagrand_pass=tal.passed, w1_dual_bound=dual)
+        report.update(talagrand=tal.to_dict(), talagrand_pass=tal.passed)
         checks["talagrand"] = bool(tal.passed)
         checks["w1_le_w2"] = w1 <= w2 + _CHECK_TOL
+        report["w1_dual_bound"] = dual = stability.w1_dual_bound(m, cfg.theta)
         checks["w1_le_dual_bound"] = w1 <= dual + _CHECK_TOL
     except IsolabError as exc:
         report["error"] = f"{type(exc).__name__}: {exc}"
@@ -349,7 +357,7 @@ def cmd_example23(cfg: RunConfig) -> int:
     text = cfg.measure.strip()
     if not text.startswith("truncated:"):
         raise ConfigError(f"example23 needs a truncated:D measure spec, got {text!r}")
-    D = float(text.partition(":")[2])
+    D = _number(text.partition(":")[2])
     m, fam, closed = stability.example23(D)
 
     def compare(exact: float, numeric: float) -> dict:

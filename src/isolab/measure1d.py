@@ -21,7 +21,11 @@ that bound is, so this module provides:
 * perimeter of finite unions of intervals (sum of ``exp(-psi)`` over the
   interior boundary points) and :func:`brute_force_minimizer`, an exhaustive
   grid search over candidate sets of at most two components that serves as
-  an honest competitor to the half-line predicted by Bobkov's theorem.
+  an honest competitor to the half-line predicted by Bobkov's theorem.  It
+  evaluates the profile ``density(quantile(t))`` once per call, on every
+  endpoint mass its candidate families need, forms each candidate's
+  perimeter as a broadcast sum of profile values, and keeps the first
+  minimum in search order.
 
 Every family is a *cell potential*, ``psi_hat(x) = x^2/2 + beta_i*x +
 gamma_i`` on the cells ``(e_i, e_{i+1})`` of the domain.  On a cell the
@@ -627,7 +631,9 @@ def boundary_set(m: Measure1D, pieces: Sequence[Interval]) -> BoundarySet:
     Pieces are clipped to the domain; each must intersect it.  Pieces must
     be disjoint with nonempty gaps between them (touching pieces should be
     handed in merged -- a shared endpoint would fabricate boundary where
-    the union has none).
+    the union has none).  A piece is measured as ``cdf(hi) - cdf(lo)``, or
+    as ``sf(lo) - sf(hi)`` when it lies in the upper half, so upper pieces
+    keep the relative precision of lower ones.
     """
     clipped = []
     for p in pieces:
@@ -644,7 +650,10 @@ def boundary_set(m: Measure1D, pieces: Sequence[Interval]) -> BoundarySet:
     boundary = []
     total = 0.0
     for q in clipped:
-        total += m.cdf(q.hi) - m.cdf(q.lo)
+        # a piece in the upper half is measured from the right end, where
+        # 1 - cdf would cancel
+        below = m.cdf(q.lo)
+        total += m.cdf(q.hi) - below if below < 0.5 else m.sf(q.lo) - m.sf(q.hi)
         for endpoint in (q.lo, q.hi):
             if m.domain.contains(endpoint):
                 boundary.append(float(endpoint))
@@ -680,96 +689,84 @@ def brute_force_minimizer(m: Measure1D, theta: float) -> MinimizerResult:
     """Exhaustive search for the least-perimeter set of measure ``theta``.
 
     Candidates are parametrized in *mass coordinates*, so each one has
-    measure ``theta`` by construction (up to quantile accuracy): single
-    intervals ``(q(t), q(t + theta))`` swept over ``t``, the exact
-    half-lines at ``q(theta)`` / ``q(1 - theta)``, complements, half-line +
-    interval layouts and unions of two bounded intervals on coarser mass
-    grids.  Sets touching a finite domain endpoint are covered by the
-    half-line-bearing families (their touching endpoint carries no
-    perimeter).  The single-interval mass grid matches an x-pitch of
-    roughly ``_GRID_STEP`` through the bulk of the measure.
+    measure ``theta`` by construction (up to quantile accuracy) and its
+    perimeter is a sum of the profile ``J(t) = density(quantile(t))`` at its
+    endpoint masses.  In search order: the exact half-lines at ``q(theta)``
+    / ``q(1 - theta)``; single intervals ``(q(t), q(t + theta))`` swept over
+    ``t``; their complements; then, for each split ``theta = s + (theta -
+    s)``, a left half-line plus an interval, an interval plus a right
+    half-line, and two bounded intervals, on coarser mass grids.  Sets
+    touching a finite domain endpoint are covered by the half-line-bearing
+    families (their touching endpoint carries no perimeter).  The
+    single-interval mass grid matches an x-pitch of roughly ``_GRID_STEP``
+    through the bulk of the measure.
 
-    The minimizing candidate competes against the exact half-lines; ties
-    within 1e-12 go to the half-line.  Under 1-convexity Bobkov's theorem says the
-    half-line always wins -- this function checks that rather than assuming
-    it.
+    ``J`` is evaluated once, in one array call, on the abscissae the
+    families need (those outside (0, 1) are left out and read ``+inf``).
+    Each family's perimeters are broadcast sums of ``J`` columns, left to
+    right, with ``+inf`` where two intervals overlap or run out of mass; the
+    first minimum in search order wins.  It then competes against the exact
+    half-lines; ties within 1e-12 go to the half-line.  Under 1-convexity
+    Bobkov's theorem says the half-line always wins -- this function checks
+    that rather than assuming it.
     """
     theta = float(theta)
     if not 0.0 < theta < 1.0:
         raise DomainError(f"theta={theta!r} outside (0, 1)")
 
     dom = m.domain
-    eps = _MASS_EPS
+    eps, gap, inf = _MASS_EPS, _MASS_GAP, math.inf
     span = m.quantile(1.0 - eps) - m.quantile(eps)
     k_single = int(min(2000.0, max(160.0, math.ceil(span / _GRID_STEP) + 1.0)))
-    k_pair = 64
-    k_split = 11
+    k_pair, k_split = 64, 11
 
-    tag_chunks: list = []
-    end_chunks: list = []
-
-    def add(tag: int, *cols: np.ndarray) -> None:
-        arrays = [np.asarray(c, dtype=float).ravel() for c in cols]
-        count = arrays[0].size
-        if count == 0:
-            return
-        block = np.full((count, 4), np.nan)
-        for j, col in enumerate(arrays):
-            block[:, j] = col
-        tag_chunks.append(np.full(count, tag, dtype=np.int8))
-        end_chunks.append(block)
-
-    # 0/1: the exact half-lines
-    add(0, np.array([theta]))
-    add(1, np.array([1.0 - theta]))
-
-    # 2: bounded interval (q(t), q(t + theta))
-    if 1.0 - theta - eps > eps:
-        t = np.linspace(eps, 1.0 - theta - eps, k_single)
-        add(2, t, t + theta)
-
-    # 3: complement pair (-inf, q(t)) u (q(t + 1 - theta), +inf)
-    if theta - eps > eps:
-        t = np.linspace(eps, theta - eps, k_single)
-        add(3, t, t + (1.0 - theta))
-
-    splits = np.linspace(
-        theta / (k_split + 1.0), theta * k_split / (k_split + 1.0), k_split
-    )
+    # endpoint masses of the families tagged 2..6 below, one row per split;
+    # a family without room has no rows (2, 3) or NaN rows (4, 5), which
+    # read J = +inf
+    t2 = np.linspace(eps, 1.0 - theta - eps, k_single if 1.0 - theta - eps > eps else 0)
+    t3 = np.linspace(eps, theta - eps, k_single if theta - eps > eps else 0)
+    s = np.linspace(theta / (k_split + 1.0), theta * k_split / (k_split + 1.0), k_split)
+    rest = theta - s
+    lo4, hi4 = s + gap, 1.0 - rest - eps
+    ok4 = hi4 > lo4
+    t4 = np.full((k_split, k_pair), np.nan)
+    t4[ok4] = np.linspace(lo4[ok4], hi4[ok4], k_pair, axis=1)
+    ok5 = 1.0 - theta - gap > eps
+    t5 = np.linspace(eps, 1.0 - theta - gap, k_pair) if ok5 else np.full(k_pair, np.nan)
     base = np.linspace(eps, 1.0 - eps, k_pair)
-    for s in splits:
-        # 4: left half-line of mass s + interval of mass theta - s
-        lo_t = s + _MASS_GAP
-        hi_t = 1.0 - (theta - s) - eps
-        if hi_t > lo_t:
-            t = np.linspace(lo_t, hi_t, k_pair)
-            add(4, np.full(k_pair, s), t, t + (theta - s))
-        # 5: interval of mass s + right half-line of mass theta - s
-        hi_t = 1.0 - theta - _MASS_GAP
-        if hi_t > eps:
-            t = np.linspace(eps, hi_t, k_pair)
-            add(5, t, t + s, np.full(k_pair, 1.0 - (theta - s)))
-        # 6: two bounded intervals of masses s and theta - s
-        t1, t2 = np.meshgrid(base, base, indexing="ij")
-        ok = (t1 + s + _MASS_GAP <= t2) & (t2 + (theta - s) <= 1.0 - eps)
-        if np.any(ok):
-            add(6, t1[ok], t1[ok] + s, t2[ok], t2[ok] + (theta - s))
+    b1, b2 = base + s[:, None], base + rest[:, None]
+    u2, u3, c5 = t2 + theta, t3 + (1.0 - theta), 1.0 - rest
+    u4, u5 = t4 + rest[:, None], t5 + s[:, None]
 
-    tags = np.concatenate(tag_chunks)
-    ends = np.vstack(end_chunks)
-    checked = int(tags.size)
+    cols = (np.array([theta, 1.0 - theta]), t2, u2, t3, u3, s, t4, u4, t5, u5, c5, base, b1, b2)
+    u = np.concatenate([c.ravel() for c in cols])
+    inside = (u > 0.0) & (u < 1.0)
+    J = np.full(u.size, inf)
+    J[inside] = m.density(m.quantile(u[inside]))
+    cuts = np.cumsum([c.size for c in cols])[:-1]
+    Jh, J2, Ju2, J3, Ju3, Js, J4, Ju4, J5, Ju5, Jc5, Jb, Jb1, Jb2 = (
+        part.reshape(c.shape) for part, c in zip(np.split(J, cuts), cols))
 
-    flat = ends.ravel()
-    known = ~np.isnan(flat)
-    uniq, inverse = np.unique(flat[known], return_inverse=True)
-    dens_at_q = np.asarray(m.density(m.quantile(uniq)), dtype=float)
-    contrib = np.zeros(flat.size)
-    contrib[known] = dens_at_q[inverse]
-    peri = contrib.reshape(ends.shape).sum(axis=1)
+    P4 = Js[:, None] + J4 + Ju4
+    P5 = J5 + Ju5 + Jc5[:, None]
+    ok6 = (b1[:, :, None] + gap <= base) & (b2 <= 1.0 - eps)[:, None, :]
+    P6 = np.where(ok6, Jb[:, None] + Jb1[:, :, None] + Jb + Jb2[:, None, :], inf)
+    checked = 2 + t2.size + t3.size + k_pair * int(ok4.sum()) + k_split * k_pair * ok5 + int(ok6.sum())
 
-    k_best = int(np.argmin(peri))
-    win_tag = int(tags[k_best])
-    exact_q = [m.quantile(float(v)) for v in ends[k_best] if not math.isnan(v)]
+    # (tag, perimeters, endpoint masses broadcastable to them) in search
+    # order; tags 0 and 1 are the exact half-lines
+    blocks = [(0, Jh[:1], (theta,)), (1, Jh[1:], (1.0 - theta,)),
+              (2, J2 + Ju2, (t2, u2)), (3, J3 + Ju3, (t3, u3))]
+    for i in range(k_split):
+        blocks += [(4, P4[i], (s[i], t4[i], u4[i])), (5, P5[i], (t5, u5[i], c5[i])),
+                   (6, P6[i], (base[:, None], b1[i, :, None], base, b2[i]))]
+    k = int(np.argmin(np.concatenate([p.ravel() for _, p, _ in blocks])))
+    for win_tag, p, ends in blocks:
+        if k < p.size:
+            break
+        k -= p.size
+    at = np.unravel_index(k, p.shape)
+    exact_q = [m.quantile(float(np.broadcast_to(e, p.shape)[at])) for e in ends]
 
     def pieces_for(tag: int, q: Sequence[float]) -> Tuple[Interval, ...]:
         if tag == 0:

@@ -184,15 +184,37 @@ def test_verify_failure_writes_partial_report(tmp_path, capsys, monkeypatch):
     assert report["error"] == "QuadratureError: no convergence"
     assert report["checks"]["completed"] is False
     assert report["passed"] is False
-    # what was computed before the failure is reported and printed; W_1 was
-    # computed too, but it is reported only together with the rest
-    assert "w1" not in report and len(report["lp"]) == 2
+    # what was computed before the failure is reported and printed, W_1
+    # included; nothing after it is
+    assert len(report["lp"]) == 2 and math.isfinite(report["w1"]) and report["w1"] > 0.0
+    assert not {"w2", "entropy", "talagrand", "w1_dual_bound"} & set(report)
+    assert "w1_le_w2" not in report["checks"]
     assert out[1].startswith("  a_theta  = ")
     assert out[3] == f"  deficit  = {report['deficit']:.12g}"
     assert out[4].startswith("  lp(p=1) = ") and out[5].startswith("  lp(p=2) = ")
-    assert out[6] == "  error: QuadratureError: no convergence"
+    assert out[6] == f"  w1       = {report['w1']:.12g}"
+    assert out[7] == "  error: QuadratureError: no convergence"
     assert "  [FAIL] completed" in out
     assert out[-1] == "FAIL"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--p", "abc"),
+        ("verify", "--delta-grid", "1e-3,x"),
+        ("verify", "--measure", "truncated:x"),
+        ("verify", "--measure", "perturbed:x"),
+        ("example23", "--measure", "truncated:x"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_malformed_number_is_a_config_error(tmp_path, capsys, argv):
+    code = main([*argv, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: not a valid ")
+    assert "Traceback" not in err
 
 
 def test_verify_rejects_bad_theta(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from decimal import Decimal
 
@@ -10,10 +11,14 @@ from scipy.special import ndtri
 
 import oracle_constants as oc
 from oracle_erf import gaussian_cdf_oracle, log_sqrt_2pi_decimal, piecewise_mass_decimal
+from oracle_minimizer import oracle_minimizer
 from isolab import (
     DomainError,
     Interval,
     InvalidPotentialError,
+    Measure1D,
+    PerturbedSweepFamily,
+    PotentialSpec,
     boundary_set,
     brute_force_minimizer,
     center,
@@ -259,6 +264,19 @@ def test_boundary_set_clips_to_domain():
     assert bset.total_measure == pytest.approx(0.5, abs=1e-10)
 
 
+@pytest.mark.parametrize("u", [1e-4, 1e-8, 1e-10, 1e-12])
+def test_boundary_set_upper_tail_as_precise_as_lower(u):
+    q = GAUSSIAN.quantile(u)
+    lower = boundary_set(GAUSSIAN, (Interval(-math.inf, q),)).total_measure
+    upper = boundary_set(GAUSSIAN, (Interval(-q, math.inf),)).total_measure
+    assert lower == pytest.approx(u, rel=1e-12, abs=0.0)
+    assert upper == pytest.approx(u, rel=1e-12, abs=0.0)
+    # cut at quantile(1 - u), the upper half-line holds 1 - (1 - u), which
+    # is exact in floating point and differs from u by up to 5e-5 at 1e-12
+    above = boundary_set(GAUSSIAN, (Interval(GAUSSIAN.quantile(1.0 - u), math.inf),))
+    assert above.total_measure == pytest.approx(1.0 - (1.0 - u), rel=1e-12, abs=0.0)
+
+
 # -- brute-force minimizer ----------------------------------------------------
 
 
@@ -285,6 +303,92 @@ def test_minimizer_result_reports_a_theta_mass():
 def test_minimizer_theta_validation():
     with pytest.raises(DomainError):
         brute_force_minimizer(GAUSSIAN, 1.2)
+
+
+def _mode_spec(mu, c):
+    """``min_j (x - mu_j)^2/2 + c_j``: one Gaussian bump per mode, cut where
+    the next takes over; not 1-convex, so other sets can beat half-lines."""
+    mu = np.asarray(mu, dtype=float)
+    offsets = 0.5 * mu**2 + np.asarray(c, dtype=float)
+    edges = np.concatenate([[-math.inf], np.diff(offsets) / np.diff(mu), [math.inf]])
+    return PotentialSpec(Interval(-math.inf, math.inf), "modes", {}, edges, -mu, offsets)
+
+
+def _isoperimetry_measures():
+    xs = np.linspace(-6.0, 6.0, 61)
+    convex = 0.3 * np.logaddexp(xs - 0.4, 0.4 - xs) - 0.1 * xs
+    return [GAUSSIAN, TRUNCATED_2, normalize(truncated_gaussian_potential(1.3)),
+            normalize(truncated_gaussian_potential(3.2)),
+            *(PerturbedSweepFamily.seeded(k).measure_at(1.0) for k in (7, 4242, 91817)),
+            normalize(tabulated_potential(xs, 0.5 * xs * xs + convex))]
+
+
+def _layout(res):
+    """Which family a minimizer's winner belongs to, read off its pieces."""
+    lo, hi = res.boundary_set.pieces[0].lo, res.boundary_set.pieces[-1].hi
+    if len(res.boundary_set.pieces) == 1:
+        return "half-line" if res.is_half_line else "interval"
+    return {(True, True): "complement", (True, False): "half-line+interval",
+            (False, True): "interval+half-line"}.get((math.isinf(lo), math.isinf(hi)), "two intervals")
+
+
+def test_minimizer_matches_oracle_on_isoperimetry_measures():
+    thetas = [0.01, *(round(0.1 * k, 1) for k in range(1, 10)), 0.999]
+    for m in _isoperimetry_measures():
+        for theta in thetas:
+            assert brute_force_minimizer(m, theta) == oracle_minimizer(m, theta), (m.potential, theta)
+
+
+@pytest.mark.parametrize("mu, c", [((-2.0, 2.0), (0.0, 0.0)), ((-3.0, 0.0, 3.0), (0.0, 0.5, 0.0)),
+                                   ((-4.0, 0.5, 5.0), (0.3, 0.0, 0.8))])
+def test_minimizer_matches_oracle_on_bimodal_and_trimodal(mu, c):
+    m = normalize(_mode_spec(mu, c))
+    for theta in np.linspace(0.05, 0.95, 19):
+        assert brute_force_minimizer(m, theta) == oracle_minimizer(m, theta), theta
+
+
+def test_minimizer_matches_oracle_where_other_sets_win():
+    """At masses that sum one or two whole bumps, the winner sits in the
+    valleys: intervals, complements and half-line + interval layouts."""
+    layouts = set()
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(3, 6))
+        mu = np.cumsum(rng.uniform(4.0, 7.0, k))
+        m = normalize(_mode_spec(mu - mu.mean(), rng.uniform(-1.0, 1.0, k)))
+        bumps = np.diff(np.concatenate([[0.0], m.cdf_many(m.potential.edges[1:-1]), [1.0]]))
+        picks = itertools.chain(itertools.combinations(range(k), 1), itertools.combinations(range(k), 2))
+        thetas = {float(bumps[list(pick)].sum()) for pick in picks}
+        won = set()
+        for theta in sorted(t for t in thetas if 0.02 < t < 0.98):
+            res = brute_force_minimizer(m, theta)
+            assert res == oracle_minimizer(m, theta), (seed, theta)
+            won.add(_layout(res))
+        assert won - {"half-line"}, seed
+        layouts |= won
+    assert {"interval", "complement", "half-line+interval", "interval+half-line"} <= layouts
+
+
+def test_minimizer_evaluates_the_profile_in_one_array_call(monkeypatch):
+    quantile = Measure1D.quantile
+    array_calls = []
+
+    def counted(self, theta):
+        if isinstance(theta, np.ndarray):
+            array_calls.append(theta.size)
+        return quantile(self, theta)
+
+    # near 0 and 1 the single-interval, complement and interval + right
+    # half-line families run out of room and drop out of the count
+    for m, theta in ((GAUSSIAN, 0.3), (TRUNCATED_2, 0.999), (KINKED, 0.01), (GAUSSIAN, 1.5e-9),
+                     (KINKED, 1.0 - 5e-7), (TRUNCATED_2, 1.0 - 1.5e-9)):
+        want = oracle_minimizer(m, theta)
+        array_calls.clear()
+        monkeypatch.setattr(Measure1D, "quantile", counted)
+        res = brute_force_minimizer(m, theta)
+        monkeypatch.undo()
+        assert len(array_calls) == 1, (theta, array_calls)
+        assert res == want  # candidates_checked included
 
 
 # -- closed forms against the decimal piecewise-mass oracle --------------------
