@@ -263,7 +263,17 @@ def _perturbed_family(text: str, cfg: RunConfig) -> Optional[rates.PerturbedSwee
     if text != "perturbed" and not text.startswith("perturbed:"):
         return None
     seed = _number(text.partition(":")[2], int) if ":" in text else cfg.seed
+    if seed < 0:
+        raise ConfigError(f"measure spec {text!r}: the seed must be nonnegative")
     return rates.PerturbedSweepFamily.seeded(seed)
+
+
+def _radius(text: str) -> float:
+    """The ``D`` of a ``truncated:D`` spec, positive and finite."""
+    D = _number(text.partition(":")[2])
+    if not (math.isfinite(D) and D > 0.0):
+        raise ConfigError(f"measure spec {text!r}: the radius must be positive and finite")
+    return D
 
 
 def _build_measure(cfg: RunConfig) -> Measure1D:
@@ -271,7 +281,7 @@ def _build_measure(cfg: RunConfig) -> Measure1D:
     if text == "gaussian":
         return gaussian_measure()
     if text.startswith("truncated:"):
-        return normalize(measure1d.truncated_gaussian_potential(_number(text.partition(":")[2])))
+        return normalize(measure1d.truncated_gaussian_potential(_radius(text)))
     family = _perturbed_family(text, cfg)
     if family is not None:
         return family.measure_at(1.0)
@@ -357,7 +367,7 @@ def cmd_example23(cfg: RunConfig) -> int:
     text = cfg.measure.strip()
     if not text.startswith("truncated:"):
         raise ConfigError(f"example23 needs a truncated:D measure spec, got {text!r}")
-    D = _number(text.partition(":")[2])
+    D = _radius(text)
     m, fam, closed = stability.example23(D)
 
     def compare(exact: float, numeric: float) -> dict:
@@ -570,7 +580,12 @@ def _selftest_battery() -> Sequence[Tuple[str, Callable[[], Optional[str]]]]:
             measure1d.tabulated_potential(xs, 0.25 * xs**2)
             return "quarter-parabola (not 1-convex) was accepted"
         except InvalidPotentialError:
-            return None
+            pass
+        # the same table let past construction must fail the check itself
+        bad = measure1d.tabulated_potential(xs, 0.25 * xs**2, convexity_tol=1e6)
+        if measure1d.check_one_convexity(bad).passed:
+            return "quarter-parabola (not 1-convex) passed check_one_convexity"
+        return None
 
     def minimizer_check() -> Optional[str]:
         res = measure1d.brute_force_minimizer(gaussian_measure(), 0.5)
@@ -671,7 +686,16 @@ _FAULTS = {
     # shifted right by 1e-6, and with it every root
     "find_root": (numerics, "find_root",
                   lambda f: lambda g, *a, **k: f(lambda x: g(x - 1e-6), *a, **k)),
+    # every perturbed potential built through the module attribute: psi_hat
+    # jumps up by 1e-3 at the first breakpoint
+    "convexity": (measure1d, "perturbed_gaussian_potential",
+                  lambda f: lambda *a, **k: _raise_right_of_first_breakpoint(f(*a, **k))),
 }
+
+
+def _raise_right_of_first_breakpoint(spec: measure1d.PotentialSpec) -> measure1d.PotentialSpec:
+    first = spec.params["breakpoints"][0]
+    return dataclasses.replace(spec, offsets=spec.offsets + 1e-3 * (spec.edges[:-1] >= first))
 
 
 def cmd_selftest(cfg: RunConfig, inject_fault: Optional[str] = None) -> int:

@@ -17,7 +17,8 @@ that bound is, so this module provides:
   ``perturbed_gaussian``, ``tabulated_convex``) behind one
   :class:`PotentialSpec` record that serializes to plain dicts,
 * :class:`Measure1D` with closed-form ``cdf``/``sf``/``quantile``,
-* a midpoint-dyadic :func:`check_one_convexity` test,
+* an exact :func:`check_one_convexity` test on the cell edges: ``psi_hat -
+  x^2/2`` is convex when it neither jumps nor loses slope at any of them,
 * perimeter of finite unions of intervals (sum of ``exp(-psi)`` over the
   interior boundary points) and :func:`brute_force_minimizer`, an exhaustive
   grid search over candidate sets of at most two components that serves as
@@ -49,7 +50,6 @@ import numpy as np
 
 from .errors import DomainError, InvalidPotentialError, NonIntegrableError
 from .numerics import (
-    DEFAULT_SETTINGS,
     LOG_SQRT_2PI,
     REAL_LINE,
     Interval,
@@ -75,7 +75,6 @@ __all__ = [
     "gaussian_measure",
     "normalize",
     "check_one_convexity",
-    "half_line_perimeter",
     "gaussian_profile",
     "boundary_set",
     "perimeter",
@@ -154,12 +153,6 @@ class PotentialSpec:
 
     def right_derivative(self, x: ArrayLike) -> ArrayLike:
         return _vec(lambda a: a + self.slopes[_cell(self.edges, a)], x)
-
-    def argmin(self) -> float:
-        """Where ``psi_hat`` is least on the closure of the domain: the
-        lowest of the cell vertices ``-slopes[i]``, each clipped to its cell."""
-        x = np.clip(-self.slopes, self.edges[:-1], self.edges[1:])
-        return float(x[np.argmin(self.value(x))])
 
     def _log_masses(self) -> Tuple[np.ndarray, np.ndarray]:
         """Per cell ``(a, b)``, the logs of ``int exp(-psi_hat)`` over the
@@ -531,59 +524,41 @@ def gaussian_measure() -> Measure1D:
 # -- convexity ----------------------------------------------------------------
 
 
+# the largest slope drop, and the largest jump of psi_hat - x^2/2 relative to
+# 1 + |its value|, that check_one_convexity lets pass at an interior edge
+_CONVEXITY_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class ConvexityReport:
+    """``worst_violation`` is the largest slope drop or relative jump over the
+    interior edges (0 when there are none), found at ``worst_edge`` (None
+    when there are none); the check passes when it is at most 1e-9."""
+
     passed: bool
     worst_violation: float
-    worst_pair: Tuple[float, float]
-    grid_points: int
-    tol: float
+    worst_edge: Optional[float]
 
 
-def check_one_convexity(
-    spec: PotentialSpec, grid_points: int = 512, tol: float = 1e-9
-) -> ConvexityReport:
-    """Midpoint test of convexity of ``psi(x) - x^2/2`` on a dyadic grid.
+def check_one_convexity(spec: PotentialSpec) -> ConvexityReport:
+    """Exact test of convexity of ``psi_hat(x) - x^2/2`` from the cell arrays.
 
-    For every pair ``x < y`` on a ``grid_points``-point grid over the
-    effective support the test evaluates::
-
-        psi((x+y)/2) - (psi(x) + psi(y))/2 + (x - y)^2 / 8
-
-    which is ``<= 0`` exactly when the midpoint convexity of
-    ``psi - x^2/2`` holds on the pair.  ``worst_violation`` is the largest
-    value found (negative means convex with margin); the check passes when
-    it does not exceed ``tol``.
-
-    This is a *sampled* certificate: a C^2 potential that dips below
-    1-convexity only between grid points can slip through, which is why the
-    grid is user-widenable.  All built-in families are piecewise smooth with
-    knots that the default grid straddles densely.
+    On cell ``i`` the function is the line ``slopes[i]*x + offsets[i]``, so it
+    is convex on the domain exactly when, at every interior edge, it does
+    not jump and its slope does not drop.  Both are read at the edges: the
+    slope drop ``slopes[i-1] - slopes[i]``, and the jump between the two
+    lines divided by ``1 + |value|``, must each be at most 1e-9.
     """
-    if grid_points < 3:
-        raise DomainError("grid_points must be at least 3")
-    if tol < 0.0:
-        raise DomainError("tol must be nonnegative")
-    lo = max(spec.domain.lo, -DEFAULT_SETTINGS.tail_cutoff)
-    hi = min(spec.domain.hi, DEFAULT_SETTINGS.tail_cutoff)
-    center = min(max(spec.argmin(), lo), hi)
-    a = max(lo, center - 8.0)
-    b = min(hi, center + 8.0)
-    xs = np.linspace(a, b, grid_points)
-    vals = np.asarray(spec.value(xs), dtype=float)
-    i, j = np.triu_indices(grid_points, k=1)
-    mids = 0.5 * (xs[i] + xs[j])
-    mid_vals = np.asarray(spec.value(mids), dtype=float)
-    viol = mid_vals - 0.5 * (vals[i] + vals[j]) + 0.125 * (xs[i] - xs[j]) ** 2
-    w = int(np.argmax(viol))
-    worst = float(viol[w])
-    return ConvexityReport(
-        passed=bool(worst <= tol),
-        worst_violation=worst,
-        worst_pair=(float(xs[i[w]]), float(xs[j[w]])),
-        grid_points=grid_points,
-        tol=tol,
-    )
+    e = spec.edges[1:-1]
+    right = spec.slopes[1:] * e + spec.offsets[1:]
+    jump = np.abs(right - (spec.slopes[:-1] * e + spec.offsets[:-1])) / (1.0 + np.abs(right))
+    violation = np.maximum(spec.slopes[:-1] - spec.slopes[1:], jump)
+    if not violation.size:
+        return ConvexityReport(passed=True, worst_violation=0.0, worst_edge=None)
+    w = int(np.argmax(violation))  # a NaN comes first and fails
+    worst = float(violation[w])
+    return ConvexityReport(passed=worst <= _CONVEXITY_TOL, worst_violation=worst,
+                           worst_edge=float(e[w]))
 
 
 # -- perimeter ----------------------------------------------------------------
@@ -593,22 +568,6 @@ def gaussian_profile(theta: float) -> float:
     """Gaussian isoperimetric profile ``exp(-a_theta^2/2)/sqrt(2*pi)``
     with ``Phi(a_theta) = theta``; symmetric about ``theta = 1/2``."""
     return gaussian_pdf(gaussian_quantile(theta))
-
-
-def half_line_perimeter(m: Measure1D, a: float, side: str = "left") -> float:
-    """Boundary measure ``exp(-psi(a))`` of a half-line cut at ``a``.
-
-    ``side`` records whether the set is ``(-inf, a)`` or ``(a, inf)``
-    (intersected with the domain); the perimeter is the same either way.
-    Cuts at or beyond the domain endpoints have no interior boundary and
-    contribute 0.
-    """
-    if side not in ("left", "right"):
-        raise DomainError(f"side must be 'left' or 'right', got {side!r}")
-    a = float(a)
-    if not m.domain.contains(a):
-        return 0.0
-    return float(m.density(a))
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,10 @@ is the smallness parameter of every estimate in this module:
 * the exactly solvable truncated-Gaussian family (:func:`example23`) whose
   closed forms make the order ``delta^{1/p}`` sharp.
 
-The constants in the gap bounds are *fitted from samples*, never asserted
-against theoretical values: the theory proves they exist, not what they are.
+The constants in the gap bounds are *measured*, never asserted against
+theoretical values: the theory proves they exist, not what they are.  They
+are exact over their ranges, because the gap minus its tangent line is
+linear on each cell of the potential.
 Two distinct small parameters appear for the truncated family: the
 normalization excess ``delta_E`` with ``gamma(I) = (1+delta_E)^{-1}`` and the
 isoperimetric deficit; at ``theta = 1/2`` they are related by
@@ -88,8 +90,6 @@ __all__ = [
 _T_CLIP = 1e-12
 # deficits below this are treated as the exact equality case
 _EQUALITY_TOL = 1e-13
-# sample points per side of check_gap_bounds' fit
-_GAP_SAMPLES = 1000
 
 _TRANSPORT_SETTINGS = QuadratureSettings(abs_tol=1e-10, rel_tol=1e-8)
 # Room that lp_distance leaves beyond its integrand's peak: the log-integrand
@@ -125,13 +125,13 @@ class GapBoundReport:
     """Fitted constants for the two-sided potential-gap bounds.
 
     With ``gap(x) = psi(x) - psi_g(x)`` and ``s = slope_gap``, the report
-    certifies at the sampled points::
+    certifies on the ranges of :func:`check_gap_bounds`::
 
         gap(x) >= s*(x - a_theta) - fitted_lower_constant * delta      on I
         gap(x) <= s*(x - a_theta) + fitted_upper_constant * sqrt(delta) on window
 
     both constants being the smallest nonnegative values that make the
-    sampled inequalities true.  ``equality_case`` marks ``delta = 0`` (both
+    inequalities true there.  ``equality_case`` marks ``delta = 0`` (both
     bounds then collapse to exact linearity of the gap).
     """
 
@@ -237,8 +237,9 @@ def slope_gap(m: Measure1D, theta: float) -> float:
     return float(centered.psi_right_derivative(a_theta)) - a_theta
 
 
-def default_gap_window(m: Measure1D, theta: float, delta: float) -> Interval:
-    """Default window for the upper gap bound:
+def default_gap_window(centered: Measure1D, theta: float, delta: float) -> Interval:
+    """Default window for the upper gap bound of a measure centered at
+    ``theta`` (as :func:`center` returns it):
     ``[a_theta - sqrt(2 ln(1/delta)), a_theta + sqrt(2 ln(1/delta))]``
     intersected with the domain (it widens as the deficit shrinks)."""
     a_theta = gaussian_quantile(theta)
@@ -246,7 +247,6 @@ def default_gap_window(m: Measure1D, theta: float, delta: float) -> Interval:
         half = 1.0
     else:
         half = math.sqrt(2.0 * math.log(1.0 / delta))
-    centered, _ = center(m, theta)
     win = Interval(a_theta - half, a_theta + half).intersect(centered.domain)
     if win is None:  # cannot happen: a_theta is interior after centering
         raise DomainError("window does not intersect the centered domain")
@@ -260,48 +260,47 @@ def check_gap_bounds(
     lower_cap: Optional[float] = None,
     upper_cap: Optional[float] = None,
 ) -> GapBoundReport:
-    """Fit the smallest constants making the two gap bounds hold on samples.
+    """The smallest constants making the two gap bounds hold on their ranges.
 
-    Both bounds are sampled at ``_GAP_SAMPLES`` points: the lower bound on
-    (the numerically reachable part of) all of ``I``, the upper bound on
-    :func:`default_gap_window`.  ``delta = 0`` degenerates both bounds to a
-    linearity check of the gap, reported as ``equality_case`` with both
-    constants 0.  When ``lower_cap`` / ``upper_cap`` are given, the report
-    carries pass flags ``fitted <= cap``.
+    ``m`` is centered once.  The lower bound's range is the domain cut to
+    its ``[1e-12, 1 - 1e-12]`` quantiles and to the tail cutoff, widened to
+    hold the window; the upper bound's range is :func:`default_gap_window`.
+    On each cell ``g(x) = psi(x) - psi_g(x) - s*(x - a_theta)`` is linear,
+    so its extrema over a range lie at the range ends and the cell edges
+    inside it, and ``g`` is evaluated there only: the constants are exact
+    over the ranges.  ``delta = 0`` degenerates both bounds to a linearity
+    check of the gap, reported as ``equality_case`` with both constants 0.
+    When ``lower_cap`` / ``upper_cap`` are given, the report carries pass
+    flags ``fitted <= cap``.
     """
-    rep = deficit(m, theta)
-    delta = rep.deficit
     centered, _ = center(m, theta)
-    a_theta = rep.a_theta
-    window = default_gap_window(m, theta, max(delta, _EQUALITY_TOL))
-
+    a_theta = gaussian_quantile(theta)
+    delta = float(centered.density(a_theta)) - gaussian_profile(theta)
+    window = default_gap_window(centered, theta, max(delta, _EQUALITY_TOL))
     sg = float(centered.psi_right_derivative(a_theta)) - a_theta
+    cutoff = DEFAULT_SETTINGS.tail_cutoff
+    lo = max(min(window.lo, centered.quantile(_T_CLIP)), -cutoff)
+    hi = min(max(window.hi, centered.quantile(1.0 - _T_CLIP)), cutoff)
 
-    def gap_at(xs: np.ndarray) -> np.ndarray:
-        return np.asarray(centered.psi(xs), dtype=float) - np.asarray(
-            gaussian_psi(xs), dtype=float
-        )
+    # on cell i, g is the line slope[i]*x + icpt[i]
+    pot = centered.potential
+    slope = pot.slopes - sg
+    icpt = pot.offsets + (centered.log_normalizer - LOG_SQRT_2PI + sg * a_theta)
 
-    # lower-bound samples span the full interval (quantile range), upper-
-    # bound samples only the window
-    lo_s = min(window.lo, centered.quantile(_T_CLIP))
-    hi_s = max(window.hi, centered.quantile(1.0 - _T_CLIP))
-    lo_s = max(lo_s, -DEFAULT_SETTINGS.tail_cutoff)
-    hi_s = min(hi_s, DEFAULT_SETTINGS.tail_cutoff)
-    xs_lower = np.linspace(lo_s, hi_s, _GAP_SAMPLES)
-    xs_upper = np.linspace(window.lo, window.hi, _GAP_SAMPLES)
+    def gap(start: float, stop: float) -> np.ndarray:
+        """``g`` at both ends of each piece that the edges cut ``[start,
+        stop]`` into, on the piece's own cell."""
+        inner = pot.edges[(pot.edges > start) & (pot.edges < stop)]
+        xs = np.concatenate([[start], inner, [stop]])
+        i = np.searchsorted(pot.edges[1:-1], xs[:-1], side="right")
+        return np.concatenate([slope[i] * xs[:-1] + icpt[i], slope[i] * xs[1:] + icpt[i]])
 
-    g_lower = gap_at(xs_lower) - sg * (xs_lower - a_theta)
-    g_upper = gap_at(xs_upper) - sg * (xs_upper - a_theta)
-
-    if delta <= _EQUALITY_TOL:
-        c_low = 0.0
-        c_up = 0.0
-        equality = True
+    equality = delta <= _EQUALITY_TOL
+    if equality:
+        c_low = c_up = 0.0
     else:
-        c_low = max(0.0, float(-np.min(g_lower))) / delta
-        c_up = max(0.0, float(np.max(g_upper))) / math.sqrt(delta)
-        equality = False
+        c_low = max(0.0, -float(np.min(gap(lo, hi)))) / delta
+        c_up = max(0.0, float(np.max(gap(window.lo, window.hi)))) / math.sqrt(delta)
 
     return GapBoundReport(
         theta=theta,

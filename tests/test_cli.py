@@ -217,6 +217,24 @@ def test_malformed_number_is_a_config_error(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--measure", "truncated:-1"),
+        ("verify", "--measure", "truncated:nan"),
+        ("verify", "--measure", "perturbed:-3"),
+        ("example23", "--measure", "truncated:-1"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_out_of_range_number_is_a_config_error(tmp_path, capsys, argv):
+    code = main([*argv, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: measure spec {argv[-1]!r}: the ")
+    assert "Traceback" not in err
+
+
 def test_verify_rejects_bad_theta(tmp_path, capsys):
     code = main(["verify", "--theta", "1.5", "--out", str(tmp_path)])
     assert code == 2
@@ -476,6 +494,9 @@ def test_selftest_fault_injection(fault, tmp_path, capsys):
     if fault == "gaussian_cdf":
         assert "FAIL numerics.gaussian_cdf" in out
     report = json.loads((tmp_path / "selftest_report.json").read_text())
+    if fault == "convexity":  # a jump of psi is caught by the convexity check alone
+        failed = [r["name"] for r in report["results"] if not r["passed"]]
+        assert failed == ["measure1d.check_one_convexity"]
     assert report["passed"] is False
     assert report["injected_fault"] == fault
 

@@ -27,7 +27,6 @@ from isolab import (
     gaussian_potential,
     gaussian_profile,
     gaussian_quantile,
-    half_line_perimeter,
     normalize,
     perimeter,
     perturbed_gaussian_potential,
@@ -205,6 +204,8 @@ def test_one_convexity_accepts_the_construction():
         report = check_one_convexity(spec)
         assert report.passed
         assert report.worst_violation <= 1e-9
+        # one cell: no interior edge to check
+        assert (report.worst_edge is None) == (spec is not KINKED.potential)
 
 
 def test_one_convexity_rejects_quarter_parabola():
@@ -216,9 +217,25 @@ def test_one_convexity_rejects_quarter_parabola():
     assert report.worst_violation > 1e-3
 
 
-def test_one_convexity_grid_validation():
-    with pytest.raises(DomainError):
-        check_one_convexity(gaussian_potential(), grid_points=2)
+def test_one_convexity_finds_a_slope_drop_far_from_the_minimum():
+    # psi_hat - x^2/2 loses 0.05 of slope at x = 12, 12 away from its minimum
+    xs = np.linspace(-20.0, 20.0, 41)
+    convex = np.where(xs > 12.0, -0.05 * (xs - 12.0), 0.0)
+    spec = tabulated_potential(xs, 0.5 * xs**2 + convex, convexity_tol=1.0)
+    report = check_one_convexity(spec)
+    assert not report.passed
+    assert report.worst_edge == 12.0
+    assert report.worst_violation == pytest.approx(0.05, rel=1e-9)
+
+
+@pytest.mark.parametrize("jump", [1e-6, -1e-6])
+def test_one_convexity_rejects_a_value_jump_without_a_slope_drop(jump):
+    spec = PotentialSpec(Interval(-3.0, 3.0), "test", {}, edges=np.array([-3.0, 0.5, 3.0]),
+                         slopes=np.array([0.2, 0.2]), offsets=np.array([1.0, 1.0 + jump]))
+    report = check_one_convexity(spec)
+    assert not report.passed
+    assert report.worst_edge == 0.5
+    assert report.worst_violation == pytest.approx(1e-6 / (1.0 + 1.1 + jump), rel=1e-9)
 
 
 # -- profile, perimeters, boundary sets ---------------------------------------
@@ -228,16 +245,6 @@ def test_gaussian_profile_values():
     assert gaussian_profile(0.5) == pytest.approx(oc.INV_SQRT_2PI, rel=1e-13)
     assert gaussian_profile(oc.PHI_1) == pytest.approx(oc.PDF_AT_1, rel=1e-10)
     assert gaussian_profile(0.23) == pytest.approx(gaussian_profile(0.77), rel=1e-11)
-
-
-def test_half_line_perimeter_cases():
-    assert half_line_perimeter(GAUSSIAN, 0.0) == pytest.approx(oc.INV_SQRT_2PI, rel=1e-12)
-    assert half_line_perimeter(TRUNCATED_2, 0.0, "right") == pytest.approx(
-        oc.HALF_LINE_PERIMETER_D2, rel=1e-11
-    )
-    assert half_line_perimeter(TRUNCATED_2, 2.5) == 0.0  # beyond the domain
-    with pytest.raises(DomainError):
-        half_line_perimeter(GAUSSIAN, 0.0, side="middle")
 
 
 def test_boundary_set_and_perimeter():

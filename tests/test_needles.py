@@ -409,7 +409,7 @@ def test_generator_needles_are_one_convex():
         EnsembleConfig(needle_count=8, deficit_scale=1e-2, bad_fraction=0.3, seed=4)
     )
     for nd in ens.needles:
-        assert check_one_convexity(nd.measure.potential, grid_points=128).passed
+        assert check_one_convexity(nd.measure.potential).passed
 
 
 def test_generator_hits_deficit_scale():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import oracle_constants as oc
 from oracle_erf import lp_translated_gaussian_decimal
 from oracle_ot import discrete_w2_oracle
+from isolab.numerics import DEFAULT_SETTINGS
 from isolab.stability import solve_truncation_for_deficit
 from isolab import (
     DomainError,
@@ -246,6 +247,32 @@ def test_gap_bounds_caps_reported():
     assert rep.passed_lower and rep.passed_upper
     uncapped = check_gap_bounds(TRUNCATED_2, 0.5)
     assert uncapped.passed_lower is None and uncapped.passed_upper is None
+
+
+def test_gap_constants_are_extrema_over_range_ends_and_edges():
+    # a_theta = 0 sits on a cell 0.001 wide, where g is least: a sample grid
+    # coarser than the cell misses it
+    m = normalize(perturbed_gaussian_potential((0.0, 0.001), (-0.5, 0.0, 0.5)))
+    rep = check_gap_bounds(m, 0.5)
+    centered, _ = center(m, 0.5)
+    a_theta, cutoff = gaussian_quantile(0.5), DEFAULT_SETTINGS.tail_cutoff
+    lo = max(min(rep.window.lo, centered.quantile(1e-12)), -cutoff)
+    hi = min(max(rep.window.hi, centered.quantile(1.0 - 1e-12)), cutoff)
+
+    def brute_gap(lo, hi):
+        edges = centered.potential.edges
+        xs = np.concatenate([np.linspace(lo, hi, 100_001), edges[(edges > lo) & (edges < hi)]])
+        gap = centered.psi(xs) - (0.5 * xs * xs + math.log(math.sqrt(2.0 * math.pi)))
+        return gap - rep.slope_gap * (xs - a_theta)
+
+    lower = -np.min(brute_gap(lo, hi)) / rep.deficit
+    upper = np.max(brute_gap(rep.window.lo, rep.window.hi)) / math.sqrt(rep.deficit)
+    assert rep.fitted_lower_constant == pytest.approx(lower, rel=1e-12)
+    assert rep.fitted_upper_constant == pytest.approx(upper, rel=1e-12)
+    # g is convex here, so the least valid lower constant is -g(a_theta)/delta
+    g_at_a = float(centered.psi(a_theta)) - (0.5 * a_theta**2 + math.log(math.sqrt(2.0 * math.pi)))
+    assert rep.fitted_lower_constant == pytest.approx(-g_at_a / rep.deficit, rel=1e-12)
+    assert rep.fitted_lower_constant == pytest.approx(2.0851925, abs=1e-7)
 
 
 def test_default_gap_window_widens_as_deficit_shrinks():
