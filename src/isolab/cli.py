@@ -39,7 +39,7 @@ import numpy as np
 from . import measure1d, needles, numerics, rates, stability
 from .errors import ConfigError, DomainError, FitError, InvalidPotentialError, IsolabError
 from .measure1d import Measure1D, gaussian_measure, normalize, potential_from_config
-from .numerics import SQRT_2PI, Interval
+from .numerics import SQRT_2PI
 from .rates import DEFAULT_DELTA_GRID, Metric
 
 __all__ = ["RunConfig", "main"]
@@ -381,7 +381,7 @@ def cmd_example23(cfg: RunConfig) -> int:
     xs = np.linspace(-D + 1e-9, D - 1e-9, 101)
     lower = numerics.gaussian_cdf(-D)
     closed_cdf = np.array([numerics.gaussian_cdf(x) - lower for x in xs]) * (1.0 + fam.delta_E)
-    numeric_cdf = np.array([m.cdf(float(x)) for x in xs])
+    numeric_cdf = m.cdf_many(xs)
     report["cdf_max_error"] = float(np.max(np.abs(numeric_cdf - np.clip(closed_cdf, 0.0, 1.0))))
 
     checks = {"deficit_matches": report["deficit"]["error"] <= _CHECK_TOL}
@@ -540,7 +540,7 @@ def _selftest_battery() -> Sequence[Tuple[str, Callable[[], Optional[str]]]]:
         return None
 
     def root_check() -> Optional[str]:
-        r = numerics.find_root(lambda x: x * x - 2.0, Interval(0.0, 2.0))
+        r = numerics.find_root(lambda x: x * x - 2.0, (0.0, 2.0))
         if abs(r - math.sqrt(2.0)) > 1e-12:
             return f"root = {r!r}"
         c = np.array([2.0, 3.0, 5.0])
@@ -621,6 +621,11 @@ def _selftest_battery() -> Sequence[Tuple[str, Callable[[], Optional[str]]]]:
         rep = stability.talagrand_check(m)
         if not rep.passed:
             return f"W2^2 = {rep.lhs!r} > 2 Ent = {rep.rhs!r}"
+        # the equality case: for the Gaussian translated by s both sides
+        # are s^2, so no slack hides a small fault
+        rep = stability.talagrand_check(gaussian_measure().translate(0.3))
+        if abs(rep.lhs - 0.09) > 1e-8 or abs(rep.rhs - 0.09) > 1e-8:
+            return f"translate(0.3): W2^2 = {rep.lhs!r}, 2 Ent = {rep.rhs!r}, expected 0.09"
         return None
 
     def shifted_l1_check() -> Optional[str]:
@@ -690,6 +695,12 @@ _FAULTS = {
     # jumps up by 1e-3 at the first breakpoint
     "convexity": (measure1d, "perturbed_gaussian_potential",
                   lambda f: lambda *a, **k: _raise_right_of_first_breakpoint(f(*a, **k))),
+    # every W_1 and W_2 quantile-coupling integral, scaled by 1 + 1e-6
+    "coupling": (stability, "_quantile_coupling",
+                 lambda f: lambda *a: f(*a) * (1.0 + 1e-6)),
+    # every power-law fit: the slope scaled by 1 + 1e-9
+    "fit_slope": (rates, "_fit",
+                  lambda f: lambda points: (lambda a, c, r2: (a * (1.0 + 1e-9), c, r2))(*f(points))),
 }
 
 

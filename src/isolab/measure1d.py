@@ -16,7 +16,7 @@ that bound is, so this module provides:
 * four potential families (``gaussian``, ``truncated_gaussian``,
   ``perturbed_gaussian``, ``tabulated_convex``) behind one
   :class:`PotentialSpec` record that serializes to plain dicts,
-* :class:`Measure1D` with closed-form ``cdf``/``sf``/``quantile``,
+* :class:`Measure1D` with closed-form ``cdf``/``sf``/``quantile``/``isf``,
 * an exact :func:`check_one_convexity` test on the cell edges: ``psi_hat -
   x^2/2`` is convex when it neither jumps nor loses slope at any of them,
 * perimeter of finite unions of intervals (sum of ``exp(-psi)`` over the
@@ -32,7 +32,8 @@ Every family is a *cell potential*, ``psi_hat(x) = x^2/2 + beta_i*x +
 gamma_i`` on the cells ``(e_i, e_{i+1})`` of the domain.  On a cell the
 density is a Gaussian of mean ``-beta_i``, so masses, normalizer, cdf, upper
 tail and quantile are differences and inverses of ``Phi`` at ``x + beta_i``:
-no quadrature and no root search.
+no quadrature and no root search.  Each kernel has one code path, on
+arrays; a float goes in as a 0-d array and comes back as a float.
 
 Conventions: all intervals are open; the density is ``0`` off ``I``; boundary
 points lying on the closure of ``I`` but not in its interior contribute no
@@ -42,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from bisect import bisect_left, bisect_right
 from functools import cached_property
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -53,6 +53,7 @@ from .numerics import (
     LOG_SQRT_2PI,
     REAL_LINE,
     Interval,
+    gaussian_log_cdf,
     gaussian_log_mass,
     gaussian_pdf,
     gaussian_quantile,
@@ -74,6 +75,7 @@ __all__ = [
     "gaussian_psi",
     "gaussian_measure",
     "normalize",
+    "cell_quantile",
     "check_one_convexity",
     "gaussian_profile",
     "boundary_set",
@@ -83,32 +85,18 @@ __all__ = [
 
 ArrayLike = Union[float, np.ndarray]
 
-def _vec(fn: Callable[[ArrayLike], ArrayLike], x: ArrayLike) -> ArrayLike:
-    """Apply ``fn`` to a float (0-d arrays are unwrapped) or to an array of
-    dimension >= 1.  Kernels take a cheap path for floats, which scalar root
-    solves (a deficit per step) and single-measure reports still pass: there
-    a float costs 4 to 9 times less than a 1-element array."""
-    if not isinstance(x, float):
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim:
-            return fn(arr)
-        x = float(arr)
-    return float(fn(x))
+def _vec(fn: Callable[[np.ndarray], np.ndarray], x: ArrayLike) -> ArrayLike:
+    """Apply the array kernel ``fn`` to ``x``; a scalar goes in as a 0-d
+    array and comes back as a float."""
+    arr = np.asarray(x, dtype=float)
+    return fn(arr) if arr.ndim else float(fn(arr))
 
 
-def _clip(x: ArrayLike, lo: float, hi: float) -> ArrayLike:
-    if isinstance(x, float):
-        return min(max(x, lo), hi)
-    return np.minimum(np.maximum(x, lo), hi)
-
-
-def _cell(edges: np.ndarray, x: ArrayLike) -> ArrayLike:
+def _cell(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Index of the cell ``(edges[i], edges[i+1])`` holding ``x``; an
     interior edge belongs to the cell on its right, and points beyond the
     ends to the end cells."""
-    if isinstance(x, float):
-        return bisect_right(edges, x, 1, edges.size - 1) - 1
-    return np.searchsorted(edges[1:-1], x, side="right")
+    return edges[1:-1].searchsorted(x, side="right")
 
 
 @dataclass(frozen=True)
@@ -145,7 +133,7 @@ class PotentialSpec:
         return tuple(self.edges[1:-1].tolist())
 
     def value(self, x: ArrayLike) -> ArrayLike:
-        def impl(a: ArrayLike) -> ArrayLike:
+        def impl(a: np.ndarray) -> np.ndarray:
             i = _cell(self.edges, a)
             return 0.5 * a * a + self.slopes[i] * a + self.offsets[i]
 
@@ -210,7 +198,7 @@ def truncated_gaussian_potential(
         if lo is None or hi is None:
             raise DomainError("truncated_gaussian_potential needs D or both lo and hi")
         dom = Interval(float(lo), float(hi))
-        if not dom.is_bounded and dom == REAL_LINE:
+        if dom == REAL_LINE:
             raise DomainError("truncation interval must be a proper sub-interval")
         params = {"lo": dom.lo, "hi": dom.hi, "shift": 0.0}
     return _cells(dom, "truncated_gaussian", params,
@@ -396,9 +384,7 @@ class Measure1D:
     def density(self, x: ArrayLike) -> ArrayLike:
         """``exp(-psi)`` on the domain, 0 outside (and at the endpoints)."""
 
-        def impl(a: ArrayLike) -> ArrayLike:
-            if isinstance(a, float):
-                return math.exp(-self.psi(a)) if self.domain.contains(a) else 0.0
+        def impl(a: np.ndarray) -> np.ndarray:
             inside = (a > self.domain.lo) & (a < self.domain.hi)
             with np.errstate(over="ignore", under="ignore", invalid="ignore"):
                 val = np.exp(-self.psi(a))
@@ -427,13 +413,11 @@ class Measure1D:
         return left, right
 
     def cdf_many(self, x: ArrayLike) -> ArrayLike:
-        """Vectorized cdf; see :meth:`cdf`."""
+        """Mass of ``(-inf, x]``; floats or arrays.  0 at the left end of the
+        domain, 1 at the right end."""
         return _vec(lambda a: self._sides[0].mass_below(a), x)
 
-    def cdf(self, x: float) -> float:
-        """Mass of ``(-inf, x]``; 0 at the left end of the domain, 1 at the
-        right end."""
-        return float(self.cdf_many(float(x)))
+    cdf = cdf_many
 
     def sf(self, x: ArrayLike) -> ArrayLike:
         """Mass of ``(x, inf)``; floats or arrays.  Summed from the right
@@ -447,22 +431,27 @@ class Measure1D:
         from the right end, as the upper mass ``1 - theta``, so both tails
         are resolved equally well.
         """
+        return _vec(lambda t: self._invert(t, 1.0 - t), theta)
+
+    def isf(self, mass: ArrayLike) -> ArrayLike:
+        """Generalized inverse of :meth:`sf` on (0, 1), the mirror of
+        :meth:`quantile`: ``mass < 1/2`` is inverted from the right end as
+        given, keeping the precision that ``1 - mass`` would round away."""
+        return _vec(lambda p: self._invert(1.0 - p, p), mass)
+
+    def _invert(self, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+        """The points with ``lower`` below and ``upper = 1 - lower`` above them, lower
+        masses up to 1/2 from the left end and the rest from the right end."""
+        if not ((lower > 0.0) & (upper > 0.0)).all():
+            raise DomainError("quantile: masses must lie in (0, 1)")
         left, right = self._sides
-
-        def impl(t: ArrayLike) -> ArrayLike:
-            if isinstance(t, float):
-                if not 0.0 < t < 1.0:
-                    raise DomainError(f"quantile: theta={t!r} outside (0, 1)")
-                return left.invert(t) if t <= 0.5 else -right.invert(1.0 - t)
-            if not np.all((t > 0.0) & (t < 1.0)):
-                raise DomainError("quantile: some theta outside (0, 1)")
-            out = np.empty_like(t)
-            upper = t > 0.5
-            out[~upper] = left.invert(t[~upper])
-            out[upper] = -right.invert(1.0 - t[upper])
-            return out
-
-        return _vec(impl, theta)
+        out = np.empty_like(lower)
+        from_right = lower > 0.5
+        if not from_right.all():
+            out[~from_right] = left.invert(lower[~from_right])
+        if from_right.any():
+            out[from_right] = -right.invert(upper[from_right])
+        return out
 
 
 class _Side(NamedTuple):
@@ -475,33 +464,31 @@ class _Side(NamedTuple):
     log_weight: np.ndarray
     cum: np.ndarray
 
-    def mass_below(self, x: ArrayLike) -> ArrayLike:
+    def mass_below(self, x: np.ndarray) -> np.ndarray:
         """Mass of ``(-inf, x]``: the cells below ``x`` plus the ``Phi``
         difference inside the cell of ``x``."""
-        x = _clip(x, self.edges[0], self.edges[-1])
+        x = np.minimum(np.maximum(x, self.edges[0]), self.edges[-1])
         k = _cell(self.edges, x)
         beta = self.slopes[k]
         part = np.exp(self.log_weight[k] + gaussian_log_mass(self.edges[k] + beta, x + beta))
         return np.minimum(self.cum[k] + part, 1.0)
 
-    def invert(self, mass: ArrayLike) -> ArrayLike:
-        """The point with ``mass`` below it, for ``0 < mass <= 1/2``.
+    def invert(self, mass: np.ndarray) -> np.ndarray:
+        """The point with ``mass`` below it, for ``0 < mass <= 1/2``, in the
+        cell with ``cum[k] < mass <= cum[k+1]``."""
+        k = self.cum[1:-1].searchsorted(mass)
+        return cell_quantile(self.edges[k], self.edges[k + 1], self.slopes[k],
+                             self.log_weight[k], self.cum[k], mass)
 
-        In the cell with ``cum[k] < mass <= cum[k+1]`` the cell's Gaussian
-        puts ``Phi(edges[k] + beta) + (mass - cum[k]) / weight`` below the
-        point, which ``Phi^{-1}`` inverts in log space.
-        """
-        if isinstance(mass, float):
-            k = bisect_left(self.cum, mass, 1, self.cum.size - 1) - 1
-        else:
-            k = np.searchsorted(self.cum[1:-1], mass)
-        beta = self.slopes[k]
-        log_p = np.logaddexp(
-            gaussian_log_mass(-math.inf, self.edges[k] + beta),
-            np.log(mass - self.cum[k]) - self.log_weight[k],
-        )
-        y = gaussian_quantile_log(np.minimum(log_p, 0.0))
-        return _clip(y - beta, self.edges[k], self.edges[k + 1])
+
+def cell_quantile(lo, hi, beta, log_weight, below, mass):
+    """The point with ``mass`` below it inside the cell ``(lo, hi)`` of a
+    probability measure, elementwise, where the measure holds ``below``
+    below ``lo`` and has density ``exp(log_weight) * phi(x + beta)`` on the
+    cell: ``Phi(lo + beta) + (mass - below) / exp(log_weight)`` is inverted
+    in log space."""
+    log_p = np.logaddexp(gaussian_log_cdf(lo + beta), np.log(mass - below) - log_weight)
+    return np.minimum(np.maximum(gaussian_quantile_log(np.minimum(log_p, 0.0)) - beta, lo), hi)
 
 
 def normalize(spec: PotentialSpec) -> Measure1D:
@@ -567,7 +554,7 @@ def check_one_convexity(spec: PotentialSpec) -> ConvexityReport:
 def gaussian_profile(theta: float) -> float:
     """Gaussian isoperimetric profile ``exp(-a_theta^2/2)/sqrt(2*pi)``
     with ``Phi(a_theta) = theta``; symmetric about ``theta = 1/2``."""
-    return gaussian_pdf(gaussian_quantile(theta))
+    return float(gaussian_pdf(gaussian_quantile(theta)))
 
 
 @dataclass(frozen=True)
@@ -592,7 +579,8 @@ def boundary_set(m: Measure1D, pieces: Sequence[Interval]) -> BoundarySet:
     handed in merged -- a shared endpoint would fabricate boundary where
     the union has none).  A piece is measured as ``cdf(hi) - cdf(lo)``, or
     as ``sf(lo) - sf(hi)`` when it lies in the upper half, so upper pieces
-    keep the relative precision of lower ones.
+    keep the relative precision of lower ones; ``cdf`` and ``sf`` are
+    evaluated on all endpoints at once.
     """
     clipped = []
     for p in pieces:
@@ -606,26 +594,23 @@ def boundary_set(m: Measure1D, pieces: Sequence[Interval]) -> BoundarySet:
             raise DomainError(
                 f"pieces overlap or touch: ({left.lo}, {left.hi}) and ({right.lo}, {right.hi})"
             )
-    boundary = []
-    total = 0.0
-    for q in clipped:
-        # a piece in the upper half is measured from the right end, where
-        # 1 - cdf would cancel
-        below = m.cdf(q.lo)
-        total += m.cdf(q.hi) - below if below < 0.5 else m.sf(q.lo) - m.sf(q.hi)
-        for endpoint in (q.lo, q.hi):
-            if m.domain.contains(endpoint):
-                boundary.append(float(endpoint))
+    n = len(clipped)
+    ends = np.array([q.lo for q in clipped] + [q.hi for q in clipped])
+    below, above = m.cdf_many(ends), m.sf(ends)
+    # a piece in the upper half is measured from the right end, where
+    # 1 - cdf would cancel
+    masses = np.where(below[:n] < 0.5, below[n:] - below[:n], above[:n] - above[n:])
+    inside = (ends > m.domain.lo) & (ends < m.domain.hi)
     return BoundarySet(
         pieces=tuple(clipped),
-        boundary_points=tuple(sorted(boundary)),
-        total_measure=float(total),
+        boundary_points=tuple(sorted(ends[inside].tolist())),
+        total_measure=float(sum(masses.tolist())),
     )
 
 
 def perimeter(m: Measure1D, bset: BoundarySet) -> float:
     """Sum of ``exp(-psi)`` over the interior boundary points of ``bset``."""
-    return float(sum(m.density(p) for p in bset.boundary_points))
+    return float(sum(m.density(np.array(bset.boundary_points)).tolist()))
 
 
 # -- brute-force minimizer ----------------------------------------------------
@@ -665,7 +650,9 @@ def brute_force_minimizer(m: Measure1D, theta: float) -> MinimizerResult:
     Each family's perimeters are broadcast sums of ``J`` columns, left to
     right, with ``+inf`` where two intervals overlap or run out of mass; the
     first minimum in search order wins.  It then competes against the exact
-    half-lines; ties within 1e-12 go to the half-line.  Under 1-convexity
+    half-lines; ties within 1e-12 go to the half-line.  The winner's
+    endpoints and perimeter, and the half-lines', are read from that one
+    evaluation, and only the set returned is measured.  Under 1-convexity
     Bobkov's theorem says the half-line always wins -- this function checks
     that rather than assuming it.
     """
@@ -700,56 +687,53 @@ def brute_force_minimizer(m: Measure1D, theta: float) -> MinimizerResult:
     cols = (np.array([theta, 1.0 - theta]), t2, u2, t3, u3, s, t4, u4, t5, u5, c5, base, b1, b2)
     u = np.concatenate([c.ravel() for c in cols])
     inside = (u > 0.0) & (u < 1.0)
+    q = np.full(u.size, np.nan)
+    q[inside] = m.quantile(u[inside])
     J = np.full(u.size, inf)
-    J[inside] = m.density(m.quantile(u[inside]))
+    J[inside] = m.density(q[inside])
     cuts = np.cumsum([c.size for c in cols])[:-1]
-    Jh, J2, Ju2, J3, Ju3, Js, J4, Ju4, J5, Ju5, Jc5, Jb, Jb1, Jb2 = (
-        part.reshape(c.shape) for part, c in zip(np.split(J, cuts), cols))
 
+    def split(a: np.ndarray) -> list:
+        return [part.reshape(c.shape) for part, c in zip(np.split(a, cuts), cols)]
+
+    Jh, J2, Ju2, J3, Ju3, Js, J4, Ju4, J5, Ju5, Jc5, Jb, Jb1, Jb2 = split(J)
+    Qh, Q2, Qu2, Q3, Qu3, Qs, Q4, Qu4, Q5, Qu5, Qc5, Qb, Qb1, Qb2 = split(q)
+
+    P2, P3 = J2 + Ju2, J3 + Ju3
     P4 = Js[:, None] + J4 + Ju4
     P5 = J5 + Ju5 + Jc5[:, None]
+    # one block per split, and a winner found from the blocks' minima, keep
+    # every temporary under glibc's 128 KB mmap threshold: larger ones are
+    # mapped, and their pages faulted in, afresh on every call
     ok6 = (b1[:, :, None] + gap <= base) & (b2 <= 1.0 - eps)[:, None, :]
-    P6 = np.where(ok6, Jb[:, None] + Jb1[:, :, None] + Jb + Jb2[:, None, :], inf)
+    P6 = [np.where(ok6[i], Jb[:, None] + Jb1[i, :, None] + Jb + Jb2[i], inf)
+          for i in range(k_split)]
     checked = 2 + t2.size + t3.size + k_pair * int(ok4.sum()) + k_split * k_pair * ok5 + int(ok6.sum())
 
-    # (tag, perimeters, endpoint masses broadcastable to them) in search
-    # order; tags 0 and 1 are the exact half-lines
-    blocks = [(0, Jh[:1], (theta,)), (1, Jh[1:], (1.0 - theta,)),
-              (2, J2 + Ju2, (t2, u2)), (3, J3 + Ju3, (t3, u3))]
+    # (tag, perimeters, endpoints broadcastable to them) in search order;
+    # tags 0 and 1 are the exact half-lines
+    blocks = [(0, Jh[:1], (Qh[:1],)), (1, Jh[1:], (Qh[1:],)),
+              (2, P2, (Q2, Qu2)), (3, P3, (Q3, Qu3))]
     for i in range(k_split):
-        blocks += [(4, P4[i], (s[i], t4[i], u4[i])), (5, P5[i], (t5, u5[i], c5[i])),
-                   (6, P6[i], (base[:, None], b1[i, :, None], base, b2[i]))]
-    k = int(np.argmin(np.concatenate([p.ravel() for _, p, _ in blocks])))
-    for win_tag, p, ends in blocks:
-        if k < p.size:
-            break
-        k -= p.size
-    at = np.unravel_index(k, p.shape)
-    exact_q = [m.quantile(float(np.broadcast_to(e, p.shape)[at])) for e in ends]
+        blocks += [(4, P4[i], (Qs[i], Q4[i], Qu4[i])), (5, P5[i], (Q5, Qu5[i], Qc5[i])),
+                   (6, P6[i], (Qb[:, None], Qb1[i, :, None], Qb, Qb2[i]))]
+    # the first block holding the least perimeter, and its first minimum
+    lows = np.concatenate([Jh, [np.min(P2, initial=inf), np.min(P3, initial=inf)],
+                           np.stack([P4.min(axis=1), P5.min(axis=1), [p.min() for p in P6]], 1).ravel()])
+    win_tag, p, ends = blocks[int(np.argmin(lows))]
+    at = np.unravel_index(int(np.argmin(p)), p.shape)
+    best_q = [float(np.broadcast_to(e, p.shape)[at]) for e in ends]
+    best_peri = float(p[at])
 
-    def pieces_for(tag: int, q: Sequence[float]) -> Tuple[Interval, ...]:
-        if tag == 0:
-            return (Interval(dom.lo, q[0]),)
-        if tag == 1:
-            return (Interval(q[0], dom.hi),)
-        if tag == 2:
-            return (Interval(q[0], q[1]),)
-        if tag == 3:
-            return (Interval(dom.lo, q[0]), Interval(q[1], dom.hi))
-        if tag == 4:
-            return (Interval(dom.lo, q[0]), Interval(q[1], q[2]))
-        if tag == 5:
-            return (Interval(q[0], q[1]), Interval(q[2], dom.hi))
-        return (Interval(q[0], q[1]), Interval(q[2], q[3]))
+    def pieces_for(tag: int, inner: Sequence[float]) -> list:
+        """Family ``tag``'s pieces with endpoints ``inner``; half-lines end at the domain's."""
+        points = [dom.lo] * (tag in (0, 3, 4)) + list(inner) + [dom.hi] * (tag in (1, 3, 5))
+        return [Interval(a, b) for a, b in zip(points[::2], points[1::2])]
 
-    best_bs = boundary_set(m, list(pieces_for(win_tag, exact_q)))
-    best_peri = perimeter(m, best_bs)
-
-    left = boundary_set(m, [Interval(dom.lo, m.quantile(theta))])
-    right = boundary_set(m, [Interval(m.quantile(1.0 - theta), dom.hi)])
-    pl, pr = perimeter(m, left), perimeter(m, right)
-    half_peri, half_bs = (pl, left) if pl <= pr else (pr, right)
-
+    half_tag = 0 if Jh[0] <= Jh[1] else 1
+    half_peri = float(Jh[half_tag])
     if half_peri <= best_peri + 1e-12:
-        return MinimizerResult(half_bs, half_peri, True, checked)
-    return MinimizerResult(best_bs, best_peri, win_tag in (0, 1), checked)
+        half_set = boundary_set(m, pieces_for(half_tag, [float(Qh[half_tag])]))
+        return MinimizerResult(half_set, half_peri, True, checked)
+    return MinimizerResult(boundary_set(m, pieces_for(win_tag, best_q)), best_peri,
+                           win_tag in (0, 1), checked)

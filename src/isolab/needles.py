@@ -54,9 +54,10 @@ from typing import Callable, Mapping, Optional, Tuple
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import ConfigError, DomainError, InvariantViolation, QuadratureError
+from .errors import BracketError, ConfigError, DomainError, InvariantViolation, QuadratureError
 from .measure1d import (
     Measure1D,
+    cell_quantile,
     gaussian_measure,
     gaussian_profile,
     truncated_gaussian_potential,
@@ -70,7 +71,6 @@ from .numerics import (
     gaussian_log_mass,
     gaussian_pdf,
     gaussian_quantile,
-    gaussian_quantile_log,
     gaussian_sf,
     integrate,
 )
@@ -697,8 +697,7 @@ def _quantiles(lo, hi, beta, log_amp, theta: float):
     inverted in log space, and from the mirrored right end above."""
     if theta > 0.5:
         return -_quantiles(-hi, -lo, -beta, log_amp, 1.0 - theta)
-    log_p = np.logaddexp(gaussian_log_mass(-math.inf, lo + beta), math.log(theta) - log_amp)
-    return np.clip(gaussian_quantile_log(np.minimum(log_p, 0.0)) - beta, lo, hi)
+    return cell_quantile(lo, hi, beta, log_amp, 0.0, theta)
 
 
 # Base translation of bad needles: far enough that their mass is disjoint
@@ -758,6 +757,8 @@ def generate_ensemble(config: EnsembleConfig | Mapping[str, object]) -> NeedleEn
         positive = targets > 1e-300
         if np.any(positive):
             radii[positive] = solve_truncation_for_deficit(targets[positive], theta)
+        if np.any(np.isnan(radii)):
+            raise BracketError(f"no truncation radius reaches deficit {targets[np.isnan(radii)][0]:.3e}")
         # the normalizer of gamma on (-D, D) is gamma((-D, D)): all at once
         finite = np.isfinite(radii)
         log_z = np.zeros(n_good)

@@ -6,16 +6,17 @@ failure behaviour are controlled in exactly one place:
 
 * ``gaussian_cdf`` / ``gaussian_sf`` / ``gaussian_quantile`` -- the standard
   normal CDF ``Phi``, its upper tail ``1 - Phi`` and the inverse of ``Phi``,
-  accurate to ~1 ulp in either tail; ``gaussian_log_mass`` /
-  ``gaussian_quantile_log`` are their array forms in log space, which the
-  closed-form measure kernels use.
+  accurate to ~1 ulp in either tail; ``gaussian_log_mass``,
+  ``gaussian_log_cdf`` and ``gaussian_quantile_log`` are their array forms
+  in log space, which the closed-form measure kernels use.
 * ``integrate`` -- one adaptive Gauss-Kronrod (G7/K15) kernel for every
   integral in the package, with array integrands and an *explicit* failure
   mode: if the estimated error exceeds the requested tolerance a
   ``QuadratureError`` is raised instead of silently returning a bad value.
 * ``find_root`` -- one elementwise bracketed solver (Chandrupatla's method)
-  for a single root or for an array of brackets at once, with explicit
-  bracket validation.
+  with one loop: a bracket is a pair ``(lo, hi)`` of floats, for a single
+  root, or of arrays, for one root per element; brackets are validated
+  explicitly.
 
 The scalar Gaussian CDF uses the C library's ``erfc``; the array forms and
 the quantile use ``scipy.special``.
@@ -42,6 +43,7 @@ __all__ = [
     "gaussian_sf",
     "gaussian_quantile",
     "gaussian_log_mass",
+    "gaussian_log_cdf",
     "gaussian_quantile_log",
     "integrate",
     "find_root",
@@ -69,16 +71,8 @@ class Interval:
         object.__setattr__(self, "hi", hi)
 
     @property
-    def is_bounded(self) -> bool:
-        return math.isfinite(self.lo) and math.isfinite(self.hi)
-
-    @property
     def length(self) -> float:
         return self.hi - self.lo
-
-    def contains(self, x: float) -> bool:
-        """Strict membership x in (lo, hi)."""
-        return self.lo < x < self.hi
 
     def intersect(self, other: "Interval") -> Optional["Interval"]:
         lo = max(self.lo, other.lo)
@@ -120,10 +114,7 @@ DEFAULT_SETTINGS = QuadratureSettings()
 
 
 def gaussian_pdf(x):
-    """Standard normal density exp(-x^2/2)/sqrt(2*pi), on floats or
-    elementwise on arrays."""
-    if isinstance(x, float):
-        return math.exp(-0.5 * x * x) / SQRT_2PI
+    """Standard normal density exp(-x^2/2)/sqrt(2*pi), elementwise."""
     x = np.asarray(x, dtype=float)
     return np.exp(-0.5 * x * x) / SQRT_2PI
 
@@ -156,22 +147,14 @@ def gaussian_sf(x: float) -> float:
 
 
 def gaussian_log_mass(a, b):
-    """``log(Phi(b) - Phi(a))`` for ``a <= b``, on floats or elementwise on
-    arrays; ``-inf`` where ``a == b``.
+    """``log(Phi(b) - Phi(a))`` for ``a <= b``, elementwise; ``-inf`` where
+    ``a == b``.
 
     Both endpoints may be infinite.  Pairs with ``a > 0`` are mirrored to
     ``log(Phi(-a) - Phi(-b))``, so the difference is always taken in the
     lower tail, from ``log Phi``: a mass far out in either tail keeps its
     relative precision instead of cancelling against 1 or underflowing.
     """
-    if isinstance(a, float) and isinstance(b, float):
-        if not a < b:
-            return -math.inf
-        if a > 0.0:
-            a, b = -b, -a
-        log_hi = _sci_special.log_ndtr(b)
-        gap = -math.expm1(_sci_special.log_ndtr(a) - log_hi)
-        return log_hi + math.log(gap) if gap > 0.0 else -math.inf
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     upper = a > 0.0
     log_hi = _sci_special.log_ndtr(np.where(upper, -a, b))
@@ -181,8 +164,14 @@ def gaussian_log_mass(a, b):
     return np.where(a < b, out, -math.inf)
 
 
+def gaussian_log_cdf(x):
+    """``log Phi(x)``, elementwise: the inverse of :func:`gaussian_quantile_log`,
+    and ``gaussian_log_mass(-inf, x)`` to the bit at a fraction of its cost."""
+    return _sci_special.log_ndtr(x)
+
+
 def gaussian_quantile_log(log_p):
-    """``Phi^{-1}(exp(log_p))`` for ``log_p <= 0``, on floats or arrays.
+    """``Phi^{-1}(exp(log_p))`` for ``log_p <= 0``, elementwise.
 
     The inverse of ``log Phi``: a lower-tail mass given by its logarithm is
     inverted without ever forming the mass, so it may lie far below the
@@ -306,12 +295,11 @@ _ROOT_RTOL = 4.0 * np.finfo(float).eps
 def find_root(f: Callable, bracket, tol: float = 1e-13, *, full_output: bool = False):
     """Roots of ``f`` inside sign-changing brackets, elementwise.
 
-    ``bracket`` is an :class:`Interval`, for one root of a function of
-    floats (returned as a float), or a pair ``(lo, hi)`` of arrays, for one
-    root per element (returned as an array of their shape).  In the second
-    case ``f`` takes and returns arrays of that shape, and element ``i`` of
-    ``f(x)`` may depend on ``i`` and ``x[i]`` only; every call passes every
-    element, converged ones at their root.
+    ``bracket`` is a pair ``(lo, hi)`` of floats or of arrays, one root per
+    element of their broadcast shape (a float for floats).  ``f`` takes and
+    returns arrays of that shape, and element ``i`` of ``f(x)`` may depend
+    on ``i`` and ``x[i]`` only; every call passes every element, converged
+    ones at their root.
 
     Each step moves every unconverged element to one new point: the secant
     point of the bracket at the first step, then inverse quadratic
@@ -329,16 +317,13 @@ def find_root(f: Callable, bracket, tol: float = 1e-13, *, full_output: bool = F
     """
     if not tol > 0.0:
         raise DomainError("find_root: tol must be positive")
-    if isinstance(bracket, Interval):
-        if not bracket.is_bounded:
-            raise DomainError("find_root requires a bounded bracket")
-        out = _root_of_float_function(f, bracket.lo, bracket.hi, tol)
-    else:
-        lo, hi = np.broadcast_arrays(*(np.asarray(e, dtype=float) for e in bracket))
-        if not np.all(np.isfinite(lo) & np.isfinite(hi)):
-            raise DomainError("find_root requires bounded brackets")
-        out = _roots_of_array_function(f, lo, hi, tol)
-    return out if full_output else out[0]
+    lo, hi = np.broadcast_arrays(*(np.asarray(e, dtype=float) for e in bracket))
+    if not np.all(np.isfinite(lo) & np.isfinite(hi)):
+        raise DomainError("find_root requires bounded brackets")
+    root, steps = _roots_of_array_function(f, lo, hi, tol)
+    if not root.ndim:
+        root, steps = float(root), int(steps)
+    return (root, steps) if full_output else root
 
 
 def _check_bracket(lo, hi, f_lo, f_hi, where="") -> None:
@@ -354,7 +339,7 @@ def _step_fraction(x1, x2, x3, f1, f2, f3):
     """Chandrupatla's next point, as the fraction of the way from the newest
     point ``x1`` to the bracket end ``x2``: inverse quadratic interpolation
     through ``x1, x2, x3`` where the function is monotone enough for it to be
-    safe, else 1/2.  Arrays or numpy scalars."""
+    safe, else 1/2."""
     with np.errstate(divide="ignore", invalid="ignore"):
         xi = (x1 - x2) / (x3 - x2)
         phi = (f1 - f2) / (f3 - f2)
@@ -364,44 +349,16 @@ def _step_fraction(x1, x2, x3, f1, f2, f3):
     return np.where(quadratic, t, 0.5)
 
 
-def _root_of_float_function(f, lo: float, hi: float, tol: float):
-    """The scalar loop of :func:`find_root`, on floats (root solves whose
-    every step builds a measure would otherwise pay numpy's per-call cost
-    many times over)."""
-    # x1 is the newest point, x2 the bracket end where f has the other sign,
-    # x3 the point dropped last
-    x1, x2 = np.float64(lo), np.float64(hi)
-    f1, f2 = np.float64(f(lo)), np.float64(f(hi))
-    _check_bracket(lo, hi, f1, f2)
-    x3, f3 = x2, f2
-    for step in range(_MAX_ROOT_STEPS + 1):
-        root, f_root = (x1, f1) if abs(f1) < abs(f2) else (x2, f2)
-        width = abs(x2 - x1)
-        xtol = tol + _ROOT_RTOL * abs(root)
-        if f_root == 0.0 or width < xtol:
-            return float(root), step
-        t = _step_fraction(x1, x2, x3, f1, f2, f3) if step else f1 / (f1 - f2)
-        t_min = 0.5 * xtol / width  # the new point stays tol/2 inside
-        x = x1 + min(max(t, t_min), 1.0 - t_min) * (x2 - x1)
-        fx = np.float64(f(float(x)))
-        if math.isnan(fx):
-            raise BracketError(f"f is NaN at {float(x)} inside [{lo}, {hi}]")
-        if (fx > 0.0) == (f1 > 0.0):
-            x3, f3 = x1, f1
-        else:
-            x3, f3, x2, f2 = x2, f2, x1, f1
-        x1, f1 = x, fx
-    raise BracketError(f"no root to {tol:g} after {_MAX_ROOT_STEPS} steps on [{lo}, {hi}]")
-
-
 def _roots_of_array_function(f, lo: np.ndarray, hi: np.ndarray, tol: float):
     """The elementwise loop of :func:`find_root`: the state of every element
     is advanced where it has not converged and held where it has."""
+    # x1 is the newest point, x2 the bracket end where f has the other sign,
+    # x3 the point dropped last
     x1, x2 = lo, hi
     f1, f2 = np.asarray(f(lo), dtype=float), np.asarray(f(hi), dtype=float)
     for i in np.argwhere(np.isnan(f1) | np.isnan(f2) | ((f1 > 0.0) == (f2 > 0.0))):
         i = tuple(i.tolist())
-        _check_bracket(lo[i], hi[i], f1[i], f2[i], f" (element {i})")
+        _check_bracket(lo[i], hi[i], f1[i], f2[i], f" (element {i})" if i else "")
     steps = np.zeros(lo.shape, dtype=int)
     x3, f3 = x2, f2
     for step in range(_MAX_ROOT_STEPS + 1):

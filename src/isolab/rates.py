@@ -12,22 +12,25 @@ Default grid: 9 log-spaced points from 1e-2 down to 1e-6, inside the
 "sufficiently small deficit" regime where the stability estimates apply
 while quadratures stay well-conditioned.
 
-Family parameters are solved from ``delta`` by bracketed root finding; a
-grid point whose solve fails is skipped and logged, never silently filled.
+A family takes the whole grid at once: its parameters are solved from the
+deltas by one elementwise bracketed root solve, and a grid point whose solve
+fails is skipped and logged, never silently filled.
 """
 from __future__ import annotations
 
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Protocol, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Protocol, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import BracketError, DomainError, FitError
 from .measure1d import (
     Measure1D,
+    cell_quantile,
     gaussian_measure,
+    gaussian_profile,
     normalize,
     perturbed_gaussian_potential,
     truncated_gaussian_potential,
@@ -39,7 +42,7 @@ from .needles import (
     generate_ensemble,
     rate_exponent,
 )
-from .numerics import Interval, find_root
+from .numerics import LOG_SQRT_2PI, find_root, gaussian_log_mass
 from .stability import (
     center,
     deficit,
@@ -151,12 +154,14 @@ class SweepResult:
         }
 
 
+# a family's answer for a grid point: what realizes its deficit, or why none does
+Realization = Union[Measure1D, NeedleEnsemble, BracketError]
+
+
 class SweepFamily(Protocol):
     name: str
 
-    def at_deficit(
-        self, delta: float, theta: float
-    ) -> Union[Measure1D, NeedleEnsemble]: ...
+    def at_deficit(self, deltas: Sequence[float], theta: float) -> List[Realization]: ...
 
 
 def _fit(points: Sequence[Tuple[float, float]]) -> Tuple[float, float, float]:
@@ -218,10 +223,11 @@ def sweep(
 ) -> SweepResult:
     """Evaluate ``metric`` on ``family`` across a deficit grid and fit.
 
-    One point per grid entry, in descending order of delta.  Solve failures
-    skip the point with a log message; the fit is attempted over the
-    surviving values above the ``_FIT_FLOOR`` noise floor and skipped (NaN
-    fields) when fewer than 3 remain.
+    One point per grid entry, in descending order of delta; the family
+    realizes the whole grid in one call.  Solve failures skip the point with
+    a log message; the fit is attempted over the surviving values above the
+    ``_FIT_FLOOR`` noise floor and skipped (NaN fields) when fewer than 3
+    remain.
     """
     grid = sorted({float(d) for d in delta_grid}, reverse=True)
     if not grid:
@@ -229,45 +235,50 @@ def sweep(
     if any(not (d > 0.0 and math.isfinite(d)) for d in grid):
         raise DomainError("delta grid entries must be positive and finite")
 
-    def run_one(d: float) -> Optional[Tuple[float, float]]:
+    points, skipped = [], []
+    for d, obj in zip(grid, family.at_deficit(grid, theta)):
         try:
-            obj = family.at_deficit(d, theta)
-            return d, _evaluate_metric(metric, obj, theta)
+            if isinstance(obj, BracketError):  # the family could not realize d
+                raise obj
+            points.append((d, _evaluate_metric(metric, obj, theta)))
         except BracketError as exc:
-            logger.warning(
-                "skipping delta=%.3e for family %s: %s", d, family.name, exc
-            )
-            return None
-
-    raw = [run_one(d) for d in grid]
-    points = tuple(r for r in raw if r is not None)
-    skipped = tuple(d for d, r in zip(grid, raw) if r is None)
+            logger.warning("skipping delta=%.3e for family %s: %s", d, family.name, exc)
+            skipped.append(d)
     positive = [(d, v) for d, v in points if v > _FIT_FLOOR]
     if len(positive) >= 3:
         alpha, c, r2 = _fit(positive)
     else:
         alpha = c = r2 = math.nan
     return SweepResult(
-        points=points,
+        points=tuple(points),
         fitted_exponent=alpha,
         fitted_log_constant=c,
         r_squared=r2,
         metric_label=metric.label,
         family_name=family.name,
-        skipped=skipped,
+        skipped=tuple(skipped),
     )
 
 
 # -- built-in families --------------------------------------------------------
 
 
-def _verify_deficit(m: Measure1D, theta: float, requested: float) -> Measure1D:
-    achieved = deficit(m, theta).deficit
-    if abs(achieved - requested) > _SOLVE_RTOL * requested:
-        raise BracketError(
-            f"solved deficit {achieved:.6e} misses requested {requested:.6e} by >5%"
-        )
-    return m
+def _centered_at(params: np.ndarray, deltas: np.ndarray, theta: float,
+                 build: Callable[[float], Measure1D]) -> List[Realization]:
+    """Per grid point, ``build(param)`` centered at ``theta``; a
+    ``BracketError`` where the parameter is NaN (no bracket) or the measure
+    misses its requested deficit by more than 5%."""
+    out: List[Realization] = []
+    for param, requested in zip(params.tolist(), deltas.tolist()):
+        if math.isnan(param):
+            out.append(BracketError(f"could not bracket deficit {requested:.3e}"))
+            continue
+        centered, _ = center(build(param), theta)
+        achieved = deficit(centered, theta).deficit
+        miss = abs(achieved - requested) > _SOLVE_RTOL * requested
+        out.append(BracketError(f"solved deficit {achieved:.6e} misses requested "
+                                f"{requested:.6e} by >5%") if miss else centered)
+    return out
 
 
 @dataclass(frozen=True)
@@ -276,11 +287,11 @@ class Example23SweepFamily:
 
     name: str = "example23"
 
-    def at_deficit(self, delta: float, theta: float) -> Measure1D:
-        D = solve_truncation_for_deficit(float(delta), theta)
-        m = normalize(truncated_gaussian_potential(D))
-        centered, _ = center(m, theta)
-        return _verify_deficit(centered, theta, float(delta))
+    def at_deficit(self, deltas: Sequence[float], theta: float) -> List[Realization]:
+        deltas = np.asarray(deltas, dtype=float)
+        radii = solve_truncation_for_deficit(deltas, theta)
+        return _centered_at(radii, deltas, theta,
+                            lambda D: normalize(truncated_gaussian_potential(D)))
 
 
 @dataclass(frozen=True)
@@ -290,8 +301,8 @@ class GaussianSweepFamily:
 
     name: str = "gaussian"
 
-    def at_deficit(self, delta: float, theta: float) -> Measure1D:
-        return gaussian_measure()
+    def at_deficit(self, deltas: Sequence[float], theta: float) -> List[Realization]:
+        return [gaussian_measure() for _ in deltas]
 
 
 @dataclass(frozen=True)
@@ -300,7 +311,8 @@ class PerturbedSweepFamily:
 
     The unit perturbation (breakpoints + nondecreasing slopes) is fixed at
     construction, typically drawn from a seed; ``at_deficit`` root-solves
-    the scale factor, bracketing by doubling from 0.
+    the scale factor of every grid point at once, on brackets found by
+    doubling from 0.
     """
 
     breakpoints: Tuple[float, ...]
@@ -327,25 +339,53 @@ class PerturbedSweepFamily:
         )
         return normalize(spec)
 
-    def deficit_at(self, lam: float, theta: float) -> float:
-        return deficit(self.measure_at(lam), theta).deficit
+    def deficit_at(self, lams: Sequence[float], theta: float) -> np.ndarray:
+        """The deficits of ``measure_at(lam)`` for a 1-d array of scales.
 
-    def at_deficit(self, delta: float, theta: float) -> Measure1D:
-        delta = float(delta)
-        hi = 0.25
+        The cells do not depend on the scale (cell ``i`` has slope ``lam *
+        s_i`` and offset ``log sqrt(2*pi) + lam * c_i``), so each scale's
+        normalizer, ``theta``-quantile ``q`` and deficit ``density(q) -
+        profile(theta)`` come from ``(scales, cells)`` arrays by the closed
+        forms of :class:`Measure1D`, from the right end (mirrored cells)
+        for ``theta > 1/2``.
+        """
+        unit = perturbed_gaussian_potential(self.breakpoints, self.unit_slopes)
+        lam = np.asarray(lams, dtype=float)[:, None]
+        edges, beta = unit.edges, lam * unit.slopes
+        offset = LOG_SQRT_2PI + lam * (unit.offsets - LOG_SQRT_2PI)
+        mass = theta
+        if theta > 0.5:
+            edges, beta, offset = -edges[::-1], -beta[:, ::-1], offset[:, ::-1]
+            mass = 1.0 - theta
+        log_weight = LOG_SQRT_2PI + 0.5 * beta**2 - offset
+        log_mass = log_weight + gaussian_log_mass(edges[:-1] + beta, edges[1:] + beta)
+        log_z = np.logaddexp.reduce(log_mass, axis=1, keepdims=True)
+        cum = np.cumsum(np.exp(log_mass - log_z), axis=1)
+        # per scale, the cell holding q: its edges, slope, offset, weight, mass below
+        k = np.sum(cum[:, :-1] < mass, axis=1, keepdims=True)
+        below = np.take_along_axis(np.concatenate([np.zeros_like(log_z), cum], axis=1), k, 1)
+        lo, hi = edges[k], edges[k + 1]
+        b, c, w = (np.take_along_axis(v, k, 1) for v in (beta, offset, log_weight - log_z))
+        q = cell_quantile(lo, hi, b, w, below, mass)
+        with np.errstate(over="ignore"):  # as Measure1D.density, at scales no target needs
+            density = np.exp(-(0.5 * q * q + b * q + c + log_z))
+        return density[:, 0] - gaussian_profile(theta)
+
+    def at_deficit(self, deltas: Sequence[float], theta: float) -> List[Realization]:
+        deltas = np.asarray(deltas, dtype=float)
+        # double each upper scale from 0.25, 40 times at most, until it brackets
+        hi = np.full(deltas.shape, 0.25)
+        short = np.ones(deltas.shape, dtype=bool)
         for _ in range(40):
-            if self.deficit_at(hi, theta) >= delta:
+            short[short] = ~(self.deficit_at(hi[short], theta) >= deltas[short])
+            if not np.any(short):
                 break
-            hi *= 2.0
-        else:
-            raise BracketError(f"could not bracket deficit {delta:.3e}")
-        lam = find_root(
-            lambda t: self.deficit_at(t, theta) - delta,
-            Interval(0.0, hi),
-            tol=1e-12,
-        )
-        centered, _ = center(self.measure_at(lam), theta)
-        return _verify_deficit(centered, theta, delta)
+            hi[short] *= 2.0
+        lams = np.full(deltas.shape, np.nan)
+        target = deltas[~short]
+        lams[~short] = find_root(lambda t: self.deficit_at(t, theta) - target,
+                                 (np.zeros(target.size), hi[~short]), tol=1e-12)
+        return _centered_at(lams, deltas, theta, self.measure_at)
 
 
 @dataclass(frozen=True)
@@ -362,14 +402,14 @@ class NeedleSweepFamily:
     seed: int = 0
     name: str = "needle_ensemble"
 
-    def at_deficit(self, delta: float, theta: float) -> NeedleEnsemble:
+    def at_deficit(self, deltas: Sequence[float], theta: float) -> List[Realization]:
         alpha = rate_exponent(self.epsilon)
-        config = EnsembleConfig(
-            needle_count=self.needle_count,
-            theta=theta,
-            epsilon=self.epsilon,
-            deficit_scale=float(delta),
-            bad_fraction=min(1.0, float(delta) ** alpha),
-            seed=self.seed,
-        )
-        return generate_ensemble(config)
+        out: List[Realization] = []
+        for delta in map(float, deltas):
+            try:
+                out.append(generate_ensemble(EnsembleConfig(
+                    needle_count=self.needle_count, theta=theta, epsilon=self.epsilon,
+                    deficit_scale=delta, bad_fraction=min(1.0, delta**alpha), seed=self.seed)))
+            except BracketError as exc:
+                out.append(exc)
+        return out

@@ -58,6 +58,7 @@ from .numerics import (
     QuadratureSettings,
     find_root,
     gaussian_cdf,
+    gaussian_log_mass,
     gaussian_pdf,
     gaussian_quantile,
     gaussian_sf,
@@ -317,13 +318,6 @@ def check_gap_bounds(
     )
 
 
-def _gaussian_tail_mass(domain: Interval) -> float:
-    """``gamma(R \\ I)`` -- the Gaussian mass off the domain."""
-    below = gaussian_cdf(domain.lo) if math.isfinite(domain.lo) else 0.0
-    above = gaussian_sf(domain.hi) if math.isfinite(domain.hi) else 0.0
-    return below + above
-
-
 def _ratio_crossings(m: Measure1D) -> Tuple[float, ...]:
     """Where the density ratio ``exp(psi_g - psi)`` crosses 1, the kinks of
     ``|ratio - 1|``: on each cell ``psi_g - psi`` is linear,
@@ -378,24 +372,31 @@ def lp_distance(m: Measure1D, p: float) -> float:
         settings,
         points=(*pot.knots(), *_ratio_crossings(m)),
     )
-    outside = _gaussian_tail_mass(m.domain) * math.exp(-shift)
+    outside = (gaussian_cdf(m.domain.lo) + gaussian_sf(m.domain.hi)) * math.exp(-shift)
     return math.exp(shift / p) * (inside + outside) ** (1.0 / p)
 
 
 def relative_entropy(m: Measure1D) -> float:
-    """``Ent(m | gamma) = int_I (psi_g - psi) dm >= 0``.
+    """``Ent(m | gamma) = int_I (psi_g - psi) dm >= 0``, in closed form.
 
-    Tiny negative quadrature noise (within 10x the absolute tolerance) is
-    clamped to 0; a genuinely negative value would contradict Jensen's
-    inequality and raises ``InvariantViolation``.
+    On cell ``i``, ``psi_g - psi`` is the line ``a_i - beta_i * x`` with
+    ``a_i = log sqrt(2*pi) - gamma_i - log Z``, so ``Ent = sum_i (a_i * m_i
+    - beta_i * mu_i)``, where ``m_i`` is the cell's mass and ``mu_i = w_i *
+    (phi(e_i + beta_i) - phi(e_{i+1} + beta_i)) - beta_i * m_i`` its first
+    moment, ``w_i`` being the mass of the cell's whole Gaussian.  Negative
+    rounding noise down to -1e-11 is clamped to 0; a more negative value
+    would contradict Jensen's inequality and raises ``InvariantViolation``.
     """
-
-    def integrand(x: np.ndarray) -> np.ndarray:
-        return (gaussian_psi(x) - m.psi(x)) * m.density(x)
-
-    value = integrate(integrand, m.domain, points=m.potential.knots())
+    pot = m.potential
+    beta, icpt = pot.slopes, LOG_SQRT_2PI - pot.offsets - m.log_normalizer
+    a, b = pot.edges[:-1] + beta, pot.edges[1:] + beta
+    log_w = 0.5 * beta**2 + icpt  # log w_i; w_i * phi(y) is formed in log space
+    mass = np.exp(log_w + gaussian_log_mass(a, b))
+    moment = np.exp(log_w - 0.5 * a * a - LOG_SQRT_2PI) - np.exp(log_w - 0.5 * b * b - LOG_SQRT_2PI)
+    moment -= beta * mass
+    value = float(np.sum(icpt * mass - beta * moment))
     if value < 0.0:
-        if value >= -10.0 * DEFAULT_SETTINGS.abs_tol:
+        if value >= -1e-11:
             return 0.0
         raise InvariantViolation(f"relative entropy came out negative: {value!r}")
     return value
@@ -423,24 +424,15 @@ def _quantile_coupling(m: Measure1D, power: int) -> float:
     s_hi = gaussian_quantile(1.0 - _T_CLIP)
 
     def integrand(s: np.ndarray) -> np.ndarray:
-        t = np.clip(ndtr(s), _T_CLIP, 1.0 - _T_CLIP)
-        return np.abs(m.quantile(t) - s) ** power * gaussian_pdf(s)
+        return np.abs(_transport_map(m, s) - s) ** power * gaussian_pdf(s)
 
     # The map s -> F_m^{-1}(Phi(s)) has derivative jumps at the images of the
     # potential's kinks; hand those to the quadrature as interior breakpoints.
-    kink_images = []
-    for b in m.potential.knots():
-        t = m.cdf(b)
-        if _T_CLIP < t < 1.0 - _T_CLIP:
-            kink_images.append(gaussian_quantile(t))
+    t = m.cdf_many(np.array(m.potential.knots()))
+    kink_images = ndtri(t[(t > _T_CLIP) & (t < 1.0 - _T_CLIP)])
 
     try:
-        value = integrate(
-            integrand,
-            Interval(s_lo, s_hi),
-            _TRANSPORT_SETTINGS,
-            points=tuple(kink_images),
-        )
+        value = integrate(integrand, Interval(s_lo, s_hi), _TRANSPORT_SETTINGS, points=kink_images)
     except QuadratureError as exc:
         raise QuadratureError(
             f"quantile-coupling integral failed near the endpoints: {exc}"
@@ -453,6 +445,18 @@ def _quantile_coupling(m: Measure1D, power: int) -> float:
             f"clipped endpoint mass bound {tail_bound:.3e} is not negligible"
         )
     return value
+
+
+def _transport_map(m: Measure1D, s: np.ndarray) -> np.ndarray:
+    """``F_m^{-1}(Phi(s))``, the monotone map pushing gamma to ``m``, on the
+    quantile-coupling window: the mass ``Phi(s)`` below ``s <= 0`` is
+    inverted by ``quantile``, and the mass ``Phi(-s)`` above ``s > 0`` by
+    ``isf``, so the upper tail keeps the precision of the lower one."""
+    out = np.empty_like(s)
+    lower = s <= 0.0
+    out[lower] = m.quantile(np.clip(ndtr(s[lower]), _T_CLIP, 0.5))
+    out[~lower] = m.isf(np.clip(ndtr(-s[~lower]), _T_CLIP, 0.5))
+    return out
 
 
 def w2_to_gaussian(m: Measure1D) -> float:
@@ -499,13 +503,11 @@ def w1_dual_bound(m: Measure1D, theta: float) -> float:
         points=(*centered.potential.knots(), a_theta, *_ratio_crossings(centered)),
     )
     # off the domain the integrand is |x - a_theta| phi(x), and a_theta lies
-    # inside it, so both tails have closed forms
+    # inside it, so both tails have closed forms (0 at an infinite end)
     dom = centered.domain
-    if math.isfinite(dom.lo):
-        total += a_theta * gaussian_cdf(dom.lo) + gaussian_pdf(dom.lo)
-    if math.isfinite(dom.hi):
-        total += gaussian_pdf(dom.hi) - a_theta * gaussian_sf(dom.hi)
-    return total
+    total += a_theta * gaussian_cdf(dom.lo) + gaussian_pdf(dom.lo)
+    total += gaussian_pdf(dom.hi) - a_theta * gaussian_sf(dom.hi)
+    return float(total)
 
 
 def example23(D: float) -> Tuple[Measure1D, Example23Family, Example23ClosedForms]:
@@ -554,10 +556,13 @@ def truncated_deficit(D, theta: float):
 
 
 def solve_truncation_for_deficit(target, theta: float):
-    """Radius ``D`` whose truncated Gaussian has the target deficit; for an
-    array of targets, all radii come from one elementwise root solve."""
-    if np.ndim(target) == 0:
-        bracket = Interval(0.05, 9.0)
-    else:
-        bracket = (np.full(np.shape(target), 0.05), np.full(np.shape(target), 9.0))
-    return find_root(lambda D: truncated_deficit(D, theta) - target, bracket, tol=1e-12)
+    """Radius ``D`` in [0.05, 9] whose truncated Gaussian has the target
+    deficit, or NaN for a target that no radius there reaches; for an array
+    of targets, all radii come from one elementwise root solve."""
+    target = np.asarray(target, dtype=float)
+    # the deficit falls as the radius grows
+    reach = (truncated_deficit(9.0, theta) <= target) & (target <= truncated_deficit(0.05, theta))
+    radius, t = np.full(target.shape, np.nan), target[reach]
+    radius[reach] = find_root(lambda D: truncated_deficit(D, theta) - t,
+                              (np.full(t.shape, 0.05), np.full(t.shape, 9.0)), tol=1e-12)
+    return float(radius) if radius.ndim == 0 else radius

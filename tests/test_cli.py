@@ -501,6 +501,20 @@ def test_selftest_fault_injection(fault, tmp_path, capsys):
     assert report["injected_fault"] == fault
 
 
+def test_every_fault_fails_a_check_and_every_check_has_a_fault(tmp_path, capsys):
+    caught_by = {}
+    for fault in _FAULTS:
+        main(["selftest", "--inject-fault", fault, "--out", str(tmp_path / fault)])
+        report = json.loads((tmp_path / fault / "selftest_report.json").read_text())
+        failed = [r["name"] for r in report["results"] if not r["passed"]]
+        assert failed, f"fault {fault} fails no check"
+        for name in failed:
+            caught_by.setdefault(name, []).append(fault)
+    checks = [r["name"] for r in report["results"]]
+    assert len(checks) == 14
+    assert [name for name in checks if name not in caught_by] == []
+
+
 def test_selftest_rejects_unknown_fault(tmp_path, capsys):
     code = main(
         ["selftest", "--inject-fault", "unknown_routine", "--out", str(tmp_path)]

@@ -186,24 +186,24 @@ def test_settings_validation():
 
 
 def test_find_root_sqrt2():
-    root = find_root(lambda x: x * x - 2.0, Interval(0.0, 2.0))
+    root = find_root(lambda x: x * x - 2.0, (0.0, 2.0))
     assert root == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
 
 def test_find_root_no_sign_change():
     with pytest.raises(BracketError):
-        find_root(lambda x: x * x + 1.0, Interval(-1.0, 1.0))
+        find_root(lambda x: x * x + 1.0, (-1.0, 1.0))
 
 
 def test_find_root_needs_bounded_bracket():
     with pytest.raises(DomainError):
-        find_root(lambda x: x, REAL_LINE)
+        find_root(lambda x: x, (-math.inf, math.inf))
 
 
 @given(st.floats(min_value=-10.0, max_value=10.0))
 @settings(max_examples=40)
 def test_find_root_linear(c):
-    root = find_root(lambda x: x - c, Interval(-11.0, 11.0))
+    root = find_root(lambda x: x - c, (-11.0, 11.0))
     assert root == pytest.approx(c, abs=1e-12)
 
 
@@ -225,7 +225,7 @@ def test_find_root_reports_steps_per_element():
     assert steps.shape == (3,) and steps.dtype.kind == "i"
     assert steps[2] == 0 and roots[2] == 0.0
     assert 0 < steps[0] <= 15 and 0 < steps[1] <= 15
-    root, n = find_root(lambda x: x * x - 2.0, Interval(0.0, 2.0), full_output=True)
+    root, n = find_root(lambda x: x * x - 2.0, (0.0, 2.0), full_output=True)
     assert isinstance(root, float) and 0 < n <= 15
 
 

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import isolab
+
 from isolab import (
     DEFAULT_DELTA_GRID,
     DomainError,
@@ -130,13 +132,13 @@ def test_sweep_result_validation_and_dict():
 def test_example23_family_hits_requested_deficit():
     fam = Example23SweepFamily()
     for d in (1e-2, 1e-4):
-        m = fam.at_deficit(d, 0.5)
+        m = fam.at_deficit([d], 0.5)[0]
         assert deficit(m, 0.5).deficit == pytest.approx(d, rel=1e-6)
 
 
 def test_gaussian_family_is_degenerate():
     fam = GaussianSweepFamily()
-    m = fam.at_deficit(1e-3, 0.5)  # delta is ignored: the deficit is 0
+    m = fam.at_deficit([1e-3], 0.5)[0]  # delta is ignored: the deficit is 0
     assert abs(deficit(m, 0.5).deficit) <= 1e-12
 
 
@@ -150,7 +152,7 @@ def test_perturbed_family_seeded_deterministic():
 
 def test_perturbed_family_solves_deficit():
     fam = PerturbedSweepFamily.seeded(0)
-    m = fam.at_deficit(1e-3, 0.5)
+    m = fam.at_deficit([1e-3], 0.5)[0]
     assert deficit(m, 0.5).deficit == pytest.approx(1e-3, rel=5e-2)
 
 
@@ -199,3 +201,50 @@ def test_needle_family_sweep_smoke():
     values = [v for _, v in res.points]
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
     assert values[-1] > 0.0
+
+
+# -- one root solve per sweep -------------------------------------------------
+
+
+@pytest.mark.parametrize("family", [Example23SweepFamily(), PerturbedSweepFamily.seeded(3)],
+                         ids=["example23", "perturbed"])
+def test_sweep_solves_the_whole_grid_in_one_root_solve(family, monkeypatch):
+    # every module that binds find_root by value gets a counter
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (isolab.numerics, isolab.measure1d, isolab.stability, isolab.needles,
+                   isolab.rates):
+        if hasattr(module, "find_root"):
+            monkeypatch.setattr(module, "find_root", counted(module.find_root))
+    res = sweep(family, 0.5, Metric.parse("w2"), DEFAULT_DELTA_GRID)
+    assert len(res.points) == len(DEFAULT_DELTA_GRID)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("family, unreachable", [(Example23SweepFamily(), 100.0),
+                                                 (PerturbedSweepFamily.seeded(3), 1e3)],
+                         ids=["example23", "perturbed"])
+def test_sweep_skips_only_the_unreachable_point(family, unreachable):
+    res = sweep(family, 0.5, Metric.parse("w2"), [unreachable, 1e-3, 1e-4, 1e-5])
+    assert res.skipped == (unreachable,)
+    assert [d for d, _ in res.points] == [1e-3, 1e-4, 1e-5]
+    for d, _ in res.points:
+        m = family.at_deficit([d], 0.5)[0]
+        assert deficit(m, 0.5).deficit == pytest.approx(d, rel=5e-2)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7, 4242])
+def test_stacked_perturbed_deficit_matches_the_measure(seed):
+    fam = PerturbedSweepFamily.seeded(seed)
+    lams = np.array([0.1, 0.5, 1.0, 3.0])
+    for theta in (0.3, 0.5, 0.8):
+        got = fam.deficit_at(lams, theta)
+        want = [deficit(fam.measure_at(lam), theta).deficit for lam in lams]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_constants as oc
+from oracle_entropy import relative_entropy_quadrature
 from oracle_erf import lp_translated_gaussian_decimal
 from oracle_ot import discrete_w2_oracle
 from isolab.numerics import DEFAULT_SETTINGS
-from isolab.stability import solve_truncation_for_deficit
+from isolab.stability import _transport_map, solve_truncation_for_deficit
 from isolab import (
     DomainError,
     center,
@@ -22,9 +23,11 @@ from isolab import (
     lp_distance,
     normalize,
     perturbed_gaussian_potential,
+    PerturbedSweepFamily,
     relative_entropy,
     slope_gap,
     talagrand_check,
+    tabulated_potential,
     truncated_gaussian_potential,
     w1_dual_bound,
     w1_to_gaussian,
@@ -163,9 +166,30 @@ def test_entropy_values():
 
 
 def test_entropy_of_shifted_gaussian_is_half_s_squared():
-    for s in (0.3, 1.0):
+    for s in (0.3, 1.0, -1.3, 2.0):
         got = relative_entropy(GAUSSIAN.translate(s))
-        assert got == pytest.approx(s * s / 2.0, abs=1e-10)
+        assert got == pytest.approx(s * s / 2.0, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("D", [1.0, 1.5, 2.0, 2.5])
+def test_entropy_of_example23_is_log1p_delta_e(D):
+    m, family, _ = example23(D)
+    assert relative_entropy(m) == pytest.approx(math.log1p(family.delta_E), rel=1e-14, abs=0.0)
+
+
+def _entropy_measures():
+    xs = np.linspace(-6.0, 6.0, 61)
+    convex = 0.3 * np.logaddexp(xs - 0.4, 0.4 - xs) - 0.1 * xs
+    return [GAUSSIAN, TRUNCATED_2, KINKED, KINKED.translate(-0.7),
+            normalize(truncated_gaussian_potential(lo=-0.5, hi=3.0)),
+            normalize(tabulated_potential(xs, 0.5 * xs * xs + convex)),
+            *(PerturbedSweepFamily.seeded(k).measure_at(lam) for k in (0, 3, 7)
+              for lam in (1e-3, 1.0, 3.0))]
+
+
+def test_entropy_matches_the_quadrature_oracle():
+    for m in _entropy_measures():
+        assert relative_entropy(m) == pytest.approx(relative_entropy_quadrature(m), abs=1e-10)
 
 
 # -- transport distances ------------------------------------------------------
@@ -181,6 +205,14 @@ def test_transport_shifted_gaussian_equals_shift():
         m = GAUSSIAN.translate(s)
         assert w1_to_gaussian(m) == pytest.approx(s, abs=1e-8)
         assert w2_to_gaussian(m) == pytest.approx(s, abs=1e-8)
+
+
+def test_transport_map_upper_tail_as_precise_as_lower():
+    # F^{-1}(Phi(s)) = s + 0.3 for the translate: inverting 1 - Phi(s) from
+    # the left would lose 5.8e-6 at s = 7
+    s = np.arange(-7.0, 8.0)
+    got = _transport_map(GAUSSIAN.translate(0.3), s)
+    np.testing.assert_allclose(got - s - 0.3, 0.0, rtol=0.0, atol=1e-12)
 
 
 def test_talagrand_equality_for_shifted_gaussian():
@@ -237,7 +269,7 @@ def test_gap_bounds_truncated():
     assert rep.fitted_lower_constant >= 0.0
     assert rep.fitted_upper_constant >= 0.0
     assert math.isfinite(rep.fitted_upper_constant)
-    assert rep.window.contains(0.0)
+    assert rep.window.lo < 0.0 < rep.window.hi
     d = rep.to_dict()
     assert {"deficit", "slope_gap", "fitted_lower_constant", "fitted_upper_constant"} <= set(d)
 
@@ -279,7 +311,7 @@ def test_default_gap_window_widens_as_deficit_shrinks():
     a = gaussian_quantile(0.3)
     narrow = default_gap_window(GAUSSIAN, 0.3, 1e-2)
     wide = default_gap_window(GAUSSIAN, 0.3, 1e-6)
-    assert narrow.contains(a) and wide.contains(a)
+    assert narrow.lo < a < narrow.hi and wide.lo < a < wide.hi
     assert wide.length > narrow.length
 
 
