@@ -705,7 +705,7 @@ _FAULTS = {
 
 
 def _raise_right_of_first_breakpoint(spec: measure1d.PotentialSpec) -> measure1d.PotentialSpec:
-    first = spec.params["breakpoints"][0]
+    first = spec.edges[1]
     return dataclasses.replace(spec, offsets=spec.offsets + 1e-3 * (spec.edges[:-1] >= first))
 
 

@@ -13,10 +13,12 @@ lower bound for the boundary measure of any set of mass ``theta``
 (Bakry-Ledoux).  Everything in this package measures *how close to equality*
 that bound is, so this module provides:
 
-* four potential families (``gaussian``, ``truncated_gaussian``,
-  ``perturbed_gaussian``, ``tabulated_convex``) behind one
-  :class:`PotentialSpec` record that serializes to plain dicts,
+* :class:`PotentialSpec`, a potential given by its cells, and the
+  constructors of the Gaussian, its truncations and translates, convex
+  piecewise-linear perturbations of it and tabulated potentials,
 * :class:`Measure1D` with closed-form ``cdf``/``sf``/``quantile``/``isf``,
+  and the cell readers :func:`cell_log_masses` and :func:`profile_point`,
+  which take cells as arrays with any leading axes,
 * an exact :func:`check_one_convexity` test on the cell edges: ``psi_hat -
   x^2/2`` is convex when it neither jumps nor loses slope at any of them,
 * perimeter of finite unions of intervals (sum of ``exp(-psi)`` over the
@@ -28,12 +30,13 @@ that bound is, so this module provides:
   perimeter as a broadcast sum of profile values, and keeps the first
   minimum in search order.
 
-Every family is a *cell potential*, ``psi_hat(x) = x^2/2 + beta_i*x +
+Every potential is a *cell potential*, ``psi_hat(x) = x^2/2 + beta_i*x +
 gamma_i`` on the cells ``(e_i, e_{i+1})`` of the domain.  On a cell the
-density is a Gaussian of mean ``-beta_i``, so masses, normalizer, cdf, upper
-tail and quantile are differences and inverses of ``Phi`` at ``x + beta_i``:
-no quadrature and no root search.  Each kernel has one code path, on
-arrays; a float goes in as a 0-d array and comes back as a float.
+normalized density is ``exp(log_amp_i) * phi(x + beta_i)``, a Gaussian of
+mean ``-beta_i``, so masses, normalizer, cdf, upper tail and quantile are
+differences and inverses of ``Phi`` at ``x + beta_i``: no quadrature and no
+root search.  Each kernel has one code path, on arrays; a float goes in as a
+0-d array and comes back as a float.
 
 Conventions: all intervals are open; the density is ``0`` off ``I``; boundary
 points lying on the closure of ``I`` but not in its interior contribute no
@@ -42,7 +45,7 @@ perimeter (a half-line cut at the end of a bounded interval is "free").
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -75,7 +78,9 @@ __all__ = [
     "gaussian_psi",
     "gaussian_measure",
     "normalize",
-    "cell_quantile",
+    "cell_log_masses",
+    "profile_point",
+    "one_cell_measure",
     "check_one_convexity",
     "gaussian_profile",
     "boundary_set",
@@ -99,30 +104,20 @@ def _cell(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
     return edges[1:-1].searchsorted(x, side="right")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PotentialSpec:
     """A potential ``psi_hat`` on an open interval, before normalization.
 
     ``psi_hat(x) = x^2/2 + slopes[i]*x + offsets[i]`` on the cell
     ``(edges[i], edges[i+1])``; ``edges`` runs from ``domain.lo`` to
     ``domain.hi``.  ``value`` and ``right_derivative`` accept floats or
-    numpy arrays.  ``family`` is one of ``gaussian | truncated_gaussian |
-    perturbed_gaussian | tabulated_convex`` and ``params`` holds enough
-    plain data (including the accumulated ``shift``) to reconstruct the
-    spec via :func:`potential_from_config`.
+    numpy arrays.
     """
 
     domain: Interval
-    family: str
-    params: Mapping[str, object]
-    edges: np.ndarray = field(repr=False, compare=False)
-    slopes: np.ndarray = field(repr=False, compare=False)
-    offsets: np.ndarray = field(repr=False, compare=False)
-
-    def to_dict(self) -> dict:
-        out = {"family": self.family}
-        out.update({k: v for k, v in self.params.items()})
-        return out
+    edges: np.ndarray
+    slopes: np.ndarray
+    offsets: np.ndarray
 
     def knots(self) -> Tuple[float, ...]:
         """Interior non-smooth points: the cell edges inside the domain.
@@ -143,15 +138,20 @@ class PotentialSpec:
         return _vec(lambda a: a + self.slopes[_cell(self.edges, a)], x)
 
     def _log_masses(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Per cell ``(a, b)``, the logs of ``int exp(-psi_hat)`` over the
-        whole line, ``sqrt(2*pi) * exp(beta^2/2 - gamma)``, and over the
-        cell, that times ``Phi(b + beta) - Phi(a + beta)``."""
+        """Per cell, the logs of ``int exp(-psi_hat)`` over the whole line,
+        ``sqrt(2*pi) * exp(beta^2/2 - gamma)``, and over the cell."""
         log_weight = LOG_SQRT_2PI + 0.5 * self.slopes**2 - self.offsets
-        cell = gaussian_log_mass(self.edges[:-1] + self.slopes, self.edges[1:] + self.slopes)
-        return log_weight, log_weight + cell
+        return log_weight, cell_log_masses(self.edges, self.slopes, log_weight)
 
 
-def _cells(domain: Interval, family: str, params: dict, edges, slopes, offsets) -> PotentialSpec:
+def cell_log_masses(edges, beta, log_amp):
+    """The log of each cell's mass under ``exp(log_amp) * phi(x + beta)``,
+    elementwise over leading axes: ``edges`` has one more entry than
+    ``beta`` and ``log_amp`` along the last axis."""
+    return log_amp + gaussian_log_mass(edges[..., :-1] + beta, edges[..., 1:] + beta)
+
+
+def _cells(domain: Interval, edges, slopes, offsets) -> PotentialSpec:
     """Spec from cell arrays covering the whole line, cut to ``domain``."""
     e = np.asarray(edges, dtype=float)
     first = int(np.searchsorted(e, domain.lo, side="right")) - 1
@@ -159,7 +159,7 @@ def _cells(domain: Interval, family: str, params: dict, edges, slopes, offsets) 
     e = e[first : last + 1].copy()
     e[0], e[-1] = domain.lo, domain.hi
     cut = slice(first, last)
-    return PotentialSpec(domain, family, params, e, np.array(slopes, dtype=float)[cut],
+    return PotentialSpec(domain, e, np.array(slopes, dtype=float)[cut],
                          np.array(offsets, dtype=float)[cut])
 
 
@@ -170,8 +170,7 @@ def gaussian_psi(x: ArrayLike) -> ArrayLike:
 
 def gaussian_potential() -> PotentialSpec:
     """Potential of the standard Gaussian on the whole line."""
-    return _cells(REAL_LINE, "gaussian", {"shift": 0.0},
-                  (-math.inf, math.inf), (0.0,), (LOG_SQRT_2PI,))
+    return _cells(REAL_LINE, (-math.inf, math.inf), (0.0,), (LOG_SQRT_2PI,))
 
 
 def truncated_gaussian_potential(
@@ -193,16 +192,13 @@ def truncated_gaussian_potential(
         if not (math.isfinite(D) and D > 0.0):
             raise DomainError(f"truncation radius D={D!r} must be positive and finite")
         dom = Interval(-float(D), float(D))
-        params: dict = {"D": float(D), "shift": 0.0}
     else:
         if lo is None or hi is None:
             raise DomainError("truncated_gaussian_potential needs D or both lo and hi")
         dom = Interval(float(lo), float(hi))
         if dom == REAL_LINE:
             raise DomainError("truncation interval must be a proper sub-interval")
-        params = {"lo": dom.lo, "hi": dom.hi, "shift": 0.0}
-    return _cells(dom, "truncated_gaussian", params,
-                  (-math.inf, math.inf), (0.0,), (LOG_SQRT_2PI,))
+    return _cells(dom, (-math.inf, math.inf), (0.0,), (LOG_SQRT_2PI,))
 
 
 def perturbed_gaussian_potential(
@@ -236,20 +232,7 @@ def perturbed_gaussian_potential(
         v = np.concatenate([[0.0], np.cumsum(s[1:-1] * np.diff(b))])
         j = np.maximum(np.arange(s.size) - 1, 0)
         offsets += v[j] - s * b[j]
-    return _cells(
-        domain,
-        "perturbed_gaussian",
-        {
-            "breakpoints": tuple(float(t) for t in b),
-            "slopes": tuple(float(t) for t in s),
-            "lo": domain.lo,
-            "hi": domain.hi,
-            "shift": 0.0,
-        },
-        np.concatenate([[-math.inf], b, [math.inf]]),
-        s,
-        offsets,
-    )
+    return _cells(domain, np.concatenate([[-math.inf], b, [math.inf]]), s, offsets)
 
 
 def tabulated_potential(
@@ -282,18 +265,8 @@ def tabulated_potential(
         raise InvalidPotentialError(
             f"tabulated convex part is not convex: secant slope drops by {-worst:.3e}"
         )
-    return PotentialSpec(
-        domain=Interval(float(x[0]), float(x[-1])),
-        family="tabulated_convex",
-        params={
-            "xs": tuple(float(u) for u in x),
-            "values": tuple(float(u) for u in v),
-            "shift": 0.0,
-        },
-        edges=x.copy(),
-        slopes=secants,
-        offsets=t[:-1] - secants * x[:-1],
-    )
+    return PotentialSpec(Interval(float(x[0]), float(x[-1])), x.copy(), secants,
+                         t[:-1] - secants * x[:-1])
 
 
 def translate_potential(spec: PotentialSpec, s: float) -> PotentialSpec:
@@ -307,20 +280,16 @@ def translate_potential(spec: PotentialSpec, s: float) -> PotentialSpec:
         raise DomainError("translation must be finite")
     if s == 0.0:
         return spec
-    params = dict(spec.params)
-    params["shift"] = float(params.get("shift", 0.0)) + s
-    return PotentialSpec(
-        domain=Interval(spec.domain.lo + s, spec.domain.hi + s),
-        family=spec.family,
-        params=params,
-        edges=spec.edges + s,
-        slopes=spec.slopes - s,
-        offsets=spec.offsets + (0.5 * s * s - spec.slopes * s),
-    )
+    return PotentialSpec(Interval(spec.domain.lo + s, spec.domain.hi + s), spec.edges + s,
+                         spec.slopes - s, spec.offsets + (0.5 * s * s - spec.slopes * s))
 
 
 def potential_from_config(config: Mapping[str, object]) -> PotentialSpec:
-    """Rebuild a :class:`PotentialSpec` from its serialized dict."""
+    """The potential that a potential file's dict describes: its
+    ``family`` key names the constructor (``gaussian``,
+    ``truncated_gaussian``, ``perturbed_gaussian`` or ``tabulated_convex``),
+    the other keys are that constructor's arguments, and an optional
+    ``shift`` translates the result."""
     try:
         return _potential_from_config(config)
     except KeyError as exc:
@@ -378,9 +347,6 @@ class Measure1D:
         """Normalized potential; finite on the domain, meaningless off it."""
         return self.potential.value(x) + self.log_normalizer
 
-    def psi_right_derivative(self, x: ArrayLike) -> ArrayLike:
-        return self.potential.right_derivative(x)
-
     def density(self, x: ArrayLike) -> ArrayLike:
         """``exp(-psi)`` on the domain, 0 outside (and at the endpoints)."""
 
@@ -399,16 +365,22 @@ class Measure1D:
     # -- closed forms on the cells ------------------------------------------
 
     @cached_property
+    def log_amp(self) -> np.ndarray:
+        """Per cell, the log amplitude of the density ``exp(log_amp_i) *
+        phi(x + beta_i)``: ``psi = x^2/2 + beta_i*x + gamma_i + log Z``
+        completes to ``(x + beta_i)^2/2 + log sqrt(2*pi) - log_amp_i``."""
+        pot = self.potential
+        return LOG_SQRT_2PI + 0.5 * pot.slopes**2 - pot.offsets - self.log_normalizer
+
+    @cached_property
     def _sides(self) -> Tuple["_Side", "_Side"]:
         """The cells seen from the left end, and mirrored (``x -> -x``) so
         that the right end comes first; upper tails are then lower tails of
         the mirror, with the same precision."""
-        pot = self.potential
-        log_weight, log_mass = pot._log_masses()
-        log_weight, mass = log_weight - self.log_normalizer, np.exp(log_mass - self.log_normalizer)
-        left = _Side(pot.edges, pot.slopes, log_weight,
-                     np.concatenate([[0.0], np.cumsum(mass)]))
-        right = _Side(-pot.edges[::-1], -pot.slopes[::-1], log_weight[::-1],
+        pot, log_amp = self.potential, self.log_amp
+        mass = np.exp(pot._log_masses()[1] - self.log_normalizer)
+        left = _Side(pot.edges, pot.slopes, log_amp, np.concatenate([[0.0], np.cumsum(mass)]))
+        right = _Side(-pot.edges[::-1], -pot.slopes[::-1], log_amp[::-1],
                       np.concatenate([[0.0], np.cumsum(mass[::-1])]))
         return left, right
 
@@ -455,13 +427,13 @@ class Measure1D:
 
 
 class _Side(NamedTuple):
-    """A normalized measure's cells read from one end: ``log_weight[i]`` is
+    """A normalized measure's cells read from one end: ``log_amp[i]`` is
     the log of the mass of cell ``i``'s Gaussian ``exp(-psi)`` over the whole
     line and ``cum[i]`` the mass below ``edges[i]``."""
 
     edges: np.ndarray
     slopes: np.ndarray
-    log_weight: np.ndarray
+    log_amp: np.ndarray
     cum: np.ndarray
 
     def mass_below(self, x: np.ndarray) -> np.ndarray:
@@ -470,25 +442,66 @@ class _Side(NamedTuple):
         x = np.minimum(np.maximum(x, self.edges[0]), self.edges[-1])
         k = _cell(self.edges, x)
         beta = self.slopes[k]
-        part = np.exp(self.log_weight[k] + gaussian_log_mass(self.edges[k] + beta, x + beta))
+        part = np.exp(self.log_amp[k] + gaussian_log_mass(self.edges[k] + beta, x + beta))
         return np.minimum(self.cum[k] + part, 1.0)
 
     def invert(self, mass: np.ndarray) -> np.ndarray:
         """The point with ``mass`` below it, for ``0 < mass <= 1/2``, in the
         cell with ``cum[k] < mass <= cum[k+1]``."""
         k = self.cum[1:-1].searchsorted(mass)
-        return cell_quantile(self.edges[k], self.edges[k + 1], self.slopes[k],
-                             self.log_weight[k], self.cum[k], mass)
+        return _cell_quantile(self.edges[k], self.edges[k + 1], self.slopes[k],
+                              self.log_amp[k], self.cum[k], mass)
 
 
-def cell_quantile(lo, hi, beta, log_weight, below, mass):
+def _cell_quantile(lo, hi, beta, log_amp, below, mass):
     """The point with ``mass`` below it inside the cell ``(lo, hi)`` of a
     probability measure, elementwise, where the measure holds ``below``
-    below ``lo`` and has density ``exp(log_weight) * phi(x + beta)`` on the
-    cell: ``Phi(lo + beta) + (mass - below) / exp(log_weight)`` is inverted
+    below ``lo`` and has density ``exp(log_amp) * phi(x + beta)`` on the
+    cell: ``Phi(lo + beta) + (mass - below) / exp(log_amp)`` is inverted
     in log space."""
-    log_p = np.logaddexp(gaussian_log_cdf(lo + beta), np.log(mass - below) - log_weight)
+    log_p = np.logaddexp(gaussian_log_cdf(lo + beta), np.log(mass - below) - log_amp)
     return np.minimum(np.maximum(gaussian_quantile_log(np.minimum(log_p, 0.0)) - beta, lo), hi)
+
+
+def profile_point(edges, beta, log_amp, theta: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``theta``-quantile ``q`` of probability measures given by their
+    normalized cells, and the density at ``q``, elementwise over leading
+    axes: the density is ``exp(log_amp_i) * phi(x + beta_i)`` on the cell
+    ``(edges_i, edges_{i+1})``, so ``edges`` has one more entry than
+    ``beta`` and ``log_amp`` along the last axis, and the results have the
+    leading axes.  As :meth:`Measure1D.quantile` does, ``theta > 1/2`` is
+    read from the right end, on the mirrored cells, as the upper mass ``1 -
+    theta``."""
+    edges, beta, log_amp = (np.asarray(a, dtype=float) for a in (edges, beta, log_amp))
+    mass, sign = theta, 1.0
+    if theta > 0.5:
+        edges, beta, log_amp = -edges[..., ::-1], -beta[..., ::-1], log_amp[..., ::-1]
+        mass, sign = 1.0 - theta, -1.0
+    log_mass = cell_log_masses(edges, beta, log_amp)
+    cum = np.cumsum(np.exp(log_mass), axis=-1)
+    # the cell holding q, and its edges, slope, amplitude and the mass below it
+    k = np.sum(cum[..., :-1] < mass, axis=-1, keepdims=True)
+
+    def at(a: np.ndarray, j: np.ndarray) -> np.ndarray:
+        full = np.broadcast_to(a, log_mass.shape[:-1] + a.shape[-1:])
+        return np.take_along_axis(full, j, -1)[..., 0]
+
+    below = at(np.concatenate([np.zeros_like(cum[..., :1]), cum], axis=-1), k)
+    b, w = at(beta, k), at(log_amp, k)
+    q = _cell_quantile(at(edges, k), at(edges, k + 1), b, w, below, mass)
+    # a cell far out in its Gaussian's tail, as root brackets probe, may
+    # round its log density up past the largest double
+    with np.errstate(over="ignore"):
+        density = np.exp(w - LOG_SQRT_2PI - 0.5 * (q + b) ** 2)
+    return sign * q, density
+
+
+def one_cell_measure(lo: float, hi: float, beta: float, log_amp: float) -> Measure1D:
+    """The probability measure with density ``exp(log_amp) * phi(x + beta)``
+    on ``(lo, hi)``; ``log_amp`` must normalize it."""
+    offset = LOG_SQRT_2PI + 0.5 * beta * beta
+    spec = PotentialSpec(Interval(lo, hi), np.array([lo, hi]), np.array([beta]), np.array([offset]))
+    return Measure1D(spec, -log_amp)
 
 
 def normalize(spec: PotentialSpec) -> Measure1D:

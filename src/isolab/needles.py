@@ -26,8 +26,9 @@ estimates that turns per-needle isoperimetric deficits into an L^1 bound on
 
 Every needle is one Gaussian cell, ``exp(log_amp_q) * phi(x + beta_q)`` on
 ``(lo_q, hi_q)``: a Gaussian, a truncation of one, or a translate.
-:class:`NeedleEnsemble` stacks the needles into arrays, so each step above is
-an array operation, not a loop over needles:
+:class:`NeedleEnsemble` is built from the arrays ``weights, lo, hi, beta``
+and reads ``log_amp`` and the quantiles off them, so each step above is an
+array operation, not a loop over needles:
 
 * ``mixture_density`` sums the needles that share a ``beta`` with one sorted
   cumulative sum and two ``searchsorted`` calls, and the others directly in
@@ -57,10 +58,10 @@ from scipy.special import ndtr
 from .errors import BracketError, ConfigError, DomainError, InvariantViolation, QuadratureError
 from .measure1d import (
     Measure1D,
-    cell_quantile,
-    gaussian_measure,
+    cell_log_masses,
     gaussian_profile,
-    truncated_gaussian_potential,
+    one_cell_measure,
+    profile_point,
 )
 from .numerics import (
     LOG_SQRT_2PI,
@@ -116,15 +117,18 @@ class Needle:
 
 def _one_cell(measure: Measure1D) -> Tuple[float, float, float, float]:
     """``(lo, hi, beta, log_amp)`` of a one-cell measure, whose density is
-    ``exp(log_amp) * phi(x + beta)`` on ``(lo, hi)``: ``psi = x^2/2 + beta*x +
-    gamma + log Z`` completes to ``(x + beta)^2/2 + log sqrt(2*pi) -
-    log_amp``."""
+    ``exp(log_amp) * phi(x + beta)`` on ``(lo, hi)``."""
     pot = measure.potential
     if pot.slopes.size != 1:
         raise DomainError(f"a needle has one cell, this measure has {pot.slopes.size}")
-    beta = float(pot.slopes[0])
-    log_amp = LOG_SQRT_2PI + 0.5 * beta * beta - float(pot.offsets[0]) - measure.log_normalizer
-    return measure.domain.lo, measure.domain.hi, beta, log_amp
+    return measure.domain.lo, measure.domain.hi, float(pot.slopes[0]), float(measure.log_amp[0])
+
+
+def _quantiles(lo, hi, beta, log_amp, theta: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``theta``- and ``(1 - theta)``-quantiles of one-cell needles,
+    given as arrays of one entry per needle."""
+    cells = (np.stack([lo, hi], axis=-1), np.expand_dims(beta, -1), np.expand_dims(log_amp, -1))
+    return profile_point(*cells, theta)[0], profile_point(*cells, 1.0 - theta)[0]
 
 
 def make_needle(weight: float, measure: Measure1D, theta: float) -> Needle:
@@ -133,56 +137,68 @@ def make_needle(weight: float, measure: Measure1D, theta: float) -> Needle:
     weight = float(weight)
     if not (weight >= 0.0 and math.isfinite(weight)):
         raise DomainError(f"needle weight {weight!r} must be finite and >= 0")
-    cell = _one_cell(measure)
-    r_minus, r_plus = float(_quantiles(*cell, theta)), float(_quantiles(*cell, 1.0 - theta))
+    r_minus, r_plus = map(float, _quantiles(*_one_cell(measure), theta))
     if abs(measure.cdf(r_minus) - theta) > 1e-10:
         raise InvariantViolation("needle quantile drifted beyond 1e-10")
     return Needle(weight=weight, measure=measure, r_minus=r_minus, r_plus=r_plus)
 
 
-# The arrays NeedleEnsemble stacks, one entry per needle, in column order.
-_STACKED = ("weights", "lo", "hi", "beta", "log_amp", "r_minus", "r_plus")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NeedleEnsemble:
     """Finite needle family with common ``theta`` and the rate parameter
     ``epsilon`` entering the exponent ``(1-eps)/(9-3eps)``.
 
-    Every needle is one Gaussian cell, ``exp(log_amp_q) * phi(x + beta_q)``
-    on ``(lo_q, hi_q)``.  The ensemble stacks the needles into read-only
-    arrays, one entry per needle, so that every aggregate below is an array
-    operation: ``weights``, ``lo``, ``hi``, ``beta``, ``log_amp``,
-    ``r_minus`` and ``r_plus``.
+    Needle ``q`` is one Gaussian cell, ``exp(log_amp_q) * phi(x + beta_q)``
+    on ``(lo_q, hi_q)``, with weight ``weights[q]``.  The ensemble is built
+    from those arrays, one entry per needle, and derives the normalizing
+    ``log_amp`` and the quantiles ``r_minus``, ``r_plus`` from them, so that
+    every aggregate below is an array operation.  All seven arrays are
+    read-only.  :attr:`needles` makes the per-needle records on first use.
     """
 
-    needles: Tuple[Needle, ...]
+    weights: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    beta: np.ndarray
     theta: float
     epsilon: float
-    weights: np.ndarray = field(init=False, repr=False, compare=False)
-    lo: np.ndarray = field(init=False, repr=False, compare=False)
-    hi: np.ndarray = field(init=False, repr=False, compare=False)
-    beta: np.ndarray = field(init=False, repr=False, compare=False)
-    log_amp: np.ndarray = field(init=False, repr=False, compare=False)
-    r_minus: np.ndarray = field(init=False, repr=False, compare=False)
-    r_plus: np.ndarray = field(init=False, repr=False, compare=False)
+    log_amp: np.ndarray = field(init=False, repr=False)
+    r_minus: np.ndarray = field(init=False, repr=False)
+    r_plus: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.needles:
-            raise DomainError("ensemble needs at least one needle")
         if not 0.0 < self.theta < 1.0:
             raise DomainError(f"theta={self.theta!r} outside (0, 1)")
         if not 0.0 < self.epsilon < 1.0:
             raise DomainError(f"epsilon={self.epsilon!r} outside (0, 1)")
-        stack = np.array(
-            [(nd.weight, *_one_cell(nd.measure), nd.r_minus, nd.r_plus) for nd in self.needles]
-        )
-        for name, column in zip(_STACKED, stack.T.copy()):
-            column.setflags(write=False)
-            object.__setattr__(self, name, column)
-        total = math.fsum(self.weights)
+        weights, lo, hi, beta = (np.array(column, dtype=float)
+                                 for column in (self.weights, self.lo, self.hi, self.beta))
+        if not (weights.ndim == 1 and weights.size
+                and weights.shape == lo.shape == hi.shape == beta.shape):
+            raise DomainError("ensemble needs 1-d arrays of one entry per needle, and a needle")
+        if not np.all((weights >= 0.0) & np.isfinite(weights)):
+            raise DomainError("needle weights must be finite and >= 0")
+        if not np.all((lo < hi) & np.isfinite(beta)):
+            raise DomainError("needles need lo < hi and a finite beta")
+        total = math.fsum(weights)
         if abs(total - 1.0) > 1e-12:
             raise DomainError(f"needle weights sum to {total!r}, not 1")
+        # each needle's amplitude makes its cell's mass 1
+        log_amp = -cell_log_masses(np.stack([lo, hi], axis=1), beta[:, None], 0.0)[:, 0]
+        r_minus, r_plus = _quantiles(lo, hi, beta, log_amp, self.theta)
+        arrays = dict(weights=weights, lo=lo, hi=hi, beta=beta, log_amp=log_amp,
+                      r_minus=r_minus, r_plus=r_plus)
+        for name, column in arrays.items():
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+
+    @cached_property
+    def needles(self) -> Tuple[Needle, ...]:
+        """One :class:`Needle` per needle, each holding its one-cell measure."""
+        columns = (self.weights, self.lo, self.hi, self.beta, self.log_amp,
+                   self.r_minus, self.r_plus)
+        return tuple(Needle(w, one_cell_measure(lo, hi, b, a), r_minus, r_plus)
+                     for w, lo, hi, b, a, r_minus, r_plus in zip(*(c.tolist() for c in columns)))
 
     @property
     def scaling_exponent(self) -> float:
@@ -557,7 +573,7 @@ def aggregate_l1(ens: NeedleEnsemble) -> AggregateReport:
     ``mixture_l1 <= sum_q w_q needle_l1(q)`` pointwise under the integral
     (triangle inequality plus the disintegration); violation beyond 1e-8
     indicates an implementation bug and raises.  The needle L1 values are
-    the closed form of :func:`needle_l1` on the stacked needles; the mixture
+    the closed form of :func:`needle_l1` on the ensemble's arrays; the mixture
     is integrated.
     """
     per = _one_cell_l1(ens.lo, ens.hi, ens.beta, ens.log_amp)
@@ -690,16 +706,6 @@ class EnsembleConfig:
         return cls(**d)  # type: ignore[arg-type]
 
 
-def _quantiles(lo, hi, beta, log_amp, theta: float):
-    """The ``theta``-quantiles of one-cell needles (floats or arrays), taken as
-    :meth:`Measure1D.quantile` takes them: from the left end for ``theta <=
-    1/2``, where ``Phi(x + beta) = Phi(lo + beta) + theta / exp(log_amp)`` is
-    inverted in log space, and from the mirrored right end above."""
-    if theta > 0.5:
-        return -_quantiles(-hi, -lo, -beta, log_amp, 1.0 - theta)
-    return cell_quantile(lo, hi, beta, log_amp, 0.0, theta)
-
-
 # Base translation of bad needles: far enough that their mass is disjoint
 # from the Gaussian bulk, so each contributes needle_l1 ~ 2 and fails the
 # centering criterion for every delta in the sweep range.
@@ -747,9 +753,9 @@ def generate_ensemble(config: EnsembleConfig | Mapping[str, object]) -> NeedleEn
     deficit_factors = rng.uniform(0.5, 1.5, size=n_good)
     shift_factors = rng.uniform(1.0, 1.25, size=n_bad)
 
-    weights, measures = [], []
+    # the columns (weights, lo, hi, beta) of the good needles, then the bad
+    columns = []
     if n_good and b < 1.0:
-        weights += list((1.0 - b) * raw_w_good / raw_w_good.sum())
         ref = raw_w_good / raw_w_good.sum()
         mean_factor = float(np.dot(ref, deficit_factors))
         targets = 0.95 * config.deficit_scale * deficit_factors / mean_factor
@@ -759,23 +765,8 @@ def generate_ensemble(config: EnsembleConfig | Mapping[str, object]) -> NeedleEn
             radii[positive] = solve_truncation_for_deficit(targets[positive], theta)
         if np.any(np.isnan(radii)):
             raise BracketError(f"no truncation radius reaches deficit {targets[np.isnan(radii)][0]:.3e}")
-        # the normalizer of gamma on (-D, D) is gamma((-D, D)): all at once
-        finite = np.isfinite(radii)
-        log_z = np.zeros(n_good)
-        log_z[finite] = gaussian_log_mass(-radii[finite], radii[finite])
-        measures += [
-            Measure1D(truncated_gaussian_potential(float(D)), float(z)) if math.isfinite(D)
-            else gaussian_measure()
-            for D, z in zip(radii, log_z)
-        ]
+        columns.append(((1.0 - b) * raw_w_good / raw_w_good.sum(), -radii, radii, np.zeros(n_good)))
     if n_bad and b > 0.0:
-        weights += list(b * raw_w_bad / raw_w_bad.sum())
-        base = gaussian_measure()
-        measures += [base.translate(_BAD_SHIFT_BASE * float(f)) for f in shift_factors]
-    cells = np.array([_one_cell(m) for m in measures]).T
-    r_minus, r_plus = _quantiles(*cells, theta), _quantiles(*cells, 1.0 - theta)
-    needles = tuple(
-        Needle(weight=float(w), measure=m, r_minus=float(lo), r_plus=float(hi))
-        for w, m, lo, hi in zip(weights, measures, r_minus, r_plus)
-    )
-    return NeedleEnsemble(needles=needles, theta=theta, epsilon=config.epsilon)
+        columns.append((b * raw_w_bad / raw_w_bad.sum(), np.full(n_bad, -math.inf),
+                        np.full(n_bad, math.inf), -_BAD_SHIFT_BASE * shift_factors))
+    return NeedleEnsemble(*map(np.concatenate, zip(*columns)), theta=theta, epsilon=config.epsilon)

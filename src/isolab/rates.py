@@ -21,6 +21,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, List, Optional, Protocol, Sequence, Tuple, Union
 
 import numpy as np
@@ -28,11 +29,12 @@ import numpy as np
 from .errors import BracketError, DomainError, FitError
 from .measure1d import (
     Measure1D,
-    cell_quantile,
+    cell_log_masses,
     gaussian_measure,
     gaussian_profile,
     normalize,
     perturbed_gaussian_potential,
+    profile_point,
     truncated_gaussian_potential,
 )
 from .needles import (
@@ -42,7 +44,7 @@ from .needles import (
     generate_ensemble,
     rate_exponent,
 )
-from .numerics import LOG_SQRT_2PI, find_root, gaussian_log_mass
+from .numerics import find_root
 from .stability import (
     center,
     deficit,
@@ -339,37 +341,28 @@ class PerturbedSweepFamily:
         )
         return normalize(spec)
 
+    @cached_property
+    def _unit(self) -> Measure1D:
+        """``measure_at(1)``, whose cells :meth:`deficit_at` scales."""
+        return self.measure_at(1.0)
+
     def deficit_at(self, lams: Sequence[float], theta: float) -> np.ndarray:
         """The deficits of ``measure_at(lam)`` for a 1-d array of scales.
 
-        The cells do not depend on the scale (cell ``i`` has slope ``lam *
-        s_i`` and offset ``log sqrt(2*pi) + lam * c_i``), so each scale's
-        normalizer, ``theta``-quantile ``q`` and deficit ``density(q) -
-        profile(theta)`` come from ``(scales, cells)`` arrays by the closed
-        forms of :class:`Measure1D`, from the right end (mirrored cells)
-        for ``theta > 1/2``.
+        The cells do not depend on the scale: cell ``i`` has slope ``lam *
+        s_i``, and its log amplitude is ``lam`` times the unit measure's,
+        less ``lam * s_i^2/2``, plus ``(lam * s_i)^2/2``, up to a constant
+        that normalizing removes.  So every scale's ``theta``-quantile and
+        density there come from ``(scales, cells)`` arrays in one
+        :func:`profile_point` call.
         """
-        unit = perturbed_gaussian_potential(self.breakpoints, self.unit_slopes)
+        unit = self._unit
+        edges, slopes = unit.potential.edges, unit.potential.slopes
         lam = np.asarray(lams, dtype=float)[:, None]
-        edges, beta = unit.edges, lam * unit.slopes
-        offset = LOG_SQRT_2PI + lam * (unit.offsets - LOG_SQRT_2PI)
-        mass = theta
-        if theta > 0.5:
-            edges, beta, offset = -edges[::-1], -beta[:, ::-1], offset[:, ::-1]
-            mass = 1.0 - theta
-        log_weight = LOG_SQRT_2PI + 0.5 * beta**2 - offset
-        log_mass = log_weight + gaussian_log_mass(edges[:-1] + beta, edges[1:] + beta)
-        log_z = np.logaddexp.reduce(log_mass, axis=1, keepdims=True)
-        cum = np.cumsum(np.exp(log_mass - log_z), axis=1)
-        # per scale, the cell holding q: its edges, slope, offset, weight, mass below
-        k = np.sum(cum[:, :-1] < mass, axis=1, keepdims=True)
-        below = np.take_along_axis(np.concatenate([np.zeros_like(log_z), cum], axis=1), k, 1)
-        lo, hi = edges[k], edges[k + 1]
-        b, c, w = (np.take_along_axis(v, k, 1) for v in (beta, offset, log_weight - log_z))
-        q = cell_quantile(lo, hi, b, w, below, mass)
-        with np.errstate(over="ignore"):  # as Measure1D.density, at scales no target needs
-            density = np.exp(-(0.5 * q * q + b * q + c + log_z))
-        return density[:, 0] - gaussian_profile(theta)
+        beta = lam * slopes
+        log_amp = lam * (unit.log_amp - 0.5 * slopes**2) + 0.5 * beta**2
+        log_amp -= np.logaddexp.reduce(cell_log_masses(edges, beta, log_amp), axis=1, keepdims=True)
+        return profile_point(edges, beta, log_amp, theta)[1] - gaussian_profile(theta)
 
     def at_deficit(self, deltas: Sequence[float], theta: float) -> List[Realization]:
         deltas = np.asarray(deltas, dtype=float)

@@ -45,6 +45,7 @@ from scipy.special import ndtr, ndtri
 from .errors import DomainError, InvariantViolation, QuadratureError
 from .measure1d import (
     Measure1D,
+    cell_log_masses,
     gaussian_profile,
     gaussian_psi,
     normalize,
@@ -58,7 +59,6 @@ from .numerics import (
     QuadratureSettings,
     find_root,
     gaussian_cdf,
-    gaussian_log_mass,
     gaussian_pdf,
     gaussian_quantile,
     gaussian_sf,
@@ -207,19 +207,20 @@ def center(m: Measure1D, theta: float) -> Tuple[Measure1D, float]:
 def deficit(m: Measure1D, theta: float) -> DeficitReport:
     """Isoperimetric deficit of the half-line at ``a_theta``.
 
-    ``m`` is centered internally first; the report records the shift.  For
-    1-convex input the deficit is nonnegative (up to 1e-9 of quadrature
-    noise) because the half-line is an admissible competitor in the
-    isoperimetric inequality.
+    The deficit is read at ``m``'s own ``theta``-quantile ``q``, which
+    centering moves to ``a_theta``: the perimeter is ``density(q)``, and the
+    report records the centering shift ``a_theta - q``.  For 1-convex input
+    the deficit is nonnegative (up to 1e-9 of rounding noise) because the
+    half-line is an admissible competitor in the isoperimetric inequality.
     """
-    centered, shift = center(m, theta)
     a_theta = gaussian_quantile(theta)
-    peri = float(centered.density(a_theta))
+    q = m.quantile(theta)
+    peri = float(m.density(q))
     prof = gaussian_profile(theta)
     return DeficitReport(
         theta=theta,
         a_theta=a_theta,
-        shift=shift,
+        shift=a_theta - q,
         perimeter_at_a=peri,
         profile_at_theta=prof,
         deficit=peri - prof,
@@ -231,11 +232,10 @@ def slope_gap(m: Measure1D, theta: float) -> float:
 
     Zero for the Gaussian and for any family whose potential is ``x^2/2 +
     const`` near ``a_theta``; equals the kink size for a potential with a
-    slope jump exactly at ``a_theta``.
+    slope jump exactly at ``a_theta``.  Translation moves the slope with
+    the point, so it is read at ``m``'s own ``theta``-quantile.
     """
-    centered, _ = center(m, theta)
-    a_theta = gaussian_quantile(theta)
-    return float(centered.psi_right_derivative(a_theta)) - a_theta
+    return float(m.potential.right_derivative(m.quantile(theta))) - gaussian_quantile(theta)
 
 
 def default_gap_window(centered: Measure1D, theta: float, delta: float) -> Interval:
@@ -278,15 +278,16 @@ def check_gap_bounds(
     a_theta = gaussian_quantile(theta)
     delta = float(centered.density(a_theta)) - gaussian_profile(theta)
     window = default_gap_window(centered, theta, max(delta, _EQUALITY_TOL))
-    sg = float(centered.psi_right_derivative(a_theta)) - a_theta
+    sg = float(centered.potential.right_derivative(a_theta)) - a_theta
     cutoff = DEFAULT_SETTINGS.tail_cutoff
     lo = max(min(window.lo, centered.quantile(_T_CLIP)), -cutoff)
     hi = min(max(window.hi, centered.quantile(1.0 - _T_CLIP)), cutoff)
 
-    # on cell i, g is the line slope[i]*x + icpt[i]
+    # on cell i, g is the line slope[i]*x + icpt[i]: psi - psi_g is
+    # beta_i*x + beta_i^2/2 - log_amp_i there
     pot = centered.potential
     slope = pot.slopes - sg
-    icpt = pot.offsets + (centered.log_normalizer - LOG_SQRT_2PI + sg * a_theta)
+    icpt = 0.5 * pot.slopes**2 - centered.log_amp + sg * a_theta
 
     def gap(start: float, stop: float) -> np.ndarray:
         """``g`` at both ends of each piece that the edges cut ``[start,
@@ -321,10 +322,10 @@ def check_gap_bounds(
 def _ratio_crossings(m: Measure1D) -> Tuple[float, ...]:
     """Where the density ratio ``exp(psi_g - psi)`` crosses 1, the kinks of
     ``|ratio - 1|``: on each cell ``psi_g - psi`` is linear,
-    ``log sqrt(2*pi) - gamma_i - log Z - beta_i * x``, so its zero is exact."""
+    ``log_amp_i - beta_i^2/2 - beta_i * x``, so its zero is exact."""
     pot = m.potential
     with np.errstate(divide="ignore", invalid="ignore"):
-        x = (LOG_SQRT_2PI - pot.offsets - m.log_normalizer) / pot.slopes
+        x = (m.log_amp - 0.5 * pot.slopes**2) / pot.slopes
     inside = (x > pot.edges[:-1]) & (x < pot.edges[1:])
     return tuple(float(t) for t in x[inside])
 
@@ -379,19 +380,19 @@ def lp_distance(m: Measure1D, p: float) -> float:
 def relative_entropy(m: Measure1D) -> float:
     """``Ent(m | gamma) = int_I (psi_g - psi) dm >= 0``, in closed form.
 
-    On cell ``i``, ``psi_g - psi`` is the line ``a_i - beta_i * x`` with
-    ``a_i = log sqrt(2*pi) - gamma_i - log Z``, so ``Ent = sum_i (a_i * m_i
-    - beta_i * mu_i)``, where ``m_i`` is the cell's mass and ``mu_i = w_i *
-    (phi(e_i + beta_i) - phi(e_{i+1} + beta_i)) - beta_i * m_i`` its first
-    moment, ``w_i`` being the mass of the cell's whole Gaussian.  Negative
+    On cell ``i``, where the density is ``w_i * phi(x + beta_i)``, ``psi_g -
+    psi`` is the line ``a_i - beta_i * x`` with ``a_i = log w_i -
+    beta_i^2/2``, so ``Ent = sum_i (a_i * m_i - beta_i * mu_i)``, where
+    ``m_i`` is the cell's mass and ``mu_i = w_i * (phi(e_i + beta_i) -
+    phi(e_{i+1} + beta_i)) - beta_i * m_i`` its first moment.  Negative
     rounding noise down to -1e-11 is clamped to 0; a more negative value
     would contradict Jensen's inequality and raises ``InvariantViolation``.
     """
     pot = m.potential
-    beta, icpt = pot.slopes, LOG_SQRT_2PI - pot.offsets - m.log_normalizer
+    beta, log_w = pot.slopes, m.log_amp  # w_i * phi(y) is formed in log space
+    icpt = log_w - 0.5 * beta**2
     a, b = pot.edges[:-1] + beta, pot.edges[1:] + beta
-    log_w = 0.5 * beta**2 + icpt  # log w_i; w_i * phi(y) is formed in log space
-    mass = np.exp(log_w + gaussian_log_mass(a, b))
+    mass = np.exp(cell_log_masses(pot.edges, beta, log_w))
     moment = np.exp(log_w - 0.5 * a * a - LOG_SQRT_2PI) - np.exp(log_w - 0.5 * b * b - LOG_SQRT_2PI)
     moment -= beta * mass
     value = float(np.sum(icpt * mass - beta * moment))

@@ -83,13 +83,39 @@ def test_knots_follow_translation():
     assert gaussian_potential().knots() == ()
 
 
-def test_potential_config_round_trip():
-    spec = perturbed_gaussian_potential((-0.5, 0.8), (-0.2, 0.0, 0.4))
-    spec = translate_potential(spec, 0.3)
-    back = potential_from_config(spec.to_dict())
-    xs = np.linspace(-3.0, 3.0, 17)
-    assert np.allclose(back.value(xs), spec.value(xs), atol=1e-14)
+_TABLE_XS = [-3.0, -1.0, 0.0, 0.5, 2.0, 4.0]
+_TABLE_VALUES = [7.5, 1.5, 0.0, 0.625, 4.0, 12.0]  # x^2/2 + |x|
+
+
+@pytest.mark.parametrize("shift", [None, 0.3, -1.25])
+@pytest.mark.parametrize(
+    "config, direct",
+    [
+        ({"family": "gaussian"}, gaussian_potential),
+        ({"family": "truncated_gaussian", "D": 1.7}, lambda: truncated_gaussian_potential(1.7)),
+        ({"family": "truncated_gaussian", "lo": -0.4, "hi": 2.5},
+         lambda: truncated_gaussian_potential(lo=-0.4, hi=2.5)),
+        ({"family": "perturbed_gaussian", "breakpoints": [-0.5, 0.8], "slopes": [-0.2, 0.0, 0.4]},
+         lambda: perturbed_gaussian_potential((-0.5, 0.8), (-0.2, 0.0, 0.4))),
+        ({"family": "perturbed_gaussian", "breakpoints": [-0.5, 0.8], "slopes": [-0.2, 0.0, 0.4],
+          "lo": -2.0, "hi": 3.0},
+         lambda: perturbed_gaussian_potential((-0.5, 0.8), (-0.2, 0.0, 0.4), Interval(-2.0, 3.0))),
+        ({"family": "tabulated_convex", "xs": _TABLE_XS, "values": _TABLE_VALUES},
+         lambda: tabulated_potential(_TABLE_XS, _TABLE_VALUES)),
+    ],
+    ids=["gaussian", "truncated-D", "truncated-lo-hi", "perturbed", "perturbed-lo-hi", "tabulated"],
+)
+def test_potential_config_round_trip(config, direct, shift):
+    # a potential file gives the direct constructor's cells bit for bit
+    spec = direct()
+    if shift is not None:
+        config = {**config, "shift": shift}
+        spec = translate_potential(spec, shift)
+    back = potential_from_config(config)
     assert back.domain == spec.domain
+    for name in ("edges", "slopes", "offsets"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(spec, name), strict=True)
+    assert normalize(back).log_normalizer == normalize(spec).log_normalizer
 
 
 def test_potential_config_errors():
@@ -230,7 +256,7 @@ def test_one_convexity_finds_a_slope_drop_far_from_the_minimum():
 
 @pytest.mark.parametrize("jump", [1e-6, -1e-6])
 def test_one_convexity_rejects_a_value_jump_without_a_slope_drop(jump):
-    spec = PotentialSpec(Interval(-3.0, 3.0), "test", {}, edges=np.array([-3.0, 0.5, 3.0]),
+    spec = PotentialSpec(Interval(-3.0, 3.0), edges=np.array([-3.0, 0.5, 3.0]),
                          slopes=np.array([0.2, 0.2]), offsets=np.array([1.0, 1.0 + jump]))
     report = check_one_convexity(spec)
     assert not report.passed
@@ -318,7 +344,7 @@ def _mode_spec(mu, c):
     mu = np.asarray(mu, dtype=float)
     offsets = 0.5 * mu**2 + np.asarray(c, dtype=float)
     edges = np.concatenate([[-math.inf], np.diff(offsets) / np.diff(mu), [math.inf]])
-    return PotentialSpec(Interval(-math.inf, math.inf), "modes", {}, edges, -mu, offsets)
+    return PotentialSpec(Interval(-math.inf, math.inf), edges, -mu, offsets)
 
 
 def _isoperimetry_measures():

@@ -32,59 +32,69 @@ from isolab import (
     theorem31_experiment,
     truncated_gaussian_potential,
 )
-from isolab.needles import Needle
-
 GAUSSIAN = gaussian_measure()
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 KINKED = normalize(perturbed_gaussian_potential((-0.4, 0.9), (-0.5, 0.0, 0.7)))
+INF = math.inf
+
+
+def ensemble(weights, measures, theta: float = 0.5) -> NeedleEnsemble:
+    """The ensemble of one-cell measures, built from their cell arrays."""
+    assert all(m.potential.slopes.size == 1 for m in measures)
+    lo, hi, beta = np.array([(m.domain.lo, m.domain.hi, m.potential.slopes[0]) for m in measures]).T
+    return NeedleEnsemble(np.asarray(weights, dtype=float), lo, hi, beta, theta=theta, epsilon=0.1)
 
 
 def gaussian_pair(s: float, theta: float = 0.5) -> NeedleEnsemble:
-    return NeedleEnsemble(
-        needles=(
-            make_needle(0.5, GAUSSIAN.translate(-s), theta),
-            make_needle(0.5, GAUSSIAN.translate(s), theta),
-        ),
-        theta=theta,
-        epsilon=0.1,
-    )
+    return ensemble([0.5, 0.5], [GAUSSIAN.translate(-s), GAUSSIAN.translate(s)], theta)
 
 
 def single_needle(m, theta: float = 0.5) -> NeedleEnsemble:
-    return NeedleEnsemble(needles=(make_needle(1.0, m, theta),), theta=theta, epsilon=0.1)
+    return ensemble([1.0], [m], theta)
 
 
-def mixture_density_oracle(ens: NeedleEnsemble, x: np.ndarray) -> np.ndarray:
+def mixture_density_oracle(weights, measures, x: np.ndarray) -> np.ndarray:
     """rho by its definition: one Measure1D.density per needle, summed."""
-    return sum(nd.weight * np.asarray(nd.measure.density(x), dtype=float) for nd in ens.needles)
+    return sum(w * np.asarray(m.density(x), dtype=float) for w, m in zip(weights, measures))
 
 
-def shared_slope_ensemble() -> NeedleEnsemble:
+def generated_measures(ens: NeedleEnsemble) -> list:
+    """The measures of a generated ensemble's needles, built by the potential
+    constructors: gamma on (-D, D), and gamma translated by -beta."""
+    measures = []
+    for lo, hi, beta in zip(ens.lo, ens.hi, ens.beta):
+        if math.isfinite(hi):
+            assert lo == -hi and beta == 0.0
+            measures.append(normalize(truncated_gaussian_potential(float(hi))))
+        else:
+            measures.append(GAUSSIAN.translate(-float(beta)))
+    return measures
+
+
+_RIGHT = normalize(truncated_gaussian_potential(lo=-1.0, hi=math.inf))
+_LEFT = normalize(truncated_gaussian_potential(lo=-math.inf, hi=1.5))
+SHARED_SLOPE_MEASURES = [
+    normalize(truncated_gaussian_potential(0.7)),
+    normalize(truncated_gaussian_potential(2.0)),
+    normalize(truncated_gaussian_potential(lo=-0.4, hi=math.inf)),
+    GAUSSIAN,
+    GAUSSIAN.translate(2.0),
+    GAUSSIAN.translate(2.0),
+    GAUSSIAN.translate(2.0),
+    _RIGHT.translate(0.5),
+    _LEFT.translate(0.5),
+    normalize(truncated_gaussian_potential(lo=-1.0, hi=3.0)).translate(-0.8),
+]
+SHARED_SLOPE_WEIGHTS = np.arange(1.0, len(SHARED_SLOPE_MEASURES) + 1.0)
+SHARED_SLOPE_WEIGHTS /= SHARED_SLOPE_WEIGHTS.sum()
+SHARED_SLOPE_WEIGHTS[-1] = 1.0 - SHARED_SLOPE_WEIGHTS[:-1].sum()
+
+
+def shared_slope_ensemble(theta: float = 0.5) -> NeedleEnsemble:
     """Needles whose slopes repeat: symmetric and one-sided truncations of
     the Gaussian (slope 0), three copies of one translate, two one-sided
     truncations translated alike, and one needle with a slope of its own."""
-    right = normalize(truncated_gaussian_potential(lo=-1.0, hi=math.inf))
-    left = normalize(truncated_gaussian_potential(lo=-math.inf, hi=1.5))
-    measures = [
-        normalize(truncated_gaussian_potential(0.7)),
-        normalize(truncated_gaussian_potential(2.0)),
-        normalize(truncated_gaussian_potential(lo=-0.4, hi=math.inf)),
-        GAUSSIAN,
-        GAUSSIAN.translate(2.0),
-        GAUSSIAN.translate(2.0),
-        GAUSSIAN.translate(2.0),
-        right.translate(0.5),
-        left.translate(0.5),
-        normalize(truncated_gaussian_potential(lo=-1.0, hi=3.0)).translate(-0.8),
-    ]
-    weights = np.arange(1.0, len(measures) + 1.0)
-    weights /= weights.sum()
-    weights[-1] = 1.0 - weights[:-1].sum()
-    return NeedleEnsemble(
-        needles=tuple(make_needle(w, m, 0.5) for w, m in zip(weights, measures)),
-        theta=0.5,
-        epsilon=0.1,
-    )
+    return ensemble(SHARED_SLOPE_WEIGHTS, SHARED_SLOPE_MEASURES, theta)
 
 
 # -- construction invariants --------------------------------------------------
@@ -92,11 +102,23 @@ def shared_slope_ensemble() -> NeedleEnsemble:
 
 def test_weights_must_sum_to_one():
     with pytest.raises(DomainError):
-        NeedleEnsemble(
-            needles=(make_needle(0.5, GAUSSIAN, 0.5), make_needle(0.3, GAUSSIAN, 0.5)),
-            theta=0.5,
-            epsilon=0.1,
-        )
+        NeedleEnsemble(np.array([0.5, 0.3]), np.full(2, -INF), np.full(2, INF), np.zeros(2),
+                       theta=0.5, epsilon=0.1)
+
+
+@pytest.mark.parametrize(
+    "weights, lo, hi, beta",
+    [
+        ([], [], [], []),  # no needle
+        ([1.5, -0.5], [-INF, -INF], [INF, INF], [0.0, 0.0]),  # a negative weight
+        ([0.5, 0.5], [-1.0, 2.0], [1.0, 2.0], [0.0, 0.0]),  # an empty needle
+        ([0.5, 0.5], [-INF, -INF], [INF, INF], [0.0, math.nan]),  # no slope
+    ],
+    ids=["empty", "negative-weight", "empty-interval", "nan-slope"],
+)
+def test_ensemble_arrays_are_validated(weights, lo, hi, beta):
+    with pytest.raises(DomainError):
+        NeedleEnsemble(*map(np.array, (weights, lo, hi, beta)), theta=0.5, epsilon=0.1)
 
 
 def test_needle_quantiles_precomputed():
@@ -128,49 +150,52 @@ def test_mixture_density_vectorized():
     assert vals[0] == pytest.approx(vals[2], rel=1e-12)  # symmetry
 
 
+def _generated(**config):
+    ens = generate_ensemble(EnsembleConfig(**config))
+    return ens, generated_measures(ens)
+
+
 @pytest.mark.parametrize(
-    "ensemble",
+    "make",
     [
-        lambda: generate_ensemble(
-            EnsembleConfig(needle_count=60, deficit_scale=1e-3, bad_fraction=0.3, seed=5)
-        ),
-        lambda: generate_ensemble(
-            EnsembleConfig(needle_count=300, deficit_scale=1e-5, bad_fraction=0.05, seed=2)
-        ),
-        lambda: gaussian_pair(0.5),
-        shared_slope_ensemble,
+        lambda: _generated(needle_count=60, deficit_scale=1e-3, bad_fraction=0.3, seed=5),
+        lambda: _generated(needle_count=300, deficit_scale=1e-5, bad_fraction=0.05, seed=2),
+        lambda: (gaussian_pair(0.5), [GAUSSIAN.translate(-0.5), GAUSSIAN.translate(0.5)]),
+        lambda: (shared_slope_ensemble(), SHARED_SLOPE_MEASURES),
     ],
     ids=["generated-60", "generated-300", "gaussian-pair", "shared-slopes"],
 )
-def test_mixture_density_matches_needle_by_needle_sum(ensemble):
-    ens = ensemble()
+def test_mixture_density_matches_needle_by_needle_sum(make):
+    # the oracle sums the measures that the needles were built from
+    ens, measures = make()
     ends = np.concatenate([ens.lo, ens.hi])
     ends = ends[np.isfinite(ends)]
     xs = np.concatenate([np.linspace(-12.0, 16.0, 4001), ends, np.nextafter(ends, math.inf)])
     got = mixture_density(ens, xs)
-    np.testing.assert_allclose(got, mixture_density_oracle(ens, xs), rtol=0.0, atol=1e-14)
+    want = mixture_density_oracle(ens.weights, measures, xs)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
     # the density is 0 at every needle endpoint, as Measure1D.density is
     assert mixture_density(ens, float(xs[100])) == pytest.approx(got[100], abs=1e-15)
 
 
 def test_generated_quantiles_match_measure_quantiles():
-    ens = generate_ensemble(
-        EnsembleConfig(needle_count=50, theta=0.3, deficit_scale=1e-2, bad_fraction=0.2, seed=8)
-    )
-    for nd in ens.needles:
-        assert nd.r_minus == pytest.approx(nd.measure.quantile(0.3), abs=1e-12)
-        assert nd.r_plus == pytest.approx(nd.measure.quantile(0.7), abs=1e-12)
+    # both halves of the quantile reader, theta > 1/2 read from the right
+    # end, on generated needles and on one-sided truncations and translates
+    for theta in (0.05, 0.3, 0.5, 0.7, 0.95):
+        ens = generate_ensemble(EnsembleConfig(
+            needle_count=50, theta=theta, deficit_scale=1e-2, bad_fraction=0.2, seed=8))
+        inputs = ((ens, generated_measures(ens)),
+                  (shared_slope_ensemble(theta), SHARED_SLOPE_MEASURES))
+        for ens, measures in inputs:
+            for nd, m in zip(ens.needles, measures):
+                for measure in (nd.measure, m):
+                    assert nd.r_minus == pytest.approx(measure.quantile(theta), abs=1e-12)
+                    assert nd.r_plus == pytest.approx(measure.quantile(1.0 - theta), abs=1e-12)
 
 
 def test_needles_must_be_one_cell():
     with pytest.raises(DomainError):
         make_needle(1.0, KINKED, 0.5)
-    with pytest.raises(DomainError):
-        NeedleEnsemble(
-            needles=(Needle(weight=1.0, measure=KINKED, r_minus=-0.5, r_plus=0.5),),
-            theta=0.5,
-            epsilon=0.1,
-        )
 
 
 def test_disintegration_identity_for_moments():
@@ -283,11 +308,7 @@ def test_aggregate_l1_cancellation_is_strict():
 
 
 def test_aggregate_l1_all_gaussian_is_zero():
-    ens = NeedleEnsemble(
-        needles=tuple(make_needle(0.25, GAUSSIAN, 0.5) for _ in range(4)),
-        theta=0.5,
-        epsilon=0.1,
-    )
+    ens = ensemble([0.25] * 4, [GAUSSIAN] * 4)
     rep = aggregate_l1(ens)
     assert rep.mixture_l1 <= 1e-10 and rep.needlewise_sum <= 1e-10
 
@@ -339,11 +360,7 @@ def test_classify_validation():
 
 
 def test_experiment_all_gaussian_is_clean():
-    ens = NeedleEnsemble(
-        needles=tuple(make_needle(0.2, GAUSSIAN, 0.5) for _ in range(5)),
-        theta=0.5,
-        epsilon=0.1,
-    )
+    ens = ensemble([0.2] * 5, [GAUSSIAN] * 5)
     for delta in (1e-2, 1e-5):
         rep = theorem31_experiment(ens, delta)
         assert rep.mixture_l1 <= 1e-10
@@ -462,3 +479,46 @@ def test_needle_experiment_makes_the_same_calls_at_any_needle_count(monkeypatch)
         seen.append(dict(counts))
     assert seen[0] == seen[1]
     assert seen[0]["integrate"] <= 3 and seen[0]["find_root"] <= 2
+
+
+# -- the per-needle records, made on demand -----------------------------------
+
+
+@pytest.mark.parametrize("count, delta", [(100, 1e-2), (1000, 1e-3)])
+def test_needle_records_match_the_ensemble_arrays(count, delta):
+    # the records that per-needle callers read (weight, domain, quantiles,
+    # needle_l1) are the ensemble's own numbers
+    ens = generate_ensemble(EnsembleConfig(
+        needle_count=count, deficit_scale=delta, bad_fraction=delta ** (0.9 / 8.7), seed=3))
+    per_needle = aggregate_l1(ens).per_needle_l1
+    assert len(ens.needles) == count
+    for q, nd in enumerate(ens.needles):
+        assert (nd.weight, nd.measure.domain.lo, nd.measure.domain.hi, nd.r_minus, nd.r_plus) == (
+            ens.weights[q], ens.lo[q], ens.hi[q], ens.r_minus[q], ens.r_plus[q])
+        assert needle_l1(nd) == pytest.approx(per_needle[q], rel=0.0, abs=1e-15)
+        again = make_needle(nd.weight, nd.measure, ens.theta)
+        assert again.r_minus == pytest.approx(nd.r_minus, rel=0.0, abs=1e-12)
+        assert again.r_plus == pytest.approx(nd.r_plus, rel=0.0, abs=1e-12)
+
+
+def test_generation_builds_no_per_needle_objects(monkeypatch):
+    counts = {"Measure1D": 0, "PotentialSpec": 0, "normalize": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for cls in (isolab.measure1d.Measure1D, isolab.measure1d.PotentialSpec):
+        monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
+    for module in (isolab.measure1d, isolab.stability, isolab.needles):
+        if hasattr(module, "normalize"):
+            monkeypatch.setattr(module, "normalize", counted("normalize", module.normalize))
+    ens = generate_ensemble(EnsembleConfig(
+        needle_count=1000, deficit_scale=1e-3, bad_fraction=1e-3 ** (0.9 / 8.7), seed=3))
+    assert counts == {"Measure1D": 0, "PotentialSpec": 0, "normalize": 0}
+    # the records come on first use, one measure per needle, still unnormalized
+    assert len(ens.needles) == 1000 and ens.needles is ens.needles
+    assert counts == {"Measure1D": 1000, "PotentialSpec": 1000, "normalize": 0}
