@@ -380,7 +380,7 @@ def cmd_example23(cfg: RunConfig) -> int:
 
     xs = np.linspace(-D + 1e-9, D - 1e-9, 101)
     lower = numerics.gaussian_cdf(-D)
-    closed_cdf = np.array([numerics.gaussian_cdf(x) - lower for x in xs]) * (1.0 + fam.delta_E)
+    closed_cdf = (numerics.gaussian_cdf(xs) - lower) * (1.0 + fam.delta_E)
     numeric_cdf = m.cdf_many(xs)
     report["cdf_max_error"] = float(np.max(np.abs(numeric_cdf - np.clip(closed_cdf, 0.0, 1.0))))
 
@@ -532,9 +532,7 @@ def _selftest_battery() -> Sequence[Tuple[str, Callable[[], Optional[str]]]]:
         return None
 
     def integrate_check() -> Optional[str]:
-        total = numerics.integrate(
-            numerics.gaussian_pdf, numerics.REAL_LINE, numerics.DEFAULT_SETTINGS
-        )
+        total = numerics.integrate(numerics.gaussian_pdf, numerics.REAL_LINE)
         if abs(total - 1.0) > 1e-12:
             return f"int phi = {total!r}"
         return None

@@ -1,25 +1,24 @@
 """Numerical kernels: Gaussian special functions, quadrature, roots.
 
-Everything downstream (measures, deficits, transport distances) funnels its
-numerics through the four operations in this module so that tolerances and
-failure behaviour are controlled in exactly one place:
+This is the one module that knows how the Gaussian functions are computed
+and where an unbounded integral is cut; every other module calls these:
 
 * ``gaussian_cdf`` / ``gaussian_sf`` / ``gaussian_quantile`` -- the standard
   normal CDF ``Phi``, its upper tail ``1 - Phi`` and the inverse of ``Phi``,
-  accurate to ~1 ulp in either tail; ``gaussian_log_mass``,
-  ``gaussian_log_cdf`` and ``gaussian_quantile_log`` are their array forms
-  in log space, which the closed-form measure kernels use.
+  accurate to ~1 ulp in either tail, on floats or arrays;
+  ``gaussian_log_mass``, ``gaussian_log_cdf`` and ``gaussian_quantile_log``
+  are their array forms in log space, which the closed-form measure kernels
+  use.  All of them are ``scipy.special`` ufuncs, and no other module of the
+  package imports scipy.
 * ``integrate`` -- one adaptive Gauss-Kronrod (G7/K15) kernel for every
   integral in the package, with array integrands and an *explicit* failure
   mode: if the estimated error exceeds the requested tolerance a
   ``QuadratureError`` is raised instead of silently returning a bad value.
+  An infinite end is cut at ``TAIL_CUTOFF``; a finite one is kept.
 * ``find_root`` -- one elementwise bracketed solver (Chandrupatla's method)
   with one loop: a bracket is a pair ``(lo, hi)`` of floats, for a single
   root, or of arrays, for one root per element; brackets are validated
   explicitly.
-
-The scalar Gaussian CDF uses the C library's ``erfc``; the array forms and
-the quantile use ``scipy.special``.
 """
 from __future__ import annotations
 
@@ -35,9 +34,8 @@ from .errors import BracketError, DomainError, QuadratureError
 __all__ = [
     "SQRT_2PI",
     "LOG_SQRT_2PI",
+    "TAIL_CUTOFF",
     "Interval",
-    "QuadratureSettings",
-    "DEFAULT_SETTINGS",
     "gaussian_pdf",
     "gaussian_cdf",
     "gaussian_sf",
@@ -51,7 +49,10 @@ __all__ = [
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+# Where integrate cuts an infinite end.  Every integrand in this package
+# decays like exp(-x^2/2) or faster around a center of mass well inside
+# [-40, 40], so the tails cut off are far below double precision.
+TAIL_CUTOFF = 40.0
 
 
 @dataclass(frozen=True)
@@ -85,65 +86,51 @@ class Interval:
 REAL_LINE = Interval(-math.inf, math.inf)
 
 
-@dataclass(frozen=True)
-class QuadratureSettings:
-    """Tolerances and truncation policy for all quadratures.
-
-    ``tail_cutoff`` truncates unbounded integration ranges to
-    ``[-tail_cutoff, tail_cutoff]``.  Every integrand in this package decays
-    like exp(-x^2/2) or faster around some center of mass well inside that
-    window, so at the default cutoff of 40 the discarded tails are far below
-    double precision.
-    """
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 200
-    tail_cutoff: float = 40.0
-
-    def __post_init__(self) -> None:
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise DomainError("tolerances must be positive")
-        if self.max_subdivisions < 10:
-            raise DomainError("max_subdivisions must be at least 10")
-        if not self.tail_cutoff >= 10.0:
-            raise DomainError("tail_cutoff below 10 would truncate real mass")
-
-
-DEFAULT_SETTINGS = QuadratureSettings()
-
-
 def gaussian_pdf(x):
     """Standard normal density exp(-x^2/2)/sqrt(2*pi), elementwise."""
     x = np.asarray(x, dtype=float)
     return np.exp(-0.5 * x * x) / SQRT_2PI
 
 
-def gaussian_cdf(x: float) -> float:
-    """Standard normal CDF ``Phi(x)``, accurate in both tails.
+def _finite(values, arg, name: str, domain: str):
+    """``values`` of a Gaussian ufunc at ``arg``: a float for a scalar
+    ``arg``, the array otherwise.  The ufuncs return NaN or +-inf exactly
+    where ``arg`` lies outside their domain, and at most 39 in magnitude
+    elsewhere, so the sum of the squared values is finite if and only if
+    every element is valid: one dot product validates an array."""
+    if isinstance(values, np.ndarray):
+        flat = values.ravel()
+        if math.isfinite(flat.dot(flat)):
+            return values
+        arg = np.asarray(arg, dtype=float)[~np.isfinite(values)][0]
+    else:
+        values = float(values)
+        if math.isfinite(values):
+            return values
+    raise DomainError(f"{name}: {float(arg)!r} outside {domain}")
 
-    Uses ``erfc`` rather than ``0.5*(1+erf(.))`` so the far negative tail is
-    computed without cancellation: Phi(-8) ~ 6.2e-16 comes out with full
-    relative precision.  Saturates to 0/1 in the extreme tails; by symmetry
-    of ``erfc``, ``Phi(x) + Phi(-x) = 1`` to machine precision.
+
+def gaussian_cdf(x):
+    """Standard normal CDF ``Phi(x)`` of a float or an array, accurate in
+    both tails, by ``scipy.special.ndtr``.
+
+    The far negative tail is computed without cancellation: Phi(-8) ~ 6.2e-16
+    comes out with full relative precision.  Saturates to 0/1 in the extreme
+    tails.  NaN anywhere raises ``DomainError``.
     """
-    x = float(x)
-    if math.isnan(x):
-        raise DomainError("gaussian_cdf: x must not be NaN")
-    return 0.5 * math.erfc(-x * _INV_SQRT2)
+    return _finite(_sci_special.ndtr(x), x, "gaussian_cdf", "the real line")
 
 
-def gaussian_sf(x: float) -> float:
-    """Standard normal upper tail ``1 - Phi(x)``, accurate in both tails.
+def gaussian_sf(x):
+    """Standard normal upper tail ``1 - Phi(x) = Phi(-x)`` of a float or an
+    array, accurate in both tails.
 
-    The mirror of :func:`gaussian_cdf`: ``0.5*erfc(x/sqrt 2)`` keeps full
-    relative precision for large positive ``x``, where ``1 - Phi(x)`` would
-    cancel to a multiple of the ulp of 1.
+    Negation is exact, so this is ``ndtr`` at ``-x``, bit for bit
+    ``gaussian_cdf(-x)``: it keeps full relative precision for large
+    positive ``x``, where ``1 - Phi(x)`` would cancel to a multiple of the
+    ulp of 1.
     """
-    x = float(x)
-    if math.isnan(x):
-        raise DomainError("gaussian_sf: x must not be NaN")
-    return 0.5 * math.erfc(x * _INV_SQRT2)
+    return _finite(_sci_special.ndtr(-x), x, "gaussian_sf", "the real line")
 
 
 def gaussian_log_mass(a, b):
@@ -180,13 +167,11 @@ def gaussian_quantile_log(log_p):
     return _sci_special.ndtri_exp(log_p)
 
 
-def gaussian_quantile(theta: float) -> float:
-    """Inverse standard normal CDF on (0, 1), by ``scipy.special.ndtri``,
-    which resolves both tails to about an ulp."""
-    theta = float(theta)
-    if math.isnan(theta) or not 0.0 < theta < 1.0:
-        raise DomainError(f"gaussian_quantile: theta={theta!r} outside (0, 1)")
-    return float(_sci_special.ndtri(theta))
+def gaussian_quantile(theta):
+    """Inverse standard normal CDF of a float or an array in (0, 1), by
+    ``scipy.special.ndtri``, which resolves both tails to about an ulp.  A
+    value outside (0, 1), or NaN, anywhere raises ``DomainError``."""
+    return _finite(_sci_special.ndtri(theta), theta, "gaussian_quantile", "(0, 1)")
 
 
 # Gauss-Kronrod 7/15 on [-1, 1] (Piessens et al., QUADPACK, 1983): the
@@ -225,33 +210,41 @@ _GAUSS_WEIGHTS[1::2] = [
 ]
 
 
+# Bisections after which integrate reports failure.
+_MAX_BISECTIONS = 200
+
+
 def integrate(
     f: Callable[[np.ndarray], np.ndarray],
     domain: Interval,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
     *,
     points: Optional[Sequence[float]] = None,
+    abs_tol: float = 1e-12,
+    rel_tol: float = 1e-10,
 ) -> float:
     """Adaptive Gauss-Kronrod (G7/K15) quadrature of ``f`` over ``domain``.
 
     ``f`` takes a 1-d array of abscissae and returns the values there; each
     pass calls it once, on the 15 Kronrod nodes of every open piece.
-    Unbounded endpoints are truncated at ``settings.tail_cutoff``; the caller
-    is responsible for integrands that actually decay inside that window
-    (every density in this package does).  The pieces start at ``points``,
-    the known non-smooth abscissae (kinks of ``|.|`` integrands); points
-    outside the effective range are dropped.  A piece is bisected while its
-    error estimate ``|K15 - G7|`` exceeds its share, by length, of
-    ``max(abs_tol, rel_tol * |value|)``.
+    An infinite end is cut at ``TAIL_CUTOFF`` (so ``-inf`` becomes -40);
+    the caller is responsible for integrands that actually decay inside that
+    window (every density in this package does).  A finite end is
+    integrated as given.  The pieces start at ``points``, the known
+    non-smooth abscissae (kinks of ``|.|`` integrands); points outside the
+    range are dropped.  A piece is bisected while its error estimate ``|K15
+    - G7|`` exceeds its share, by length, of ``max(abs_tol, rel_tol *
+    |value|)``; both tolerances must be positive.
 
-    Raises ``QuadratureError`` when more than ``settings.max_subdivisions``
-    bisections would be needed or when a value is non-finite.  Never returns
-    a silently inaccurate value.
+    Raises ``QuadratureError`` when more than 200 bisections would be needed
+    or when a value is non-finite.  Never returns a silently inaccurate
+    value.
     """
-    lo = max(domain.lo, -settings.tail_cutoff)
-    hi = min(domain.hi, settings.tail_cutoff)
+    if not (abs_tol > 0.0 and rel_tol > 0.0):
+        raise DomainError("integrate: tolerances must be positive")
+    lo = -TAIL_CUTOFF if domain.lo == -math.inf else domain.lo
+    hi = TAIL_CUTOFF if domain.hi == math.inf else domain.hi
     if lo >= hi:
-        return 0.0  # the whole domain lies beyond the truncation window
+        return 0.0  # a finite end lies beyond the cut of the infinite one
     pts = np.asarray(points if points is not None else (), dtype=float)
     edges = np.unique(np.concatenate([[lo, hi], pts[(pts > lo) & (pts < hi)]]))
     a, b = edges[:-1], edges[1:]
@@ -268,16 +261,16 @@ def integrate(
             raise QuadratureError(
                 f"quadrature over ({lo}, {hi}) failed: non-finite value {value!r}"
             )
-        tol = max(settings.abs_tol, settings.rel_tol * abs(value))
+        tol = max(abs_tol, rel_tol * abs(value))
         bad = error > tol * (b - a) / (hi - lo)
         if not np.any(bad):
             return value
         bisections += int(np.count_nonzero(bad))
-        if bisections > settings.max_subdivisions:
+        if bisections > _MAX_BISECTIONS:
             raise QuadratureError(
                 f"quadrature over ({lo}, {hi}) failed: value={value!r}, "
                 f"error estimate {float(np.sum(error)):.3e} > tol={tol:.3e} "
-                f"after {settings.max_subdivisions} bisections"
+                f"after {_MAX_BISECTIONS} bisections"
             )
         done += float(np.sum(kronrod[~bad]))
         a, b = a[bad], b[bad]

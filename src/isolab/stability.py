@@ -36,11 +36,10 @@ isoperimetric deficit; at ``theta = 1/2`` they are related by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import DomainError, InvariantViolation, QuadratureError
 from .measure1d import (
@@ -52,11 +51,10 @@ from .measure1d import (
     truncated_gaussian_potential,
 )
 from .numerics import (
-    DEFAULT_SETTINGS,
     LOG_SQRT_2PI,
     SQRT_2PI,
+    TAIL_CUTOFF,
     Interval,
-    QuadratureSettings,
     find_root,
     gaussian_cdf,
     gaussian_pdf,
@@ -92,7 +90,6 @@ _T_CLIP = 1e-12
 # deficits below this are treated as the exact equality case
 _EQUALITY_TOL = 1e-13
 
-_TRANSPORT_SETTINGS = QuadratureSettings(abs_tol=1e-10, rel_tol=1e-8)
 # Room that lp_distance leaves beyond its integrand's peak: the log-integrand
 # falls at least like -(x - peak)^2/2 there, so the mass cut off is below
 # Phi(-10) ~ 8e-24 of the total.
@@ -111,14 +108,7 @@ class DeficitReport:
     deficit: float
 
     def to_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "a_theta": self.a_theta,
-            "shift": self.shift,
-            "perimeter_at_a": self.perimeter_at_a,
-            "profile_at_theta": self.profile_at_theta,
-            "deficit": self.deficit,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -279,9 +269,8 @@ def check_gap_bounds(
     delta = float(centered.density(a_theta)) - gaussian_profile(theta)
     window = default_gap_window(centered, theta, max(delta, _EQUALITY_TOL))
     sg = float(centered.potential.right_derivative(a_theta)) - a_theta
-    cutoff = DEFAULT_SETTINGS.tail_cutoff
-    lo = max(min(window.lo, centered.quantile(_T_CLIP)), -cutoff)
-    hi = min(max(window.hi, centered.quantile(1.0 - _T_CLIP)), cutoff)
+    lo = max(min(window.lo, centered.quantile(_T_CLIP)), -TAIL_CUTOFF)
+    hi = min(max(window.hi, centered.quantile(1.0 - _T_CLIP)), TAIL_CUTOFF)
 
     # on cell i, g is the line slope[i]*x + icpt[i]: psi - psi_g is
     # beta_i*x + beta_i^2/2 - log_amp_i there
@@ -358,19 +347,19 @@ def lp_distance(m: Measure1D, p: float) -> float:
     # Where g >> 0 the log-integrand is p*g - psi_g up to a term of size
     # p*e^{-g}, and g is linear on each cell, so its peak is near the vertex
     # -p*beta of the cell, clipped to it: scale by the largest vertex value
-    # when that exceeds 0, and widen the window to hold that vertex.
-    pot, cutoff = m.potential, DEFAULT_SETTINGS.tail_cutoff
+    # when that exceeds 0, and integrate over the domain cut to a window
+    # that holds that vertex and the tail cutoff.
+    pot = m.potential
     vertices = np.clip(-p * pot.slopes, pot.edges[:-1], pot.edges[1:])
     values = log_integrand(vertices)
     peak = int(np.argmax(values))
     shift = max(0.0, float(values[peak]))
-    settings = DEFAULT_SETTINGS
-    if math.isfinite(values[peak]) and abs(vertices[peak]) + _PEAK_MARGIN > cutoff:
-        settings = replace(settings, tail_cutoff=abs(float(vertices[peak])) + _PEAK_MARGIN)
+    reach = TAIL_CUTOFF
+    if math.isfinite(values[peak]):
+        reach = max(reach, abs(float(vertices[peak])) + _PEAK_MARGIN)
     inside = integrate(
         lambda x: np.exp(log_integrand(x) - shift),
-        m.domain,
-        settings,
+        Interval(-reach, reach).intersect(m.domain),
         points=(*pot.knots(), *_ratio_crossings(m)),
     )
     outside = (gaussian_cdf(m.domain.lo) + gaussian_sf(m.domain.hi)) * math.exp(-shift)
@@ -430,10 +419,11 @@ def _quantile_coupling(m: Measure1D, power: int) -> float:
     # The map s -> F_m^{-1}(Phi(s)) has derivative jumps at the images of the
     # potential's kinks; hand those to the quadrature as interior breakpoints.
     t = m.cdf_many(np.array(m.potential.knots()))
-    kink_images = ndtri(t[(t > _T_CLIP) & (t < 1.0 - _T_CLIP)])
+    kink_images = gaussian_quantile(t[(t > _T_CLIP) & (t < 1.0 - _T_CLIP)])
 
     try:
-        value = integrate(integrand, Interval(s_lo, s_hi), _TRANSPORT_SETTINGS, points=kink_images)
+        value = integrate(integrand, Interval(s_lo, s_hi), points=kink_images,
+                          abs_tol=1e-10, rel_tol=1e-8)
     except QuadratureError as exc:
         raise QuadratureError(
             f"quantile-coupling integral failed near the endpoints: {exc}"
@@ -455,8 +445,8 @@ def _transport_map(m: Measure1D, s: np.ndarray) -> np.ndarray:
     ``isf``, so the upper tail keeps the precision of the lower one."""
     out = np.empty_like(s)
     lower = s <= 0.0
-    out[lower] = m.quantile(np.clip(ndtr(s[lower]), _T_CLIP, 0.5))
-    out[~lower] = m.isf(np.clip(ndtr(-s[~lower]), _T_CLIP, 0.5))
+    out[lower] = m.quantile(np.clip(gaussian_cdf(s[lower]), _T_CLIP, 0.5))
+    out[~lower] = m.isf(np.clip(gaussian_sf(s[~lower]), _T_CLIP, 0.5))
     return out
 
 
@@ -551,8 +541,8 @@ def truncated_deficit(D, theta: float):
     theta-quantile ``r`` solves ``Phi(r) = theta * gamma(I) + Phi(-D)`` and
     the (centering-invariant) deficit is ``phi(r)/gamma(I) - profile``.
     """
-    gamma_I = ndtr(D) - ndtr(-D)
-    r = ndtri(theta * gamma_I + ndtr(-D))
+    gamma_I = gaussian_cdf(D) - gaussian_sf(D)
+    r = gaussian_quantile(theta * gamma_I + gaussian_sf(D))
     return gaussian_pdf(r) / gamma_I - gaussian_profile(theta)
 
 

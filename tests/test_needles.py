@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import isolab
@@ -225,6 +225,10 @@ def test_shifted_gaussian_l1_frozen_values():
 
 @given(s=st.floats(min_value=-3.0, max_value=3.0))
 @settings(max_examples=30, deadline=None)
+# shifts whose quadrature range reaches beyond the tail cutoff of 40
+@example(s=35.0)
+@example(s=-45.0)
+@example(s=80.0)
 def test_shifted_gaussian_l1_closed_form_and_bound(s):
     got = shifted_gaussian_l1(s)
     closed = 4.0 * gaussian_cdf(abs(s) / 2.0) - 2.0
@@ -356,6 +360,16 @@ def test_classify_validation():
         classify_centered(ens, 1e-3, c_threshold=0.0)
 
 
+def test_far_translated_needle_is_integrated_beyond_the_tail_cutoff():
+    # half the mass sits around x = 45, past the tail cutoff of 40: the
+    # mixture integrals run over the needles' own finite range
+    ens = NeedleEnsemble([0.5, 0.5], [-INF, -INF], [INF, INF], [0.0, -45.0], 0.5, 0.1)
+    rep = disintegration_check(ens, np.ones_like)
+    assert rep.lhs == pytest.approx(1.0, abs=1e-9)
+    assert rep.rhs == pytest.approx(1.0, abs=1e-9)
+    assert aggregate_l1(ens).mixture_l1 == pytest.approx(1.0, abs=1e-8)
+
+
 # -- the decomposition experiment ---------------------------------------------
 
 
@@ -440,13 +454,13 @@ def test_generator_hits_deficit_scale():
 
 def test_ensemble_config_round_trip_and_validation():
     cfg = EnsembleConfig(needle_count=12, theta=0.4, epsilon=0.2, deficit_scale=1e-3, seed=3)
-    assert EnsembleConfig.from_dict(cfg.to_dict()) == cfg
+    assert EnsembleConfig(**cfg.to_dict()) == cfg
     with pytest.raises(ConfigError):
         EnsembleConfig(needle_count=0)
     with pytest.raises(ConfigError):
         EnsembleConfig(needle_count=5, bad_fraction=1.5)
-    with pytest.raises((ConfigError, TypeError)):
-        EnsembleConfig.from_dict({"needle_count": 5, "stray_key": 1})
+    with pytest.raises(TypeError):
+        EnsembleConfig(needle_count=5, stray_key=1)
 
 
 # -- work that does not grow with the needle count ----------------------------

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -13,12 +14,10 @@ from scipy.special import ndtri
 import oracle_constants as oc
 from oracle_erf import gaussian_cdf_decimal, gaussian_cdf_oracle
 from isolab import (
-    DEFAULT_SETTINGS,
     BracketError,
     DomainError,
     Interval,
     QuadratureError,
-    QuadratureSettings,
     REAL_LINE,
     find_root,
     gaussian_cdf,
@@ -33,9 +32,11 @@ import isolab
 # -- the Gaussian cdf against the independent decimal oracle ------------------
 
 
-@pytest.mark.parametrize(
-    "x", [-6.0, -3.0, -1.0, -0.5, -0.1, 0.0, 0.25, 1.0, 2.0, 4.5, 6.0]
-)
+ORACLE_POINTS = [-6.0, -3.0, -1.0, -0.5, -0.1, 0.0, 0.25, 1.0, 2.0, 4.5, 6.0]
+NDTRI_THETAS = [1 - 1e-12, 1 - 1e-10, 1e-12, 0.97]
+
+
+@pytest.mark.parametrize("x", ORACLE_POINTS)
 def test_cdf_matches_decimal_oracle(x):
     want = gaussian_cdf_oracle(x)
     assert gaussian_cdf(x) == pytest.approx(want, abs=1e-16, rel=1e-13)
@@ -94,7 +95,7 @@ def test_quantile_inverts_cdf(theta):
     assert gaussian_cdf(gaussian_quantile(theta)) == pytest.approx(theta, rel=1e-11, abs=1e-13)
 
 
-@pytest.mark.parametrize("theta", [1 - 1e-12, 1 - 1e-10, 1e-12, 0.97])
+@pytest.mark.parametrize("theta", NDTRI_THETAS)
 def test_quantile_equals_ndtri_in_both_tails(theta):
     assert gaussian_quantile(theta) == ndtri(theta)
 
@@ -103,6 +104,60 @@ def test_quantile_rejects_degenerate():
     for bad in (0.0, 1.0, -0.2, 1.3, math.nan):
         with pytest.raises(DomainError):
             gaussian_quantile(bad)
+
+
+# -- one path per Gaussian function --------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "fn, points",
+    [
+        (gaussian_cdf, ORACLE_POINTS + [-30.0, 30.0]),
+        (gaussian_sf, ORACLE_POINTS + [-30.0, 30.0]),
+        (gaussian_quantile, NDTRI_THETAS),
+    ],
+    ids=["cdf", "sf", "quantile"],
+)
+def test_float_and_array_calls_agree_bit_for_bit(fn, points):
+    values = fn(np.array(points))
+    assert isinstance(values, np.ndarray) and values.shape == (len(points),)
+    for x, v in zip(points, values):
+        got = fn(x)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == v.tobytes()
+    assert type(fn(np.float64(points[0]))) is float
+
+
+@pytest.mark.parametrize("x", ORACLE_POINTS + [-30.0, 30.0, -math.inf, math.inf])
+def test_sf_is_cdf_at_minus_x(x):
+    assert gaussian_sf(x) == gaussian_cdf(-x)
+
+
+def test_array_calls_reject_invalid_elements():
+    with pytest.raises(DomainError):
+        gaussian_cdf(np.array([0.0, math.nan, 1.0]))
+    with pytest.raises(DomainError):
+        gaussian_sf(np.array([[0.0], [math.nan]]))
+    for bad in (0.0, 1.0, math.nan, 1.5):
+        with pytest.raises(DomainError):
+            gaussian_quantile(np.array([0.3, bad, 0.7]))
+    assert gaussian_quantile(np.array([])).shape == (0,)
+
+
+def test_only_numerics_imports_scipy():
+    # how Phi and Phi^{-1} are computed is decided in one module
+    importers = set()
+    for path in Path(isolab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n == "scipy" or n.startswith("scipy.") for n in names):
+                importers.add(path.name)
+    assert importers == {"numerics.py"}
 
 
 # -- integrate ----------------------------------------------------------------
@@ -140,20 +195,20 @@ def test_integrate_kink_by_bisection():
 
 
 def test_integrate_empty_after_truncation():
-    # the whole domain lies beyond the default tail cutoff of 40
-    assert integrate(gaussian_pdf, Interval(41.0, 50.0)) == 0.0
+    # the infinite end is cut at the tail cutoff of 40, below the finite one
+    assert integrate(gaussian_pdf, Interval(41.0, math.inf)) == 0.0
+
+
+def test_integrate_keeps_finite_ends():
+    # a finite range beyond the tail cutoff is integrated as given
+    value = integrate(lambda x: gaussian_pdf(x - 45.0), Interval(35.0, 55.0))
+    assert value == pytest.approx(1.0 - 2.0 * gaussian_cdf(-10.0), abs=1e-12)
 
 
 def test_integrate_reports_failure():
     # oscillation far beyond what 200 subdivisions can resolve
     with pytest.raises(QuadratureError):
         integrate(lambda x: np.cos(1e5 * x), Interval(0.0, 1.0))
-    with pytest.raises(QuadratureError):
-        integrate(
-            lambda x: np.cos(1e5 * x),
-            Interval(0.0, 1.0),
-            QuadratureSettings(max_subdivisions=10),
-        )
 
 
 def test_import_leaves_out_scipy_integrate():
@@ -175,9 +230,9 @@ def test_import_leaves_out_scipy_integrate():
 
 def test_settings_validation():
     with pytest.raises(DomainError):
-        QuadratureSettings(abs_tol=-1.0)
+        integrate(gaussian_pdf, REAL_LINE, abs_tol=-1.0)
     with pytest.raises(DomainError):
-        QuadratureSettings(tail_cutoff=5.0)
+        integrate(gaussian_pdf, REAL_LINE, rel_tol=0.0)
     with pytest.raises(DomainError):
         Interval(2.0, 1.0)
 

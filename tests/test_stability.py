@@ -9,7 +9,7 @@ import oracle_constants as oc
 from oracle_entropy import relative_entropy_quadrature
 from oracle_erf import lp_translated_gaussian_decimal
 from oracle_ot import discrete_w2_oracle
-from isolab.numerics import DEFAULT_SETTINGS
+from isolab.numerics import TAIL_CUTOFF
 from isolab.stability import _transport_map, solve_truncation_for_deficit
 from isolab import (
     DomainError,
@@ -287,9 +287,9 @@ def test_gap_constants_are_extrema_over_range_ends_and_edges():
     m = normalize(perturbed_gaussian_potential((0.0, 0.001), (-0.5, 0.0, 0.5)))
     rep = check_gap_bounds(m, 0.5)
     centered, _ = center(m, 0.5)
-    a_theta, cutoff = gaussian_quantile(0.5), DEFAULT_SETTINGS.tail_cutoff
-    lo = max(min(rep.window.lo, centered.quantile(1e-12)), -cutoff)
-    hi = min(max(rep.window.hi, centered.quantile(1.0 - 1e-12)), cutoff)
+    a_theta = gaussian_quantile(0.5)
+    lo = max(min(rep.window.lo, centered.quantile(1e-12)), -TAIL_CUTOFF)
+    hi = min(max(rep.window.hi, centered.quantile(1.0 - 1e-12)), TAIL_CUTOFF)
 
     def brute_gap(lo, hi):
         edges = centered.potential.edges
