@@ -31,8 +31,9 @@ and reads ``log_amp`` and the quantiles off them, so each step above is an
 array operation, not a loop over needles:
 
 * ``mixture_density`` sums the needles that share a ``beta`` with one sorted
-  cumulative sum and two ``searchsorted`` calls, and the others directly in
-  bounded blocks;
+  cumulative sum and two ``searchsorted`` calls, by one Hermite expansion
+  per cluster of full-line translates (the one-centre fast Gauss transform
+  of Greengard and Strain), and directly in bounded blocks for the rest;
 * the needle L^1 distances are closed forms on the cells, the perimeters
   and quantile deviations are array expressions;
 * ``disintegration_check``'s needlewise side is one batched quadrature over
@@ -205,12 +206,20 @@ class NeedleEnsemble:
         return rate_exponent(self.epsilon)
 
     @cached_property
-    def _mixture_terms(self) -> Tuple[list, Tuple[np.ndarray, ...]]:
+    def _mixture_terms(self) -> Tuple[list, list, Tuple[np.ndarray, ...]]:
         """The mixture's terms, ``c_q * phi(x + beta_q)`` on ``(lo_q, hi_q)``
-        with ``c_q = w_q * exp(log_amp_q)``.  Needles that share their
-        ``beta`` form one group ``(beta, lo sorted, cumsum of c by lo, hi
-        sorted, cumsum of c by hi)``; the others are kept as the arrays
-        ``(beta, lo, hi, c / sqrt(2*pi))``."""
+        with ``c_q = w_q * exp(log_amp_q)``, in three kinds:
+
+        * needles that share their ``beta`` form one group ``(beta, lo
+          sorted, cumsum of c by lo, hi sorted, cumsum of c by hi)``;
+        * the other full-line needles (``lo = -inf``, ``hi = inf``) are sorted
+          into clusters, each every ``beta`` within ``_CLUSTER_WIDTH`` of its
+          smallest member.  A cluster of more needles than its expansion has
+          terms is one Hermite expansion ``(centre, A)`` about the midpoint
+          ``centre`` of its extremes: ``A_n = sum_q (c_q / sqrt(2*pi))
+          (-t_q)^n / n!`` with ``t_q = beta_q - centre``, n < ``_HERMITE_TERMS``;
+        * the rest are kept as the arrays ``(beta, lo, hi, c / sqrt(2*pi))``.
+        """
         coef = self.weights * np.exp(self.log_amp)
         slopes, group, count = np.unique(self.beta, return_inverse=True, return_counts=True)
         groups = []
@@ -224,8 +233,22 @@ class NeedleEnsemble:
                 self.hi[members][by_hi], np.concatenate([[0.0], np.cumsum(c[by_hi])]),
             ))
         alone = count[group] == 1
+        translates = np.nonzero(alone & (self.lo == -math.inf) & (self.hi == math.inf))[0]
+        translates = translates[np.argsort(self.beta[translates])]
+        beta = self.beta[translates]
+        expansions = []
+        start = 0
+        while start < beta.size:
+            stop = int(np.searchsorted(beta, beta[start] + _CLUSTER_WIDTH, side="right"))
+            if stop - start > _HERMITE_TERMS:
+                centre = 0.5 * (beta[start] + beta[stop - 1])
+                members = translates[start:stop]
+                expansions.append((centre, _hermite_coefficients(
+                    self.beta[members] - centre, coef[members] / SQRT_2PI)))
+                alone[members] = False
+            start = stop
         singles = (self.beta[alone], self.lo[alone], self.hi[alone], coef[alone] / SQRT_2PI)
-        return groups, singles
+        return groups, expansions, singles
 
 
 @dataclass(frozen=True)
@@ -275,6 +298,47 @@ class Theorem31Report:
 # block's temporaries stay near half a megabyte each.
 _BLOCK = 1 << 16
 
+# A cluster of translates spans at most this range of beta, so every
+# |t_q| = |beta_q - centre| <= 0.75.
+_CLUSTER_WIDTH = 1.5
+# Terms n = 0..25 of a cluster's Hermite expansion.  By Cramer's inequality
+# |He_n(y)| exp(-y^2/4) <= 1.0865 sqrt(n!), term n is at most 1.0865 *
+# 0.75^n / sqrt(n!) * sum_q c_q at every x: 2.1e-16 at n = 25, and the
+# terms dropped from n = 26 on sum to 3.6e-17 * sum_q c_q.  A cluster is
+# expanded only when it holds more needles than this: the expansion costs
+# one Clenshaw step per term and point, the direct sum one exponential per
+# needle and point.
+_HERMITE_TERMS = 26
+# exp(-y^2/2) is exactly 0 beyond |y| = 38.6; clipping y there keeps the
+# Hermite polynomial finite, so the product is 0 and never inf * 0.
+_HERMITE_CLIP = 40.0
+
+
+def _hermite_coefficients(t: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``A_n = sum_q c_q (-t_q)^n / n!`` for n < ``_HERMITE_TERMS``, so that
+    ``sum_q c_q exp(-(y + t_q)^2 / 2) = exp(-y^2/2) sum_n A_n He_n(y)`` (the
+    generating function of the probabilists' Hermite polynomials)."""
+    coefs = np.empty(_HERMITE_TERMS)
+    power = c.copy()
+    for n in range(_HERMITE_TERMS):
+        coefs[n] = power.sum()
+        power *= -t / (n + 1)
+    return coefs
+
+
+def _hermite_sum(coefs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``sum_n coefs[n] He_n(y)`` by Clenshaw's recurrence ``b_k = A_k +
+    y b_{k+1} - (k+1) b_{k+2}``, in place on three buffers; the sum is
+    ``b_0``."""
+    b1, b2, yb = np.zeros_like(y), np.zeros_like(y), np.empty_like(y)
+    for k in range(coefs.size - 1, -1, -1):
+        np.multiply(y, b1, out=yb)
+        b2 *= -(k + 1)
+        b2 += yb
+        b2 += coefs[k]
+        b1, b2 = b2, b1
+    return b1
+
 
 def mixture_density(ens: NeedleEnsemble, x) -> float | np.ndarray:
     """``rho(x) = sum_q w_q exp(-sigma_q(x))`` (0 off every needle).
@@ -282,17 +346,23 @@ def mixture_density(ens: NeedleEnsemble, x) -> float | np.ndarray:
     A group of needles with one ``beta`` contributes ``phi(x + beta)`` times
     the sum of ``c_q`` over the needles with ``lo_q < x < hi_q``: the ``c``
     summed over ``lo_q < x`` less that over ``hi_q <= x``, two
-    ``searchsorted`` calls on the sorted ends.  The other needles are summed
-    directly, in blocks of at most ``_BLOCK`` needle-point pairs.
+    ``searchsorted`` calls on the sorted ends.  A cluster of full-line
+    translates contributes ``exp(-y^2/2) sum_n A_n He_n(y)`` with ``y = x +
+    centre``: one Hermite expansion per cluster, whatever its size.  The
+    other needles are summed directly, in blocks of at most ``_BLOCK``
+    needle-point pairs.
     """
     arr = np.asarray(x, dtype=float)
     flat = arr.ravel()
     acc = np.zeros_like(flat)
-    groups, (beta, lo, hi, coef) = ens._mixture_terms
+    groups, expansions, (beta, lo, hi, coef) = ens._mixture_terms
     for b, lo_sorted, below_lo, hi_sorted, below_hi in groups:
         inside = (below_lo[np.searchsorted(lo_sorted, flat, side="left")]
                   - below_hi[np.searchsorted(hi_sorted, flat, side="right")])
         acc += inside * gaussian_pdf(flat + b)
+    for centre, coefs in expansions:
+        y = np.clip(flat + centre, -_HERMITE_CLIP, _HERMITE_CLIP)
+        acc += np.exp(-0.5 * y * y) * _hermite_sum(coefs, y)
     if beta.size:
         step = max(1, _BLOCK // beta.size)
         for k in range(0, flat.size, step):
@@ -321,10 +391,17 @@ def _supports(ens: NeedleEnsemble) -> Tuple[np.ndarray, np.ndarray]:
 
 def _integration_range(ens: NeedleEnsemble) -> Tuple[Interval, np.ndarray]:
     """Range covering all needle effective supports plus the Gaussian bulk,
-    and the interior breakpoints (finite needle endpoints)."""
+    and the interior breakpoints: the finite needle endpoints and the ends
+    of the union of the supports.  The latter start a piece at every
+    component of the union, so no piece spans the empty stretch between two
+    far-apart bumps, where a Kronrod pass could land no node on either."""
     lo, hi = _supports(ens)
-    ends = np.concatenate([ens.lo, ens.hi])
-    span = Interval(min(-9.0, float(np.min(lo))), max(9.0, float(np.max(hi))))
+    order = np.argsort(lo)
+    lo, reach = lo[order], np.maximum.accumulate(hi[order])
+    # a component of the union starts where lo passes every earlier hi
+    gap = lo[1:] > reach[:-1]
+    ends = np.concatenate([ens.lo, ens.hi, lo[:1], lo[1:][gap], reach[:-1][gap], reach[-1:]])
+    span = Interval(min(-9.0, float(lo[0])), max(9.0, float(reach[-1])))
     return span, ends[np.isfinite(ends)]
 
 

@@ -155,19 +155,47 @@ def _generated(**config):
     return ens, generated_measures(ens)
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda: _generated(needle_count=60, deficit_scale=1e-3, bad_fraction=0.3, seed=5),
-        lambda: _generated(needle_count=300, deficit_scale=1e-5, bad_fraction=0.05, seed=2),
-        lambda: (gaussian_pair(0.5), [GAUSSIAN.translate(-0.5), GAUSSIAN.translate(0.5)]),
-        lambda: (shared_slope_ensemble(), SHARED_SLOPE_MEASURES),
-    ],
-    ids=["generated-60", "generated-300", "gaussian-pair", "shared-slopes"],
-)
+def _translates(*clusters, extra=()):
+    """Full-line translates of the Gaussian, one per slope in ``clusters``
+    (arrays of beta), plus the one-cell measures ``extra``, with seeded
+    weights."""
+    measures = [GAUSSIAN.translate(-float(b)) for c in clusters for b in c] + list(extra)
+    weights = np.random.default_rng(len(measures)).uniform(0.5, 1.5, len(measures))
+    weights /= weights.sum()
+    return ensemble(weights, measures), measures
+
+
+# Each maker gives an ensemble, the measures its needles were built from, and
+# the number of its clusters of translates that mixture_density expands.
+ORACLE_ENSEMBLES = {
+    "generated-60": lambda: (*_generated(
+        needle_count=60, deficit_scale=1e-3, bad_fraction=0.3, seed=5), 0),
+    "generated-300": lambda: (*_generated(
+        needle_count=300, deficit_scale=1e-5, bad_fraction=0.05, seed=2), 1),
+    # 200 translates by 6 * U[1, 1.25] and 800 truncations
+    "generated-1000": lambda: (*_generated(
+        needle_count=1000, deficit_scale=1e-3, bad_fraction=1e-3 ** (0.9 / 8.7), seed=3), 1),
+    "gaussian-pair": lambda: (
+        gaussian_pair(0.5), [GAUSSIAN.translate(-0.5), GAUSSIAN.translate(0.5)], 0),
+    "shared-slopes": lambda: (shared_slope_ensemble(), SHARED_SLOPE_MEASURES, 0),
+    # one cluster exactly 1.5 wide (-3 + 1.5 is exact), one 1.0 wide
+    "two-clusters": lambda: (*_translates(np.linspace(-3.0, -1.5, 40),
+                                          np.linspace(1.0, 2.0, 30)), 2),
+    # a cluster is expanded only when it holds more needles than the
+    # expansion has terms, 26
+    "cluster-of-26": lambda: (*_translates(np.linspace(-0.5, 0.9, 26)), 0),
+    "cluster-of-27": lambda: (*_translates(np.linspace(-0.5, 0.9, 27)), 1),
+    # a windowed translate inside a cluster's range stays on the direct path
+    "windowed-translate": lambda: (*_translates(np.linspace(-1.0, 0.2, 30), extra=[
+        normalize(truncated_gaussian_potential(lo=-2.0, hi=2.5)).translate(0.55)]), 1),
+}
+
+
+@pytest.mark.parametrize("make", ORACLE_ENSEMBLES.values(), ids=ORACLE_ENSEMBLES.keys())
 def test_mixture_density_matches_needle_by_needle_sum(make):
     # the oracle sums the measures that the needles were built from
-    ens, measures = make()
+    ens, measures, expanded = make()
+    assert len(ens._mixture_terms[1]) == expanded
     ends = np.concatenate([ens.lo, ens.hi])
     ends = ends[np.isfinite(ends)]
     xs = np.concatenate([np.linspace(-12.0, 16.0, 4001), ends, np.nextafter(ends, math.inf)])
@@ -176,6 +204,37 @@ def test_mixture_density_matches_needle_by_needle_sum(make):
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
     # the density is 0 at every needle endpoint, as Measure1D.density is
     assert mixture_density(ens, float(xs[100])) == pytest.approx(got[100], abs=1e-15)
+    # far out it is exactly 0, with no floating-point warning; NaN stays NaN
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
+        warnings.simplefilter("error")
+        far = mixture_density(ens, np.array([1e3, -1e3, math.inf, -math.inf, math.nan]))
+    assert far[:4].tolist() == [0.0, 0.0, 0.0, 0.0] and math.isnan(far[4])
+
+
+def test_hermite_tail_bound():
+    # Cramer's inequality |He_n(y)| exp(-y^2/4) <= 1.0865 sqrt(n!) bounds the
+    # last kept term, at |t| <= 0.75, by this multiple of sum_q c_q
+    n = isolab.needles._HERMITE_TERMS - 1
+    t = isolab.needles._CLUSTER_WIDTH / 2.0
+    assert (n, t) == (25, 0.75)
+    assert 1.0865 * t**n / math.sqrt(math.factorial(n)) <= 2.5e-16
+
+
+def test_truncated_hermite_series_is_caught(monkeypatch):
+    # with 12 terms the expansion drops modes the oracle and the needlewise
+    # side of the disintegration check both see; the mass cannot show it,
+    # since every He_n with n >= 1 integrates to 0 against phi, so the check
+    # uses cos(3.5 y), whose transform weights mode n by 3.5^n e^{-3.5^2/2}
+    monkeypatch.setattr(isolab.needles, "_HERMITE_TERMS", 12)
+    ens, measures, _ = ORACLE_ENSEMBLES["generated-1000"]()
+    assert len(ens._mixture_terms[1]) == 1
+    xs = np.linspace(-12.0, 16.0, 4001)
+    err = np.abs(mixture_density(ens, xs) - mixture_density_oracle(ens.weights, measures, xs))
+    assert np.max(err) > 1e-14
+    full = np.isinf(ens.lo)
+    centre = 0.5 * (ens.beta[full].min() + ens.beta[full].max())
+    rep = disintegration_check(ens, lambda x: np.cos(3.5 * (x + centre)))
+    assert abs(rep.lhs - rep.rhs) > 1e-9
 
 
 def test_generated_quantiles_match_measure_quantiles():
@@ -360,6 +419,15 @@ def test_classify_validation():
         classify_centered(ens, 1e-3, c_threshold=0.0)
 
 
+@pytest.mark.parametrize("s", range(50, 2001, 50))
+def test_far_apart_bumps_are_both_integrated(s):
+    # the pieces start at the ends of the union of the needles' supports, so
+    # no Kronrod pass can step over a bump on a long empty stretch
+    ens = NeedleEnsemble([0.5, 0.5], [-INF, -INF], [INF, INF], [0.0, -float(s)], 0.5, 0.1)
+    assert aggregate_l1(ens).mixture_l1 == pytest.approx(1.0, abs=1e-8)
+    assert disintegration_check(ens, np.ones_like).lhs == pytest.approx(1.0, abs=1e-8)
+
+
 def test_far_translated_needle_is_integrated_beyond_the_tail_cutoff():
     # half the mass sits around x = 45, past the tail cutoff of 40: the
     # mixture integrals run over the needles' own finite range
@@ -493,6 +561,17 @@ def test_needle_experiment_makes_the_same_calls_at_any_needle_count(monkeypatch)
         seen.append(dict(counts))
     assert seen[0] == seen[1]
     assert seen[0]["integrate"] <= 3 and seen[0]["find_root"] <= 2
+
+
+def test_needle_experiment_at_ten_thousand_needles():
+    # 2000 translates in one cluster: one Hermite expansion, not 2000 terms
+    ens = generate_ensemble(EnsembleConfig(
+        needle_count=10_000, deficit_scale=1e-3, bad_fraction=1e-3 ** (0.9 / 8.7), seed=3))
+    rep = disintegration_check(ens, np.ones_like)
+    assert rep.lhs == pytest.approx(1.0, abs=1e-9)
+    assert rep.rhs == pytest.approx(1.0, abs=1e-9)
+    result = theorem31_experiment(ens, 1e-3)
+    assert result.mixture_l1 <= result.needlewise_sum + 1e-8
 
 
 # -- the per-needle records, made on demand -----------------------------------
