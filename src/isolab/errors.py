@@ -34,10 +34,6 @@ class ConfigError(IsolabError, ValueError):
     """A run configuration is malformed or contains unknown keys."""
 
 
-class FitError(IsolabError):
-    """A regression has too few usable points to be meaningful."""
-
-
 class InvariantViolation(IsolabError):
     """A mathematically guaranteed invariant failed numerically.
 

@@ -137,11 +137,11 @@ class PotentialSpec:
     def right_derivative(self, x: ArrayLike) -> ArrayLike:
         return _vec(lambda a: a + self.slopes[_cell(self.edges, a)], x)
 
-    def _log_masses(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Per cell, the logs of ``int exp(-psi_hat)`` over the whole line,
-        ``sqrt(2*pi) * exp(beta^2/2 - gamma)``, and over the cell."""
+    def _log_masses(self) -> np.ndarray:
+        """Per cell, the log of ``int exp(-psi_hat)`` over the cell, where
+        ``exp(-psi_hat) = sqrt(2*pi) * exp(beta^2/2 - gamma) * phi(x + beta)``."""
         log_weight = LOG_SQRT_2PI + 0.5 * self.slopes**2 - self.offsets
-        return log_weight, cell_log_masses(self.edges, self.slopes, log_weight)
+        return cell_log_masses(self.edges, self.slopes, log_weight)
 
 
 def cell_log_masses(edges, beta, log_amp):
@@ -378,7 +378,7 @@ class Measure1D:
         that the right end comes first; upper tails are then lower tails of
         the mirror, with the same precision."""
         pot, log_amp = self.potential, self.log_amp
-        mass = np.exp(pot._log_masses()[1] - self.log_normalizer)
+        mass = np.exp(pot._log_masses() - self.log_normalizer)
         left = _Side(pot.edges, pot.slopes, log_amp, np.concatenate([[0.0], np.cumsum(mass)]))
         right = _Side(-pot.edges[::-1], -pot.slopes[::-1], log_amp[::-1],
                       np.concatenate([[0.0], np.cumsum(mass[::-1])]))
@@ -510,7 +510,7 @@ def normalize(spec: PotentialSpec) -> Measure1D:
     ``log Z`` is the log-sum of the closed-form cell masses.  Raises
     ``NonIntegrableError`` when the mass is not a positive finite number.
     """
-    log_z = float(np.logaddexp.reduce(spec._log_masses()[1]))
+    log_z = float(np.logaddexp.reduce(spec._log_masses()))
     if not math.isfinite(log_z):
         raise NonIntegrableError(f"normalization mass is exp({log_z!r})")
     return Measure1D(potential=spec, log_normalizer=log_z)
@@ -597,7 +597,7 @@ def boundary_set(m: Measure1D, pieces: Sequence[Interval]) -> BoundarySet:
     """
     clipped = []
     for p in pieces:
-        q = p.intersect(m.domain) if isinstance(p, Interval) else Interval(*p).intersect(m.domain)
+        q = p.intersect(m.domain)
         if q is None:
             raise DomainError(f"piece {p} does not intersect the domain {m.domain}")
         clipped.append(q)

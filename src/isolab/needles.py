@@ -27,15 +27,16 @@ estimates that turns per-needle isoperimetric deficits into an L^1 bound on
 Every needle is one Gaussian cell, ``exp(log_amp_q) * phi(x + beta_q)`` on
 ``(lo_q, hi_q)``: a Gaussian, a truncation of one, or a translate.
 :class:`NeedleEnsemble` is built from the arrays ``weights, lo, hi, beta``
-and reads ``log_amp`` and the quantiles off them, so each step above is an
-array operation, not a loop over needles:
+and reads ``log_amp``, the quantiles and the half-line perimeters off them,
+so each step above is an array operation, not a loop over needles:
 
 * ``mixture_density`` sums the needles that share a ``beta`` with one sorted
   cumulative sum and two ``searchsorted`` calls, by one Hermite expansion
   per cluster of full-line translates (the one-centre fast Gauss transform
   of Greengard and Strain), and directly in bounded blocks for the rest;
-* the needle L^1 distances are closed forms on the cells, the perimeters
-  and quantile deviations are array expressions;
+* the needle L^1 distances are closed forms on the cells, and the
+  classifications compare the stored perimeters and quantiles with their
+  thresholds;
 * ``disintegration_check``'s needlewise side is one batched quadrature over
   every needle's own support, and the crossings of ``rho`` and ``phi`` are
   refined by one elementwise root solve.
@@ -124,11 +125,13 @@ def _one_cell(measure: Measure1D) -> Tuple[float, float, float, float]:
     return measure.domain.lo, measure.domain.hi, float(pot.slopes[0]), float(measure.log_amp[0])
 
 
-def _quantiles(lo, hi, beta, log_amp, theta: float) -> Tuple[np.ndarray, np.ndarray]:
-    """The ``theta``- and ``(1 - theta)``-quantiles of one-cell needles,
-    given as arrays of one entry per needle."""
+def _quantiles(lo, hi, beta, log_amp, theta: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``theta``-quantiles ``r_minus`` of one-cell needles, given as
+    arrays of one entry per needle, the densities there (the perimeters of
+    the ``theta`` half-lines), and the ``(1 - theta)``-quantiles ``r_plus``."""
     cells = (np.stack([lo, hi], axis=-1), np.expand_dims(beta, -1), np.expand_dims(log_amp, -1))
-    return profile_point(*cells, theta)[0], profile_point(*cells, 1.0 - theta)[0]
+    r_minus, perimeter = profile_point(*cells, theta)
+    return r_minus, perimeter, profile_point(*cells, 1.0 - theta)[0]
 
 
 def make_needle(weight: float, measure: Measure1D, theta: float) -> Needle:
@@ -137,7 +140,7 @@ def make_needle(weight: float, measure: Measure1D, theta: float) -> Needle:
     weight = float(weight)
     if not (weight >= 0.0 and math.isfinite(weight)):
         raise DomainError(f"needle weight {weight!r} must be finite and >= 0")
-    r_minus, r_plus = map(float, _quantiles(*_one_cell(measure), theta))
+    r_minus, _, r_plus = map(float, _quantiles(*_one_cell(measure), theta))
     if abs(measure.cdf(r_minus) - theta) > 1e-10:
         raise InvariantViolation("needle quantile drifted beyond 1e-10")
     return Needle(weight=weight, measure=measure, r_minus=r_minus, r_plus=r_plus)
@@ -151,8 +154,9 @@ class NeedleEnsemble:
     Needle ``q`` is one Gaussian cell, ``exp(log_amp_q) * phi(x + beta_q)``
     on ``(lo_q, hi_q)``, with weight ``weights[q]``.  The ensemble is built
     from those arrays, one entry per needle, and derives the normalizing
-    ``log_amp`` and the quantiles ``r_minus``, ``r_plus`` from them, so that
-    every aggregate below is an array operation.  All seven arrays are
+    ``log_amp``, the quantiles ``r_minus``, ``r_plus`` and the half-line
+    perimeter ``perimeter`` (the density at ``r_minus``) from them, so that
+    every aggregate below is an array operation.  All eight arrays are
     read-only.  :attr:`needles` makes the per-needle records on first use.
     """
 
@@ -165,6 +169,7 @@ class NeedleEnsemble:
     log_amp: np.ndarray = field(init=False, repr=False)
     r_minus: np.ndarray = field(init=False, repr=False)
     r_plus: np.ndarray = field(init=False, repr=False)
+    perimeter: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.theta < 1.0:
@@ -185,9 +190,9 @@ class NeedleEnsemble:
             raise DomainError(f"needle weights sum to {total!r}, not 1")
         # each needle's amplitude makes its cell's mass 1
         log_amp = -cell_log_masses(np.stack([lo, hi], axis=1), beta[:, None], 0.0)[:, 0]
-        r_minus, r_plus = _quantiles(lo, hi, beta, log_amp, self.theta)
+        r_minus, perimeter, r_plus = _quantiles(lo, hi, beta, log_amp, self.theta)
         arrays = dict(weights=weights, lo=lo, hi=hi, beta=beta, log_amp=log_amp,
-                      r_minus=r_minus, r_plus=r_plus)
+                      r_minus=r_minus, r_plus=r_plus, perimeter=perimeter)
         for name, column in arrays.items():
             column.setflags(write=False)
             object.__setattr__(self, name, column)
@@ -309,9 +314,11 @@ _CLUSTER_WIDTH = 1.5
 # one Clenshaw step per term and point, the direct sum one exponential per
 # needle and point.
 _HERMITE_TERMS = 26
-# exp(-y^2/2) is exactly 0 beyond |y| = 38.6; clipping y there keeps the
-# Hermite polynomial finite, so the product is 0 and never inf * 0.
-_HERMITE_CLIP = 40.0
+# exp(-y^2/2) is exactly 0 beyond |y| = 38.6.  Every path of
+# mixture_density clips its shifted abscissa y to this before squaring it,
+# so y^2 never overflows and the Hermite polynomial stays finite: the term
+# is an exact 0, never inf * 0, and NaN stays NaN.
+_Y_CLIP = 40.0
 
 
 def _hermite_coefficients(t: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -359,16 +366,23 @@ def mixture_density(ens: NeedleEnsemble, x) -> float | np.ndarray:
     for b, lo_sorted, below_lo, hi_sorted, below_hi in groups:
         inside = (below_lo[np.searchsorted(lo_sorted, flat, side="left")]
                   - below_hi[np.searchsorted(hi_sorted, flat, side="right")])
-        acc += inside * gaussian_pdf(flat + b)
+        acc += inside * gaussian_pdf(np.clip(flat + b, -_Y_CLIP, _Y_CLIP))
     for centre, coefs in expansions:
-        y = np.clip(flat + centre, -_HERMITE_CLIP, _HERMITE_CLIP)
+        y = np.clip(flat + centre, -_Y_CLIP, _Y_CLIP)
         acc += np.exp(-0.5 * y * y) * _hermite_sum(coefs, y)
     if beta.size:
         step = max(1, _BLOCK // beta.size)
         for k in range(0, flat.size, step):
             xs = flat[k : k + step]
-            on = (xs > lo[:, None]) & (xs < hi[:, None])
-            acc[k : k + step] += coef @ (np.exp(-0.5 * (xs + beta[:, None]) ** 2) * on)
+            # the block's terms, formed in place in one buffer rather than
+            # in a fresh block-sized temporary per step
+            y = xs + beta[:, None]
+            np.clip(y, -_Y_CLIP, _Y_CLIP, out=y)
+            y *= y
+            y *= -0.5
+            np.exp(y, out=y)
+            y *= (xs > lo[:, None]) & (xs < hi[:, None])
+            acc[k : k + step] += coef @ y
     if arr.ndim == 0:
         return float(acc[0])
     return acc.reshape(arr.shape)
@@ -478,14 +492,8 @@ def disintegration_check(
 # -- classification -----------------------------------------------------------
 
 
-def _half_line_perimeters(ens: NeedleEnsemble) -> np.ndarray:
-    """Per-needle perimeter ``exp(-sigma_q(r_minus))`` of the theta half-line."""
-    return np.exp(ens.log_amp - LOG_SQRT_2PI - 0.5 * (ens.r_minus + ens.beta) ** 2)
-
-
-def _aggregate_deficit(ens: NeedleEnsemble, perims: np.ndarray) -> float:
-    prof = gaussian_profile(ens.theta)
-    return float(np.dot(ens.weights, perims - prof))
+def _aggregate_deficit(ens: NeedleEnsemble) -> float:
+    return float(np.dot(ens.weights, ens.perimeter - gaussian_profile(ens.theta)))
 
 
 def classify_good(ens: NeedleEnsemble, delta: float) -> ClassificationReport:
@@ -501,13 +509,12 @@ def classify_good(ens: NeedleEnsemble, delta: float) -> ClassificationReport:
     if not (delta > 0.0 and math.isfinite(delta)):
         raise DomainError(f"delta={delta!r} must be positive")
     prof = gaussian_profile(ens.theta)
-    perims = _half_line_perimeters(ens)
-    agg = _aggregate_deficit(ens, perims)
+    agg = _aggregate_deficit(ens)
     if agg < -1e-9:
         raise InvariantViolation(f"aggregate deficit {agg!r} < -1e-9")
     sqrt_d = math.sqrt(delta)
     threshold = prof + sqrt_d
-    good = float(np.dot(ens.weights, (perims < threshold).astype(float)))
+    good = float(np.dot(ens.weights, (ens.perimeter < threshold).astype(float)))
     if agg <= delta:
         # numerical margin: per-needle deficits may carry ~1e-9 noise
         if good < 1.0 - sqrt_d - 2e-9 / sqrt_d:
@@ -529,12 +536,6 @@ def classify_good(ens: NeedleEnsemble, delta: float) -> ClassificationReport:
     )
 
 
-def _quantile_deviations(ens: NeedleEnsemble) -> np.ndarray:
-    a_lo = gaussian_quantile(ens.theta)
-    a_hi = gaussian_quantile(1.0 - ens.theta)
-    return np.maximum(np.abs(a_lo - ens.r_minus), np.abs(a_hi - ens.r_plus))
-
-
 def classify_centered(
     ens: NeedleEnsemble, delta: float, c_threshold: float = 1.0
 ) -> ClassificationReport:
@@ -545,19 +546,26 @@ def classify_centered(
     by the theory (only the power of ``delta`` is), hence it is exposed as
     a parameter with default 1.0.
     """
+    return _classify_centered(ens, delta, c_threshold)[1]
+
+
+def _classify_centered(
+    ens: NeedleEnsemble, delta: float, c_threshold: float
+) -> Tuple[np.ndarray, ClassificationReport]:
+    """:func:`classify_centered`'s report, and which needles passed."""
     delta = float(delta)
     if not (delta > 0.0 and math.isfinite(delta)):
         raise DomainError(f"delta={delta!r} must be positive")
     if not c_threshold > 0.0:
         raise DomainError(f"c_threshold={c_threshold!r} must be positive")
     threshold = c_threshold * delta**ens.scaling_exponent
-    dev = _quantile_deviations(ens)
-    mass = float(np.dot(ens.weights, (dev <= threshold).astype(float)))
-    perims = _half_line_perimeters(ens)
-    return ClassificationReport(
+    dev = np.maximum(np.abs(gaussian_quantile(ens.theta) - ens.r_minus),
+                     np.abs(gaussian_quantile(1.0 - ens.theta) - ens.r_plus))
+    centered = dev <= threshold
+    return centered, ClassificationReport(
         good_mass=None,
-        centered_mass=mass,
-        aggregate_deficit=_aggregate_deficit(ens, perims),
+        centered_mass=float(np.dot(ens.weights, centered.astype(float))),
+        aggregate_deficit=_aggregate_deficit(ens),
         threshold_used=threshold,
     )
 
@@ -667,12 +675,8 @@ def theorem31_experiment(
     reported, not fatal.
     """
     good_rep = classify_good(ens, delta)
-    cent_rep = classify_centered(ens, delta, c_threshold)
-    perims = _half_line_perimeters(ens)
-    dev = _quantile_deviations(ens)
-    good_mask = perims < good_rep.threshold_used
-    cent_mask = dev <= cent_rep.threshold_used
-    both = good_mask & cent_mask
+    cent_mask, cent_rep = _classify_centered(ens, delta, c_threshold)
+    both = (ens.perimeter < good_rep.threshold_used) & cent_mask
     w = ens.weights
     both_mass = float(np.dot(w, both.astype(float)))
     bad_mass = 1.0 - both_mass

@@ -26,7 +26,7 @@ from typing import Callable, List, Optional, Protocol, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import BracketError, DomainError, FitError
+from .errors import BracketError, DomainError
 from .measure1d import (
     Measure1D,
     cell_log_masses,
@@ -46,7 +46,6 @@ from .needles import (
 )
 from .numerics import find_root
 from .stability import (
-    center,
     deficit,
     lp_distance,
     relative_entropy,
@@ -120,7 +119,7 @@ class SweepResult:
     """Grid of (delta, value) points with the fitted power law.
 
     Deltas are strictly decreasing toward 0 and values nonnegative; the fit
-    fields are NaN when it was skipped (fewer than 3 positive values).
+    fields are :func:`fit_exponent`'s, NaN when it skipped the fit.
     """
 
     points: Tuple[Tuple[float, float], ...]
@@ -177,25 +176,22 @@ def _fit(points: Sequence[Tuple[float, float]]) -> Tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
-def fit_exponent(
-    result: Union[SweepResult, Sequence[Tuple[float, float]]],
-) -> Tuple[float, float, float]:
-    """Least-squares power-law fit ``value ~= e^c * delta^alpha``.
+def fit_exponent(points: Sequence[Tuple[float, float]]) -> Tuple[float, float, float]:
+    """Least-squares power-law fit ``value ~= e^c * delta^alpha``: ``(alpha,
+    c, r^2)``.
 
-    Only points with value > ``_FIT_FLOOR`` participate (log-log
-    coordinates); fewer than 3 of them raises ``FitError``.  The floor
-    keeps quadrature noise out of the fit: a degenerate family whose
-    distances are exact zeros still reports values of order 1e-16, and
-    log-regressing on those would produce a meaningless exponent.  Exact
-    on noiseless power-law data to ~1e-12, invariant under value
-    rescaling (only ``c`` moves) and under grid-order reversal.
+    This is the one fit rule.  Only points with value > ``_FIT_FLOOR``
+    participate (log-log coordinates); with fewer than 3 of them the fit is
+    skipped and all three fields are NaN.  The floor keeps quadrature noise
+    out of the fit: a degenerate family whose distances are exact zeros
+    still reports values of order 1e-16, and log-regressing on those would
+    produce a meaningless exponent.  Exact on noiseless power-law data to
+    ~1e-12, invariant under value rescaling (only ``c`` moves) and under
+    grid-order reversal.
     """
-    points = result.points if isinstance(result, SweepResult) else tuple(result)
     positive = [(d, v) for d, v in points if v > _FIT_FLOOR]
     if len(positive) < 3:
-        raise FitError(
-            f"need at least 3 positive points for a power-law fit, got {len(positive)}"
-        )
+        return math.nan, math.nan, math.nan
     return _fit(positive)
 
 
@@ -227,9 +223,9 @@ def sweep(
 
     One point per grid entry, in descending order of delta; the family
     realizes the whole grid in one call.  Solve failures skip the point with
-    a log message; the fit is attempted over the surviving values above the
-    ``_FIT_FLOOR`` noise floor and skipped (NaN fields) when fewer than 3
-    remain.
+    a log message; the surviving points are fitted by :func:`fit_exponent`,
+    so the fit fields are NaN when fewer than 3 values clear its noise
+    floor.
     """
     grid = sorted({float(d) for d in delta_grid}, reverse=True)
     if not grid:
@@ -246,11 +242,7 @@ def sweep(
         except BracketError as exc:
             logger.warning("skipping delta=%.3e for family %s: %s", d, family.name, exc)
             skipped.append(d)
-    positive = [(d, v) for d, v in points if v > _FIT_FLOOR]
-    if len(positive) >= 3:
-        alpha, c, r2 = _fit(positive)
-    else:
-        alpha = c = r2 = math.nan
+    alpha, c, r2 = fit_exponent(points)
     return SweepResult(
         points=tuple(points),
         fitted_exponent=alpha,
@@ -269,17 +261,19 @@ def _centered_at(params: np.ndarray, deltas: np.ndarray, theta: float,
                  build: Callable[[float], Measure1D]) -> List[Realization]:
     """Per grid point, ``build(param)`` centered at ``theta``; a
     ``BracketError`` where the parameter is NaN (no bracket) or the measure
-    misses its requested deficit by more than 5%."""
+    misses its requested deficit by more than 5%.  One :func:`deficit` read
+    gives both the deficit to check, which translation does not change, and
+    the centering shift."""
     out: List[Realization] = []
     for param, requested in zip(params.tolist(), deltas.tolist()):
         if math.isnan(param):
             out.append(BracketError(f"could not bracket deficit {requested:.3e}"))
             continue
-        centered, _ = center(build(param), theta)
-        achieved = deficit(centered, theta).deficit
-        miss = abs(achieved - requested) > _SOLVE_RTOL * requested
-        out.append(BracketError(f"solved deficit {achieved:.6e} misses requested "
-                                f"{requested:.6e} by >5%") if miss else centered)
+        m = build(param)
+        rep = deficit(m, theta)
+        miss = abs(rep.deficit - requested) > _SOLVE_RTOL * requested
+        out.append(BracketError(f"solved deficit {rep.deficit:.6e} misses requested "
+                                f"{requested:.6e} by >5%") if miss else m.translate(rep.shift))
     return out
 
 

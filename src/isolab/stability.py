@@ -253,9 +253,11 @@ def check_gap_bounds(
 ) -> GapBoundReport:
     """The smallest constants making the two gap bounds hold on their ranges.
 
-    ``m`` is centered once.  The lower bound's range is the domain cut to
-    its ``[1e-12, 1 - 1e-12]`` quantiles and to the tail cutoff, widened to
-    hold the window; the upper bound's range is :func:`default_gap_window`.
+    ``m`` is centered once, by the shift of its :func:`deficit` report,
+    whose deficit is the ``delta`` of both bounds.  The lower bound's range
+    is the domain cut to its ``[1e-12, 1 - 1e-12]`` quantiles and to the
+    tail cutoff, widened to hold the window; the upper bound's range is
+    :func:`default_gap_window`.
     On each cell ``g(x) = psi(x) - psi_g(x) - s*(x - a_theta)`` is linear,
     so its extrema over a range lie at the range ends and the cell edges
     inside it, and ``g`` is evaluated there only: the constants are exact
@@ -264,9 +266,8 @@ def check_gap_bounds(
     When ``lower_cap`` / ``upper_cap`` are given, the report carries pass
     flags ``fitted <= cap``.
     """
-    centered, _ = center(m, theta)
-    a_theta = gaussian_quantile(theta)
-    delta = float(centered.density(a_theta)) - gaussian_profile(theta)
+    rep = deficit(m, theta)
+    centered, a_theta, delta = m.translate(rep.shift), rep.a_theta, rep.deficit
     window = default_gap_window(centered, theta, max(delta, _EQUALITY_TOL))
     sg = float(centered.potential.right_derivative(a_theta)) - a_theta
     lo = max(min(window.lo, centered.quantile(_T_CLIP)), -TAIL_CUTOFF)

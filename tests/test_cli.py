@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import isolab
 import oracle_constants as oc
 from isolab import ConfigError, QuadratureError, stability
 from isolab.cli import _ENSEMBLE_KEYS, _FAULTS, RunConfig, build_parser, main
@@ -425,30 +426,23 @@ def test_needles_canonical_run(tmp_path, capsys):
     assert "PASS" in out
 
 
-def test_needles_all_gaussian_pins(tmp_path):
-    code = main(
-        [
-            "needles",
-            "--needle-count",
-            "10",
-            "--delta-grid",
-            "1e-3",
-            "--deficit-scale",
-            "0",
-            "--bad-fraction",
-            "0",
-            "--out",
-            str(tmp_path),
-        ]
-    )
+def test_needles_all_gaussian_pins(tmp_path, capsys):
+    code = main(["needles", "--needle-count", "10", "--deficit-scale", "0",
+                 "--bad-fraction", "0", "--out", str(tmp_path)])
     assert code == 0
     report = json.loads((tmp_path / "needles_report.json").read_text())
-    row = report["rows"][0]
-    assert row["mixture_l1"] <= 1e-10
-    assert row["good_mass"] == pytest.approx(1.0)
+    assert len(report["rows"]) == 9  # the default grid
+    for row in report["rows"]:
+        assert row["mixture_l1"] <= 1e-10
+        assert row["good_mass"] == pytest.approx(1.0)
+    # every mixture_l1 is rounding noise below the fit's floor: the fit is
+    # skipped, and the CSV is still written
+    assert math.isnan(report["fitted_exponent"])
+    assert "exponent fit skipped" in capsys.readouterr().out
+    assert len((tmp_path / "needles.csv").read_text().splitlines()) == 10
     # pinned runs skip the rate checks, which only make sense on the
     # calibrated generator
-    assert set(report["checks"]) == {"all_rows_ok"}
+    assert report["checks"] == {"all_rows_ok": True}
 
 
 def test_needles_fully_bad_flag(tmp_path, capsys):
@@ -513,6 +507,16 @@ def test_every_fault_fails_a_check_and_every_check_has_a_fault(tmp_path, capsys)
     checks = [r["name"] for r in report["results"]]
     assert len(checks) == 14
     assert [name for name in checks if name not in caught_by] == []
+
+
+def test_selftest_sees_a_truncated_hermite_series(tmp_path, capsys, monkeypatch):
+    # its ensemble expands one cluster of translates; with 12 terms the
+    # cos(3.5 (x - 6.75)) disintegration check parts by 4e-9
+    monkeypatch.setattr(isolab.needles, "_HERMITE_TERMS", 12)
+    assert main(["selftest", "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "selftest_report.json").read_text())
+    assert [r["name"] for r in report["results"] if not r["passed"]] == [
+        "needles.generate_ensemble"]
 
 
 def test_selftest_rejects_unknown_fault(tmp_path, capsys):

@@ -32,6 +32,8 @@ from isolab import (
     theorem31_experiment,
     truncated_gaussian_potential,
 )
+from isolab.numerics import LOG_SQRT_2PI
+
 GAUSSIAN = gaussian_measure()
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 KINKED = normalize(perturbed_gaussian_potential((-0.4, 0.9), (-0.5, 0.0, 0.7)))
@@ -207,8 +209,9 @@ def test_mixture_density_matches_needle_by_needle_sum(make):
     # far out it is exactly 0, with no floating-point warning; NaN stays NaN
     with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
         warnings.simplefilter("error")
-        far = mixture_density(ens, np.array([1e3, -1e3, math.inf, -math.inf, math.nan]))
-    assert far[:4].tolist() == [0.0, 0.0, 0.0, 0.0] and math.isnan(far[4])
+        far = mixture_density(ens, np.array([1e3, -1e3, 1e200, -1e200, math.inf, -math.inf,
+                                             math.nan]))
+    assert far[:6].tolist() == [0.0] * 6 and math.isnan(far[6])
 
 
 def test_hermite_tail_bound():
@@ -239,14 +242,20 @@ def test_truncated_hermite_series_is_caught(monkeypatch):
 
 def test_generated_quantiles_match_measure_quantiles():
     # both halves of the quantile reader, theta > 1/2 read from the right
-    # end, on generated needles and on one-sided truncations and translates
+    # end, on generated needles and on one-sided truncations and translates;
+    # the half-line perimeter is the density read with r_minus
     for theta in (0.05, 0.3, 0.5, 0.7, 0.95):
         ens = generate_ensemble(EnsembleConfig(
             needle_count=50, theta=theta, deficit_scale=1e-2, bad_fraction=0.2, seed=8))
         inputs = ((ens, generated_measures(ens)),
                   (shared_slope_ensemble(theta), SHARED_SLOPE_MEASURES))
         for ens, measures in inputs:
-            for nd, m in zip(ens.needles, measures):
+            assert not ens.perimeter.flags.writeable
+            # bit for bit the cell's own density, in either frame
+            cell = np.exp(ens.log_amp - LOG_SQRT_2PI - 0.5 * (ens.r_minus + ens.beta) ** 2)
+            assert ens.perimeter.tolist() == cell.tolist()
+            for nd, m, perimeter in zip(ens.needles, measures, ens.perimeter):
+                assert perimeter == pytest.approx(nd.measure.density(nd.r_minus), rel=1e-14)
                 for measure in (nd.measure, m):
                     assert nd.r_minus == pytest.approx(measure.quantile(theta), abs=1e-12)
                     assert nd.r_plus == pytest.approx(measure.quantile(1.0 - theta), abs=1e-12)

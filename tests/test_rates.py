@@ -11,7 +11,6 @@ from isolab import (
     DEFAULT_DELTA_GRID,
     DomainError,
     Example23SweepFamily,
-    FitError,
     GaussianSweepFamily,
     Metric,
     NeedleSweepFamily,
@@ -79,10 +78,13 @@ def test_fit_exponent_recovers_any_power_law(alpha, c):
 
 
 def test_fit_exponent_needs_three_positive_points():
-    with pytest.raises(FitError):
-        fit_exponent([(1e-2, 1.0), (1e-3, 0.5)])
-    with pytest.raises(FitError):
-        fit_exponent([(1e-2, 0.0), (1e-3, 0.0), (1e-4, 0.0)])
+    # fewer than 3 points above the noise floor: the fit is skipped, all NaN
+    for points in ([(1e-2, 1.0), (1e-3, 0.5)],
+                   [(1e-2, 0.0), (1e-3, 0.0), (1e-4, 0.0)],
+                   [(1e-2, 1e-16), (1e-3, 2e-16), (1e-4, 1.0), (1e-5, 0.5)]):
+        assert all(math.isnan(v) for v in fit_exponent(points))
+    alpha, _, _ = fit_exponent([(1e-2, 1e-16), (1e-3, 1.0), (1e-4, 0.5), (1e-5, 0.25)])
+    assert alpha == pytest.approx(math.log10(2.0), abs=1e-12)  # the floored point is left out
 
 
 # -- Metric and SweepResult ---------------------------------------------------
@@ -226,6 +228,22 @@ def test_sweep_solves_the_whole_grid_in_one_root_solve(family, monkeypatch):
     res = sweep(family, 0.5, Metric.parse("w2"), DEFAULT_DELTA_GRID)
     assert len(res.points) == len(DEFAULT_DELTA_GRID)
     assert len(calls) == 1
+
+
+def test_example23_family_reads_each_quantile_once(monkeypatch):
+    # one deficit() read per grid point gives both the 5% check and the
+    # centering shift
+    calls = []
+    quantile = isolab.Measure1D.quantile
+
+    def counted(self, theta):
+        calls.append(theta)
+        return quantile(self, theta)
+
+    monkeypatch.setattr(isolab.Measure1D, "quantile", counted)
+    realized = Example23SweepFamily().at_deficit([1e-2, 1e-3, 1e-4], 0.5)
+    assert all(isinstance(m, isolab.Measure1D) for m in realized)
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("family, unreachable", [(Example23SweepFamily(), 100.0),

@@ -281,6 +281,16 @@ def test_gap_bounds_caps_reported():
     assert uncapped.passed_lower is None and uncapped.passed_upper is None
 
 
+def test_gap_bounds_read_the_deficit_report_bit_for_bit():
+    # one theta-point read per measure: the gap bounds' delta is the very
+    # number deficit() reports
+    measures = [normalize(truncated_gaussian_potential(D)) for D in (1.0, 1.5, 2.0, 3.0)]
+    measures += [PerturbedSweepFamily.seeded(seed).measure_at(1.0) for seed in range(8)]
+    for m in measures:
+        for theta in np.linspace(0.1, 0.9, 9):
+            assert check_gap_bounds(m, theta).deficit == deficit(m, theta).deficit
+
+
 def test_gap_constants_are_extrema_over_range_ends_and_edges():
     # a_theta = 0 sits on a cell 0.001 wide, where g is least: a sample grid
     # coarser than the cell misses it
