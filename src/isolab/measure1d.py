@@ -16,7 +16,7 @@ that bound is, so this module provides:
 * :class:`PotentialSpec`, a potential given by its cells, and the
   constructors of the Gaussian, its truncations and translates, convex
   piecewise-linear perturbations of it and tabulated potentials,
-* :class:`Measure1D` with closed-form ``cdf``/``sf``/``quantile``/``isf``,
+* :class:`Measure1D` with closed-form ``cdf``/``sf``/``quantile``,
   and the cell readers :func:`cell_log_masses` and :func:`profile_point`,
   which take cells as arrays with any leading axes,
 * an exact :func:`check_one_convexity` test on the cell edges: ``psi_hat -
@@ -80,6 +80,9 @@ __all__ = [
     "normalize",
     "cell_log_masses",
     "profile_point",
+    "stacked_cells",
+    "stacked_sides",
+    "cell_index",
     "one_cell_measure",
     "check_one_convexity",
     "gaussian_profile",
@@ -97,11 +100,17 @@ def _vec(fn: Callable[[np.ndarray], np.ndarray], x: ArrayLike) -> ArrayLike:
     return fn(arr) if arr.ndim else float(fn(arr))
 
 
-def _cell(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Index of the cell ``(edges[i], edges[i+1])`` holding ``x``; an
-    interior edge belongs to the cell on its right, and points beyond the
-    ends to the end cells."""
-    return edges[1:-1].searchsorted(x, side="right")
+def cell_index(edges: np.ndarray, x: np.ndarray, row: Optional[np.ndarray] = None,
+               side: str = "right") -> np.ndarray:
+    """Index of the cell ``(edges[i], edges[i+1])`` holding ``x``, an interior
+    edge in the cell on its right (left for ``side="left"``) and points beyond
+    the ends in the end cells.  With ``row``, ``edges`` has a row per measure
+    and ``x[j]`` counts the interior edges of ``edges[row[j]]`` below it;
+    without, one binary search takes a fifth to a third of that time."""
+    if row is None:
+        return edges[1:-1].searchsorted(x, side=side)
+    inner = edges[row, 1:-1]
+    return np.sum(inner <= x[:, None] if side == "right" else inner < x[:, None], axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,13 +138,13 @@ class PotentialSpec:
 
     def value(self, x: ArrayLike) -> ArrayLike:
         def impl(a: np.ndarray) -> np.ndarray:
-            i = _cell(self.edges, a)
+            i = cell_index(self.edges, a)
             return 0.5 * a * a + self.slopes[i] * a + self.offsets[i]
 
         return _vec(impl, x)
 
     def right_derivative(self, x: ArrayLike) -> ArrayLike:
-        return _vec(lambda a: a + self.slopes[_cell(self.edges, a)], x)
+        return _vec(lambda a: a + self.slopes[cell_index(self.edges, a)], x)
 
     def _log_masses(self) -> np.ndarray:
         """Per cell, the log of ``int exp(-psi_hat)`` over the cell, where
@@ -377,11 +386,13 @@ class Measure1D:
         """The cells seen from the left end, and mirrored (``x -> -x``) so
         that the right end comes first; upper tails are then lower tails of
         the mirror, with the same precision."""
-        pot, log_amp = self.potential, self.log_amp
+        pot, log_amp, pad = self.potential, self.log_amp, [np.nan]
         mass = np.exp(pot._log_masses() - self.log_normalizer)
-        left = _Side(pot.edges, pot.slopes, log_amp, np.concatenate([[0.0], np.cumsum(mass)]))
-        right = _Side(-pot.edges[::-1], -pot.slopes[::-1], log_amp[::-1],
-                      np.concatenate([[0.0], np.cumsum(mass[::-1])]))
+        left = _Side(pot.edges, np.concatenate([pot.slopes, pad]), np.concatenate([log_amp, pad]),
+                     np.concatenate([[0.0], np.cumsum(mass)]), pot.edges.size)
+        right = _Side(-pot.edges[::-1], np.concatenate([-pot.slopes[::-1], pad]),
+                      np.concatenate([log_amp[::-1], pad]),
+                      np.concatenate([[0.0], np.cumsum(mass[::-1])]), pot.edges.size)
         return left, right
 
     def cdf_many(self, x: ArrayLike) -> ArrayLike:
@@ -403,18 +414,10 @@ class Measure1D:
         from the right end, as the upper mass ``1 - theta``, so both tails
         are resolved equally well.
         """
-        return _vec(lambda t: self._invert(t, 1.0 - t), theta)
+        return _vec(self._invert, theta)
 
-    def isf(self, mass: ArrayLike) -> ArrayLike:
-        """Generalized inverse of :meth:`sf` on (0, 1), the mirror of
-        :meth:`quantile`: ``mass < 1/2`` is inverted from the right end as
-        given, keeping the precision that ``1 - mass`` would round away."""
-        return _vec(lambda p: self._invert(1.0 - p, p), mass)
-
-    def _invert(self, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-        """The points with ``lower`` below and ``upper = 1 - lower`` above them, lower
-        masses up to 1/2 from the left end and the rest from the right end."""
-        if not ((lower > 0.0) & (upper > 0.0)).all():
+    def _invert(self, lower: np.ndarray) -> np.ndarray:
+        if not ((lower > 0.0) & (lower < 1.0)).all():
             raise DomainError("quantile: masses must lie in (0, 1)")
         left, right = self._sides
         out = np.empty_like(lower)
@@ -422,35 +425,65 @@ class Measure1D:
         if not from_right.all():
             out[~from_right] = left.invert(lower[~from_right])
         if from_right.any():
-            out[from_right] = -right.invert(upper[from_right])
+            out[from_right] = -right.invert(1.0 - lower[from_right])
         return out
 
 
 class _Side(NamedTuple):
-    """A normalized measure's cells read from one end: ``log_amp[i]`` is
-    the log of the mass of cell ``i``'s Gaussian ``exp(-psi)`` over the whole
-    line and ``cum[i]`` the mass below ``edges[i]``."""
+    """A normalized measure's cells read from one end: ``log_amp[i]`` is the
+    log of the mass of cell ``i``'s Gaussian ``exp(-psi)`` over the whole line
+    and ``cum[i]`` the mass below ``edges[i]``.  Every field holds ``width``
+    entries per measure (cell fields padded by one): one flat index reads all."""
 
     edges: np.ndarray
     slopes: np.ndarray
     log_amp: np.ndarray
     cum: np.ndarray
+    width: int
 
-    def mass_below(self, x: np.ndarray) -> np.ndarray:
+    def _cell(self, ends: np.ndarray, x: np.ndarray, side: str, row) -> np.ndarray:
+        """Flat index of the entry of ``ends`` opening the cell of ``x``."""
+        if row is None:
+            return cell_index(ends, x, side=side)
+        return row * self.width + cell_index(ends.reshape(-1, self.width), x, row, side)
+
+    def mass_below(self, x: np.ndarray, row=None) -> np.ndarray:
         """Mass of ``(-inf, x]``: the cells below ``x`` plus the ``Phi``
         difference inside the cell of ``x``."""
-        x = np.minimum(np.maximum(x, self.edges[0]), self.edges[-1])
-        k = _cell(self.edges, x)
+        k = self._cell(self.edges, x, "right", row)
+        x = np.minimum(np.maximum(x, self.edges[k]), self.edges[k + 1])
         beta = self.slopes[k]
         part = np.exp(self.log_amp[k] + gaussian_log_mass(self.edges[k] + beta, x + beta))
         return np.minimum(self.cum[k] + part, 1.0)
 
-    def invert(self, mass: np.ndarray) -> np.ndarray:
+    def density(self, x: np.ndarray, row=None) -> np.ndarray:
+        """``exp(log_amp[k]) * phi(x + slopes[k])`` in the cell ``k`` of ``x``."""
+        k = self._cell(self.edges, x, "right", row)
+        return np.exp(self.log_amp[k] - LOG_SQRT_2PI - 0.5 * (x + self.slopes[k]) ** 2)
+
+    def invert(self, mass: np.ndarray, row=None) -> np.ndarray:
         """The point with ``mass`` below it, for ``0 < mass <= 1/2``, in the
         cell with ``cum[k] < mass <= cum[k+1]``."""
-        k = self.cum[1:-1].searchsorted(mass)
+        k = self._cell(self.cum, mass, "left", row)
         return _cell_quantile(self.edges[k], self.edges[k + 1], self.slopes[k],
                               self.log_amp[k], self.cum[k], mass)
+
+
+def stacked_cells(measures: Sequence["Measure1D"]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The normalized cells ``(edges, slopes, log_amp)`` of measures sharing
+    a cell count, one row per measure, as :func:`profile_point` takes them."""
+    if len({m.potential.edges.size for m in measures}) != 1:
+        raise DomainError("stacked measures must share a cell count")
+    return tuple(np.stack(a) for a in zip(*((m.potential.edges, m.potential.slopes, m.log_amp)
+                                            for m in measures)))
+
+
+def stacked_sides(measures: Sequence["Measure1D"]) -> Tuple[_Side, _Side]:
+    """The two sides of measures that share a cell count, read with a single
+    measure's arithmetic, element ``i`` on the measure ``row[i]``."""
+    stacked_cells(measures)  # the cell-count check
+    return tuple(_Side(*map(np.concatenate, zip(*(side[:4] for side in sides))), sides[0].width)
+                 for sides in zip(*(m._sides for m in measures)))
 
 
 def _cell_quantile(lo, hi, beta, log_amp, below, mass):

@@ -11,8 +11,9 @@ and where an unbounded integral is cut; every other module calls these:
   use.  All of them are ``scipy.special`` ufuncs, and no other module of the
   package imports scipy.
 * ``integrate`` -- one adaptive Gauss-Kronrod (G7/K15) kernel for every
-  integral in the package, with array integrands and an *explicit* failure
-  mode: if the estimated error exceeds the requested tolerance a
+  integral in the package, with array integrands, one or many rows (each
+  its own integral, all evaluated in the same passes) and an *explicit*
+  failure mode: if the estimated error exceeds the requested tolerance a
   ``QuadratureError`` is raised instead of silently returning a bad value.
   An infinite end is cut at ``TAIL_CUTOFF``; a finite one is kept.
 * ``find_root`` -- one elementwise bracketed solver (Chandrupatla's method)
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy import special as _sci_special
@@ -214,68 +215,67 @@ _GAUSS_WEIGHTS[1::2] = [
 _MAX_BISECTIONS = 200
 
 
-def integrate(
-    f: Callable[[np.ndarray], np.ndarray],
-    domain: Interval,
-    *,
-    points: Optional[Sequence[float]] = None,
-    abs_tol: float = 1e-12,
-    rel_tol: float = 1e-10,
-) -> float:
+def integrate(f: Callable[..., np.ndarray], domain, *, points=None,
+              abs_tol: float = 1e-12, rel_tol: float = 1e-10):
     """Adaptive Gauss-Kronrod (G7/K15) quadrature of ``f`` over ``domain``.
 
-    ``f`` takes a 1-d array of abscissae and returns the values there; each
-    pass calls it once, on the 15 Kronrod nodes of every open piece.
-    An infinite end is cut at ``TAIL_CUTOFF`` (so ``-inf`` becomes -40);
-    the caller is responsible for integrands that actually decay inside that
-    window (every density in this package does).  A finite end is
-    integrated as given.  The pieces start at ``points``, the known
-    non-smooth abscissae (kinks of ``|.|`` integrands); points outside the
-    range are dropped.  A piece is bisected while its error estimate ``|K15
-    - G7|`` exceeds its share, by length, of ``max(abs_tol, rel_tol *
-    |value|)``; both tolerances must be positive.
+    ``domain`` is an ``Interval`` (the value a float), or a pair ``(lo, hi)``
+    of 1-d arrays, one *row* per entry (the value the array of the rows'
+    integrals).  ``f`` takes a 1-d array of abscissae, with rows also each
+    one's row, ``f(x, row)``; each pass calls it once, on the 15 Kronrod
+    nodes of every open piece of every row.  An infinite end is cut at
+    ``TAIL_CUTOFF`` (so ``-inf`` becomes -40); the caller is responsible for
+    integrands that actually decay inside that window (every density in this
+    package does).  A finite end is integrated as given; a row whose cut ends
+    meet is 0.  The pieces start at ``points``, the known non-smooth
+    abscissae (kinks of ``|.|`` integrands), with rows one row of them per
+    row; NaN and points outside the range are dropped.  A piece is bisected
+    while its error estimate ``|K15 - G7|`` exceeds its share, by length, of
+    its row's ``max(abs_tol, rel_tol * |value|)`` (both must be positive), so
+    a row's value is its own call's up to rounding.
 
-    Raises ``QuadratureError`` when more than 200 bisections would be needed
-    or when a value is non-finite.  Never returns a silently inaccurate
-    value.
+    Raises ``QuadratureError`` when a row would need more than 200
+    bisections or when a value is non-finite.  Never returns a silently
+    inaccurate value.
     """
     if not (abs_tol > 0.0 and rel_tol > 0.0):
         raise DomainError("integrate: tolerances must be positive")
-    lo = -TAIL_CUTOFF if domain.lo == -math.inf else domain.lo
-    hi = TAIL_CUTOFF if domain.hi == math.inf else domain.hi
-    if lo >= hi:
-        return 0.0  # a finite end lies beyond the cut of the infinite one
-    pts = np.asarray(points if points is not None else (), dtype=float)
-    edges = np.unique(np.concatenate([[lo, hi], pts[(pts > lo) & (pts < hi)]]))
-    a, b = edges[:-1], edges[1:]
-    done = 0.0
-    bisections = 0
-    while True:
+    single = isinstance(domain, Interval)
+    ends = np.asarray((domain.lo, domain.hi) if single else domain, dtype=float).reshape(2, -1)
+    lo, hi = np.where(np.isinf(ends), np.copysign(TAIL_CUTOFF, ends), ends)
+    hi = np.maximum(hi, lo)  # a row whose cut ends cross is empty
+    n = lo.size
+    # per row, its ends and the points clipped to them, sorted: a piece is two neighbours lo < hi
+    pts = np.asarray(() if points is None else points, dtype=float).reshape(n, -1)
+    ends = np.sort(np.column_stack([lo, np.minimum(np.maximum(pts, lo[:, None]), hi[:, None]), hi]), 1)
+    piece = ends[:, :-1] < ends[:, 1:]
+    a, b, row = ends[:, :-1][piece], ends[:, 1:][piece], np.nonzero(piece)[0]
+    width = np.where(hi > lo, hi - lo, 1.0)  # 1 for an empty row, which has no piece
+    done = value = np.zeros(n)
+    bisections = np.zeros(n, dtype=int)
+    while a.size:
         half = 0.5 * (b - a)
-        x = (a + half)[:, None] + half[:, None] * _KRONROD_NODES
-        fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+        x = ((a + half)[:, None] + half[:, None] * _KRONROD_NODES).ravel()
+        fx = np.asarray(f(x) if single else f(x, np.repeat(row, 15)), dtype=float).reshape(-1, 15)
         kronrod = half * (fx @ _KRONROD_WEIGHTS)
         error = np.abs(kronrod - half * (fx @ _GAUSS_WEIGHTS))
-        value = done + float(np.sum(kronrod))
-        if not math.isfinite(value):
-            raise QuadratureError(
-                f"quadrature over ({lo}, {hi}) failed: non-finite value {value!r}"
-            )
-        tol = max(abs_tol, rel_tol * abs(value))
-        bad = error > tol * (b - a) / (hi - lo)
-        if not np.any(bad):
-            return value
-        bisections += int(np.count_nonzero(bad))
-        if bisections > _MAX_BISECTIONS:
-            raise QuadratureError(
-                f"quadrature over ({lo}, {hi}) failed: value={value!r}, "
-                f"error estimate {float(np.sum(error)):.3e} > tol={tol:.3e} "
-                f"after {_MAX_BISECTIONS} bisections"
-            )
-        done += float(np.sum(kronrod[~bad]))
-        a, b = a[bad], b[bad]
-        mid = a + 0.5 * (b - a)
-        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+        value = done + np.bincount(row, kronrod, n)
+        if not np.isfinite(value).all():
+            r = int(np.argmin(np.isfinite(value)))
+            raise QuadratureError(f"quadrature over ({lo[r]}, {hi[r]}) failed: non-finite value {value[r]!r}")
+        tol = np.maximum(abs_tol, rel_tol * np.abs(value))
+        bad = error > (tol / width)[row] * (b - a)  # a piece's share of its row's tolerance
+        if not bad.any():
+            break
+        bisections += np.bincount(bad_row := row[bad], minlength=n)
+        if bisections.max() > _MAX_BISECTIONS:
+            r = int(np.argmax(bisections))
+            raise QuadratureError(f"quadrature over ({lo[r]}, {hi[r]}) failed: value={value[r]!r}, error estimate "
+                                  f"{np.sum(error[row == r]):.3e} > tol={tol[r]:.3e} after {_MAX_BISECTIONS} bisections")
+        done = value - np.bincount(bad_row, kronrod[bad], n)  # the pieces kept
+        a, b, row, mid = a[bad], b[bad], bad_row, (a + half)[bad]
+        a, b, row = np.concatenate([a, mid]), np.concatenate([mid, b]), np.concatenate([row, row])
+    return float(value[0]) if single else value
 
 
 # Root steps beyond which a bracket is reported as unusable; Chandrupatla's

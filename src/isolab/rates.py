@@ -195,22 +195,23 @@ def fit_exponent(points: Sequence[Tuple[float, float]]) -> Tuple[float, float, f
     return _fit(positive)
 
 
-def _evaluate_metric(
-    metric: Metric, obj: Union[Measure1D, NeedleEnsemble], theta: float
-) -> float:
-    if metric.kind == "mixture_l1":
-        if not isinstance(obj, NeedleEnsemble):
-            raise DomainError("metric mixture_l1 needs a needle-ensemble family")
-        return aggregate_l1(obj).mixture_l1
-    if not isinstance(obj, Measure1D):
-        raise DomainError(f"metric {metric.kind!r} needs a measure family")
-    if metric.kind == "lp":
-        return lp_distance(obj, float(metric.p))
-    if metric.kind == "w1":
-        return w1_to_gaussian(obj)
-    if metric.kind == "w2":
-        return w2_to_gaussian(obj)
-    return relative_entropy(obj)
+def _evaluate_metric(metric: Metric, objs: Sequence[Union[Measure1D, NeedleEnsemble]]) -> list:
+    """The metric's value on each realization, or the ``BracketError`` that
+    kept it from one: the quadrature metrics in one call on all of them."""
+    ensembles = metric.kind == "mixture_l1"
+    if not all(isinstance(obj, NeedleEnsemble if ensembles else Measure1D) for obj in objs):
+        raise DomainError("metric mixture_l1 needs a needle-ensemble family" if ensembles
+                          else f"metric {metric.kind!r} needs a measure family")
+    if objs and metric.kind in ("lp", "w1", "w2"):
+        distance = {"w1": w1_to_gaussian, "w2": w2_to_gaussian}.get(metric.kind)
+        return (distance(objs) if distance else lp_distance(objs, float(metric.p))).tolist()
+    out: list = []
+    for obj in objs:  # the closed-form entropy, and mixture_l1 per ensemble
+        try:
+            out.append(aggregate_l1(obj).mixture_l1 if ensembles else relative_entropy(obj))
+        except BracketError as exc:
+            out.append(exc)
+    return out
 
 
 def sweep(
@@ -222,10 +223,11 @@ def sweep(
     """Evaluate ``metric`` on ``family`` across a deficit grid and fit.
 
     One point per grid entry, in descending order of delta; the family
-    realizes the whole grid in one call.  Solve failures skip the point with
-    a log message; the surviving points are fitted by :func:`fit_exponent`,
-    so the fit fields are NaN when fewer than 3 values clear its noise
-    floor.
+    realizes the whole grid in one call, and a quadrature metric takes every
+    realized point in one call.  A point with a ``BracketError`` instead of
+    a realization or a value is skipped with a log message; the surviving
+    points are fitted by :func:`fit_exponent`, so the fit fields are NaN
+    when fewer than 3 values clear its noise floor.
     """
     grid = sorted({float(d) for d in delta_grid}, reverse=True)
     if not grid:
@@ -233,15 +235,17 @@ def sweep(
     if any(not (d > 0.0 and math.isfinite(d)) for d in grid):
         raise DomainError("delta grid entries must be positive and finite")
 
+    outcome = list(family.at_deficit(grid, theta))
+    found = [i for i, obj in enumerate(outcome) if not isinstance(obj, BracketError)]
+    for i, value in zip(found, _evaluate_metric(metric, [outcome[i] for i in found])):
+        outcome[i] = value
     points, skipped = [], []
-    for d, obj in zip(grid, family.at_deficit(grid, theta)):
-        try:
-            if isinstance(obj, BracketError):  # the family could not realize d
-                raise obj
-            points.append((d, _evaluate_metric(metric, obj, theta)))
-        except BracketError as exc:
-            logger.warning("skipping delta=%.3e for family %s: %s", d, family.name, exc)
+    for d, value in zip(grid, outcome):
+        if isinstance(value, BracketError):
+            logger.warning("skipping delta=%.3e for family %s: %s", d, family.name, value)
             skipped.append(d)
+        else:
+            points.append((d, value))
     alpha, c, r2 = fit_exponent(points)
     return SweepResult(
         points=tuple(points),
@@ -262,18 +266,18 @@ def _centered_at(params: np.ndarray, deltas: np.ndarray, theta: float,
     """Per grid point, ``build(param)`` centered at ``theta``; a
     ``BracketError`` where the parameter is NaN (no bracket) or the measure
     misses its requested deficit by more than 5%.  One :func:`deficit` read
-    gives both the deficit to check, which translation does not change, and
-    the centering shift."""
-    out: List[Realization] = []
-    for param, requested in zip(params.tolist(), deltas.tolist()):
-        if math.isnan(param):
-            out.append(BracketError(f"could not bracket deficit {requested:.3e}"))
-            continue
-        m = build(param)
-        rep = deficit(m, theta)
-        miss = abs(rep.deficit - requested) > _SOLVE_RTOL * requested
-        out.append(BracketError(f"solved deficit {rep.deficit:.6e} misses requested "
-                                f"{requested:.6e} by >5%") if miss else m.translate(rep.shift))
+    of the stacked measures gives every point's deficit to check, which
+    translation does not change, and its centering shift."""
+    out: List[Realization] = [BracketError(f"could not bracket deficit {d:.3e}") for d in deltas]
+    solved = np.flatnonzero(~np.isnan(params))
+    ms = [build(param) for param in params[solved].tolist()]
+    if not ms:
+        return out
+    rep = deficit(ms, theta)
+    for i, m, d, s in zip(solved.tolist(), ms, rep.deficit.tolist(), rep.shift.tolist()):
+        miss = abs(d - deltas[i]) > _SOLVE_RTOL * deltas[i]
+        out[i] = BracketError(f"solved deficit {d:.6e} misses requested "
+                              f"{deltas[i]:.6e} by >5%") if miss else m.translate(s)
     return out
 
 
@@ -360,10 +364,12 @@ class PerturbedSweepFamily:
 
     def at_deficit(self, deltas: Sequence[float], theta: float) -> List[Realization]:
         deltas = np.asarray(deltas, dtype=float)
-        # double each upper scale from 0.25, 40 times at most, until it brackets
+        # double each upper scale from 0.25 until it brackets, 16 times at most:
+        # further out, deficit_at reads rounding noise that may exceed any
+        # target (7.9e13 at 0.25 * 2^32 for seed 3, theta 0.5)
         hi = np.full(deltas.shape, 0.25)
         short = np.ones(deltas.shape, dtype=bool)
-        for _ in range(40):
+        for _ in range(16):
             short[short] = ~(self.deficit_at(hi[short], theta) >= deltas[short])
             if not np.any(short):
                 break

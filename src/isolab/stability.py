@@ -37,17 +37,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import DomainError, InvariantViolation, QuadratureError
 from .measure1d import (
     Measure1D,
+    cell_index,
     cell_log_masses,
     gaussian_profile,
     gaussian_psi,
     normalize,
+    stacked_cells,
+    stacked_sides,
     truncated_gaussian_potential,
 )
 from .numerics import (
@@ -96,9 +99,22 @@ _EQUALITY_TOL = 1e-13
 _PEAK_MARGIN = 10.0
 
 
+Measures = Union[Measure1D, Sequence[Measure1D]]
+
+
+def _rows(m: Measures) -> list:
+    return [m] if isinstance(m, Measure1D) else list(m)
+
+
+def _shaped(values: np.ndarray, m: Measures):
+    """A float for a single measure, the array of rows for a sequence."""
+    return float(values[0]) if isinstance(m, Measure1D) else values
+
+
 @dataclass(frozen=True)
 class DeficitReport:
-    """Half-line perimeter vs the Gaussian profile at ``a_theta``."""
+    """Half-line perimeter vs the Gaussian profile at ``a_theta``; for
+    measures, ``shift``, ``perimeter_at_a`` and ``deficit`` are arrays."""
 
     theta: float
     a_theta: float
@@ -194,27 +210,29 @@ def center(m: Measure1D, theta: float) -> Tuple[Measure1D, float]:
     return m.translate(shift), shift
 
 
-def deficit(m: Measure1D, theta: float) -> DeficitReport:
-    """Isoperimetric deficit of the half-line at ``a_theta``.
+def deficit(m: Measures, theta: float) -> DeficitReport:
+    """Isoperimetric deficit of the half-line at ``a_theta``, of a measure
+    or of measures sharing a cell count (read on their stacked sides).
 
     The deficit is read at ``m``'s own ``theta``-quantile ``q``, which
     centering moves to ``a_theta``: the perimeter is ``density(q)``, and the
-    report records the centering shift ``a_theta - q``.  For 1-convex input
-    the deficit is nonnegative (up to 1e-9 of rounding noise) because the
-    half-line is an admissible competitor in the isoperimetric inequality.
+    report records the centering shift ``a_theta - q``.  ``theta > 1/2`` is
+    read from the right end, as :meth:`Measure1D.quantile` reads it.  For
+    1-convex input the deficit is nonnegative (up to 1e-9 of rounding
+    noise) because the half-line is an admissible competitor in the
+    isoperimetric inequality.
     """
-    a_theta = gaussian_quantile(theta)
-    q = m.quantile(theta)
-    peri = float(m.density(q))
-    prof = gaussian_profile(theta)
-    return DeficitReport(
-        theta=theta,
-        a_theta=a_theta,
-        shift=a_theta - q,
-        perimeter_at_a=peri,
-        profile_at_theta=prof,
-        deficit=peri - prof,
-    )
+    if not 0.0 < theta < 1.0:
+        raise DomainError(f"deficit: theta={theta!r} outside (0, 1)")
+    ms = _rows(m)
+    left, right = stacked_sides(ms)
+    rows = None if isinstance(m, Measure1D) else np.arange(len(ms))  # None: one binary search
+    side, sign, mass = (left, 1.0, theta) if theta <= 0.5 else (right, -1.0, 1.0 - theta)
+    x = side.invert(np.full(len(ms), mass), rows)
+    peri, a_theta, prof = side.density(x, rows), gaussian_quantile(theta), gaussian_profile(theta)
+    return DeficitReport(theta=theta, a_theta=a_theta, shift=_shaped(a_theta - sign * x, m),
+                         perimeter_at_a=_shaped(peri, m), profile_at_theta=prof,
+                         deficit=_shaped(peri - prof, m))
 
 
 def slope_gap(m: Measure1D, theta: float) -> float:
@@ -309,62 +327,62 @@ def check_gap_bounds(
     )
 
 
-def _ratio_crossings(m: Measure1D) -> Tuple[float, ...]:
+def _ratio_crossings(edges, beta, log_amp) -> np.ndarray:
     """Where the density ratio ``exp(psi_g - psi)`` crosses 1, the kinks of
-    ``|ratio - 1|``: on each cell ``psi_g - psi`` is linear,
+    ``|ratio - 1|``, per cell of normalized cells with any leading axes
+    (NaN where a cell holds none): on each cell ``psi_g - psi`` is linear,
     ``log_amp_i - beta_i^2/2 - beta_i * x``, so its zero is exact."""
-    pot = m.potential
     with np.errstate(divide="ignore", invalid="ignore"):
-        x = (m.log_amp - 0.5 * pot.slopes**2) / pot.slopes
-    inside = (x > pot.edges[:-1]) & (x < pot.edges[1:])
-    return tuple(float(t) for t in x[inside])
+        x = (log_amp - 0.5 * beta**2) / beta
+    return np.where((x > edges[..., :-1]) & (x < edges[..., 1:]), x, np.nan)
 
 
-def lp_distance(m: Measure1D, p: float) -> float:
+def lp_distance(m: Measures, p: float):
     """``|| exp(psi_g - psi) - 1 ||_{L^p(gamma)}`` with off-domain ratio 0.
 
-    Off ``I`` the density ratio is taken to be 0, so the integrand there is
-    ``|0 - 1|^p = 1`` and contributes exactly ``gamma(R \\ I)``.  ``p`` must
-    lie in [1, 64].  The integrand is formed in log space, ``exp(p *
-    log|expm1(g)| - psi_g)`` with ``g = psi_g - psi``, and scaled by its
-    peak value when that exceeds 1: the integral itself may
-    overflow a double (about ``e^18144`` for the Gaussian translated by 3 at
-    ``p = 64``, whose integrand peaks at ``x = 192``) while its p-th root
-    does not.
+    A float for one measure; an array for a sequence of measures sharing a
+    cell count, whose integrals are the rows of one quadrature.  Off ``I``
+    the density ratio is taken to be 0, so the integrand there is ``|0 -
+    1|^p = 1`` and contributes exactly ``gamma(R \\ I)``.  ``p`` must lie in
+    [1, 64].  The integrand is formed in log space, ``exp(p * log|expm1(g)|
+    - psi_g)`` with ``g = psi_g - psi`` linear on each cell, and scaled by
+    its peak value when that exceeds 1: the integral itself may overflow a
+    double (about ``e^18144`` for the Gaussian translated by 3 at ``p =
+    64``, whose integrand peaks at ``x = 192``) while its p-th root does not.
     """
     p = float(p)
     if math.isnan(p) or p < 1.0:
         raise DomainError(f"lp_distance: p={p!r} must be >= 1")
     if p > 64.0:
         raise DomainError(f"lp_distance: p={p!r} must be <= 64")
+    edges, beta, log_amp = stacked_cells(_rows(m))
 
-    def log_integrand(x: np.ndarray) -> np.ndarray:
-        psi_g = gaussian_psi(x)
-        g = psi_g - m.psi(x)
+    def log_integrand(g: np.ndarray, x: np.ndarray) -> np.ndarray:
         # log|e^g - 1| = max(g, 0) + log(1 - e^{-|g|}), finite for any g != 0
         with np.errstate(divide="ignore"):
-            return p * (np.maximum(g, 0.0) + np.log(-np.expm1(-np.abs(g)))) - psi_g
+            return p * (np.maximum(g, 0.0) + np.log(-np.expm1(-np.abs(g)))) - gaussian_psi(x)
 
     # Where g >> 0 the log-integrand is p*g - psi_g up to a term of size
     # p*e^{-g}, and g is linear on each cell, so its peak is near the vertex
     # -p*beta of the cell, clipped to it: scale by the largest vertex value
     # when that exceeds 0, and integrate over the domain cut to a window
     # that holds that vertex and the tail cutoff.
-    pot = m.potential
-    vertices = np.clip(-p * pot.slopes, pot.edges[:-1], pot.edges[1:])
-    values = log_integrand(vertices)
-    peak = int(np.argmax(values))
-    shift = max(0.0, float(values[peak]))
-    reach = TAIL_CUTOFF
-    if math.isfinite(values[peak]):
-        reach = max(reach, abs(float(vertices[peak])) + _PEAK_MARGIN)
-    inside = integrate(
-        lambda x: np.exp(log_integrand(x) - shift),
-        Interval(-reach, reach).intersect(m.domain),
-        points=(*pot.knots(), *_ratio_crossings(m)),
-    )
-    outside = (gaussian_cdf(m.domain.lo) + gaussian_sf(m.domain.hi)) * math.exp(-shift)
-    return math.exp(shift / p) * (inside + outside) ** (1.0 / p)
+    vertices = np.clip(-p * beta, edges[:, :-1], edges[:, 1:])
+    values = log_integrand(log_amp - 0.5 * beta**2 - beta * vertices, vertices)
+    peak = np.arange(len(edges)), np.argmax(values, axis=1)  # each row's largest
+    top, at = values[peak], vertices[peak]
+    shift = np.maximum(top, 0.0)
+    reach = np.where(np.isfinite(top), np.maximum(TAIL_CUTOFF, np.abs(at) + _PEAK_MARGIN), TAIL_CUTOFF)
+
+    def on_rows(x: np.ndarray, row: np.ndarray) -> np.ndarray:
+        cell = cell_index(edges, x, row)
+        b, w = beta[row, cell], log_amp[row, cell]
+        return np.exp(log_integrand(w - 0.5 * b * b - b * x, x) - shift[row])
+
+    inside = integrate(on_rows, (np.maximum(-reach, edges[:, 0]), np.minimum(reach, edges[:, -1])),
+                       points=np.concatenate([edges[:, 1:-1], _ratio_crossings(edges, beta, log_amp)], 1))
+    outside = (gaussian_cdf(edges[:, 0]) + gaussian_sf(edges[:, -1])) * np.exp(-shift)
+    return _shaped(np.exp(shift / p) * (inside + outside) ** (1.0 / p), m)
 
 
 def relative_entropy(m: Measure1D) -> float:
@@ -393,8 +411,9 @@ def relative_entropy(m: Measure1D) -> float:
     return value
 
 
-def _quantile_coupling(m: Measure1D, power: int) -> float:
-    """``int_0^1 |F_m^{-1}(t) - Phi^{-1}(t)|^power dt`` by quadrature.
+def _quantile_coupling(m: Measures, power: int) -> np.ndarray:
+    """``int_0^1 |F_m^{-1}(t) - Phi^{-1}(t)|^power dt`` by quadrature, an
+    array with one row per measure of ``m``.
 
     Computed after the substitution ``t = Phi(s)`` as ``int |F_m^{-1}(Phi(s))
     - s|^power phi(s) ds``: in the ``t`` variable the integrand piles into
@@ -407,63 +426,83 @@ def _quantile_coupling(m: Measure1D, power: int) -> float:
     value).  A non-negligible tail bound is reported as a failure rather
     than absorbed.
     """
+    sides, cells = stacked_sides(_rows(m)), stacked_cells(_rows(m))
+    n, rows = len(cells[0]), np.arange(len(cells[0]))
+    s_lo, s_hi = gaussian_quantile(_T_CLIP), gaussian_quantile(1.0 - _T_CLIP)
 
-    def diff(t: float) -> float:
-        return m.quantile(t) - gaussian_quantile(t)
-
-    s_lo = gaussian_quantile(_T_CLIP)
-    s_hi = gaussian_quantile(1.0 - _T_CLIP)
-
-    def integrand(s: np.ndarray) -> np.ndarray:
-        return np.abs(_transport_map(m, s) - s) ** power * gaussian_pdf(s)
+    def integrand(s: np.ndarray, row: np.ndarray) -> np.ndarray:
+        return np.abs(_transport_map(sides, s, row) - s) ** power * gaussian_pdf(s)
 
     # The map s -> F_m^{-1}(Phi(s)) has derivative jumps at the images of the
-    # potential's kinks; hand those to the quadrature as interior breakpoints.
-    t = m.cdf_many(np.array(m.potential.knots()))
-    kink_images = gaussian_quantile(t[(t > _T_CLIP) & (t < 1.0 - _T_CLIP)])
-
+    # potential's kinks; hand those to the quadrature as interior breakpoints,
+    # and for W_1 the kinks of |F_m^{-1}(Phi(s)) - s| too.
+    t = sides[0].cum.reshape(n, -1)[:, 1:-1]  # the cdf at the knots
+    inside = (t > _T_CLIP) & (t < 1.0 - _T_CLIP)
+    points = np.where(inside, gaussian_quantile(np.where(inside, t, 0.5)), np.nan)
+    if power == 1:
+        points = np.concatenate([points, _cdf_crossings(sides, cells, s_lo, s_hi)], 1)
     try:
-        value = integrate(integrand, Interval(s_lo, s_hi), points=kink_images,
+        value = integrate(integrand, (np.full(n, s_lo), np.full(n, s_hi)), points=points,
                           abs_tol=1e-10, rel_tol=1e-8)
     except QuadratureError as exc:
         raise QuadratureError(
             f"quantile-coupling integral failed near the endpoints: {exc}"
         ) from exc
-    tail_bound = _T_CLIP * (
-        (abs(diff(_T_CLIP)) + 1.0) ** power + (abs(diff(1.0 - _T_CLIP)) + 1.0) ** power
-    )
+    clip = np.full(n, _T_CLIP)  # the quantile differences at both clip points
+    tail_bound = np.max(_T_CLIP * ((np.abs(sides[0].invert(clip, rows) - s_lo) + 1.0) ** power
+                                   + (np.abs(sides[1].invert(clip, rows) + s_hi) + 1.0) ** power))
     if tail_bound > 1e-8:
-        raise QuadratureError(
-            f"clipped endpoint mass bound {tail_bound:.3e} is not negligible"
-        )
+        raise QuadratureError(f"clipped endpoint mass bound {tail_bound:.3e} is not negligible")
     return value
 
 
-def _transport_map(m: Measure1D, s: np.ndarray) -> np.ndarray:
+def _transport_map(sides, s: np.ndarray, row: np.ndarray) -> np.ndarray:
     """``F_m^{-1}(Phi(s))``, the monotone map pushing gamma to ``m``, on the
-    quantile-coupling window: the mass ``Phi(s)`` below ``s <= 0`` is
-    inverted by ``quantile``, and the mass ``Phi(-s)`` above ``s > 0`` by
-    ``isf``, so the upper tail keeps the precision of the lower one."""
+    quantile-coupling window, at ``s[i]`` for the measure ``row[i]`` of the
+    stacked ``sides``: the mass ``Phi(s)`` below ``s <= 0`` is inverted from
+    the left end, and ``Phi(-s)`` above ``s > 0`` from the right end."""
     out = np.empty_like(s)
     lower = s <= 0.0
-    out[lower] = m.quantile(np.clip(gaussian_cdf(s[lower]), _T_CLIP, 0.5))
-    out[~lower] = m.isf(np.clip(gaussian_sf(s[~lower]), _T_CLIP, 0.5))
+    out[lower] = sides[0].invert(np.clip(gaussian_cdf(s[lower]), _T_CLIP, 0.5), row[lower])
+    out[~lower] = -sides[1].invert(np.clip(gaussian_sf(s[~lower]), _T_CLIP, 0.5), row[~lower])
     return out
 
 
-def w2_to_gaussian(m: Measure1D) -> float:
-    """Quadratic Wasserstein distance to the standard Gaussian.
+def _cdf_crossings(sides, cells, lo: float, hi: float) -> np.ndarray:
+    """Where ``F_m`` crosses ``Phi`` in ``[lo, hi]``, per row (NaN-padded):
+    the kinks of the W_1 integrand.  ``F_m - Phi`` is monotone between the
+    cell edges and the ratio crossings (its derivative is ``density - phi``),
+    so each such piece holds at most one zero, found by one elementwise root
+    solve where the piece's ends differ in sign.  The solve reads the map's
+    offset ``F_m^{-1}(Phi(s)) - s``, of the opposite sign and with upper
+    masses by ``sf``: ``cdf - Phi`` is rounding noise where both near 1."""
+    ends = np.concatenate([cells[0], _ratio_crossings(*cells)], 1)
+    ends = np.sort(np.clip(np.where(np.isnan(ends), lo, ends), lo, hi), 1)
+    row = np.repeat(np.arange(len(ends)), ends.shape[1]).reshape(ends.shape)
+    g = (_transport_map(sides, ends.ravel(), row.ravel()) - ends.ravel()).reshape(ends.shape)
+    change = np.sign(g[:, :-1]) * np.sign(g[:, 1:]) < 0.0
+    crossings = np.full(change.shape, np.nan)
+    if change.any():
+        at = row[:, 1:][change]
+        crossings[change] = find_root(lambda x: _transport_map(sides, x, at) - x,
+                                      (ends[:, :-1][change], ends[:, 1:][change]))
+    return np.concatenate([np.where(g == 0.0, ends, np.nan), crossings], 1)
+
+
+def w2_to_gaussian(m: Measures):
+    """Quadratic Wasserstein distance to the standard Gaussian: a float for
+    one measure, an array for measures sharing a cell count.
 
     One-dimensional optimal transport is the monotone (quantile) coupling:
     ``W_2^2 = int_0^1 (F_m^{-1}(t) - Phi^{-1}(t))^2 dt``.
     """
-    return math.sqrt(max(0.0, _quantile_coupling(m, 2)))
+    return _shaped(np.sqrt(np.maximum(_quantile_coupling(m, 2), 0.0)), m)
 
 
-def w1_to_gaussian(m: Measure1D) -> float:
-    """First Wasserstein distance to the Gaussian (quantile coupling);
-    always ``<= w2_to_gaussian`` by Hoelder."""
-    return _quantile_coupling(m, 1)
+def w1_to_gaussian(m: Measures):
+    """First Wasserstein distance to the Gaussian (quantile coupling), shaped
+    as :func:`w2_to_gaussian`'s; always ``<= w2_to_gaussian`` by Hoelder."""
+    return _shaped(_quantile_coupling(m, 1), m)
 
 
 def talagrand_check(m: Measure1D) -> TalagrandReport:
@@ -484,6 +523,7 @@ def w1_dual_bound(m: Measure1D, theta: float) -> float:
     makes this a valid dual bound.
     """
     centered, _ = center(m, theta)
+    pot = centered.potential
     a_theta = gaussian_quantile(theta)
 
     def inside(x: np.ndarray) -> np.ndarray:
@@ -492,7 +532,8 @@ def w1_dual_bound(m: Measure1D, theta: float) -> float:
 
     total = integrate(
         inside, centered.domain,
-        points=(*centered.potential.knots(), a_theta, *_ratio_crossings(centered)),
+        points=np.concatenate([pot.knots(), [a_theta],
+                               _ratio_crossings(pot.edges, pot.slopes, centered.log_amp)]),
     )
     # off the domain the integrand is |x - a_theta| phi(x), and a_theta lies
     # inside it, so both tails have closed forms (0 at an infinite end)

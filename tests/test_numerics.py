@@ -211,6 +211,72 @@ def test_integrate_reports_failure():
         integrate(lambda x: np.cos(1e5 * x), Interval(0.0, 1.0))
 
 
+# -- rows: many integrals in the same passes ----------------------------------
+
+
+def _row_integrand(x, row):
+    # each row its own kinked, shifted Gaussian-damped profile
+    centre = np.array([0.0, 1.5, -2.0, 0.3, 0.0])[row]
+    return np.abs(x - centre) * gaussian_pdf(x - 0.5 * centre)
+
+
+ROW_DOMAINS = (np.array([-math.inf, -1.0, -3.0, 41.0, 0.0]),
+               np.array([math.inf, 4.0, 2.5, math.inf, 1e-3]))
+# one row of breakpoints per row, NaN-padded; row 3 lies beyond the tail
+# cutoff, so it is cut away entirely and integrates to 0
+ROW_POINTS = np.array([[0.0, np.nan, np.nan], [1.5, 7.0, np.nan], [-2.0, -1.0, 1.0],
+                       [50.0, np.nan, np.nan], [np.nan, np.nan, np.nan]])
+
+
+def test_integrate_rows_equal_one_interval_call_per_row():
+    got = integrate(_row_integrand, ROW_DOMAINS, points=ROW_POINTS)
+    assert isinstance(got, np.ndarray) and got.shape == (5,)
+    for r, (lo, hi) in enumerate(zip(*ROW_DOMAINS)):
+        alone = integrate(lambda x: _row_integrand(x, np.full(x.shape, r)), Interval(lo, hi),
+                          points=ROW_POINTS[r])
+        assert isinstance(alone, float)
+        assert got[r] == pytest.approx(alone, rel=1e-13, abs=0.0)
+    assert got[3] == 0.0
+    # the first row is E|X| of the standard normal
+    assert got[0] == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-12)
+
+
+def test_integrate_rows_share_the_passes():
+    passes = []
+
+    def counted(x, row):
+        passes.append(x.size)
+        return _row_integrand(x, row)
+
+    integrate(counted, ROW_DOMAINS, points=ROW_POINTS)
+    per_row = []
+    for r, (lo, hi) in enumerate(zip(*ROW_DOMAINS)):
+        calls = []
+        integrate(lambda x: calls.append(x.size) or _row_integrand(x, np.full(x.shape, r)),
+                  Interval(lo, hi), points=ROW_POINTS[r])
+        per_row.append(calls)
+    # as many passes as the slowest row, each on every row's open pieces
+    assert len(passes) == max(len(c) for c in per_row)
+    assert sum(passes) == sum(sum(c) for c in per_row)
+
+
+def test_integrate_row_failure_raises_for_the_whole_call():
+    lo, hi = np.array([0.0, 0.0, -1.0]), np.array([1.0, 1.0, 1.0])
+
+    def oscillating(x, row):
+        return np.where(row == 1, np.cos(1e5 * x), gaussian_pdf(x))
+
+    with pytest.raises(QuadratureError, match="after 200 bisections"):
+        integrate(oscillating, (lo, hi))
+
+    def infinite(x, row):
+        return np.where(row == 2, np.inf, gaussian_pdf(x))
+
+    with np.errstate(invalid="ignore"), pytest.raises(
+            QuadratureError, match=r"over \(-1.0, 1.0\) failed: non-finite"):
+        integrate(infinite, (lo, hi))
+
+
 def test_import_leaves_out_scipy_integrate():
     # neither QUADPACK nor Brent: the kernel and the root solver are isolab's
     src = str(Path(isolab.__file__).resolve().parents[1])

@@ -230,20 +230,64 @@ def test_sweep_solves_the_whole_grid_in_one_root_solve(family, monkeypatch):
     assert len(calls) == 1
 
 
-def test_example23_family_reads_each_quantile_once(monkeypatch):
-    # one deficit() read per grid point gives both the 5% check and the
-    # centering shift
+@pytest.mark.parametrize("grid", [DEFAULT_DELTA_GRID[::4], DEFAULT_DELTA_GRID],
+                         ids=["3-point", "9-point"])
+@pytest.mark.parametrize("family", [Example23SweepFamily(), PerturbedSweepFamily.seeded(3)],
+                         ids=["example23", "perturbed"])
+@pytest.mark.parametrize("metric", ["lp:2", "w1", "w2"])
+def test_sweep_makes_one_quadrature_at_any_grid_size(metric, family, grid, monkeypatch):
+    # every module that binds integrate by value gets a counter
     calls = []
-    quantile = isolab.Measure1D.quantile
 
-    def counted(self, theta):
-        calls.append(theta)
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (isolab.numerics, isolab.measure1d, isolab.stability, isolab.needles,
+                   isolab.rates):
+        if hasattr(module, "integrate"):
+            monkeypatch.setattr(module, "integrate", counted(module.integrate))
+    res = sweep(family, 0.5, Metric.parse(metric), grid)
+    assert len(res.points) == len(grid)
+    assert len(calls) == 1
+
+
+def test_example23_family_reads_every_deficit_in_one_call(monkeypatch):
+    # one deficit() read of the stacked measures gives every grid point's 5%
+    # check and centering shift; no measure reads its quantile alone
+    quantiles, reads = [], []
+    quantile, stacked_deficit = isolab.Measure1D.quantile, isolab.rates.deficit
+
+    def counted_quantile(self, theta):
+        quantiles.append(theta)
         return quantile(self, theta)
 
-    monkeypatch.setattr(isolab.Measure1D, "quantile", counted)
+    def counted_deficit(ms, theta):
+        reads.append(len(ms))
+        return stacked_deficit(ms, theta)
+
+    monkeypatch.setattr(isolab.Measure1D, "quantile", counted_quantile)
+    monkeypatch.setattr(isolab.rates, "deficit", counted_deficit)
     realized = Example23SweepFamily().at_deficit([1e-2, 1e-3, 1e-4], 0.5)
     assert all(isinstance(m, isolab.Measure1D) for m in realized)
-    assert len(calls) == 3
+    assert quantiles == [] and reads == [3]
+    for d, m in zip([1e-2, 1e-3, 1e-4], realized):
+        rep = deficit(m, 0.5)
+        assert rep.deficit == pytest.approx(d, rel=5e-2)
+        assert abs(rep.shift) <= 1e-15
+
+
+def test_perturbed_bracket_doubling_stops_before_the_noise():
+    # at seed 3, theta 0.5, deficit_at reads rounding noise past scale 256:
+    # -0.399 at 1024, 7.9e13 at 0.25 * 2^32; a target of 1e3 is never
+    # bracketed from it, so the point is skipped as unbracketed
+    fam = PerturbedSweepFamily.seeded(3)
+    (point,) = fam.at_deficit([1e3], 0.5)
+    assert isinstance(point, isolab.BracketError)
+    assert "could not bracket deficit 1.000e+03" in str(point)
 
 
 @pytest.mark.parametrize("family, unreachable", [(Example23SweepFamily(), 100.0),

@@ -9,10 +9,13 @@ import oracle_constants as oc
 from oracle_entropy import relative_entropy_quadrature
 from oracle_erf import lp_translated_gaussian_decimal
 from oracle_ot import discrete_w2_oracle
+from isolab.measure1d import stacked_sides
 from isolab.numerics import TAIL_CUTOFF
 from isolab.stability import _transport_map, solve_truncation_for_deficit
 from isolab import (
+    DEFAULT_DELTA_GRID,
     DomainError,
+    Example23SweepFamily,
     center,
     check_gap_bounds,
     default_gap_window,
@@ -66,6 +69,22 @@ def test_deficit_centers_internally():
 def test_deficit_nonnegative_on_kinked():
     for theta in (0.15, 0.5, 0.85):
         assert deficit(KINKED, theta).deficit >= -1e-9
+
+
+@pytest.mark.parametrize("theta", [0.2, 0.5, 0.8])
+def test_deficit_of_a_sequence_is_the_measures_own_reads(theta):
+    # the stacked read gives each measure's deficit and shift as the
+    # measure's own quantile and density give them
+    ms = [PerturbedSweepFamily.seeded(seed).measure_at(lam) for seed, lam in ((3, 0.5), (5, 1.0), (7, 2.0))]
+    rep = deficit(ms, theta)
+    assert isinstance(rep.deficit, np.ndarray) and rep.deficit.shape == (3,)
+    for i, m in enumerate(ms):
+        q = m.quantile(theta)
+        assert rep.shift[i] == pytest.approx(gaussian_quantile(theta) - q, rel=1e-13, abs=1e-15)
+        assert rep.perimeter_at_a[i] == pytest.approx(m.density(q), rel=1e-13)
+        assert rep.deficit[i] == deficit(m, theta).deficit
+    with pytest.raises(DomainError):
+        deficit(ms, 1.0)
 
 
 @given(
@@ -211,7 +230,7 @@ def test_transport_map_upper_tail_as_precise_as_lower():
     # F^{-1}(Phi(s)) = s + 0.3 for the translate: inverting 1 - Phi(s) from
     # the left would lose 5.8e-6 at s = 7
     s = np.arange(-7.0, 8.0)
-    got = _transport_map(GAUSSIAN.translate(0.3), s)
+    got = _transport_map(stacked_sides([GAUSSIAN.translate(0.3)]), s, np.zeros(s.size, dtype=int))
     np.testing.assert_allclose(got - s - 0.3, 0.0, rtol=0.0, atol=1e-12)
 
 
@@ -232,6 +251,58 @@ def test_transport_chain_on_truncations(D):
     assert 0.0 < w1 <= w2 + 1e-10
     assert rep.passed
     assert w2**2 <= 2.0 * relative_entropy(m) + 1e-8
+
+
+# -- distances on sequences: one quadrature, one row per measure -------------
+
+
+def _sweep_measures(family):
+    return [m for m in family.at_deficit(DEFAULT_DELTA_GRID, 0.5)]
+
+
+@pytest.mark.parametrize("family", [Example23SweepFamily(), PerturbedSweepFamily.seeded(123456)],
+                         ids=["example23", "perturbed"])
+def test_distances_on_a_sequence_equal_the_per_measure_calls(family):
+    ms = _sweep_measures(family)
+    for distance in (lambda m: lp_distance(m, 1.0), lambda m: lp_distance(m, 4.0),
+                     w1_to_gaussian, w2_to_gaussian):
+        rows = distance(ms)
+        assert isinstance(rows, np.ndarray) and rows.shape == (len(ms),)
+        alone = [distance(m) for m in ms]
+        assert all(isinstance(v, float) for v in alone)
+        np.testing.assert_allclose(rows, alone, rtol=1e-13, atol=0.0)
+
+
+def test_distances_on_a_sequence_need_one_cell_count():
+    with pytest.raises(DomainError, match="share a cell count"):
+        lp_distance([GAUSSIAN, KINKED], 2.0)
+    with pytest.raises(DomainError, match="share a cell count"):
+        w2_to_gaussian([TRUNCATED_2, KINKED])
+
+
+def _w1_cdf_form(m):
+    """``int |F_m - Phi| dx`` by QUADPACK, the upper half through the upper
+    tails ``sf``, split at the knots and at 0."""
+    from scipy import integrate as quadpack, special
+
+    def halves(lo_half):
+        cut = [k for k in m.potential.knots() if (k < 0.0) == lo_half]
+        ends = [-np.inf, *sorted(cut), 0.0] if lo_half else [0.0, *sorted(cut), np.inf]
+        f = ((lambda x: abs(m.cdf(x) - special.ndtr(x))) if lo_half
+             else (lambda x: abs(m.sf(x) - special.ndtr(-x))))
+        return sum(quadpack.quad(f, a, b, epsabs=1e-17, epsrel=1e-12, limit=400)[0]
+                   for a, b in zip(ends, ends[1:]))
+
+    return halves(True) + halves(False)
+
+
+def test_w1_meets_its_tolerance_against_the_cdf_form():
+    # F_m crosses Phi at s = 0 here; without that kink as a breakpoint,
+    # delta = 1e-4 .. 1e-6 miss this oracle by about 1e-7 relative
+    ms = _sweep_measures(PerturbedSweepFamily.seeded(123456))
+    got = w1_to_gaussian(ms)
+    want = np.array([_w1_cdf_form(m) for m in ms])
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
 
 
 def test_w1_dual_bound_dominates():
