@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -134,7 +135,9 @@ class RunConfig:
 # -- argument parsing ---------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process, on first use."""
     parser = argparse.ArgumentParser(
         prog="isolab",
         description="Numerical checks of Gaussian isoperimetric stability on 1-convex measures.",
@@ -345,7 +348,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         report.update(talagrand=tal.to_dict(), talagrand_pass=tal.passed)
         checks["talagrand"] = bool(tal.passed)
         checks["w1_le_w2"] = w1 <= w2 + _CHECK_TOL
-        report["w1_dual_bound"] = dual = stability.w1_dual_bound(m, cfg.theta)
+        report["w1_dual_bound"] = dual = stability.w1_dual_bound(m, cfg.theta, drep.shift)
         checks["w1_le_dual_bound"] = w1 <= dual + _CHECK_TOL
     except IsolabError as exc:
         report["error"] = f"{type(exc).__name__}: {exc}"

@@ -45,9 +45,10 @@ perimeter (a half-line cut at the end of a bounded interval is "free").
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -80,10 +81,9 @@ __all__ = [
     "normalize",
     "cell_log_masses",
     "profile_point",
-    "stacked_cells",
-    "stacked_sides",
+    "MeasureStack",
+    "stacked",
     "cell_index",
-    "one_cell_measure",
     "check_one_convexity",
     "gaussian_profile",
     "boundary_set",
@@ -145,12 +145,6 @@ class PotentialSpec:
 
     def right_derivative(self, x: ArrayLike) -> ArrayLike:
         return _vec(lambda a: a + self.slopes[cell_index(self.edges, a)], x)
-
-    def _log_masses(self) -> np.ndarray:
-        """Per cell, the log of ``int exp(-psi_hat)`` over the cell, where
-        ``exp(-psi_hat) = sqrt(2*pi) * exp(beta^2/2 - gamma) * phi(x + beta)``."""
-        log_weight = LOG_SQRT_2PI + 0.5 * self.slopes**2 - self.offsets
-        return cell_log_masses(self.edges, self.slopes, log_weight)
 
 
 def cell_log_masses(edges, beta, log_amp):
@@ -382,30 +376,24 @@ class Measure1D:
         return LOG_SQRT_2PI + 0.5 * pot.slopes**2 - pot.offsets - self.log_normalizer
 
     @cached_property
-    def _sides(self) -> Tuple["_Side", "_Side"]:
-        """The cells seen from the left end, and mirrored (``x -> -x``) so
-        that the right end comes first; upper tails are then lower tails of
-        the mirror, with the same precision."""
-        pot, log_amp, pad = self.potential, self.log_amp, [np.nan]
-        mass = np.exp(pot._log_masses() - self.log_normalizer)
-        left = _Side(pot.edges, np.concatenate([pot.slopes, pad]), np.concatenate([log_amp, pad]),
-                     np.concatenate([[0.0], np.cumsum(mass)]), pot.edges.size)
-        right = _Side(-pot.edges[::-1], np.concatenate([-pot.slopes[::-1], pad]),
-                      np.concatenate([log_amp[::-1], pad]),
-                      np.concatenate([[0.0], np.cumsum(mass[::-1])]), pot.edges.size)
-        return left, right
+    def _stack(self) -> "MeasureStack":
+        """The measure as a stack of one; its ``sides`` are the cells seen
+        from the left end, and mirrored (``x -> -x``) so that the right end
+        comes first: upper tails are lower tails of the mirror, as precise."""
+        pot = self.potential
+        return MeasureStack(pot.edges[None], pot.slopes[None], self.log_amp[None])
 
     def cdf_many(self, x: ArrayLike) -> ArrayLike:
         """Mass of ``(-inf, x]``; floats or arrays.  0 at the left end of the
         domain, 1 at the right end."""
-        return _vec(lambda a: self._sides[0].mass_below(a), x)
+        return _vec(lambda a: self._stack.sides[0].mass_below(a), x)
 
     cdf = cdf_many
 
     def sf(self, x: ArrayLike) -> ArrayLike:
         """Mass of ``(x, inf)``; floats or arrays.  Summed from the right
         end, so it keeps its relative precision where ``1 - cdf`` cancels."""
-        return _vec(lambda a: self._sides[1].mass_below(-a), x)
+        return _vec(lambda a: self._stack.sides[1].mass_below(-a), x)
 
     def quantile(self, theta: ArrayLike) -> ArrayLike:
         """Generalized inverse of the cdf on (0, 1); floats or arrays.
@@ -419,7 +407,7 @@ class Measure1D:
     def _invert(self, lower: np.ndarray) -> np.ndarray:
         if not ((lower > 0.0) & (lower < 1.0)).all():
             raise DomainError("quantile: masses must lie in (0, 1)")
-        left, right = self._sides
+        left, right = self._stack.sides
         out = np.empty_like(lower)
         from_right = lower > 0.5
         if not from_right.all():
@@ -469,21 +457,48 @@ class _Side(NamedTuple):
                               self.log_amp[k], self.cum[k], mass)
 
 
-def stacked_cells(measures: Sequence["Measure1D"]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The normalized cells ``(edges, slopes, log_amp)`` of measures sharing
-    a cell count, one row per measure, as :func:`profile_point` takes them."""
+class MeasureStack(Sequence):
+    """Probability measures sharing a cell count, as normalized cells with a
+    row per measure: row ``i`` has density ``exp(log_amp[i, j]) * phi(x +
+    beta[i, j])`` on ``(edges[i, j], edges[i, j+1])``.  Indexing a row makes
+    its :class:`Measure1D`."""
+
+    def __init__(self, edges: np.ndarray, beta: np.ndarray, log_amp: np.ndarray) -> None:
+        self.edges, self.beta, self.log_amp = edges, beta, log_amp
+
+    def __len__(self) -> int:
+        return len(self.edges)
+
+    def __getitem__(self, i: int) -> "Measure1D":
+        edges, beta, log_amp = self.edges[i], self.beta[i], self.log_amp[i]
+        offsets = LOG_SQRT_2PI + 0.5 * beta * beta - (log_amp - log_amp[0])
+        spec = PotentialSpec(Interval(edges[0], edges[-1]), edges, beta, offsets)
+        return Measure1D(spec, -float(log_amp[0]))
+
+    @cached_property
+    def sides(self) -> Tuple[_Side, _Side]:
+        """Every row seen from the left end and from the right end."""
+        pad = np.full((len(self), 1), np.nan)
+        mass = np.exp(cell_log_masses(self.edges, self.beta, self.log_amp))
+
+        def side(e, b, w, m) -> _Side:
+            cum = np.concatenate([np.zeros_like(pad), np.cumsum(m, axis=1)], 1)
+            return _Side(e.ravel(), np.concatenate([b, pad], 1).ravel(),
+                         np.concatenate([w, pad], 1).ravel(), cum.ravel(), e.shape[1])
+
+        return (side(self.edges, self.beta, self.log_amp, mass),
+                side(-self.edges[:, ::-1], -self.beta[:, ::-1], self.log_amp[:, ::-1], mass[:, ::-1]))
+
+
+def stacked(measures) -> MeasureStack:
+    """A stack as it is, a measure's own stack, or measures that share a
+    cell count stacked."""
+    if isinstance(measures, (Measure1D, MeasureStack)):
+        return measures._stack if isinstance(measures, Measure1D) else measures
     if len({m.potential.edges.size for m in measures}) != 1:
         raise DomainError("stacked measures must share a cell count")
-    return tuple(np.stack(a) for a in zip(*((m.potential.edges, m.potential.slopes, m.log_amp)
-                                            for m in measures)))
-
-
-def stacked_sides(measures: Sequence["Measure1D"]) -> Tuple[_Side, _Side]:
-    """The two sides of measures that share a cell count, read with a single
-    measure's arithmetic, element ``i`` on the measure ``row[i]``."""
-    stacked_cells(measures)  # the cell-count check
-    return tuple(_Side(*map(np.concatenate, zip(*(side[:4] for side in sides))), sides[0].width)
-                 for sides in zip(*(m._sides for m in measures)))
+    return MeasureStack(*(np.stack(a) for a in zip(*((m.potential.edges, m.potential.slopes, m.log_amp)
+                                                      for m in measures))))
 
 
 def _cell_quantile(lo, hi, beta, log_amp, below, mass):
@@ -512,29 +527,23 @@ def profile_point(edges, beta, log_amp, theta: float) -> Tuple[np.ndarray, np.nd
         mass, sign = 1.0 - theta, -1.0
     log_mass = cell_log_masses(edges, beta, log_amp)
     cum = np.cumsum(np.exp(log_mass), axis=-1)
-    # the cell holding q, and its edges, slope, amplitude and the mass below it
-    k = np.sum(cum[..., :-1] < mass, axis=-1, keepdims=True)
+    # the cell holding q, as one flat index j into the cell arrays (and j +
+    # row into the edges, which have one more entry per row)
+    lead, width = log_mass.shape[:-1], log_mass.shape[-1]
+    row = np.arange(cum[..., 0].size).reshape(lead)
+    j = row * width + np.sum(cum[..., :-1] < mass, axis=-1)
 
-    def at(a: np.ndarray, j: np.ndarray) -> np.ndarray:
-        full = np.broadcast_to(a, log_mass.shape[:-1] + a.shape[-1:])
-        return np.take_along_axis(full, j, -1)[..., 0]
+    def at(a: np.ndarray, i: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(a, lead + a.shape[-1:]).ravel()[i]
 
-    below = at(np.concatenate([np.zeros_like(cum[..., :1]), cum], axis=-1), k)
-    b, w = at(beta, k), at(log_amp, k)
-    q = _cell_quantile(at(edges, k), at(edges, k + 1), b, w, below, mass)
+    below = np.where(j > row * width, cum.ravel()[j - 1], 0.0)
+    b, w = at(beta, j), at(log_amp, j)
+    q = _cell_quantile(at(edges, j + row), at(edges, j + row + 1), b, w, below, mass)
     # a cell far out in its Gaussian's tail, as root brackets probe, may
     # round its log density up past the largest double
     with np.errstate(over="ignore"):
         density = np.exp(w - LOG_SQRT_2PI - 0.5 * (q + b) ** 2)
     return sign * q, density
-
-
-def one_cell_measure(lo: float, hi: float, beta: float, log_amp: float) -> Measure1D:
-    """The probability measure with density ``exp(log_amp) * phi(x + beta)``
-    on ``(lo, hi)``; ``log_amp`` must normalize it."""
-    offset = LOG_SQRT_2PI + 0.5 * beta * beta
-    spec = PotentialSpec(Interval(lo, hi), np.array([lo, hi]), np.array([beta]), np.array([offset]))
-    return Measure1D(spec, -log_amp)
 
 
 def normalize(spec: PotentialSpec) -> Measure1D:
@@ -543,7 +552,9 @@ def normalize(spec: PotentialSpec) -> Measure1D:
     ``log Z`` is the log-sum of the closed-form cell masses.  Raises
     ``NonIntegrableError`` when the mass is not a positive finite number.
     """
-    log_z = float(np.logaddexp.reduce(spec._log_masses()))
+    # on a cell exp(-psi_hat) = sqrt(2*pi) * exp(beta^2/2 - gamma) * phi(x + beta)
+    log_weight = LOG_SQRT_2PI + 0.5 * spec.slopes**2 - spec.offsets
+    log_z = float(np.logaddexp.reduce(cell_log_masses(spec.edges, spec.slopes, log_weight)))
     if not math.isfinite(log_z):
         raise NonIntegrableError(f"normalization mass is exp({log_z!r})")
     return Measure1D(potential=spec, log_normalizer=log_z)

@@ -59,9 +59,9 @@ import numpy as np
 from .errors import BracketError, ConfigError, DomainError, InvariantViolation, QuadratureError
 from .measure1d import (
     Measure1D,
+    MeasureStack,
     cell_log_masses,
     gaussian_profile,
-    one_cell_measure,
     profile_point,
 )
 from .numerics import (
@@ -200,10 +200,9 @@ class NeedleEnsemble:
     @cached_property
     def needles(self) -> Tuple[Needle, ...]:
         """One :class:`Needle` per needle, each holding its one-cell measure."""
-        columns = (self.weights, self.lo, self.hi, self.beta, self.log_amp,
-                   self.r_minus, self.r_plus)
-        return tuple(Needle(w, one_cell_measure(lo, hi, b, a), r_minus, r_plus)
-                     for w, lo, hi, b, a, r_minus, r_plus in zip(*(c.tolist() for c in columns)))
+        cells = MeasureStack(np.column_stack([self.lo, self.hi]), self.beta[:, None], self.log_amp[:, None])
+        return tuple(Needle(w, m, r_minus, r_plus) for w, m, r_minus, r_plus
+                     in zip(self.weights.tolist(), cells, self.r_minus.tolist(), self.r_plus.tolist()))
 
     @property
     def scaling_exponent(self) -> float:
@@ -546,13 +545,14 @@ def classify_centered(
     by the theory (only the power of ``delta`` is), hence it is exposed as
     a parameter with default 1.0.
     """
-    return _classify_centered(ens, delta, c_threshold)[1]
+    return _classify_centered(ens, delta, c_threshold, _aggregate_deficit(ens))[1]
 
 
 def _classify_centered(
-    ens: NeedleEnsemble, delta: float, c_threshold: float
+    ens: NeedleEnsemble, delta: float, c_threshold: float, aggregate: float
 ) -> Tuple[np.ndarray, ClassificationReport]:
-    """:func:`classify_centered`'s report, and which needles passed."""
+    """:func:`classify_centered`'s report, and which needles passed, for the
+    ensemble's aggregate deficit ``aggregate``."""
     delta = float(delta)
     if not (delta > 0.0 and math.isfinite(delta)):
         raise DomainError(f"delta={delta!r} must be positive")
@@ -565,7 +565,7 @@ def _classify_centered(
     return centered, ClassificationReport(
         good_mass=None,
         centered_mass=float(np.dot(ens.weights, centered.astype(float))),
-        aggregate_deficit=_aggregate_deficit(ens),
+        aggregate_deficit=aggregate,
         threshold_used=threshold,
     )
 
@@ -675,7 +675,7 @@ def theorem31_experiment(
     reported, not fatal.
     """
     good_rep = classify_good(ens, delta)
-    cent_mask, cent_rep = _classify_centered(ens, delta, c_threshold)
+    cent_mask, cent_rep = _classify_centered(ens, delta, c_threshold, good_rep.aggregate_deficit)
     both = (ens.perimeter < good_rep.threshold_used) & cent_mask
     w = ens.weights
     both_mass = float(np.dot(w, both.astype(float)))

@@ -14,7 +14,8 @@ while quadratures stay well-conditioned.
 
 A family takes the whole grid at once: its parameters are solved from the
 deltas by one elementwise bracketed root solve, and a grid point whose solve
-fails is skipped and logged, never silently filled.
+fails is skipped and logged, never silently filled.  A measure family hands
+the metric its points' cells as one :class:`MeasureStack`.
 """
 from __future__ import annotations
 
@@ -22,20 +23,20 @@ import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, List, Optional, Protocol, Sequence, Tuple, Union
+from typing import Dict, Optional, Protocol, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import BracketError, DomainError
 from .measure1d import (
     Measure1D,
+    MeasureStack,
+    PotentialSpec,
     cell_log_masses,
-    gaussian_measure,
     gaussian_profile,
     normalize,
     perturbed_gaussian_potential,
     profile_point,
-    truncated_gaussian_potential,
 )
 from .needles import (
     EnsembleConfig,
@@ -44,9 +45,8 @@ from .needles import (
     generate_ensemble,
     rate_exponent,
 )
-from .numerics import find_root
+from .numerics import find_root, gaussian_log_mass, gaussian_quantile
 from .stability import (
-    deficit,
     lp_distance,
     relative_entropy,
     solve_truncation_for_deficit,
@@ -155,14 +155,27 @@ class SweepResult:
         }
 
 
-# a family's answer for a grid point: what realizes its deficit, or why none does
-Realization = Union[Measure1D, NeedleEnsemble, BracketError]
+class Realizations(Sequence):
+    """A family's answer for a deficit grid: ``realized`` holds what realizes
+    the points ``found``, in grid order (a :class:`MeasureStack` for measure
+    families), and ``failed`` maps every other point to its ``BracketError``.
+    Point ``i`` is its measure (made then), ensemble or error."""
+
+    def __init__(self, realized, found: Sequence[int], failed: Dict[int, BracketError]) -> None:
+        self.realized, self.found, self.failed = realized, list(found), failed
+
+    def __len__(self) -> int:
+        return len(self.found) + len(self.failed)
+
+    def __getitem__(self, i: int) -> Union[Measure1D, NeedleEnsemble, BracketError]:
+        i = range(len(self))[i]
+        return self.failed[i] if i in self.failed else self.realized[self.found.index(i)]
 
 
 class SweepFamily(Protocol):
     name: str
 
-    def at_deficit(self, deltas: Sequence[float], theta: float) -> List[Realization]: ...
+    def at_deficit(self, deltas: Sequence[float], theta: float) -> Realizations: ...
 
 
 def _fit(points: Sequence[Tuple[float, float]]) -> Tuple[float, float, float]:
@@ -195,18 +208,18 @@ def fit_exponent(points: Sequence[Tuple[float, float]]) -> Tuple[float, float, f
     return _fit(positive)
 
 
-def _evaluate_metric(metric: Metric, objs: Sequence[Union[Measure1D, NeedleEnsemble]]) -> list:
+def _evaluate_metric(metric: Metric, realized) -> list:
     """The metric's value on each realization, or the ``BracketError`` that
-    kept it from one: the quadrature metrics in one call on all of them."""
+    kept it from one: the quadrature metrics in one call on the stack."""
     ensembles = metric.kind == "mixture_l1"
-    if not all(isinstance(obj, NeedleEnsemble if ensembles else Measure1D) for obj in objs):
+    if isinstance(realized, MeasureStack) == ensembles:
         raise DomainError("metric mixture_l1 needs a needle-ensemble family" if ensembles
                           else f"metric {metric.kind!r} needs a measure family")
-    if objs and metric.kind in ("lp", "w1", "w2"):
+    if len(realized) and metric.kind in ("lp", "w1", "w2"):
         distance = {"w1": w1_to_gaussian, "w2": w2_to_gaussian}.get(metric.kind)
-        return (distance(objs) if distance else lp_distance(objs, float(metric.p))).tolist()
+        return (distance(realized) if distance else lp_distance(realized, float(metric.p))).tolist()
     out: list = []
-    for obj in objs:  # the closed-form entropy, and mixture_l1 per ensemble
+    for obj in realized:  # the closed-form entropy per measure, and mixture_l1 per ensemble
         try:
             out.append(aggregate_l1(obj).mixture_l1 if ensembles else relative_entropy(obj))
         except BracketError as exc:
@@ -235,12 +248,10 @@ def sweep(
     if any(not (d > 0.0 and math.isfinite(d)) for d in grid):
         raise DomainError("delta grid entries must be positive and finite")
 
-    outcome = list(family.at_deficit(grid, theta))
-    found = [i for i, obj in enumerate(outcome) if not isinstance(obj, BracketError)]
-    for i, value in zip(found, _evaluate_metric(metric, [outcome[i] for i in found])):
-        outcome[i] = value
+    outcome = family.at_deficit(grid, theta)
+    values = {**outcome.failed, **dict(zip(outcome.found, _evaluate_metric(metric, outcome.realized)))}
     points, skipped = [], []
-    for d, value in zip(grid, outcome):
+    for d, value in zip(grid, (values[i] for i in range(len(grid)))):
         if isinstance(value, BracketError):
             logger.warning("skipping delta=%.3e for family %s: %s", d, family.name, value)
             skipped.append(d)
@@ -261,24 +272,33 @@ def sweep(
 # -- built-in families --------------------------------------------------------
 
 
-def _centered_at(params: np.ndarray, deltas: np.ndarray, theta: float,
-                 build: Callable[[float], Measure1D]) -> List[Realization]:
-    """Per grid point, ``build(param)`` centered at ``theta``; a
-    ``BracketError`` where the parameter is NaN (no bracket) or the measure
-    misses its requested deficit by more than 5%.  One :func:`deficit` read
-    of the stacked measures gives every point's deficit to check, which
-    translation does not change, and its centering shift."""
-    out: List[Realization] = [BracketError(f"could not bracket deficit {d:.3e}") for d in deltas]
-    solved = np.flatnonzero(~np.isnan(params))
-    ms = [build(param) for param in params[solved].tolist()]
-    if not ms:
-        return out
-    rep = deficit(ms, theta)
-    for i, m, d, s in zip(solved.tolist(), ms, rep.deficit.tolist(), rep.shift.tolist()):
-        miss = abs(d - deltas[i]) > _SOLVE_RTOL * deltas[i]
-        out[i] = BracketError(f"solved deficit {d:.6e} misses requested "
-                              f"{deltas[i]:.6e} by >5%") if miss else m.translate(s)
-    return out
+def _centered_at(stack: MeasureStack, solved: np.ndarray, deltas: np.ndarray,
+                 theta: float) -> Realizations:
+    """The grid points ``solved`` as the rows of ``stack``, each checked and
+    centered at ``theta``, and a ``BracketError`` for every other point.
+
+    A row's ``theta``-point ``q`` is checked by forward reads: it must hold
+    the mass ``theta`` below it (``1 - theta`` above it for ``theta > 1/2``)
+    to 1e-12, and its density, the perimeter, must give the requested
+    deficit to 5%.  So a fault of the inversion that gave ``q`` (and the
+    perturbed solver's ``profile_point``) cannot pass.  A row that passes
+    is translated by its centering shift ``a_theta - q``: its edges move by
+    it, its slopes by minus it, and its log amplitudes stay."""
+    failed = {i: BracketError(f"could not bracket deficit {d:.3e}")
+              for i, d in enumerate(deltas) if not solved[i]}
+    found, rows = np.flatnonzero(solved), np.arange(len(stack))
+    side, sign, mass = (stack.sides[0], 1.0, theta) if theta <= 0.5 else (stack.sides[1], -1.0, 1.0 - theta)
+    x = side.invert(np.full(rows.size, mass), rows)
+    held, d = side.mass_below(x, rows), side.density(x, rows) - gaussian_profile(theta)
+    for i, h, got, want in zip(found.tolist(), held.tolist(), d.tolist(), deltas[found].tolist()):
+        if abs(h - mass) > 1e-12:
+            failed[i] = BracketError(f"solved theta-point holds mass {h:.6e}, not {mass:.6e}")
+        elif abs(got - want) > _SOLVE_RTOL * want:
+            failed[i] = BracketError(f"solved deficit {got:.6e} misses requested {want:.6e} by >5%")
+    keep = np.array([i not in failed for i in found.tolist()], dtype=bool)
+    s = (gaussian_quantile(theta) - sign * x[keep])[:, None]  # the centering shifts
+    return Realizations(MeasureStack(stack.edges[keep] + s, stack.beta[keep] - s, stack.log_amp[keep]),
+                        found[keep], failed)
 
 
 @dataclass(frozen=True)
@@ -287,11 +307,13 @@ class Example23SweepFamily:
 
     name: str = "example23"
 
-    def at_deficit(self, deltas: Sequence[float], theta: float) -> List[Realization]:
+    def at_deficit(self, deltas: Sequence[float], theta: float) -> Realizations:
         deltas = np.asarray(deltas, dtype=float)
         radii = solve_truncation_for_deficit(deltas, theta)
-        return _centered_at(radii, deltas, theta,
-                            lambda D: normalize(truncated_gaussian_potential(D)))
+        solved = ~np.isnan(radii)
+        D = radii[solved][:, None]  # one cell, of density phi / gamma((-D, D))
+        stack = MeasureStack(np.hstack([-D, D]), np.zeros_like(D), -gaussian_log_mass(-D, D))
+        return _centered_at(stack, solved, deltas, theta)
 
 
 @dataclass(frozen=True)
@@ -301,8 +323,10 @@ class GaussianSweepFamily:
 
     name: str = "gaussian"
 
-    def at_deficit(self, deltas: Sequence[float], theta: float) -> List[Realization]:
-        return [gaussian_measure() for _ in deltas]
+    def at_deficit(self, deltas: Sequence[float], theta: float) -> Realizations:
+        n = len(deltas)
+        stack = MeasureStack(np.tile([-math.inf, math.inf], (n, 1)), np.zeros((n, 1)), np.zeros((n, 1)))
+        return Realizations(stack, range(n), {})
 
 
 @dataclass(frozen=True)
@@ -340,29 +364,29 @@ class PerturbedSweepFamily:
         return normalize(spec)
 
     @cached_property
-    def _unit(self) -> Measure1D:
-        """``measure_at(1)``, whose cells :meth:`deficit_at` scales."""
-        return self.measure_at(1.0)
+    def _unit(self) -> PotentialSpec:
+        """The potential of scale 1, whose cells :meth:`_cells_at` scales."""
+        return perturbed_gaussian_potential(self.breakpoints, self.unit_slopes)
+
+    def _cells_at(self, lams: np.ndarray) -> MeasureStack:
+        """The normalized cells of ``measure_at(lam)`` for a 1-d array of
+        scales: the edges do not depend on the scale, cell ``i`` has slope
+        ``lam * s_i`` and offset ``lam`` times the unit one's up to a
+        constant, so its log amplitude is ``(lam * s_i)^2/2 - lam *
+        offset_i`` up to a constant, which normalizing removes."""
+        edges, lam = self._unit.edges, lams[:, None]
+        beta = lam * self._unit.slopes
+        log_amp = 0.5 * beta**2 - lam * self._unit.offsets
+        log_amp -= np.logaddexp.reduce(cell_log_masses(edges, beta, log_amp), axis=1, keepdims=True)
+        return MeasureStack(np.broadcast_to(edges, log_amp.shape[:1] + edges.shape), beta, log_amp)
 
     def deficit_at(self, lams: Sequence[float], theta: float) -> np.ndarray:
-        """The deficits of ``measure_at(lam)`` for a 1-d array of scales.
+        """The deficits of ``measure_at(lam)`` for a 1-d array of scales,
+        from one :func:`profile_point` call on their cells."""
+        cells = self._cells_at(np.asarray(lams, dtype=float))
+        return profile_point(cells.edges, cells.beta, cells.log_amp, theta)[1] - gaussian_profile(theta)
 
-        The cells do not depend on the scale: cell ``i`` has slope ``lam *
-        s_i``, and its log amplitude is ``lam`` times the unit measure's,
-        less ``lam * s_i^2/2``, plus ``(lam * s_i)^2/2``, up to a constant
-        that normalizing removes.  So every scale's ``theta``-quantile and
-        density there come from ``(scales, cells)`` arrays in one
-        :func:`profile_point` call.
-        """
-        unit = self._unit
-        edges, slopes = unit.potential.edges, unit.potential.slopes
-        lam = np.asarray(lams, dtype=float)[:, None]
-        beta = lam * slopes
-        log_amp = lam * (unit.log_amp - 0.5 * slopes**2) + 0.5 * beta**2
-        log_amp -= np.logaddexp.reduce(cell_log_masses(edges, beta, log_amp), axis=1, keepdims=True)
-        return profile_point(edges, beta, log_amp, theta)[1] - gaussian_profile(theta)
-
-    def at_deficit(self, deltas: Sequence[float], theta: float) -> List[Realization]:
+    def at_deficit(self, deltas: Sequence[float], theta: float) -> Realizations:
         deltas = np.asarray(deltas, dtype=float)
         # double each upper scale from 0.25 until it brackets, 16 times at most:
         # further out, deficit_at reads rounding noise that may exceed any
@@ -374,11 +398,10 @@ class PerturbedSweepFamily:
             if not np.any(short):
                 break
             hi[short] *= 2.0
-        lams = np.full(deltas.shape, np.nan)
         target = deltas[~short]
-        lams[~short] = find_root(lambda t: self.deficit_at(t, theta) - target,
-                                 (np.zeros(target.size), hi[~short]), tol=1e-12)
-        return _centered_at(lams, deltas, theta, self.measure_at)
+        lams = find_root(lambda t: self.deficit_at(t, theta) - target,
+                         (np.zeros(target.size), hi[~short]), tol=1e-12)
+        return _centered_at(self._cells_at(lams), ~short, deltas, theta)
 
 
 @dataclass(frozen=True)
@@ -395,14 +418,15 @@ class NeedleSweepFamily:
     seed: int = 0
     name: str = "needle_ensemble"
 
-    def at_deficit(self, deltas: Sequence[float], theta: float) -> List[Realization]:
+    def at_deficit(self, deltas: Sequence[float], theta: float) -> Realizations:
         alpha = rate_exponent(self.epsilon)
-        out: List[Realization] = []
-        for delta in map(float, deltas):
+        out = Realizations([], [], {})
+        for i, delta in enumerate(map(float, deltas)):
             try:
-                out.append(generate_ensemble(EnsembleConfig(
+                out.realized.append(generate_ensemble(EnsembleConfig(
                     needle_count=self.needle_count, theta=theta, epsilon=self.epsilon,
                     deficit_scale=delta, bad_fraction=min(1.0, delta**alpha), seed=self.seed)))
+                out.found.append(i)
             except BracketError as exc:
-                out.append(exc)
+                out.failed[i] = exc
         return out

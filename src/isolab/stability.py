@@ -44,13 +44,13 @@ import numpy as np
 from .errors import DomainError, InvariantViolation, QuadratureError
 from .measure1d import (
     Measure1D,
+    MeasureStack,
     cell_index,
     cell_log_masses,
     gaussian_profile,
     gaussian_psi,
     normalize,
-    stacked_cells,
-    stacked_sides,
+    stacked,
     truncated_gaussian_potential,
 )
 from .numerics import (
@@ -99,11 +99,8 @@ _EQUALITY_TOL = 1e-13
 _PEAK_MARGIN = 10.0
 
 
-Measures = Union[Measure1D, Sequence[Measure1D]]
-
-
-def _rows(m: Measures) -> list:
-    return [m] if isinstance(m, Measure1D) else list(m)
+# a measure, a stack of them, or measures sharing a cell count
+Measures = Union[Measure1D, MeasureStack, Sequence[Measure1D]]
 
 
 def _shaped(values: np.ndarray, m: Measures):
@@ -224,11 +221,10 @@ def deficit(m: Measures, theta: float) -> DeficitReport:
     """
     if not 0.0 < theta < 1.0:
         raise DomainError(f"deficit: theta={theta!r} outside (0, 1)")
-    ms = _rows(m)
-    left, right = stacked_sides(ms)
-    rows = None if isinstance(m, Measure1D) else np.arange(len(ms))  # None: one binary search
+    left, right = stacked(m).sides
+    rows = None if isinstance(m, Measure1D) else np.arange(len(m))  # None: one binary search
     side, sign, mass = (left, 1.0, theta) if theta <= 0.5 else (right, -1.0, 1.0 - theta)
-    x = side.invert(np.full(len(ms), mass), rows)
+    x = side.invert(np.full(1 if rows is None else rows.size, mass), rows)
     peri, a_theta, prof = side.density(x, rows), gaussian_quantile(theta), gaussian_profile(theta)
     return DeficitReport(theta=theta, a_theta=a_theta, shift=_shaped(a_theta - sign * x, m),
                          perimeter_at_a=_shaped(peri, m), profile_at_theta=prof,
@@ -355,7 +351,8 @@ def lp_distance(m: Measures, p: float):
         raise DomainError(f"lp_distance: p={p!r} must be >= 1")
     if p > 64.0:
         raise DomainError(f"lp_distance: p={p!r} must be <= 64")
-    edges, beta, log_amp = stacked_cells(_rows(m))
+    st = stacked(m)
+    edges, beta, log_amp = st.edges, st.beta, st.log_amp
 
     def log_integrand(g: np.ndarray, x: np.ndarray) -> np.ndarray:
         # log|e^g - 1| = max(g, 0) + log(1 - e^{-|g|}), finite for any g != 0
@@ -426,7 +423,8 @@ def _quantile_coupling(m: Measures, power: int) -> np.ndarray:
     value).  A non-negligible tail bound is reported as a failure rather
     than absorbed.
     """
-    sides, cells = stacked_sides(_rows(m)), stacked_cells(_rows(m))
+    st = stacked(m)
+    sides, cells = st.sides, (st.edges, st.beta, st.log_amp)
     n, rows = len(cells[0]), np.arange(len(cells[0]))
     s_lo, s_hi = gaussian_quantile(_T_CLIP), gaussian_quantile(1.0 - _T_CLIP)
 
@@ -512,17 +510,18 @@ def talagrand_check(m: Measure1D) -> TalagrandReport:
     return TalagrandReport(lhs=lhs, rhs=rhs, passed=bool(lhs <= rhs + 1e-8))
 
 
-def w1_dual_bound(m: Measure1D, theta: float) -> float:
+def w1_dual_bound(m: Measure1D, theta: float, shift: Optional[float] = None) -> float:
     """Kantorovich-Rubinstein style upper bound for ``W_1(m, gamma)``.
 
     Returns ``int |x - a_theta| * |exp(psi_g - psi) - 1| dgamma`` with the
     off-domain ratio-0 convention (the integrand is ``|x - a_theta|`` times
-    the Gaussian density off ``I``).  ``m`` is centered internally; for a
+    the Gaussian density off ``I``).  ``m`` is centered internally, by
+    ``shift`` when the caller holds it (as :func:`deficit` reports it); for a
     centered measure ``w1_to_gaussian(m) <= w1_dual_bound(m, theta) + 1e-8``.
     The test function ``x -> |x - a_theta|`` is 1-Lipschitz, which is what
     makes this a valid dual bound.
     """
-    centered, _ = center(m, theta)
+    centered = center(m, theta)[0] if shift is None else m.translate(shift)
     pot = centered.potential
     a_theta = gaussian_quantile(theta)
 
@@ -576,26 +575,49 @@ def example23(D: float) -> Tuple[Measure1D, Example23Family, Example23ClosedForm
 
 
 def truncated_deficit(D, theta: float):
-    """Deficit of the symmetric truncated Gaussian, in closed Phi-form;
-    ``D`` a float or an array of radii.
+    """Deficit of the symmetric truncated Gaussian on ``(-D, D)``; ``D`` a
+    float or an array of radii.
 
-    cdf is ``(Phi(x) - Phi(-D)) / gamma(I)`` on ``(-D, D)``, so the
-    theta-quantile ``r`` solves ``Phi(r) = theta * gamma(I) + Phi(-D)`` and
-    the (centering-invariant) deficit is ``phi(r)/gamma(I) - profile``.
+    ``theta`` and ``1 - theta`` share it, so take ``theta <= 1/2`` and ``a =
+    a_theta <= 0``.  With ``s = Phi(-D)`` the theta-quantile ``r = a + h``
+    solves ``Phi(r) = theta + s*(1 - 2*theta)``, and ``phi(r)/gamma(I) -
+    phi(a)`` is ``phi(a) * expm1(-h*(2a + h)/2 - log1p(-2s))``, whose two
+    terms are nonnegative: nothing cancels.  Where ``u = s*(1 -
+    2*theta)/phi(a)`` is below 5e-3, ``h`` is its Taylor series in ``u`` (six
+    terms), not a difference of nearby quantiles.
     """
-    gamma_I = gaussian_cdf(D) - gaussian_sf(D)
-    r = gaussian_quantile(theta * gamma_I + gaussian_sf(D))
-    return gaussian_pdf(r) / gamma_I - gaussian_profile(theta)
+    theta = min(theta, 1.0 - theta)
+    a = gaussian_quantile(theta)
+    prof = float(gaussian_pdf(a))
+    s = gaussian_sf(np.asarray(D, dtype=float))
+    u = s * (1.0 - 2.0 * theta) / prof
+    series = u * np.polyval([(120.0 * a**5 + 326.0 * a**3 + 127.0 * a) / 720.0,
+                             (24.0 * a**4 + 46.0 * a**2 + 7.0) / 120.0, (6.0 * a**3 + 7.0 * a) / 24.0,
+                             (2.0 * a**2 + 1.0) / 6.0, a / 2.0, 1.0], u)
+    h = np.where(u < 5e-3, series, gaussian_quantile(theta + s * (1.0 - 2.0 * theta)) - a)
+    out = prof * np.expm1(-0.5 * h * (2.0 * a + h) - np.log1p(-2.0 * s))
+    return float(out) if out.ndim == 0 else out
 
 
 def solve_truncation_for_deficit(target, theta: float):
     """Radius ``D`` in [0.05, 9] whose truncated Gaussian has the target
     deficit, or NaN for a target that no radius there reaches; for an array
-    of targets, all radii come from one elementwise root solve."""
+    of targets, all radii come from one elementwise root solve.
+
+    As ``D`` grows the deficit tends to ``k * Phi(-D)``, with ``k`` read at
+    ``D = 4``: each root is bracketed by ``-Phi^{-1}(t/k) +- 0.05``, or by
+    [0.05, 9] where that misses it, and solved in ``log delta``.
+    """
     target = np.asarray(target, dtype=float)
+    t = target.ravel()
+    k = truncated_deficit(4.0, theta) / gaussian_sf(4.0)
+    guess = -gaussian_quantile(np.clip(np.nan_to_num(t / k), 1e-300, 0.5))
+    ends = np.concatenate([np.clip(guess - 0.05, 0.05, 9.0), np.clip(guess + 0.05, 0.05, 9.0)])
     # the deficit falls as the radius grows
-    reach = (truncated_deficit(9.0, theta) <= target) & (target <= truncated_deficit(0.05, theta))
-    radius, t = np.full(target.shape, np.nan), target[reach]
-    radius[reach] = find_root(lambda D: truncated_deficit(D, theta) - t,
-                              (np.full(t.shape, 0.05), np.full(t.shape, 9.0)), tol=1e-12)
-    return float(radius) if radius.ndim == 0 else radius
+    at_lo, at_hi, (most, least) = np.split(truncated_deficit(np.append(ends, (0.05, 9.0)), theta),
+                                           [t.size, 2 * t.size])
+    reach, near = (least <= t) & (t <= most), (at_hi <= t) & (t <= at_lo)
+    lo, hi = np.where(near, ends[:t.size], 0.05)[reach], np.where(near, ends[t.size:], 9.0)[reach]
+    log_t, radius = np.log(t[reach]), np.full(t.shape, np.nan)
+    radius[reach] = find_root(lambda D: np.log(truncated_deficit(D, theta)) - log_t, (lo, hi), tol=1e-12)
+    return float(radius[0]) if target.ndim == 0 else radius.reshape(target.shape)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from decimal import Decimal, localcontext
 from functools import lru_cache
+from statistics import NormalDist
 
 PRECISION = 100
 
@@ -90,6 +91,54 @@ def truncation_excess_decimal(D: Decimal | float | int) -> Decimal:
         mass = erf_decimal(Decimal(D) / Decimal(2).sqrt())
         result = 1 / mass - 1
     return +result
+
+
+def gaussian_quantile_decimal(p: Decimal | float) -> Decimal:
+    """``Phi^{-1}(p)`` by Newton steps on the decimal ``Phi``, from the
+    stdlib's double-precision ``NormalDist().inv_cdf``: each step squares
+    the relative error, so three or four reach the working precision."""
+    with localcontext() as ctx:
+        ctx.prec = PRECISION + 10
+        p = Decimal(p)
+        x = Decimal(NormalDist().inv_cdf(float(p)))
+        inv_sqrt_2pi = 1 / (2 * pi_decimal()).sqrt()
+        small = Decimal(10) ** (-(PRECISION - 10))
+        for _ in range(20):
+            step = (gaussian_cdf_decimal(x) - p) / (inv_sqrt_2pi * (-x * x / 2).exp())
+            x -= step
+            if abs(step) < small:
+                break
+    return +x
+
+
+def truncated_deficit_decimal(D: Decimal | float, theta: Decimal | float) -> Decimal:
+    """Deficit of the Gaussian truncated to ``(-D, D)`` at ``theta``:
+    ``phi(r)/gamma(I) - phi(a_theta)``, where ``Phi(r) = theta * gamma(I) +
+    Phi(-D)`` and ``gamma(I) = 1 - 2 Phi(-D)``, straight from its definition."""
+    with localcontext() as ctx:
+        ctx.prec = PRECISION + 10
+        theta = Decimal(theta)
+        below = gaussian_cdf_decimal(-Decimal(D))
+        mass = 1 - 2 * below
+        r = gaussian_quantile_decimal(theta * mass + below)
+        a = gaussian_quantile_decimal(theta)
+        result = ((-r * r / 2).exp() / mass - (-a * a / 2).exp()) / (2 * pi_decimal()).sqrt()
+    return +result
+
+
+def truncation_radius_decimal(target: float, theta: float, width: float = 1e-15) -> Decimal:
+    """The radius whose truncated Gaussian has deficit ``target`` at
+    ``theta``, by bisection of [0.05, 9] (the deficit falls as the radius
+    grows) down to ``width``."""
+    target = Decimal(target)
+    lo, hi = Decimal("0.05"), Decimal(9)
+    while hi - lo > Decimal(width):
+        mid = (lo + hi) / 2
+        if truncated_deficit_decimal(mid, theta) > target:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
 
 
 @lru_cache(maxsize=None)

@@ -623,3 +623,17 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "PASS" in proc.stdout
+
+
+def test_two_main_calls_build_the_parser_once(tmp_path, capsys):
+    build_parser.cache_clear()
+    for _ in range(2):
+        assert main(["example23", "--out", str(tmp_path)]) == 0
+    assert build_parser.cache_info().misses == 1
+
+
+def test_import_builds_no_parser():
+    code = ("import isolab, isolab.cli; info = isolab.cli.build_parser.cache_info(); "
+            "assert info.misses == info.currsize == 0, info")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr

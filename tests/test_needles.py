@@ -624,3 +624,13 @@ def test_generation_builds_no_per_needle_objects(monkeypatch):
     # the records come on first use, one measure per needle, still unnormalized
     assert len(ens.needles) == 1000 and ens.needles is ens.needles
     assert counts == {"Measure1D": 1000, "PotentialSpec": 1000, "normalize": 0}
+
+
+def test_theorem31_experiment_forms_the_aggregate_deficit_once(monkeypatch):
+    calls = []
+    aggregate = isolab.needles._aggregate_deficit
+    monkeypatch.setattr(isolab.needles, "_aggregate_deficit", lambda ens: calls.append(1) or aggregate(ens))
+    ens = generate_ensemble(EnsembleConfig(needle_count=20, deficit_scale=1e-3, bad_fraction=0.1, seed=1))
+    rep = theorem31_experiment(ens, 1e-3)
+    assert len(calls) == 1
+    assert rep.good_mass >= 0.0

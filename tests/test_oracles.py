@@ -102,3 +102,19 @@ def test_ot_oracle_shifted_gaussian_is_the_shift():
     for s in (0.25, 1.0):
         got = discrete_w2_oracle(gaussian_measure().translate(s), n_nodes=40_000)
         assert got == pytest.approx(s, abs=5e-4)
+
+
+def test_truncation_radii_pinned_in_the_stability_tests():
+    from test_stability import ORACLE_RADII, TRUNCATION_TARGETS
+
+    for theta, radii in ORACLE_RADII.items():
+        for target, want in zip(TRUNCATION_TARGETS, radii):
+            assert float(oe.truncation_radius_decimal(target, theta)) == pytest.approx(want, abs=1e-14)
+
+
+def test_truncated_deficit_oracle_at_one_half_is_the_excess():
+    # at theta = 1/2 the deficit is delta_E / sqrt(2 pi)
+    with localcontext() as ctx:
+        ctx.prec = oe.PRECISION
+        want = oe.truncation_excess_decimal(2) / (2 * oe.pi_decimal()).sqrt()
+        assert abs(oe.truncated_deficit_decimal(2, 0.5) - want) < Decimal(10) ** -90

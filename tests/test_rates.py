@@ -230,6 +230,25 @@ def test_sweep_solves_the_whole_grid_in_one_root_solve(family, monkeypatch):
     assert len(calls) == 1
 
 
+def test_example23_sweep_takes_few_root_steps_per_point(monkeypatch):
+    # bracketed from the deficit's asymptote, each radius of the default grid
+    # is a few root steps away (25 on the bracket [0.05, 9])
+    steps = []
+    find_root = isolab.stability.find_root
+
+    def counted(*args, **kwargs):
+        root, taken = find_root(*args, **{**kwargs, "full_output": True})
+        steps.append(taken)
+        return root
+
+    monkeypatch.setattr(isolab.stability, "find_root", counted)
+    for theta in (0.5, 0.3):
+        res = sweep(Example23SweepFamily(), theta, Metric.parse("lp:1"), DEFAULT_DELTA_GRID)
+        assert len(res.points) == len(DEFAULT_DELTA_GRID)
+    assert len(steps) == 2
+    assert all(taken.shape == (len(DEFAULT_DELTA_GRID),) and taken.max() <= 6 for taken in steps)
+
+
 @pytest.mark.parametrize("grid", [DEFAULT_DELTA_GRID[::4], DEFAULT_DELTA_GRID],
                          ids=["3-point", "9-point"])
 @pytest.mark.parametrize("family", [Example23SweepFamily(), PerturbedSweepFamily.seeded(3)],
@@ -255,29 +274,46 @@ def test_sweep_makes_one_quadrature_at_any_grid_size(metric, family, grid, monke
     assert len(calls) == 1
 
 
-def test_example23_family_reads_every_deficit_in_one_call(monkeypatch):
-    # one deficit() read of the stacked measures gives every grid point's 5%
-    # check and centering shift; no measure reads its quantile alone
-    quantiles, reads = [], []
-    quantile, stacked_deficit = isolab.Measure1D.quantile, isolab.rates.deficit
+def test_example23_family_checks_every_point_by_forward_reads(monkeypatch):
+    # the family hands over cells: no measure is normalized, and none reads
+    # its quantile alone; a point indexed is a measure at its deficit
+    quantiles, normalized = [], []
+    quantile, normalize = isolab.Measure1D.quantile, isolab.rates.normalize
 
     def counted_quantile(self, theta):
         quantiles.append(theta)
         return quantile(self, theta)
 
-    def counted_deficit(ms, theta):
-        reads.append(len(ms))
-        return stacked_deficit(ms, theta)
+    def counted_normalize(spec):
+        normalized.append(spec)
+        return normalize(spec)
 
     monkeypatch.setattr(isolab.Measure1D, "quantile", counted_quantile)
-    monkeypatch.setattr(isolab.rates, "deficit", counted_deficit)
+    monkeypatch.setattr(isolab.rates, "normalize", counted_normalize)
     realized = Example23SweepFamily().at_deficit([1e-2, 1e-3, 1e-4], 0.5)
+    assert isinstance(realized.realized, isolab.measure1d.MeasureStack) and len(realized.realized) == 3
+    assert quantiles == [] and normalized == []
     assert all(isinstance(m, isolab.Measure1D) for m in realized)
-    assert quantiles == [] and reads == [3]
     for d, m in zip([1e-2, 1e-3, 1e-4], realized):
         rep = deficit(m, 0.5)
         assert rep.deficit == pytest.approx(d, rel=5e-2)
         assert abs(rep.shift) <= 1e-15
+
+
+@pytest.mark.parametrize("family, theta", [(Example23SweepFamily(), 0.5), (Example23SweepFamily(), 0.7),
+                                           (PerturbedSweepFamily.seeded(3), 0.5)],
+                         ids=["example23-0.5", "example23-0.7", "perturbed-0.5"])
+def test_sweep_check_sees_a_fault_of_the_quantile_inversion(family, theta, monkeypatch):
+    # the perturbed solver reads its theta-points through _cell_quantile; the
+    # check reads the mass below them forward, so it sees the inversion off
+    # (off the mode, the fault gives the Gaussian at scale 0 a deficit above
+    # the targets, and the perturbed solve raises BracketError instead)
+    cell_quantile = isolab.measure1d._cell_quantile
+    monkeypatch.setattr(isolab.measure1d, "_cell_quantile", lambda *a: cell_quantile(*a) + 1e-3)
+    grid = DEFAULT_DELTA_GRID[::2]
+    res = sweep(family, theta, Metric.parse("w2"), grid)
+    assert res.points == () and res.skipped == grid
+    assert all("holds mass" in str(point) for point in family.at_deficit(grid, theta))
 
 
 def test_perturbed_bracket_doubling_stops_before_the_noise():

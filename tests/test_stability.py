@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import isolab
 import oracle_constants as oc
 from oracle_entropy import relative_entropy_quadrature
-from oracle_erf import lp_translated_gaussian_decimal
+from oracle_erf import lp_translated_gaussian_decimal, truncated_deficit_decimal
 from oracle_ot import discrete_w2_oracle
-from isolab.measure1d import stacked_sides
+from isolab.measure1d import stacked
 from isolab.numerics import TAIL_CUTOFF
-from isolab.stability import _transport_map, solve_truncation_for_deficit
+from isolab.stability import _transport_map, solve_truncation_for_deficit, truncated_deficit
 from isolab import (
     DEFAULT_DELTA_GRID,
     DomainError,
@@ -230,7 +231,7 @@ def test_transport_map_upper_tail_as_precise_as_lower():
     # F^{-1}(Phi(s)) = s + 0.3 for the translate: inverting 1 - Phi(s) from
     # the left would lose 5.8e-6 at s = 7
     s = np.arange(-7.0, 8.0)
-    got = _transport_map(stacked_sides([GAUSSIAN.translate(0.3)]), s, np.zeros(s.size, dtype=int))
+    got = _transport_map(stacked([GAUSSIAN.translate(0.3)]).sides, s, np.zeros(s.size, dtype=int))
     np.testing.assert_allclose(got - s - 0.3, 0.0, rtol=0.0, atol=1e-12)
 
 
@@ -309,6 +310,18 @@ def test_w1_dual_bound_dominates():
     for m, theta in ((TRUNCATED_2, 0.5), (KINKED, 0.3)):
         c, _ = center(m, theta)
         assert w1_to_gaussian(c) <= w1_dual_bound(m, theta) + 1e-8
+
+
+def test_w1_dual_bound_takes_the_shift_it_is_given(monkeypatch):
+    # the shift of the deficit report centers the measure: no quantile read
+    cases = ((TRUNCATED_2, 0.5), (KINKED, 0.3), (KINKED, 0.8))
+    want = [w1_dual_bound(m, theta) for m, theta in cases]
+    shifts = [deficit(m, theta).shift for m, theta in cases]
+    reads = []
+    quantile = isolab.Measure1D.quantile
+    monkeypatch.setattr(isolab.Measure1D, "quantile", lambda self, t: reads.append(t) or quantile(self, t))
+    assert [w1_dual_bound(m, theta, s) for (m, theta), s in zip(cases, shifts)] == want
+    assert reads == []
 
 
 def test_w1_dual_bound_tails_in_closed_form():
@@ -396,21 +409,32 @@ def test_default_gap_window_widens_as_deficit_shrinks():
     assert wide.length > narrow.length
 
 
-# Radii that Brent's method gave for these deficits (xtol 1e-12); a deficit
-# of 1e-7 is left out because there the deficit, a difference of numbers near
-# 0.4, fixes its root only to about 5e-11.
-TRUNCATION_TARGETS = (1e-2, 3e-3, 1e-4, 2.5e-6, 0.1)
-BRENT_RADII = {
-    0.5: (2.2499309531717095, 2.6754114724634985, 3.6616459681969165,
-          4.517191211896447, 1.2803445540126503),
-    0.3: (2.295988721918105, 2.7168524329379116, 3.6938129214618503,
-          4.543836632413608, 1.3271697194860133),
+# Radii of oracle_erf.truncation_radius_decimal, a 100-digit bisection of the
+# truncated deficit written from its definition (test_oracles checks them)
+TRUNCATION_TARGETS = (1e-2, 3e-3, 1e-4, 2.5e-6, 1e-7, 0.1)
+ORACLE_RADII = {
+    0.5: (2.249930953171708, 2.6754114724635016, 3.661645968196817,
+          4.517191211891909, 5.157205417769592, 1.2803445540126508),
+    0.3: (2.2959887219181025, 2.7168524329379076, 3.693812921461904,
+          4.543836632414442, 5.180780886808199, 1.3271697194860257),
 }
 
 
-@pytest.mark.parametrize("theta", sorted(BRENT_RADII))
+@pytest.mark.parametrize("theta", sorted(ORACLE_RADII))
 def test_solve_truncation_for_deficit_on_arrays(theta):
     radii = solve_truncation_for_deficit(np.array(TRUNCATION_TARGETS), theta)
-    np.testing.assert_allclose(radii, BRENT_RADII[theta], rtol=0.0, atol=1e-12)
-    for target, want in zip(TRUNCATION_TARGETS, BRENT_RADII[theta]):
+    np.testing.assert_allclose(radii, ORACLE_RADII[theta], rtol=0.0, atol=1e-12)
+    for target, want in zip(TRUNCATION_TARGETS, ORACLE_RADII[theta]):
         assert solve_truncation_for_deficit(target, theta) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("theta", [0.5, 0.3, 0.8])
+def test_truncated_deficit_matches_the_decimal_oracle(theta):
+    # the deficit is no difference of rounded numbers: before, it missed
+    # this oracle by up to 1.7e-10 at D = 5.2 and 7.6e-8 at D = 6
+    radii = np.array([0.05, 0.5, 1.0, 2.0, 2.9, 3.5, 4.4, 5.2, 6.0])
+    got = truncated_deficit(radii, theta)
+    want = np.array([float(truncated_deficit_decimal(D, theta)) for D in radii])
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    assert [truncated_deficit(D, theta) for D in radii] == got.tolist()
+
