@@ -16,9 +16,10 @@ that bound is, so this module provides:
 * :class:`PotentialSpec`, a potential given by its cells, and the
   constructors of the Gaussian, its truncations and translates, convex
   piecewise-linear perturbations of it and tabulated potentials,
-* :class:`Measure1D` with closed-form ``cdf``/``sf``/``quantile``,
-  and the cell readers :func:`cell_log_masses` and :func:`profile_point`,
-  which take cells as arrays with any leading axes,
+* :class:`Measure1D` with closed-form ``cdf``/``sf``/``quantile``, and
+  :class:`MeasureStack`, measures sharing a cell count as arrays of
+  normalized cells with a row per measure, the one reader of such cells:
+  their normalization, theta-points and reads from either end,
 * an exact :func:`check_one_convexity` test on the cell edges: ``psi_hat -
   x^2/2`` is convex when it neither jumps nor loses slope at any of them,
 * perimeter of finite unions of intervals (sum of ``exp(-psi)`` over the
@@ -80,7 +81,6 @@ __all__ = [
     "gaussian_measure",
     "normalize",
     "cell_log_masses",
-    "profile_point",
     "MeasureStack",
     "stacked",
     "cell_index",
@@ -377,23 +377,21 @@ class Measure1D:
 
     @cached_property
     def _stack(self) -> "MeasureStack":
-        """The measure as a stack of one; its ``sides`` are the cells seen
-        from the left end, and mirrored (``x -> -x``) so that the right end
-        comes first: upper tails are lower tails of the mirror, as precise."""
+        """The measure as a stack of one."""
         pot = self.potential
         return MeasureStack(pot.edges[None], pot.slopes[None], self.log_amp[None])
 
     def cdf_many(self, x: ArrayLike) -> ArrayLike:
         """Mass of ``(-inf, x]``; floats or arrays.  0 at the left end of the
         domain, 1 at the right end."""
-        return _vec(lambda a: self._stack.sides[0].mass_below(a), x)
+        return _vec(lambda a: self._stack.left.mass_below(a), x)
 
     cdf = cdf_many
 
     def sf(self, x: ArrayLike) -> ArrayLike:
         """Mass of ``(x, inf)``; floats or arrays.  Summed from the right
         end, so it keeps its relative precision where ``1 - cdf`` cancels."""
-        return _vec(lambda a: self._stack.sides[1].mass_below(-a), x)
+        return _vec(lambda a: self._stack.right.mass_below(-a), x)
 
     def quantile(self, theta: ArrayLike) -> ArrayLike:
         """Generalized inverse of the cdf on (0, 1); floats or arrays.
@@ -407,26 +405,31 @@ class Measure1D:
     def _invert(self, lower: np.ndarray) -> np.ndarray:
         if not ((lower > 0.0) & (lower < 1.0)).all():
             raise DomainError("quantile: masses must lie in (0, 1)")
-        left, right = self._stack.sides
         out = np.empty_like(lower)
         from_right = lower > 0.5
         if not from_right.all():
-            out[~from_right] = left.invert(lower[~from_right])
+            out[~from_right] = self._stack.left.invert(lower[~from_right])
         if from_right.any():
-            out[from_right] = -right.invert(1.0 - lower[from_right])
+            out[from_right] = -self._stack.right.invert(1.0 - lower[from_right])
         return out
 
 
 class _Side(NamedTuple):
     """A normalized measure's cells read from one end: ``log_amp[i]`` is the
     log of the mass of cell ``i``'s Gaussian ``exp(-psi)`` over the whole line
-    and ``cum[i]`` the mass below ``edges[i]``.  Every field holds ``width``
-    entries per measure (cell fields padded by one): one flat index reads all."""
+    and ``cum[i]`` the mass below ``edges[i]``.  A cell is inverted from its
+    lower end, or from its upper end (``sign[i] = -1``) when it lies in the
+    upper half of its Gaussian: ``base[i]`` is the mass below that end and
+    ``start[i]`` the log of ``Phi(sign[i] * (end + beta_i))``.  Every field
+    holds ``width`` entries per measure (cell fields padded by one)."""
 
     edges: np.ndarray
     slopes: np.ndarray
     log_amp: np.ndarray
     cum: np.ndarray
+    sign: np.ndarray
+    start: np.ndarray
+    base: np.ndarray
     width: int
 
     def _cell(self, ends: np.ndarray, x: np.ndarray, side: str, row) -> np.ndarray:
@@ -444,27 +447,50 @@ class _Side(NamedTuple):
         part = np.exp(self.log_amp[k] + gaussian_log_mass(self.edges[k] + beta, x + beta))
         return np.minimum(self.cum[k] + part, 1.0)
 
-    def density(self, x: np.ndarray, row=None) -> np.ndarray:
-        """``exp(log_amp[k]) * phi(x + slopes[k])`` in the cell ``k`` of ``x``."""
-        k = self._cell(self.edges, x, "right", row)
-        return np.exp(self.log_amp[k] - LOG_SQRT_2PI - 0.5 * (x + self.slopes[k]) ** 2)
+    def _inverse(self, mass: np.ndarray, row) -> Tuple[np.ndarray, np.ndarray]:
+        """The point with ``mass`` below it, and the flat index ``k`` of its
+        cell, the one with ``cum[k] < mass <= cum[k+1]``."""
+        k = self._cell(self.cum, mass, "left", row)
+        return _cell_quantile(self.edges[k], self.edges[k + 1], self.slopes[k], self.log_amp[k],
+                              self.sign[k], self.start[k], self.base[k], mass), k
 
     def invert(self, mass: np.ndarray, row=None) -> np.ndarray:
-        """The point with ``mass`` below it, for ``0 < mass <= 1/2``, in the
-        cell with ``cum[k] < mass <= cum[k+1]``."""
-        k = self._cell(self.cum, mass, "left", row)
-        return _cell_quantile(self.edges[k], self.edges[k + 1], self.slopes[k],
-                              self.log_amp[k], self.cum[k], mass)
+        """The point with ``mass`` below it, for ``0 < mass <= 1/2``."""
+        return self._inverse(mass, row)[0]
+
+    def point(self, mass: np.ndarray, row=None) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`invert`'s point ``x`` and the density there,
+        ``exp(log_amp[k]) * phi(x + slopes[k])`` in the cell ``k`` it was
+        inverted in."""
+        x, k = self._inverse(mass, row)
+        # a cell far out in its Gaussian's tail, as root brackets probe, may
+        # round its log density up past the largest double
+        with np.errstate(over="ignore"):
+            return x, np.exp(self.log_amp[k] - LOG_SQRT_2PI - 0.5 * (x + self.slopes[k]) ** 2)
 
 
 class MeasureStack(Sequence):
     """Probability measures sharing a cell count, as normalized cells with a
     row per measure: row ``i`` has density ``exp(log_amp[i, j]) * phi(x +
     beta[i, j])`` on ``(edges[i, j], edges[i, j+1])``.  Indexing a row makes
-    its :class:`Measure1D`."""
+    its :class:`Measure1D`.  This is the one reader of normalized cells:
+    :meth:`normalized` scales rows to mass 1, :meth:`theta_point` reads
+    theta-points, and :attr:`left` and :attr:`right` read the rows from
+    either end, each built on first use."""
 
     def __init__(self, edges: np.ndarray, beta: np.ndarray, log_amp: np.ndarray) -> None:
         self.edges, self.beta, self.log_amp = edges, beta, log_amp
+
+    @classmethod
+    def normalized(cls, edges: np.ndarray, beta: np.ndarray, log_weight: np.ndarray) -> "MeasureStack":
+        """The stack of the densities ``exp(log_weight[i, j]) * phi(x +
+        beta[i, j])`` on the cells, each row scaled to mass 1; ``edges`` is
+        one row per measure, or one row that every measure shares."""
+        log_phi = cell_log_masses(edges, beta, 0.0)  # each cell's mass under phi(x + beta)
+        log_amp = log_weight - np.logaddexp.reduce(log_weight + log_phi, axis=1, keepdims=True)
+        stack = cls(np.broadcast_to(edges, log_amp.shape[:1] + edges.shape[-1:]), beta, log_amp)
+        stack._mass = np.exp(log_amp + log_phi)  # as the property computes it, without a second pass
+        return stack
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -476,18 +502,51 @@ class MeasureStack(Sequence):
         return Measure1D(spec, -float(log_amp[0]))
 
     @cached_property
+    def _mass(self) -> np.ndarray:
+        """Each cell's mass, which both sides sum."""
+        return np.exp(cell_log_masses(self.edges, self.beta, self.log_amp))
+
+    def _side(self, edges: np.ndarray, beta: np.ndarray, log_amp: np.ndarray, mass: np.ndarray) -> _Side:
+        n, width = edges.shape
+        cum = np.concatenate([np.zeros((n, 1)), np.cumsum(mass, axis=1)], 1)
+        lo, hi = edges[:, :-1] + beta, edges[:, 1:] + beta
+        upper = lo > 0.0  # Phi(lo) may round to 1: read from the upper end
+        sign = np.where(upper, -1.0, 1.0)
+        cells = np.full((5, n, width), np.nan)  # the cell fields, padded by one
+        cells[:, :, :-1] = (beta, log_amp, sign, gaussian_log_cdf(sign * np.where(upper, hi, lo)),
+                            np.where(upper, cum[:, 1:], cum[:, :-1]))
+        beta, log_amp, sign, start, base = cells.reshape(5, -1)
+        return _Side(edges.ravel(), beta, log_amp, cum.ravel(), sign, start, base, width)
+
+    @cached_property
+    def left(self) -> _Side:
+        """Every row seen from the left end."""
+        return self._side(self.edges, self.beta, self.log_amp, self._mass)
+
+    @cached_property
+    def right(self) -> _Side:
+        """Every row mirrored (``x -> -x``) so that its right end comes
+        first: upper tails are lower tails of the mirror, as precise."""
+        return self._side(-self.edges[:, ::-1], -self.beta[:, ::-1], self.log_amp[:, ::-1],
+                          self._mass[:, ::-1])
+
+    @property
     def sides(self) -> Tuple[_Side, _Side]:
         """Every row seen from the left end and from the right end."""
-        pad = np.full((len(self), 1), np.nan)
-        mass = np.exp(cell_log_masses(self.edges, self.beta, self.log_amp))
+        return self.left, self.right
 
-        def side(e, b, w, m) -> _Side:
-            cum = np.concatenate([np.zeros_like(pad), np.cumsum(m, axis=1)], 1)
-            return _Side(e.ravel(), np.concatenate([b, pad], 1).ravel(),
-                         np.concatenate([w, pad], 1).ravel(), cum.ravel(), e.shape[1])
+    def theta_point(self, theta: float) -> Tuple[np.ndarray, np.ndarray]:
+        """Each row's ``theta``-quantile ``q`` and the density at ``q``.
 
-        return (side(self.edges, self.beta, self.log_amp, mass),
-                side(-self.edges[:, ::-1], -self.beta[:, ::-1], self.log_amp[:, ::-1], mass[:, ::-1]))
+        ``theta <= 1/2`` is read from the left end and ``theta > 1/2`` from
+        the right end, as the upper mass ``1 - theta``, so both tails are
+        resolved equally well.  A stack of one row takes a single binary
+        search."""
+        row = None if len(self) == 1 else np.arange(len(self))
+        if theta <= 0.5:
+            return self.left.point(np.full(len(self), theta), row)
+        q, density = self.right.point(np.full(len(self), 1.0 - theta), row)
+        return -q, density
 
 
 def stacked(measures) -> MeasureStack:
@@ -501,49 +560,17 @@ def stacked(measures) -> MeasureStack:
                                                       for m in measures))))
 
 
-def _cell_quantile(lo, hi, beta, log_amp, below, mass):
-    """The point with ``mass`` below it inside the cell ``(lo, hi)`` of a
-    probability measure, elementwise, where the measure holds ``below``
-    below ``lo`` and has density ``exp(log_amp) * phi(x + beta)`` on the
-    cell: ``Phi(lo + beta) + (mass - below) / exp(log_amp)`` is inverted
-    in log space."""
-    log_p = np.logaddexp(gaussian_log_cdf(lo + beta), np.log(mass - below) - log_amp)
-    return np.minimum(np.maximum(gaussian_quantile_log(np.minimum(log_p, 0.0)) - beta, lo), hi)
-
-
-def profile_point(edges, beta, log_amp, theta: float) -> Tuple[np.ndarray, np.ndarray]:
-    """The ``theta``-quantile ``q`` of probability measures given by their
-    normalized cells, and the density at ``q``, elementwise over leading
-    axes: the density is ``exp(log_amp_i) * phi(x + beta_i)`` on the cell
-    ``(edges_i, edges_{i+1})``, so ``edges`` has one more entry than
-    ``beta`` and ``log_amp`` along the last axis, and the results have the
-    leading axes.  As :meth:`Measure1D.quantile` does, ``theta > 1/2`` is
-    read from the right end, on the mirrored cells, as the upper mass ``1 -
-    theta``."""
-    edges, beta, log_amp = (np.asarray(a, dtype=float) for a in (edges, beta, log_amp))
-    mass, sign = theta, 1.0
-    if theta > 0.5:
-        edges, beta, log_amp = -edges[..., ::-1], -beta[..., ::-1], log_amp[..., ::-1]
-        mass, sign = 1.0 - theta, -1.0
-    log_mass = cell_log_masses(edges, beta, log_amp)
-    cum = np.cumsum(np.exp(log_mass), axis=-1)
-    # the cell holding q, as one flat index j into the cell arrays (and j +
-    # row into the edges, which have one more entry per row)
-    lead, width = log_mass.shape[:-1], log_mass.shape[-1]
-    row = np.arange(cum[..., 0].size).reshape(lead)
-    j = row * width + np.sum(cum[..., :-1] < mass, axis=-1)
-
-    def at(a: np.ndarray, i: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(a, lead + a.shape[-1:]).ravel()[i]
-
-    below = np.where(j > row * width, cum.ravel()[j - 1], 0.0)
-    b, w = at(beta, j), at(log_amp, j)
-    q = _cell_quantile(at(edges, j + row), at(edges, j + row + 1), b, w, below, mass)
-    # a cell far out in its Gaussian's tail, as root brackets probe, may
-    # round its log density up past the largest double
-    with np.errstate(over="ignore"):
-        density = np.exp(w - LOG_SQRT_2PI - 0.5 * (q + b) ** 2)
-    return sign * q, density
+def _cell_quantile(lo, hi, beta, log_amp, sign, start, base, mass):
+    """The point ``x`` with ``mass`` below it inside the cell ``(lo, hi)`` of
+    a probability measure of density ``exp(log_amp) * phi(x + beta)`` there,
+    elementwise, read from the end of the cell (of ``sign``, ``start`` and
+    ``base`` as a :class:`_Side` holds them): ``Phi(sign * (x + beta)) =
+    exp(start) + sign * (mass - base) / exp(log_amp)``, a sum of nonnegative
+    terms, inverted in log space.  From the upper end ``Phi(-(x + beta))``
+    keeps the digits that ``Phi(x + beta)``, near 1, would round away."""
+    with np.errstate(divide="ignore"):  # all the mass below hi: x = hi
+        log_p = np.logaddexp(start, np.log(sign * (mass - base)) - log_amp)
+    return np.minimum(np.maximum(sign * gaussian_quantile_log(np.minimum(log_p, 0.0)) - beta, lo), hi)
 
 
 def normalize(spec: PotentialSpec) -> Measure1D:

@@ -34,9 +34,9 @@ so each step above is an array operation, not a loop over needles:
   cumulative sum and two ``searchsorted`` calls, by one Hermite expansion
   per cluster of full-line translates (the one-centre fast Gauss transform
   of Greengard and Strain), and directly in bounded blocks for the rest;
-* the needle L^1 distances are closed forms on the cells, and the
-  classifications compare the stored perimeters and quantiles with their
-  thresholds;
+* the needle L^1 distances are ``lp_distance``'s closed form on the cells,
+  and the classifications compare the stored perimeters and quantiles with
+  their thresholds;
 * ``disintegration_check``'s needlewise side is one batched quadrature over
   every needle's own support, and the crossings of ``rho`` and ``phi`` are
   refined by one elementwise root solve.
@@ -57,26 +57,19 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import BracketError, ConfigError, DomainError, InvariantViolation, QuadratureError
-from .measure1d import (
-    Measure1D,
-    MeasureStack,
-    cell_log_masses,
-    gaussian_profile,
-    profile_point,
-)
+from .measure1d import Measure1D, MeasureStack, gaussian_profile
 from .numerics import (
     LOG_SQRT_2PI,
     SQRT_2PI,
     Interval,
     find_root,
     gaussian_cdf,
-    gaussian_log_mass,
     gaussian_pdf,
     gaussian_quantile,
     gaussian_sf,
     integrate,
 )
-from .stability import solve_truncation_for_deficit
+from .stability import lp_distance, solve_truncation_for_deficit
 
 __all__ = [
     "Needle",
@@ -116,31 +109,15 @@ class Needle:
     r_plus: float
 
 
-def _one_cell(measure: Measure1D) -> Tuple[float, float, float, float]:
-    """``(lo, hi, beta, log_amp)`` of a one-cell measure, whose density is
-    ``exp(log_amp) * phi(x + beta)`` on ``(lo, hi)``."""
-    pot = measure.potential
-    if pot.slopes.size != 1:
-        raise DomainError(f"a needle has one cell, this measure has {pot.slopes.size}")
-    return measure.domain.lo, measure.domain.hi, float(pot.slopes[0]), float(measure.log_amp[0])
-
-
-def _quantiles(lo, hi, beta, log_amp, theta: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ``theta``-quantiles ``r_minus`` of one-cell needles, given as
-    arrays of one entry per needle, the densities there (the perimeters of
-    the ``theta`` half-lines), and the ``(1 - theta)``-quantiles ``r_plus``."""
-    cells = (np.stack([lo, hi], axis=-1), np.expand_dims(beta, -1), np.expand_dims(log_amp, -1))
-    r_minus, perimeter = profile_point(*cells, theta)
-    return r_minus, perimeter, profile_point(*cells, 1.0 - theta)[0]
-
-
 def make_needle(weight: float, measure: Measure1D, theta: float) -> Needle:
     """Attach a weight and precomputed quantiles to a one-cell needle
     measure (a Gaussian, a truncation or a translate of one)."""
     weight = float(weight)
     if not (weight >= 0.0 and math.isfinite(weight)):
         raise DomainError(f"needle weight {weight!r} must be finite and >= 0")
-    r_minus, _, r_plus = map(float, _quantiles(*_one_cell(measure), theta))
+    if measure.potential.slopes.size != 1:
+        raise DomainError(f"a needle has one cell, this measure has {measure.potential.slopes.size}")
+    r_minus, r_plus = measure.quantile(np.array([theta, 1.0 - theta])).tolist()
     if abs(measure.cdf(r_minus) - theta) > 1e-10:
         raise InvariantViolation("needle quantile drifted beyond 1e-10")
     return Needle(weight=weight, measure=measure, r_minus=r_minus, r_plus=r_plus)
@@ -153,9 +130,10 @@ class NeedleEnsemble:
 
     Needle ``q`` is one Gaussian cell, ``exp(log_amp_q) * phi(x + beta_q)``
     on ``(lo_q, hi_q)``, with weight ``weights[q]``.  The ensemble is built
-    from those arrays, one entry per needle, and derives the normalizing
-    ``log_amp``, the quantiles ``r_minus``, ``r_plus`` and the half-line
-    perimeter ``perimeter`` (the density at ``r_minus``) from them, so that
+    from those arrays, one entry per needle, and holds the needles as the
+    rows of one :class:`MeasureStack`, ``cells``, which normalizes them
+    (``log_amp``) and reads the quantiles ``r_minus``, ``r_plus`` and the
+    half-line perimeter ``perimeter`` (the density at ``r_minus``), so that
     every aggregate below is an array operation.  All eight arrays are
     read-only.  :attr:`needles` makes the per-needle records on first use.
     """
@@ -170,6 +148,7 @@ class NeedleEnsemble:
     r_minus: np.ndarray = field(init=False, repr=False)
     r_plus: np.ndarray = field(init=False, repr=False)
     perimeter: np.ndarray = field(init=False, repr=False)
+    cells: MeasureStack = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.theta < 1.0:
@@ -188,21 +167,21 @@ class NeedleEnsemble:
         total = math.fsum(weights)
         if abs(total - 1.0) > 1e-12:
             raise DomainError(f"needle weights sum to {total!r}, not 1")
-        # each needle's amplitude makes its cell's mass 1
-        log_amp = -cell_log_masses(np.stack([lo, hi], axis=1), beta[:, None], 0.0)[:, 0]
-        r_minus, perimeter, r_plus = _quantiles(lo, hi, beta, log_amp, self.theta)
-        arrays = dict(weights=weights, lo=lo, hi=hi, beta=beta, log_amp=log_amp,
-                      r_minus=r_minus, r_plus=r_plus, perimeter=perimeter)
+        cells = MeasureStack.normalized(np.stack([lo, hi], axis=1), beta[:, None], np.zeros((lo.size, 1)))
+        r_minus, perimeter = cells.theta_point(self.theta)
+        arrays = dict(weights=weights, lo=lo, hi=hi, beta=beta, log_amp=cells.log_amp[:, 0],
+                      r_minus=r_minus, r_plus=cells.theta_point(1.0 - self.theta)[0], perimeter=perimeter)
         for name, column in arrays.items():
             column.setflags(write=False)
             object.__setattr__(self, name, column)
+        # the stack without the sides read above, which hold 14 floats a needle
+        object.__setattr__(self, "cells", MeasureStack(cells.edges, cells.beta, cells.log_amp))
 
     @cached_property
     def needles(self) -> Tuple[Needle, ...]:
-        """One :class:`Needle` per needle, each holding its one-cell measure."""
-        cells = MeasureStack(np.column_stack([self.lo, self.hi]), self.beta[:, None], self.log_amp[:, None])
+        """One :class:`Needle` per needle, each holding its row of ``cells``."""
         return tuple(Needle(w, m, r_minus, r_plus) for w, m, r_minus, r_plus
-                     in zip(self.weights.tolist(), cells, self.r_minus.tolist(), self.r_plus.tolist()))
+                     in zip(self.weights.tolist(), self.cells, self.r_minus.tolist(), self.r_plus.tolist()))
 
     @property
     def scaling_exponent(self) -> float:
@@ -595,32 +574,6 @@ def shifted_gaussian_l1(s: float) -> float:
     return integrate(integrand, Interval(lo, hi), points=(0.5 * s,))
 
 
-def _one_cell_l1(lo, hi, beta, log_amp):
-    """``|| m - gamma ||_{L^1(dx)}`` of one-cell needles (floats or arrays),
-    in closed form.
-
-    The densities ``exp(log_amp) * phi(x + beta)`` and ``phi(x)`` cross at
-    most once, where their log ratio ``log_amp - beta^2/2 - beta*x`` is 0, so
-    on each of the two pieces ``J`` of ``(lo, hi)`` cut there the distance is
-    ``|m(J) - gamma(J)|``, taken from the log masses as ``e^top *
-    (1 - e^{-|log m(J) - log gamma(J)|})``; off ``(lo, hi)`` it is
-    ``gamma(R \\ (lo, hi))``.  This is ``4 Phi(-D)`` for ``gamma`` on
-    ``(-D, D)`` and ``4 Phi(|s|/2) - 2`` for ``gamma`` translated by ``s``.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cross = np.divide(log_amp - 0.5 * beta * beta, beta)
-    cut = np.where(beta != 0.0, np.clip(cross, lo, hi), hi)
-    total = gaussian_cdf(lo) + gaussian_sf(hi)
-    for a, b in ((lo, cut), (cut, hi)):
-        log_m = log_amp + gaussian_log_mass(a + beta, b + beta)
-        log_g = gaussian_log_mass(a, b)
-        top = np.maximum(log_m, log_g)
-        with np.errstate(invalid="ignore"):
-            gap = np.exp(top) * -np.expm1(np.minimum(log_m, log_g) - top)
-        total = total + np.where(top > -math.inf, gap, 0.0)
-    return total
-
-
 def _check_trivial_bound(values: np.ndarray) -> None:
     """Each needle L1 is at most 2: the integrand is bounded by ``exp(psi_g -
     sigma_q) + 1``, whose integral is the needle mass plus the Gaussian
@@ -632,10 +585,12 @@ def _check_trivial_bound(values: np.ndarray) -> None:
 
 def needle_l1(n: Needle) -> float:
     """``|| exp(psi_g - sigma_q) - 1 ||_{L^1(gamma)}`` (off-needle ratio 0),
-    in the closed form of :func:`aggregate_l1`; always at most 2."""
-    value = _one_cell_l1(*_one_cell(n.measure))
+    the closed form of :func:`lp_distance` at ``p = 1``; always at most 2.
+    This is ``4 Phi(-D)`` for ``gamma`` on ``(-D, D)`` and ``4 Phi(|s|/2) -
+    2`` for ``gamma`` translated by ``s``."""
+    value = lp_distance(n.measure, 1.0)
     _check_trivial_bound(value)
-    return float(value)
+    return value
 
 
 def aggregate_l1(ens: NeedleEnsemble) -> AggregateReport:
@@ -644,10 +599,10 @@ def aggregate_l1(ens: NeedleEnsemble) -> AggregateReport:
     ``mixture_l1 <= sum_q w_q needle_l1(q)`` pointwise under the integral
     (triangle inequality plus the disintegration); violation beyond 1e-8
     indicates an implementation bug and raises.  The needle L1 values are
-    the closed form of :func:`needle_l1` on the ensemble's arrays; the mixture
-    is integrated.
+    :func:`needle_l1`'s closed form, one :func:`lp_distance` call on the
+    ensemble's ``cells``; the mixture is integrated.
     """
-    per = _one_cell_l1(ens.lo, ens.hi, ens.beta, ens.log_amp)
+    per = lp_distance(ens.cells, 1.0)
     _check_trivial_bound(per)
     nsum = float(np.dot(ens.weights, per))
     mix = _mixture_l1(ens)

@@ -15,7 +15,8 @@ while quadratures stay well-conditioned.
 A family takes the whole grid at once: its parameters are solved from the
 deltas by one elementwise bracketed root solve, and a grid point whose solve
 fails is skipped and logged, never silently filled.  A measure family hands
-the metric its points' cells as one :class:`MeasureStack`.
+the metric its points' cells as one :class:`MeasureStack`, and the metric
+reads them all in one call.
 """
 from __future__ import annotations
 
@@ -32,11 +33,9 @@ from .measure1d import (
     Measure1D,
     MeasureStack,
     PotentialSpec,
-    cell_log_masses,
     gaussian_profile,
     normalize,
     perturbed_gaussian_potential,
-    profile_point,
 )
 from .needles import (
     EnsembleConfig,
@@ -45,7 +44,7 @@ from .needles import (
     generate_ensemble,
     rate_exponent,
 )
-from .numerics import find_root, gaussian_log_mass, gaussian_quantile
+from .numerics import find_root, gaussian_quantile
 from .stability import (
     lp_distance,
     relative_entropy,
@@ -210,18 +209,19 @@ def fit_exponent(points: Sequence[Tuple[float, float]]) -> Tuple[float, float, f
 
 def _evaluate_metric(metric: Metric, realized) -> list:
     """The metric's value on each realization, or the ``BracketError`` that
-    kept it from one: the quadrature metrics in one call on the stack."""
+    kept it from one: a measure metric in one call on the stack."""
     ensembles = metric.kind == "mixture_l1"
     if isinstance(realized, MeasureStack) == ensembles:
         raise DomainError("metric mixture_l1 needs a needle-ensemble family" if ensembles
                           else f"metric {metric.kind!r} needs a measure family")
-    if len(realized) and metric.kind in ("lp", "w1", "w2"):
-        distance = {"w1": w1_to_gaussian, "w2": w2_to_gaussian}.get(metric.kind)
-        return (distance(realized) if distance else lp_distance(realized, float(metric.p))).tolist()
+    if not ensembles:
+        measure_metric = {"w1": w1_to_gaussian, "w2": w2_to_gaussian, "entropy": relative_entropy,
+                          "lp": lambda stack: lp_distance(stack, float(metric.p))}[metric.kind]
+        return measure_metric(realized).tolist() if len(realized) else []
     out: list = []
-    for obj in realized:  # the closed-form entropy per measure, and mixture_l1 per ensemble
+    for ens in realized:
         try:
-            out.append(aggregate_l1(obj).mixture_l1 if ensembles else relative_entropy(obj))
+            out.append(aggregate_l1(ens).mixture_l1)
         except BracketError as exc:
             out.append(exc)
     return out
@@ -277,26 +277,25 @@ def _centered_at(stack: MeasureStack, solved: np.ndarray, deltas: np.ndarray,
     """The grid points ``solved`` as the rows of ``stack``, each checked and
     centered at ``theta``, and a ``BracketError`` for every other point.
 
-    A row's ``theta``-point ``q`` is checked by forward reads: it must hold
-    the mass ``theta`` below it (``1 - theta`` above it for ``theta > 1/2``)
+    A row's ``theta``-point ``q``, read by :meth:`MeasureStack.theta_point`,
+    is checked by forward reads: it must hold the mass ``theta`` below it
     to 1e-12, and its density, the perimeter, must give the requested
     deficit to 5%.  So a fault of the inversion that gave ``q`` (and the
-    perturbed solver's ``profile_point``) cannot pass.  A row that passes
-    is translated by its centering shift ``a_theta - q``: its edges move by
+    perturbed solver's deficits) cannot pass.  A row that passes is
+    translated by its centering shift ``a_theta - q``: its edges move by
     it, its slopes by minus it, and its log amplitudes stay."""
     failed = {i: BracketError(f"could not bracket deficit {d:.3e}")
               for i, d in enumerate(deltas) if not solved[i]}
-    found, rows = np.flatnonzero(solved), np.arange(len(stack))
-    side, sign, mass = (stack.sides[0], 1.0, theta) if theta <= 0.5 else (stack.sides[1], -1.0, 1.0 - theta)
-    x = side.invert(np.full(rows.size, mass), rows)
-    held, d = side.mass_below(x, rows), side.density(x, rows) - gaussian_profile(theta)
+    found = np.flatnonzero(solved)
+    q, density = stack.theta_point(theta)
+    held, d = stack.left.mass_below(q, np.arange(len(stack))), density - gaussian_profile(theta)
     for i, h, got, want in zip(found.tolist(), held.tolist(), d.tolist(), deltas[found].tolist()):
-        if abs(h - mass) > 1e-12:
-            failed[i] = BracketError(f"solved theta-point holds mass {h:.6e}, not {mass:.6e}")
+        if abs(h - theta) > 1e-12:
+            failed[i] = BracketError(f"solved theta-point holds mass {h:.6e}, not {theta:.6e}")
         elif abs(got - want) > _SOLVE_RTOL * want:
             failed[i] = BracketError(f"solved deficit {got:.6e} misses requested {want:.6e} by >5%")
     keep = np.array([i not in failed for i in found.tolist()], dtype=bool)
-    s = (gaussian_quantile(theta) - sign * x[keep])[:, None]  # the centering shifts
+    s = (gaussian_quantile(theta) - q[keep])[:, None]  # the centering shifts
     return Realizations(MeasureStack(stack.edges[keep] + s, stack.beta[keep] - s, stack.log_amp[keep]),
                         found[keep], failed)
 
@@ -312,7 +311,7 @@ class Example23SweepFamily:
         radii = solve_truncation_for_deficit(deltas, theta)
         solved = ~np.isnan(radii)
         D = radii[solved][:, None]  # one cell, of density phi / gamma((-D, D))
-        stack = MeasureStack(np.hstack([-D, D]), np.zeros_like(D), -gaussian_log_mass(-D, D))
+        stack = MeasureStack.normalized(np.hstack([-D, D]), np.zeros_like(D), np.zeros_like(D))
         return _centered_at(stack, solved, deltas, theta)
 
 
@@ -374,34 +373,36 @@ class PerturbedSweepFamily:
         ``lam * s_i`` and offset ``lam`` times the unit one's up to a
         constant, so its log amplitude is ``(lam * s_i)^2/2 - lam *
         offset_i`` up to a constant, which normalizing removes."""
-        edges, lam = self._unit.edges, lams[:, None]
+        lam = lams[:, None]
         beta = lam * self._unit.slopes
-        log_amp = 0.5 * beta**2 - lam * self._unit.offsets
-        log_amp -= np.logaddexp.reduce(cell_log_masses(edges, beta, log_amp), axis=1, keepdims=True)
-        return MeasureStack(np.broadcast_to(edges, log_amp.shape[:1] + edges.shape), beta, log_amp)
+        return MeasureStack.normalized(self._unit.edges, beta, 0.5 * beta**2 - lam * self._unit.offsets)
 
     def deficit_at(self, lams: Sequence[float], theta: float) -> np.ndarray:
         """The deficits of ``measure_at(lam)`` for a 1-d array of scales,
-        from one :func:`profile_point` call on their cells."""
+        from one :meth:`MeasureStack.theta_point` read of their cells."""
         cells = self._cells_at(np.asarray(lams, dtype=float))
-        return profile_point(cells.edges, cells.beta, cells.log_amp, theta)[1] - gaussian_profile(theta)
+        return cells.theta_point(theta)[1] - gaussian_profile(theta)
 
     def at_deficit(self, deltas: Sequence[float], theta: float) -> Realizations:
         deltas = np.asarray(deltas, dtype=float)
+        # a target at or below the deficit read at scale 0, the Gaussian's
+        # rounding noise, has no bracket on (0, hi): that point fails
+        reachable = deltas > self.deficit_at([0.0], theta)[0]
         # double each upper scale from 0.25 until it brackets, 16 times at most:
         # further out, deficit_at reads rounding noise that may exceed any
         # target (7.9e13 at 0.25 * 2^32 for seed 3, theta 0.5)
         hi = np.full(deltas.shape, 0.25)
-        short = np.ones(deltas.shape, dtype=bool)
+        short = reachable.copy()
         for _ in range(16):
             short[short] = ~(self.deficit_at(hi[short], theta) >= deltas[short])
             if not np.any(short):
                 break
             hi[short] *= 2.0
-        target = deltas[~short]
+        solved = reachable & ~short
+        target = deltas[solved]
         lams = find_root(lambda t: self.deficit_at(t, theta) - target,
-                         (np.zeros(target.size), hi[~short]), tol=1e-12)
-        return _centered_at(self._cells_at(lams), ~short, deltas, theta)
+                         (np.zeros(target.size), hi[solved]), tol=1e-12)
+        return _centered_at(self._cells_at(lams), solved, deltas, theta)
 
 
 @dataclass(frozen=True)

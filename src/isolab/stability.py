@@ -15,7 +15,8 @@ is the smallness parameter of every estimate in this module:
   around ``a_theta`` that widens as ``delta`` shrinks;
 * ``lp_distance``: the L^p(gamma) distance of the density ratio
   ``exp(psi_g - psi)`` from 1, with the convention that the ratio is 0 off
-  ``I`` (so the integrand is 1 there, weighted by ``gamma(R \\ I)``);
+  ``I`` (so the integrand is 1 there, weighted by ``gamma(R \\ I)``), in
+  closed form at ``p = 1``;
 * ``relative_entropy`` of ``m`` with respect to the Gaussian and the
   Talagrand inequality ``W_2^2 <= 2 Ent``;
 * ``w1_to_gaussian`` / ``w2_to_gaussian`` through the one-dimensional
@@ -60,6 +61,7 @@ from .numerics import (
     Interval,
     find_root,
     gaussian_cdf,
+    gaussian_log_mass,
     gaussian_pdf,
     gaussian_quantile,
     gaussian_sf,
@@ -212,21 +214,17 @@ def deficit(m: Measures, theta: float) -> DeficitReport:
     or of measures sharing a cell count (read on their stacked sides).
 
     The deficit is read at ``m``'s own ``theta``-quantile ``q``, which
-    centering moves to ``a_theta``: the perimeter is ``density(q)``, and the
-    report records the centering shift ``a_theta - q``.  ``theta > 1/2`` is
-    read from the right end, as :meth:`Measure1D.quantile` reads it.  For
-    1-convex input the deficit is nonnegative (up to 1e-9 of rounding
-    noise) because the half-line is an admissible competitor in the
-    isoperimetric inequality.
+    centering moves to ``a_theta``: the perimeter is ``density(q)``, both
+    read by :meth:`MeasureStack.theta_point`, and the report records the
+    centering shift ``a_theta - q``.  For 1-convex input the deficit is
+    nonnegative (up to 1e-9 of rounding noise) because the half-line is an
+    admissible competitor in the isoperimetric inequality.
     """
     if not 0.0 < theta < 1.0:
         raise DomainError(f"deficit: theta={theta!r} outside (0, 1)")
-    left, right = stacked(m).sides
-    rows = None if isinstance(m, Measure1D) else np.arange(len(m))  # None: one binary search
-    side, sign, mass = (left, 1.0, theta) if theta <= 0.5 else (right, -1.0, 1.0 - theta)
-    x = side.invert(np.full(1 if rows is None else rows.size, mass), rows)
-    peri, a_theta, prof = side.density(x, rows), gaussian_quantile(theta), gaussian_profile(theta)
-    return DeficitReport(theta=theta, a_theta=a_theta, shift=_shaped(a_theta - sign * x, m),
+    q, peri = stacked(m).theta_point(theta)
+    a_theta, prof = gaussian_quantile(theta), gaussian_profile(theta)
+    return DeficitReport(theta=theta, a_theta=a_theta, shift=_shaped(a_theta - q, m),
                          perimeter_at_a=_shaped(peri, m), profile_at_theta=prof,
                          deficit=_shaped(peri - prof, m))
 
@@ -340,11 +338,17 @@ def lp_distance(m: Measures, p: float):
     cell count, whose integrals are the rows of one quadrature.  Off ``I``
     the density ratio is taken to be 0, so the integrand there is ``|0 -
     1|^p = 1`` and contributes exactly ``gamma(R \\ I)``.  ``p`` must lie in
-    [1, 64].  The integrand is formed in log space, ``exp(p * log|expm1(g)|
-    - psi_g)`` with ``g = psi_g - psi`` linear on each cell, and scaled by
-    its peak value when that exceeds 1: the integral itself may overflow a
-    double (about ``e^18144`` for the Gaussian translated by 3 at ``p =
-    64``, whose integrand peaks at ``x = 192``) while its p-th root does not.
+    [1, 64].  ``g = psi_g - psi`` is linear on each cell.
+
+    ``p = 1`` is a closed form: cut at the zeros of ``g``, the cells fall
+    into pieces ``J`` on which ``m - gamma`` keeps its sign, and the distance
+    is ``sum_J |m(J) - gamma(J)| + gamma(R \\ I)``, each term taken from the
+    log masses as ``e^top * (1 - e^{-|log m(J) - log gamma(J)|})``.  For ``p >
+    1`` the integrand is formed in log space, ``exp(p * log|expm1(g)| -
+    psi_g)``, and scaled by its peak value when that exceeds 1: the integral
+    itself may overflow a double (about ``e^18144`` for the Gaussian
+    translated by 3 at ``p = 64``, whose integrand peaks at ``x = 192``)
+    while its p-th root does not.
     """
     p = float(p)
     if math.isnan(p) or p < 1.0:
@@ -353,6 +357,16 @@ def lp_distance(m: Measures, p: float):
         raise DomainError(f"lp_distance: p={p!r} must be <= 64")
     st = stacked(m)
     edges, beta, log_amp = st.edges, st.beta, st.log_amp
+    if p == 1.0:
+        cut = np.fmin(_ratio_crossings(edges, beta, log_amp), edges[:, 1:])  # no crossing: all one piece
+        total = gaussian_cdf(edges[:, 0]) + gaussian_sf(edges[:, -1])
+        for a, b in ((edges[:, :-1], cut), (cut, edges[:, 1:])):
+            log_m, log_g = log_amp + gaussian_log_mass(a + beta, b + beta), gaussian_log_mass(a, b)
+            top = np.maximum(log_m, log_g)
+            with np.errstate(invalid="ignore"):
+                gap = np.exp(top) * -np.expm1(np.minimum(log_m, log_g) - top)
+            total = total + np.sum(np.where(top > -math.inf, gap, 0.0), axis=1)
+        return _shaped(total, m)
 
     def log_integrand(g: np.ndarray, x: np.ndarray) -> np.ndarray:
         # log|e^g - 1| = max(g, 0) + log(1 - e^{-|g|}), finite for any g != 0
@@ -382,30 +396,30 @@ def lp_distance(m: Measures, p: float):
     return _shaped(np.exp(shift / p) * (inside + outside) ** (1.0 / p), m)
 
 
-def relative_entropy(m: Measure1D) -> float:
-    """``Ent(m | gamma) = int_I (psi_g - psi) dm >= 0``, in closed form.
+def relative_entropy(m: Measures):
+    """``Ent(m | gamma) = int_I (psi_g - psi) dm >= 0``, in closed form: a
+    float for one measure, an array for measures sharing a cell count.
 
     On cell ``i``, where the density is ``w_i * phi(x + beta_i)``, ``psi_g -
     psi`` is the line ``a_i - beta_i * x`` with ``a_i = log w_i -
     beta_i^2/2``, so ``Ent = sum_i (a_i * m_i - beta_i * mu_i)``, where
     ``m_i`` is the cell's mass and ``mu_i = w_i * (phi(e_i + beta_i) -
-    phi(e_{i+1} + beta_i)) - beta_i * m_i`` its first moment.  Negative
-    rounding noise down to -1e-11 is clamped to 0; a more negative value
-    would contradict Jensen's inequality and raises ``InvariantViolation``.
+    phi(e_{i+1} + beta_i)) - beta_i * m_i`` its first moment.  The sum is
+    read off the normalized cells of :func:`stacked`.  Negative rounding
+    noise down to -1e-11 is clamped to 0; a more negative value would
+    contradict Jensen's inequality and raises ``InvariantViolation``.
     """
-    pot = m.potential
-    beta, log_w = pot.slopes, m.log_amp  # w_i * phi(y) is formed in log space
+    st = stacked(m)
+    beta, log_w = st.beta, st.log_amp  # w_i * phi(y) is formed in log space
     icpt = log_w - 0.5 * beta**2
-    a, b = pot.edges[:-1] + beta, pot.edges[1:] + beta
-    mass = np.exp(cell_log_masses(pot.edges, beta, log_w))
+    a, b = st.edges[:, :-1] + beta, st.edges[:, 1:] + beta
+    mass = np.exp(cell_log_masses(st.edges, beta, log_w))
     moment = np.exp(log_w - 0.5 * a * a - LOG_SQRT_2PI) - np.exp(log_w - 0.5 * b * b - LOG_SQRT_2PI)
     moment -= beta * mass
-    value = float(np.sum(icpt * mass - beta * moment))
-    if value < 0.0:
-        if value >= -1e-11:
-            return 0.0
-        raise InvariantViolation(f"relative entropy came out negative: {value!r}")
-    return value
+    value = np.sum(icpt * mass - beta * moment, axis=1)
+    if np.any(value < -1e-11):
+        raise InvariantViolation(f"relative entropy came out negative: {float(np.min(value))!r}")
+    return _shaped(np.maximum(value, 0.0), m)
 
 
 def _quantile_coupling(m: Measures, power: int) -> np.ndarray:

@@ -12,6 +12,7 @@ from scipy.special import ndtri
 import oracle_constants as oc
 from oracle_erf import gaussian_cdf_oracle, log_sqrt_2pi_decimal, piecewise_mass_decimal
 from oracle_minimizer import oracle_minimizer
+from isolab.measure1d import stacked
 from isolab import (
     DomainError,
     Interval,
@@ -198,6 +199,28 @@ def test_quantile_rejects_bad_theta():
             GAUSSIAN.quantile(bad)
     with pytest.raises(DomainError):
         GAUSSIAN.quantile(np.array([0.5, 1.0]))
+
+
+def test_quantile_in_an_upper_tail_cell_holds_its_mass():
+    # at scale 512 the median lies in a cell whose lower edge is so far into
+    # its Gaussian's upper tail that Phi there rounds to 1: read from the
+    # cell's upper end, the quantile is not pinned to that end
+    m = PerturbedSweepFamily.seeded(3).measure_at(512.0)
+    assert m.cdf(m.quantile(0.5)) == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("rows", [1, 9])
+@pytest.mark.parametrize("theta", [0.1, 0.5, 0.7])
+def test_theta_point_is_the_quantile_and_the_density_there(rows, theta):
+    fam = PerturbedSweepFamily.seeded(3)
+    measures = [fam.measure_at(lam) for lam in np.linspace(0.01, 3.0, rows)]
+    q, density = stacked(measures).theta_point(theta)
+    for i, m in enumerate(measures):
+        alone = stacked(m).theta_point(theta)  # a stack of one: one binary search
+        assert (q[i], density[i]) == (m.quantile(theta), alone[1][0])
+        assert alone[0][0] == q[i]
+        # Measure1D.density forms exp(-psi) from the potential, not the cells
+        assert density[i] == pytest.approx(m.density(q[i]), rel=1e-15)
 
 
 def test_translate_moves_quantiles():

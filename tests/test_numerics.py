@@ -160,6 +160,17 @@ def test_only_numerics_imports_scipy():
     assert importers == {"numerics.py"}
 
 
+def test_no_module_imports_a_private_name_of_another():
+    # a module's underscore names are its own: what another module needs is
+    # public, so moving code between modules cannot hide a private coupling
+    imports = []
+    for path in Path(isolab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("isolab")):
+                imports += [(path.name, node.module, a.name) for a in node.names if a.name.startswith("_")]
+    assert imports == []
+
+
 # -- integrate ----------------------------------------------------------------
 
 

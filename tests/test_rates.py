@@ -326,6 +326,16 @@ def test_perturbed_bracket_doubling_stops_before_the_noise():
     assert "could not bracket deficit 1.000e+03" in str(point)
 
 
+@pytest.mark.parametrize("seed", [3, 518787, 331872, 11])
+@pytest.mark.parametrize("theta", [0.3, 0.7])
+def test_perturbed_target_below_rounding_noise_is_skipped(seed, theta):
+    # the Gaussian at scale 0 reads a deficit of about +-5.6e-17, so a target
+    # of 1e-17 has no bracket; it is skipped, and the rest of the grid kept
+    res = sweep(PerturbedSweepFamily.seeded(seed), theta, Metric.parse("w2"), [1e-3, 1e-17])
+    assert [d for d, _ in res.points] == [1e-3]
+    assert res.skipped == (1e-17,)
+
+
 @pytest.mark.parametrize("family, unreachable", [(Example23SweepFamily(), 100.0),
                                                  (PerturbedSweepFamily.seeded(3), 1e3)],
                          ids=["example23", "perturbed"])

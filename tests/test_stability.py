@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import isolab
 import oracle_constants as oc
-from oracle_entropy import relative_entropy_quadrature
+from oracle_entropy import relative_entropy_decimal, relative_entropy_quadrature
+from oracle_l1 import l1_quadrature
 from oracle_erf import lp_translated_gaussian_decimal, truncated_deficit_decimal
 from oracle_ot import discrete_w2_oracle
 from isolab.measure1d import stacked
@@ -210,6 +211,36 @@ def _entropy_measures():
 def test_entropy_matches_the_quadrature_oracle():
     for m in _entropy_measures():
         assert relative_entropy(m) == pytest.approx(relative_entropy_quadrature(m), abs=1e-10)
+
+
+@pytest.mark.parametrize("seed", [3, 518787, 331872])
+@pytest.mark.parametrize("theta", [0.3, 0.5, 0.7])
+def test_stacked_entropy_matches_the_decimal_sum_over_its_cells(seed, theta):
+    # the sweep's own cells, read as they are: at delta = 1e-6 the entropy
+    # is 4e-12 to 1e-10, and rebuilding each row as a Measure1D moves it by
+    # up to 1e-5 of itself
+    cells = PerturbedSweepFamily.seeded(seed).at_deficit(DEFAULT_DELTA_GRID, theta).realized
+    want = [float(relative_entropy_decimal(*row)) for row in zip(cells.edges, cells.beta, cells.log_amp)]
+    np.testing.assert_allclose(relative_entropy(cells), want, rtol=1e-9, atol=0.0)
+
+
+def _l1_stacks():
+    xs = np.linspace(-6.0, 6.0, 61)
+    convex = 0.3 * np.logaddexp(xs - 0.4, 0.4 - xs) - 0.1 * xs
+    return {
+        "example23": Example23SweepFamily().at_deficit(DEFAULT_DELTA_GRID, 0.5).realized,
+        **{f"perturbed:{k}": PerturbedSweepFamily.seeded(k).at_deficit(DEFAULT_DELTA_GRID, 0.3).realized
+           for k in (3, 518787, 331872)},
+        "tabulated": stacked(normalize(tabulated_potential(xs, 0.5 * xs * xs + convex))),
+        "translates": stacked([GAUSSIAN.translate(s) for s in (-2.5, 0.3, 6.922046728373387, 45.0)]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_l1_stacks()))
+def test_l1_closed_form_matches_the_quadrature_oracle(name):
+    cells = _l1_stacks()[name]
+    want = [l1_quadrature(*row) for row in zip(cells.edges, cells.beta, cells.log_amp)]
+    np.testing.assert_allclose(lp_distance(cells, 1.0), want, rtol=1e-10, atol=0.0)
 
 
 # -- transport distances ------------------------------------------------------
