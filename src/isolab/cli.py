@@ -460,16 +460,23 @@ def cmd_needles(cfg: RunConfig) -> int:
             row["mass_total"] = needles.disintegration_check(
                 ens, lambda x: np.ones_like(np.asarray(x, dtype=float))
             ).lhs
+            # every Hermite term n >= 1 of the mixture integrates to 0 against
+            # h = 1; cos(3.5 (x + c)), c the centre of the full-line needles'
+            # slopes, weights term n by 3.5^n e^{-3.5^2/2}
+            beta = ens.beta[np.isinf(ens.lo) & np.isinf(ens.hi)]
+            centre = 0.5 * (beta.min() + beta.max()) if beta.size else 0.0
+            wave = needles.disintegration_check(ens, lambda x: np.cos(3.5 * (x + centre)))
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 rep = needles.theorem31_experiment(ens, d, cfg.c_threshold)
             row.update(rep.to_dict())
             row["warnings"] = sorted(str(w.message) for w in caught)
             row["mass_ok"] = abs(row["mass_total"] - 1.0) <= 1e-9
+            row["wave_ok"] = abs(wave.lhs - wave.rhs) <= 1e-10
             row["fully_bad"] = rep.bad_mass >= 1.0 - 1e-12
         except IsolabError as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
-        row["ok"] = "error" not in row and row["mass_ok"]
+        row["ok"] = "error" not in row and row["mass_ok"] and row["wave_ok"]
         rows.append(row)
 
     done = [row for row in rows if "mixture_l1" in row]  # descending delta order

@@ -26,10 +26,10 @@ that bound is, so this module provides:
   interior boundary points) and :func:`brute_force_minimizer`, an exhaustive
   grid search over candidate sets of at most two components that serves as
   an honest competitor to the half-line predicted by Bobkov's theorem.  It
-  evaluates the profile ``density(quantile(t))`` once per call, on every
-  endpoint mass its candidate families need, forms each candidate's
-  perimeter as a broadcast sum of profile values, and keeps the first
-  minimum in search order.
+  reads the profile ``density(quantile(t))`` in array calls, skipping the
+  blocks of candidates that a lower bound shows cannot beat the half-line,
+  forms each candidate's perimeter as a broadcast sum of profile values,
+  and keeps the first minimum in search order.
 
 Every potential is a *cell potential*, ``psi_hat(x) = x^2/2 + beta_i*x +
 gamma_i`` on the cells ``(e_i, e_{i+1})`` of the domain.  On a cell the
@@ -711,6 +711,37 @@ class MinimizerResult:
 _MASS_EPS = 1e-9  # tail clip for candidate endpoint masses
 _MASS_GAP = 1e-6  # disjointness margin between pieces, in mass
 _GRID_STEP = 0.01  # x-pitch of the single-interval mass grid in the bulk
+_BOUND_BLOCK = 32  # candidates per bounded block of the single-interval and complement families
+_BOUND_SLACK = 1e-9  # relative room a bound leaves for the rounding of the sums it bounds
+_EDGE_ROOM = 1e-12  # widening of each cell edge's mass, so that rounding drops no edge from a range
+
+
+def _block_ends(n: int) -> np.ndarray:
+    """The ends of the blocks of a column of ``n`` candidates: block ``j``
+    holds candidates ``j*B`` to ``j*B + B - 1``, ``B = _BOUND_BLOCK``, and
+    lies between those at ``ends[j]`` and ``ends[j + 1]``."""
+    if not n:
+        return np.zeros(0, dtype=int)
+    return np.minimum(np.arange(0, n + _BOUND_BLOCK, _BOUND_BLOCK), n - 1)
+
+
+def _pair_floor(tu: np.ndarray, j_ends: np.ndarray, edge_mass: np.ndarray,
+                edge_density: np.ndarray) -> np.ndarray:
+    """Per candidate ``(t, u)`` of the increasing mass columns ``tu`` (shape
+    ``(2, n)``), a lower bound of its perimeter ``J(t) + J(u)`` shared by its
+    block: ``J = density(quantile(.))`` is read at the block ends
+    (``j_ends``, at ``tu[:, _block_ends(n)]``), and the interior cell edges
+    are given by their masses and the lesser of their two one-sided
+    densities.  On a cell the density is one Gaussian bump, which has no
+    interior minimum, and ``quantile`` is monotone, so over a mass range
+    ``J`` is at least the least of its values at the range's ends and at the
+    edges whose mass (widened by ``_EDGE_ROOM``) lies in it."""
+    ends = _block_ends(tu.shape[1])
+    lo, hi = tu[:, ends[:-1], None], tu[:, ends[1:], None]
+    inner = (edge_mass >= lo - _EDGE_ROOM) & (edge_mass <= hi + _EDGE_ROOM)
+    floor = np.minimum(np.minimum(j_ends[:, :-1], j_ends[:, 1:]),
+                       np.where(inner, edge_density, math.inf).min(axis=2, initial=math.inf))
+    return (floor[0] + floor[1])[np.arange(tu.shape[1]) // _BOUND_BLOCK]
 
 
 def brute_force_minimizer(m: Measure1D, theta: float) -> MinimizerResult:
@@ -729,16 +760,29 @@ def brute_force_minimizer(m: Measure1D, theta: float) -> MinimizerResult:
     single-interval mass grid matches an x-pitch of roughly ``_GRID_STEP``
     through the bulk of the measure.
 
-    ``J`` is evaluated once, in one array call, on the abscissae the
-    families need (those outside (0, 1) are left out and read ``+inf``).
-    Each family's perimeters are broadcast sums of ``J`` columns, left to
-    right, with ``+inf`` where two intervals overlap or run out of mass; the
-    first minimum in search order wins.  It then competes against the exact
-    half-lines; ties within 1e-12 go to the half-line.  The winner's
-    endpoints and perimeter, and the half-lines', are read from that one
-    evaluation, and only the set returned is measured.  Under 1-convexity
-    Bobkov's theorem says the half-line always wins -- this function checks
-    that rather than assuming it.
+    ``J`` is read only where a candidate can still beat the half-lines
+    (masses outside (0, 1) read ``+inf``).  A first array call reads it at
+    the half-lines, the endpoints of the coarse families and the block ends
+    of the single-interval and complement sweeps.  A block of
+    ``_BOUND_BLOCK`` of those candidates is skipped when its lower bound
+    (:func:`_pair_floor`) exceeds the lesser half-line perimeter by more
+    than the relative ``_BOUND_SLACK``, and a second array call reads ``J``
+    for the candidates left.  A split's two-interval block is formed only
+    when a bound on its least perimeter, the least first interval plus the
+    best disjoint second one, reaches that threshold.  Each family's
+    perimeters are broadcast sums of ``J`` columns, left to right, with
+    ``+inf`` where two intervals overlap or run out of mass, or where a
+    block was skipped; the first minimum in search order wins.  It then
+    competes against the exact half-lines; ties within 1e-12 go to the
+    half-line.  The winner's endpoints and perimeter, and the half-lines',
+    are read from the ``J`` reads, and only the set returned is measured.
+
+    The result is that of the search over every candidate: each ``J`` read
+    is the same value, summed in the same order, and a skipped candidate's
+    perimeter lies above a half-line's, which comes first in search order,
+    so it is never the first minimum.  The bound holds for every potential,
+    so under 1-convexity, where Bobkov's theorem says the half-line always
+    wins, this function checks that rather than assuming it.
     """
     theta = float(theta)
     if not 0.0 < theta < 1.0:
@@ -746,7 +790,8 @@ def brute_force_minimizer(m: Measure1D, theta: float) -> MinimizerResult:
 
     dom = m.domain
     eps, gap, inf = _MASS_EPS, _MASS_GAP, math.inf
-    span = m.quantile(1.0 - eps) - m.quantile(eps)
+    q_lo, q_hi = m.quantile(np.array([eps, 1.0 - eps])).tolist()
+    span = q_hi - q_lo
     k_single = int(min(2000.0, max(160.0, math.ceil(span / _GRID_STEP) + 1.0)))
     k_pair, k_split = 64, 11
 
@@ -765,34 +810,66 @@ def brute_force_minimizer(m: Measure1D, theta: float) -> MinimizerResult:
     t5 = np.linspace(eps, 1.0 - theta - gap, k_pair) if ok5 else np.full(k_pair, np.nan)
     base = np.linspace(eps, 1.0 - eps, k_pair)
     b1, b2 = base + s[:, None], base + rest[:, None]
-    u2, u3, c5 = t2 + theta, t3 + (1.0 - theta), 1.0 - rest
+    c5 = 1.0 - rest
     u4, u5 = t4 + rest[:, None], t5 + s[:, None]
+    # the long families 2 and 3 as (2, n) columns (t, u), bounded in blocks
+    pairs = (np.stack([t2, t2 + theta]), np.stack([t3, t3 + (1.0 - theta)]))
 
-    cols = (np.array([theta, 1.0 - theta]), t2, u2, t3, u3, s, t4, u4, t5, u5, c5, base, b1, b2)
-    u = np.concatenate([c.ravel() for c in cols])
-    inside = (u > 0.0) & (u < 1.0)
-    q = np.full(u.size, np.nan)
-    q[inside] = m.quantile(u[inside])
-    J = np.full(u.size, inf)
-    J[inside] = m.density(q[inside])
-    cuts = np.cumsum([c.size for c in cols])[:-1]
+    def read(cols: Sequence[np.ndarray]) -> Tuple[list, list]:
+        """``quantile`` and ``J`` at the masses of ``cols``, each in one
+        array call, split back into the columns' shapes; a mass outside (0,
+        1), or NaN, reads NaN and ``+inf``."""
+        u = np.concatenate([c.ravel() for c in cols])
+        inside = (u > 0.0) & (u < 1.0)
+        q = np.full(u.size, np.nan)
+        J = np.full(u.size, inf)
+        if inside.any():
+            q[inside] = m.quantile(u[inside])
+            J[inside] = m.density(q[inside])
+        stops = np.cumsum([c.size for c in cols]).tolist()
+        spans = list(zip([0] + stops, stops, (c.shape for c in cols)))
+        return ([q[a:b].reshape(shape) for a, b, shape in spans],
+                [J[a:b].reshape(shape) for a, b, shape in spans])
 
-    def split(a: np.ndarray) -> list:
-        return [part.reshape(c.shape) for part, c in zip(np.split(a, cuts), cols)]
+    Q, J = read((np.array([theta, 1.0 - theta]), s, t4, u4, t5, u5, c5, base, b1, b2,
+                 *(p[:, _block_ends(p.shape[1])] for p in pairs)))
+    Qh, Qs, Q4, Qu4, Q5, Qu5, Qc5, Qb, Qb1, Qb2 = Q[:10]
+    Jh, Js, J4, Ju4, J5, Ju5, Jc5, Jb, Jb1, Jb2 = J[:10]
+    bar = float(np.min(Jh)) / (1.0 - _BOUND_SLACK)  # a perimeter above it cannot win
 
-    Jh, J2, Ju2, J3, Ju3, Js, J4, Ju4, J5, Ju5, Jc5, Jb, Jb1, Jb2 = split(J)
-    Qh, Q2, Qu2, Q3, Qu3, Qs, Q4, Qu4, Q5, Qu5, Qc5, Qb, Qb1, Qb2 = split(q)
+    # each interior cell edge's mass, and the lesser of its one-sided densities
+    x, beta, log_amp = m.potential.edges[1:-1], m.potential.slopes, m.log_amp
+    edge_mass = m._stack.left.cum[1:-1]
+    edge_density = np.exp(np.minimum(log_amp[:-1] - 0.5 * (x + beta[:-1]) ** 2,
+                                     log_amp[1:] - 0.5 * (x + beta[1:]) ** 2) - LOG_SQRT_2PI)
+    # the candidates of a skipped block read as masses NaN: q = NaN, J = +inf
+    Q, J = read([np.where(_pair_floor(p, j_ends, edge_mass, edge_density) <= bar, p, np.nan)
+                 for p, j_ends in zip(pairs, J[10:])])
+    (Q2, Qu2), (Q3, Qu3) = Q
+    (J2, Ju2), (J3, Ju3) = J
 
     P2, P3 = J2 + Ju2, J3 + Ju3
     P4 = Js[:, None] + J4 + Ju4
     P5 = J5 + Ju5 + Jc5[:, None]
+    # two intervals (q(base[a]), q(b1[i, a])) and (q(base[b]), q(b2[i, b])):
+    # disjoint for b >= first[i, a], and b2 in range on a prefix of each
+    # row, so split i has sum_a max(0, nvalid[i] - first[i, a]) candidates,
+    # and its least perimeter is at least the least over a of the first
+    # interval plus the best second one from first[i, a] on
+    valid = b2 <= 1.0 - eps
+    first = base.searchsorted(b1 + gap)
+    second = np.minimum.accumulate(np.where(valid, Jb + Jb2, inf)[:, ::-1], axis=1)[:, ::-1]
+    second = np.concatenate([second, np.full((k_split, 1), inf)], 1)
+    low6 = np.min(Jb + Jb1 + np.take_along_axis(second, first, 1), axis=1)
     # one block per split, and a winner found from the blocks' minima, keep
     # every temporary under glibc's 128 KB mmap threshold: larger ones are
     # mapped, and their pages faulted in, afresh on every call
-    ok6 = (b1[:, :, None] + gap <= base) & (b2 <= 1.0 - eps)[:, None, :]
-    P6 = [np.where(ok6[i], Jb[:, None] + Jb1[i, :, None] + Jb + Jb2[i], inf)
+    P6 = [np.where((b1[i, :, None] + gap <= base) & valid[i],
+                   Jb[:, None] + Jb1[i, :, None] + Jb + Jb2[i], inf)
+          if low6[i] <= bar else np.full((1, 1), inf)  # skipped: never the least block
           for i in range(k_split)]
-    checked = 2 + t2.size + t3.size + k_pair * int(ok4.sum()) + k_split * k_pair * ok5 + int(ok6.sum())
+    n6 = int(np.maximum(valid.sum(axis=1)[:, None] - first, 0).sum())
+    checked = 2 + t2.size + t3.size + k_pair * int(ok4.sum()) + k_split * k_pair * ok5 + n6
 
     # (tag, perimeters, endpoints broadcastable to them) in search order;
     # tags 0 and 1 are the exact half-lines

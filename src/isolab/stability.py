@@ -282,8 +282,9 @@ def check_gap_bounds(
     centered, a_theta, delta = m.translate(rep.shift), rep.a_theta, rep.deficit
     window = default_gap_window(centered, theta, max(delta, _EQUALITY_TOL))
     sg = float(centered.potential.right_derivative(a_theta)) - a_theta
-    lo = max(min(window.lo, centered.quantile(_T_CLIP)), -TAIL_CUTOFF)
-    hi = min(max(window.hi, centered.quantile(1.0 - _T_CLIP)), TAIL_CUTOFF)
+    clip_lo, clip_hi = centered.quantile(np.array([_T_CLIP, 1.0 - _T_CLIP])).tolist()
+    lo = max(min(window.lo, clip_lo), -TAIL_CUTOFF)
+    hi = min(max(window.hi, clip_hi), TAIL_CUTOFF)
 
     # on cell i, g is the line slope[i]*x + icpt[i]: psi - psi_g is
     # beta_i*x + beta_i^2/2 - log_amp_i there

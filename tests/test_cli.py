@@ -519,6 +519,18 @@ def test_selftest_sees_a_truncated_hermite_series(tmp_path, capsys, monkeypatch)
         "needles.generate_ensemble"]
 
 
+def test_needles_sees_a_truncated_hermite_series(tmp_path, capsys, monkeypatch):
+    # with 12 terms the mixture of the Q = 1000 ensemble is off by about
+    # 1e-8; its mass cannot show it, the cos(3.5 (x + c)) check does
+    monkeypatch.setattr(isolab.needles, "_HERMITE_TERMS", 12)
+    assert main(["needles", "--needle-count", "1000", "--delta-grid", "1e-3",
+                 "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "needles_report.json").read_text())
+    [row] = report["rows"]
+    assert row["mass_ok"] and not row["wave_ok"] and not row["ok"]
+    assert report["checks"] == {"all_rows_ok": False}
+
+
 def test_selftest_rejects_unknown_fault(tmp_path, capsys):
     code = main(
         ["selftest", "--inject-fault", "unknown_routine", "--out", str(tmp_path)]
@@ -573,7 +585,7 @@ def test_report_keys_are_stable(tmp_path):
         "bad_fraction", "bad_mass", "bad_mass_within_rate", "centered_mass",
         "decomposition_bound", "deficit_scale", "delta", "epsilon", "fully_bad",
         "good_contribution", "good_mass", "markov_applies", "mass_ok", "mass_total",
-        "mixture_l1", "needlewise_sum", "ok", "rate_bound_exponent", "warnings",
+        "mixture_l1", "needlewise_sum", "ok", "rate_bound_exponent", "wave_ok", "warnings",
     }
     assert (tmp_path / "n" / "needles.csv").read_text().splitlines()[0] == (
         "delta,epsilon,mixture_l1,good_mass,centered_mass,fitted_exponent"

@@ -12,6 +12,7 @@ from scipy.special import ndtri
 import oracle_constants as oc
 from oracle_erf import gaussian_cdf_oracle, log_sqrt_2pi_decimal, piecewise_mass_decimal
 from oracle_minimizer import oracle_minimizer
+from isolab import measure1d
 from isolab.measure1d import stacked
 from isolab import (
     DomainError,
@@ -425,26 +426,93 @@ def test_minimizer_matches_oracle_where_other_sets_win():
     assert {"interval", "complement", "half-line+interval", "interval+half-line"} <= layouts
 
 
-def test_minimizer_evaluates_the_profile_in_one_array_call(monkeypatch):
+def test_minimizer_reads_the_profile_in_three_array_calls(monkeypatch):
+    """No candidate is read on its own: ``quantile`` takes at most three
+    array calls a search (the span, the bounds, the candidates left),
+    whatever the grid size, and the bounds leave out most of the masses
+    that the search over every candidate reads (33,608 on these cases)."""
     quantile = Measure1D.quantile
-    array_calls = []
+    calls = []
 
     def counted(self, theta):
-        if isinstance(theta, np.ndarray):
-            array_calls.append(theta.size)
+        calls.append(theta.size if isinstance(theta, np.ndarray) else None)
         return quantile(self, theta)
 
     # near 0 and 1 the single-interval, complement and interval + right
     # half-line families run out of room and drop out of the count
+    masses = 0
     for m, theta in ((GAUSSIAN, 0.3), (TRUNCATED_2, 0.999), (KINKED, 0.01), (GAUSSIAN, 1.5e-9),
                      (KINKED, 1.0 - 5e-7), (TRUNCATED_2, 1.0 - 1.5e-9)):
         want = oracle_minimizer(m, theta)
-        array_calls.clear()
+        calls.clear()
         monkeypatch.setattr(Measure1D, "quantile", counted)
         res = brute_force_minimizer(m, theta)
         monkeypatch.undo()
-        assert len(array_calls) == 1, (theta, array_calls)
+        assert None not in calls and len(calls) <= 3, (theta, calls)
+        masses += sum(calls)
         assert res == want  # candidates_checked included
+    assert masses <= 0.6 * 33_608, masses
+
+
+def _valley_cases(seed):
+    """A measure of 3 to 5 far-apart bumps, and the masses of one or two
+    whole bumps, at which sets ending in the valleys can win."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(3, 6))
+    mu = np.cumsum(rng.uniform(4.0, 7.0, k))
+    m = normalize(_mode_spec(mu - mu.mean(), rng.uniform(-1.0, 1.0, k)))
+    bumps = np.diff(np.concatenate([[0.0], m.cdf_many(m.potential.edges[1:-1]), [1.0]]))
+    picks = itertools.chain(itertools.combinations(range(k), 1), itertools.combinations(range(k), 2))
+    return [(m, t) for t in sorted({float(bumps[list(pick)].sum()) for pick in picks}) if 0.02 < t < 0.98]
+
+
+# psi_hat jumps up by 2 at x = 0.5: the density drops by e^-2 across that edge
+_JUMP_DOWN = normalize(PotentialSpec(Interval(-math.inf, math.inf), np.array([-math.inf, 0.5, math.inf]),
+                                     np.zeros(2), np.array([0.0, 2.0])))
+
+
+def test_minimizer_block_bounds_hold(monkeypatch):
+    """Each single-interval and complement candidate's perimeter, with every
+    candidate's profile read, is at least the bound of its block, on 1-convex
+    measures, on multimodal ones and across a downward jump of the density;
+    and some blocks are skipped on each kind."""
+    pair_floor = measure1d._pair_floor
+    seen = []
+
+    def spy(tu, j_ends, edge_mass, edge_density):
+        bound = pair_floor(tu, j_ends, edge_mass, edge_density)
+        seen.append((tu, bound))
+        return bound
+
+    monkeypatch.setattr(measure1d, "_pair_floor", spy)
+    thetas = [round(0.1 * k, 1) for k in range(1, 10)]
+    kinds = {
+        "isoperimetry": [(m, t) for m in _isoperimetry_measures() for t in thetas],
+        "modes": [(normalize(_mode_spec(mu, c)), t) for mu, c in (((-2.0, 2.0), (0.0, 0.0)),
+                                                                  ((-4.0, 0.5, 5.0), (0.3, 0.0, 0.8)))
+                  for t in thetas] + [case for seed in range(4) for case in _valley_cases(seed)],
+        "jump": [(_JUMP_DOWN, t) for t in thetas],
+    }
+    for kind, cases in kinds.items():
+        skipped = 0
+        for m, theta in cases:
+            seen.clear()
+            brute_force_minimizer(m, theta)
+            bar = min(m.density(m.quantile(np.array([theta, 1.0 - theta])))) / (1.0 - measure1d._BOUND_SLACK)
+            for tu, bound in seen:
+                J = m.density(m.quantile(tu.ravel())).reshape(tu.shape)
+                assert np.all(J[0] + J[1] >= bound), (kind, theta)
+                skipped += int(np.count_nonzero(bound > bar))
+        assert skipped, kind
+
+
+def test_minimizer_without_edge_bounds_is_caught(monkeypatch):
+    """A bound that forgets the cell edges misses the valleys, where the
+    profile dips between two block ends, and skips the winning interval."""
+    pair_floor = measure1d._pair_floor
+    monkeypatch.setattr(measure1d, "_pair_floor", lambda tu, j_ends, edge_mass, edge_density:
+                        pair_floor(tu, j_ends, edge_mass[:0], edge_density[:0]))
+    assert any(brute_force_minimizer(m, theta) != oracle_minimizer(m, theta) for m, theta in _valley_cases(0))
 
 
 # -- closed forms against the decimal piecewise-mass oracle --------------------
