@@ -104,9 +104,12 @@ class RunConfig:
             if not (0.0 < d and math.isfinite(d)):
                 raise ConfigError(f"delta grid entry out of range: {d!r}")
         try:
-            Metric.parse(self.metric)
+            metric = Metric.parse(self.metric)
         except (DomainError, ValueError) as exc:
             raise ConfigError(f"bad metric {self.metric!r}: {exc}") from exc
+        if self.command == "sweep" and (self.measure.strip() == "needles") != (metric.kind == "mixture_l1"):
+            raise ConfigError(f"sweep metric {self.metric!r} does not fit the family {self.measure!r}: "
+                              "mixture_l1 is the metric of the needles family, and its only one")
         if not (self.c_threshold > 0.0):
             raise ConfigError(f"c_threshold out of range: {self.c_threshold!r}")
         if not (isinstance(self.seed, int) and self.seed >= 0):
@@ -561,12 +564,11 @@ def _selftest_battery() -> Sequence[Tuple[str, Callable[[], Optional[str]]]]:
         return None
 
     def normalize_check() -> Optional[str]:
-        m = normalize(measure1d.truncated_gaussian_potential(2.0))
-        expected = math.log(
-            numerics.gaussian_cdf(2.0) - numerics.gaussian_cdf(-2.0)
-        )
-        if abs(m.log_normalizer - expected) > 1e-10:
-            return f"log Z = {m.log_normalizer!r}, expected {expected!r}"
+        # the one cell's density is phi / Z on (-2, 2): log_amp = -log Z
+        log_z = -float(normalize(measure1d.truncated_gaussian_potential(2.0)).log_amp[0])
+        expected = math.log(numerics.gaussian_cdf(2.0) - numerics.gaussian_cdf(-2.0))
+        if abs(log_z - expected) > 1e-10:
+            return f"log Z = {log_z!r}, expected {expected!r}"
         return None
 
     def measure_quantile_check() -> Optional[str]:

@@ -2,9 +2,9 @@
 
 The basic object is a finite measure on an open interval ``I`` of the real
 line given by a density ``exp(-psi_hat)``; :func:`normalize` turns it into a
-probability measure by absorbing the mass into the potential,
-``psi = psi_hat + log Z``.  The standard Gaussian corresponds to
-``psi_g(x) = x^2/2 + log sqrt(2*pi)`` on the whole line.
+probability measure ``exp(-psi) dx``, ``psi = psi_hat + log Z``.  The
+standard Gaussian corresponds to ``psi_g(x) = x^2/2 + log sqrt(2*pi)`` on
+the whole line.
 
 A measure is *1-convex* when ``psi(x) - x^2/2`` is convex on ``I``; this is
 the curvature condition under which the Gaussian isoperimetric profile
@@ -16,10 +16,10 @@ that bound is, so this module provides:
 * :class:`PotentialSpec`, a potential given by its cells, and the
   constructors of the Gaussian, its truncations and translates, convex
   piecewise-linear perturbations of it and tabulated potentials,
-* :class:`Measure1D` with closed-form ``cdf``/``sf``/``quantile``, and
-  :class:`MeasureStack`, measures sharing a cell count as arrays of
-  normalized cells with a row per measure, the one reader of such cells:
-  their normalization, theta-points and reads from either end,
+* :class:`MeasureStack`, probability measures sharing a cell count as
+  normalized cells ``(edges, beta, log_amp)`` with a row per measure, the
+  one reader of such cells, and :class:`Measure1D`, one such row and
+  nothing else, held as a stack of one that answers each of its reads,
 * an exact :func:`check_one_convexity` test on the cell edges: ``psi_hat -
   x^2/2`` is convex when it neither jumps nor loses slope at any of them,
 * perimeter of finite unions of intervals (sum of ``exp(-psi)`` over the
@@ -36,8 +36,9 @@ gamma_i`` on the cells ``(e_i, e_{i+1})`` of the domain.  On a cell the
 normalized density is ``exp(log_amp_i) * phi(x + beta_i)``, a Gaussian of
 mean ``-beta_i``, so masses, normalizer, cdf, upper tail and quantile are
 differences and inverses of ``Phi`` at ``x + beta_i``: no quadrature and no
-root search.  Each kernel has one code path, on arrays; a float goes in as a
-0-d array and comes back as a float.
+root search; a translation moves edges and slopes and keeps ``log_amp``.
+Each kernel has one code path, on arrays; a float goes in as a 0-d array and
+comes back as a float.
 
 Conventions: all intervals are open; the density is ``0`` off ``I``; boundary
 points lying on the closure of ``I`` but not in its interior contribute no
@@ -328,27 +329,38 @@ def _potential_from_config(config: Mapping[str, object]) -> PotentialSpec:
     return translate_potential(spec, shift) if shift else spec
 
 
+def _cell_log_density(x, beta, log_amp):
+    """``log(exp(log_amp) * phi(x + beta))``, elementwise: the one cell-density expression."""
+    return log_amp - LOG_SQRT_2PI - 0.5 * (x + beta) ** 2
+
+
 @dataclass(frozen=True)
 class Measure1D:
-    """A probability measure ``exp(-psi) dx`` on an open interval.
+    """A probability measure ``exp(-psi) dx`` on an open interval: one row of
+    normalized cells, ``cells``, a :class:`MeasureStack` of one row that
+    answers every read.  Made by :func:`normalize`, or by indexing a stack."""
 
-    Construct through :func:`normalize`; ``psi = potential + log_normalizer``
-    integrates to one.  ``cdf``, ``sf`` and ``quantile`` are closed forms on
-    the potential's cells: the normalized cell masses and their cumulative
-    sums from either end are computed once, and a point then only needs the
-    ``Phi`` difference (or inverse) inside its own cell.
-    """
+    cells: "MeasureStack"
 
-    potential: PotentialSpec
-    log_normalizer: float
+    @cached_property
+    def domain(self) -> Interval:
+        return Interval(self.cells.edges[0, 0], self.cells.edges[0, -1])
 
     @property
-    def domain(self) -> Interval:
-        return self.potential.domain
+    def log_amp(self) -> np.ndarray:
+        """Per cell, the log amplitude of the density ``exp(log_amp_i) * phi(x + beta_i)``."""
+        return self.cells.log_amp[0]
+
+    @cached_property
+    def potential(self) -> PotentialSpec:
+        """``psi`` from the cells: ``gamma_i = log sqrt(2*pi) + beta_i^2/2 - log_amp_i``."""
+        beta = self.cells.beta[0]
+        return PotentialSpec(self.domain, self.cells.edges[0], beta,
+                             LOG_SQRT_2PI + 0.5 * beta**2 - self.log_amp)
 
     def psi(self, x: ArrayLike) -> ArrayLike:
         """Normalized potential; finite on the domain, meaningless off it."""
-        return self.potential.value(x) + self.log_normalizer
+        return _vec(lambda a: -self.cells.left.log_density(a), x)
 
     def density(self, x: ArrayLike) -> ArrayLike:
         """``exp(-psi)`` on the domain, 0 outside (and at the endpoints)."""
@@ -356,62 +368,40 @@ class Measure1D:
         def impl(a: np.ndarray) -> np.ndarray:
             inside = (a > self.domain.lo) & (a < self.domain.hi)
             with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-                val = np.exp(-self.psi(a))
-            return np.where(inside, val, 0.0)
+                return np.where(inside, np.exp(self.cells.left.log_density(a)), 0.0)
 
         return _vec(impl, x)
 
     def translate(self, s: float) -> "Measure1D":
-        """Pushforward under ``x -> x + s`` (normalization is preserved)."""
-        return Measure1D(translate_potential(self.potential, s), self.log_normalizer)
-
-    # -- closed forms on the cells ------------------------------------------
-
-    @cached_property
-    def log_amp(self) -> np.ndarray:
-        """Per cell, the log amplitude of the density ``exp(log_amp_i) *
-        phi(x + beta_i)``: ``psi = x^2/2 + beta_i*x + gamma_i + log Z``
-        completes to ``(x + beta_i)^2/2 + log sqrt(2*pi) - log_amp_i``."""
-        pot = self.potential
-        return LOG_SQRT_2PI + 0.5 * pot.slopes**2 - pot.offsets - self.log_normalizer
-
-    @cached_property
-    def _stack(self) -> "MeasureStack":
-        """The measure as a stack of one."""
-        pot = self.potential
-        return MeasureStack(pot.edges[None], pot.slopes[None], self.log_amp[None])
+        """Pushforward under ``x -> x + s``: the edges move by ``s``, the
+        slopes by ``-s``, and the log amplitudes stay, bit for bit."""
+        if not math.isfinite(s):
+            raise DomainError("translation must be finite")
+        return Measure1D(MeasureStack(self.cells.edges + s, self.cells.beta - s, self.cells.log_amp))
 
     def cdf_many(self, x: ArrayLike) -> ArrayLike:
         """Mass of ``(-inf, x]``; floats or arrays.  0 at the left end of the
         domain, 1 at the right end."""
-        return _vec(lambda a: self._stack.left.mass_below(a), x)
+        return _vec(self.cells.cdf, x)
 
     cdf = cdf_many
 
     def sf(self, x: ArrayLike) -> ArrayLike:
         """Mass of ``(x, inf)``; floats or arrays.  Summed from the right
         end, so it keeps its relative precision where ``1 - cdf`` cancels."""
-        return _vec(lambda a: self._stack.right.mass_below(-a), x)
+        return _vec(lambda a: self.cells.right.mass_below(-a), x)
 
     def quantile(self, theta: ArrayLike) -> ArrayLike:
-        """Generalized inverse of the cdf on (0, 1); floats or arrays.
+        """Generalized inverse of the cdf on (0, 1); floats or arrays: the
+        lesser of the masses ``theta`` below and ``1 - theta`` above,
+        inverted from its end, so both tails are resolved equally well."""
 
-        ``theta <= 1/2`` is inverted from the left end and ``theta > 1/2``
-        from the right end, as the upper mass ``1 - theta``, so both tails
-        are resolved equally well.
-        """
-        return _vec(self._invert, theta)
+        def impl(t: np.ndarray) -> np.ndarray:
+            if not ((t > 0.0) & (t < 1.0)).all():
+                raise DomainError("quantile: masses must lie in (0, 1)")
+            return self.cells.invert(np.minimum(t, 1.0 - t), t > 0.5)
 
-    def _invert(self, lower: np.ndarray) -> np.ndarray:
-        if not ((lower > 0.0) & (lower < 1.0)).all():
-            raise DomainError("quantile: masses must lie in (0, 1)")
-        out = np.empty_like(lower)
-        from_right = lower > 0.5
-        if not from_right.all():
-            out[~from_right] = self._stack.left.invert(lower[~from_right])
-        if from_right.any():
-            out[from_right] = -self._stack.right.invert(1.0 - lower[from_right])
-        return out
+        return _vec(impl, theta)
 
 
 class _Side(NamedTuple):
@@ -447,36 +437,30 @@ class _Side(NamedTuple):
         part = np.exp(self.log_amp[k] + gaussian_log_mass(self.edges[k] + beta, x + beta))
         return np.minimum(self.cum[k] + part, 1.0)
 
-    def _inverse(self, mass: np.ndarray, row) -> Tuple[np.ndarray, np.ndarray]:
-        """The point with ``mass`` below it, and the flat index ``k`` of its
-        cell, the one with ``cum[k] < mass <= cum[k+1]``."""
+    def log_density(self, x: np.ndarray) -> np.ndarray:
+        """The log density at ``x`` of a measure's one row, on the cell holding it."""
+        k = cell_index(self.edges, x)
+        return _cell_log_density(x, self.slopes[k], self.log_amp[k])
+
+    def invert(self, mass: np.ndarray, row=None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The point with ``mass`` below it, for ``0 < mass <= 1/2``, and the
+        slope and log amplitude of its cell ``k``: ``cum[k] < mass <= cum[k+1]``."""
         k = self._cell(self.cum, mass, "left", row)
-        return _cell_quantile(self.edges[k], self.edges[k + 1], self.slopes[k], self.log_amp[k],
-                              self.sign[k], self.start[k], self.base[k], mass), k
-
-    def invert(self, mass: np.ndarray, row=None) -> np.ndarray:
-        """The point with ``mass`` below it, for ``0 < mass <= 1/2``."""
-        return self._inverse(mass, row)[0]
-
-    def point(self, mass: np.ndarray, row=None) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`invert`'s point ``x`` and the density there,
-        ``exp(log_amp[k]) * phi(x + slopes[k])`` in the cell ``k`` it was
-        inverted in."""
-        x, k = self._inverse(mass, row)
-        # a cell far out in its Gaussian's tail, as root brackets probe, may
-        # round its log density up past the largest double
-        with np.errstate(over="ignore"):
-            return x, np.exp(self.log_amp[k] - LOG_SQRT_2PI - 0.5 * (x + self.slopes[k]) ** 2)
+        beta, log_amp = self.slopes[k], self.log_amp[k]
+        return _cell_quantile(self.edges[k], self.edges[k + 1], beta, log_amp,
+                              self.sign[k], self.start[k], self.base[k], mass), beta, log_amp
 
 
 class MeasureStack(Sequence):
     """Probability measures sharing a cell count, as normalized cells with a
     row per measure: row ``i`` has density ``exp(log_amp[i, j]) * phi(x +
     beta[i, j])`` on ``(edges[i, j], edges[i, j+1])``.  Indexing a row makes
-    its :class:`Measure1D`.  This is the one reader of normalized cells:
-    :meth:`normalized` scales rows to mass 1, :meth:`theta_point` reads
-    theta-points, and :attr:`left` and :attr:`right` read the rows from
-    either end, each built on first use."""
+    its :class:`Measure1D`, a view of the row.  This is the one reader of
+    normalized cells: :meth:`normalized` scales rows to mass 1, :meth:`cdf`
+    and :attr:`knot_cdf` read masses, :meth:`invert` and
+    :meth:`theta_point` points; a read takes the row of each point, or none
+    for a stack of one row.  Inside this module :attr:`left` and
+    :attr:`right` read the rows from either end, each built on first use."""
 
     def __init__(self, edges: np.ndarray, beta: np.ndarray, log_amp: np.ndarray) -> None:
         self.edges, self.beta, self.log_amp = edges, beta, log_amp
@@ -496,10 +480,8 @@ class MeasureStack(Sequence):
         return len(self.edges)
 
     def __getitem__(self, i: int) -> "Measure1D":
-        edges, beta, log_amp = self.edges[i], self.beta[i], self.log_amp[i]
-        offsets = LOG_SQRT_2PI + 0.5 * beta * beta - (log_amp - log_amp[0])
-        spec = PotentialSpec(Interval(edges[0], edges[-1]), edges, beta, offsets)
-        return Measure1D(spec, -float(log_amp[0]))
+        i = range(len(self))[i]
+        return Measure1D(MeasureStack(self.edges[i : i + 1], self.beta[i : i + 1], self.log_amp[i : i + 1]))
 
     @cached_property
     def _mass(self) -> np.ndarray:
@@ -530,34 +512,57 @@ class MeasureStack(Sequence):
         return self._side(-self.edges[:, ::-1], -self.beta[:, ::-1], self.log_amp[:, ::-1],
                           self._mass[:, ::-1])
 
+    def cdf(self, x: np.ndarray, row=None) -> np.ndarray:
+        """Mass of ``(-inf, x]``, summed from the left end."""
+        return self.left.mass_below(x, row)
+
     @property
-    def sides(self) -> Tuple[_Side, _Side]:
-        """Every row seen from the left end and from the right end."""
-        return self.left, self.right
+    def knot_cdf(self) -> np.ndarray:
+        """Each row's cdf at its interior edges, its cells' cumulative masses."""
+        return self.left.cum.reshape(len(self), -1)[:, 1:-1]
+
+    def invert(self, tail: np.ndarray, upper: np.ndarray, row=None) -> np.ndarray:
+        """The point with the mass ``tail`` (in ``(0, 1/2]``) below it, or
+        above it where ``upper`` (bools shaped as ``tail``)."""
+        return self._invert(tail, upper, row)[0]
+
+    def _invert(self, tail: np.ndarray, upper: np.ndarray, row) -> Tuple[np.ndarray, list]:
+        """:meth:`invert`'s points and, per side read, its mask and the point,
+        slope and log amplitude that side inverted.  The one choice of a side:
+        a mass below is inverted from the left end, a mass above from the
+        (mirrored) right end, and a side is built only when it is read."""
+        x, reads = np.empty_like(tail), []
+        for at, sign in ((~upper, 1.0), (upper, -1.0)):
+            if np.count_nonzero(at):
+                side = self.left if sign > 0.0 else self.right
+                point, beta, log_amp = side.invert(tail[at], None if row is None else row[at])
+                x[at] = sign * point
+                reads.append((at, point, beta, log_amp))
+        return x, reads
 
     def theta_point(self, theta: float) -> Tuple[np.ndarray, np.ndarray]:
-        """Each row's ``theta``-quantile ``q`` and the density at ``q``.
-
-        ``theta <= 1/2`` is read from the left end and ``theta > 1/2`` from
-        the right end, as the upper mass ``1 - theta``, so both tails are
-        resolved equally well.  A stack of one row takes a single binary
-        search."""
-        row = None if len(self) == 1 else np.arange(len(self))
-        if theta <= 0.5:
-            return self.left.point(np.full(len(self), theta), row)
-        q, density = self.right.point(np.full(len(self), 1.0 - theta), row)
-        return -q, density
+        """Each row's ``theta``-quantile ``q`` and the density at ``q`` in the
+        cell ``q`` was inverted in (a mirrored cell's is its mirror's).  A
+        stack of one row takes a single binary search."""
+        n = len(self)
+        q, reads = self._invert(np.full(n, min(theta, 1.0 - theta)), np.full(n, theta > 0.5),
+                                None if n == 1 else np.arange(n))
+        density = np.empty(n)
+        with np.errstate(over="ignore"):  # root brackets probe far into cells' tails
+            for at, point, beta, log_amp in reads:
+                density[at] = np.exp(_cell_log_density(point, beta, log_amp))
+        return q, density
 
 
 def stacked(measures) -> MeasureStack:
     """A stack as it is, a measure's own stack, or measures that share a
     cell count stacked."""
     if isinstance(measures, (Measure1D, MeasureStack)):
-        return measures._stack if isinstance(measures, Measure1D) else measures
-    if len({m.potential.edges.size for m in measures}) != 1:
+        return measures.cells if isinstance(measures, Measure1D) else measures
+    rows = [m.cells for m in measures]
+    if len({r.edges.shape[1] for r in rows}) != 1:
         raise DomainError("stacked measures must share a cell count")
-    return MeasureStack(*(np.stack(a) for a in zip(*((m.potential.edges, m.potential.slopes, m.log_amp)
-                                                      for m in measures))))
+    return MeasureStack(*(np.concatenate(a) for a in zip(*((r.edges, r.beta, r.log_amp) for r in rows))))
 
 
 def _cell_quantile(lo, hi, beta, log_amp, sign, start, base, mass):
@@ -574,17 +579,15 @@ def _cell_quantile(lo, hi, beta, log_amp, sign, start, base, mass):
 
 
 def normalize(spec: PotentialSpec) -> Measure1D:
-    """Normalize ``exp(-psi_hat)`` to a probability measure.
-
-    ``log Z`` is the log-sum of the closed-form cell masses.  Raises
-    ``NonIntegrableError`` when the mass is not a positive finite number.
-    """
-    # on a cell exp(-psi_hat) = sqrt(2*pi) * exp(beta^2/2 - gamma) * phi(x + beta)
+    """Normalize ``exp(-psi_hat)``, ``sqrt(2*pi) * exp(beta^2/2 - gamma) *
+    phi(x + beta)`` on a cell, to a probability measure, one row of
+    :meth:`MeasureStack.normalized`.  Raises ``NonIntegrableError`` when the
+    mass is not a positive finite number."""
     log_weight = LOG_SQRT_2PI + 0.5 * spec.slopes**2 - spec.offsets
-    log_z = float(np.logaddexp.reduce(cell_log_masses(spec.edges, spec.slopes, log_weight)))
-    if not math.isfinite(log_z):
-        raise NonIntegrableError(f"normalization mass is exp({log_z!r})")
-    return Measure1D(potential=spec, log_normalizer=log_z)
+    cells = MeasureStack.normalized(spec.edges[None], spec.slopes[None], log_weight[None])
+    if not np.isfinite(cells.log_amp).all():
+        raise NonIntegrableError("the mass of exp(-psi_hat) is not a positive finite number")
+    return Measure1D(cells)
 
 
 def gaussian_measure() -> Measure1D:
@@ -838,10 +841,10 @@ def brute_force_minimizer(m: Measure1D, theta: float) -> MinimizerResult:
     bar = float(np.min(Jh)) / (1.0 - _BOUND_SLACK)  # a perimeter above it cannot win
 
     # each interior cell edge's mass, and the lesser of its one-sided densities
-    x, beta, log_amp = m.potential.edges[1:-1], m.potential.slopes, m.log_amp
-    edge_mass = m._stack.left.cum[1:-1]
-    edge_density = np.exp(np.minimum(log_amp[:-1] - 0.5 * (x + beta[:-1]) ** 2,
-                                     log_amp[1:] - 0.5 * (x + beta[1:]) ** 2) - LOG_SQRT_2PI)
+    x, beta, log_amp = m.cells.edges[0, 1:-1], m.cells.beta[0], m.log_amp
+    edge_mass = m.cells.knot_cdf[0]
+    edge_density = np.exp(np.minimum(_cell_log_density(x, beta[:-1], log_amp[:-1]),
+                                     _cell_log_density(x, beta[1:], log_amp[1:])))
     # the candidates of a skipped block read as masses NaN: q = NaN, J = +inf
     Q, J = read([np.where(_pair_floor(p, j_ends, edge_mass, edge_density) <= bar, p, np.nan)
                  for p, j_ends in zip(pairs, J[10:])])

@@ -115,8 +115,8 @@ def make_needle(weight: float, measure: Measure1D, theta: float) -> Needle:
     weight = float(weight)
     if not (weight >= 0.0 and math.isfinite(weight)):
         raise DomainError(f"needle weight {weight!r} must be finite and >= 0")
-    if measure.potential.slopes.size != 1:
-        raise DomainError(f"a needle has one cell, this measure has {measure.potential.slopes.size}")
+    if measure.log_amp.size != 1:
+        raise DomainError(f"a needle has one cell, this measure has {measure.log_amp.size}")
     r_minus, r_plus = measure.quantile(np.array([theta, 1.0 - theta])).tolist()
     if abs(measure.cdf(r_minus) - theta) > 1e-10:
         raise InvariantViolation("needle quantile drifted beyond 1e-10")

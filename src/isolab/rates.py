@@ -288,7 +288,7 @@ def _centered_at(stack: MeasureStack, solved: np.ndarray, deltas: np.ndarray,
               for i, d in enumerate(deltas) if not solved[i]}
     found = np.flatnonzero(solved)
     q, density = stack.theta_point(theta)
-    held, d = stack.left.mass_below(q, np.arange(len(stack))), density - gaussian_profile(theta)
+    held, d = stack.cdf(q, np.arange(len(stack))), density - gaussian_profile(theta)
     for i, h, got, want in zip(found.tolist(), held.tolist(), d.tolist(), deltas[found].tolist()):
         if abs(h - theta) > 1e-12:
             failed[i] = BracketError(f"solved theta-point holds mass {h:.6e}, not {theta:.6e}")

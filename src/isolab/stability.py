@@ -211,7 +211,7 @@ def center(m: Measure1D, theta: float) -> Tuple[Measure1D, float]:
 
 def deficit(m: Measures, theta: float) -> DeficitReport:
     """Isoperimetric deficit of the half-line at ``a_theta``, of a measure
-    or of measures sharing a cell count (read on their stacked sides).
+    or of measures sharing a cell count (read on their stack).
 
     The deficit is read at ``m``'s own ``theta``-quantile ``q``, which
     centering moves to ``a_theta``: the perimeter is ``density(q)``, both
@@ -439,21 +439,25 @@ def _quantile_coupling(m: Measures, power: int) -> np.ndarray:
     than absorbed.
     """
     st = stacked(m)
-    sides, cells = st.sides, (st.edges, st.beta, st.log_amp)
-    n, rows = len(cells[0]), np.arange(len(cells[0]))
+    n, rows = len(st), np.arange(len(st))
     s_lo, s_hi = gaussian_quantile(_T_CLIP), gaussian_quantile(1.0 - _T_CLIP)
 
+    def transport(s: np.ndarray, row: np.ndarray) -> np.ndarray:
+        """``F_m^{-1}(Phi(s))``, the monotone map pushing gamma to ``m``, at
+        ``s[i]`` for row ``row[i]``: the lesser tail ``Phi(-|s|)`` inverted."""
+        return st.invert(np.clip(gaussian_cdf(-np.abs(s)), _T_CLIP, 0.5), s > 0.0, row)
+
     def integrand(s: np.ndarray, row: np.ndarray) -> np.ndarray:
-        return np.abs(_transport_map(sides, s, row) - s) ** power * gaussian_pdf(s)
+        return np.abs(transport(s, row) - s) ** power * gaussian_pdf(s)
 
     # The map s -> F_m^{-1}(Phi(s)) has derivative jumps at the images of the
     # potential's kinks; hand those to the quadrature as interior breakpoints,
     # and for W_1 the kinks of |F_m^{-1}(Phi(s)) - s| too.
-    t = sides[0].cum.reshape(n, -1)[:, 1:-1]  # the cdf at the knots
+    t = st.knot_cdf
     inside = (t > _T_CLIP) & (t < 1.0 - _T_CLIP)
     points = np.where(inside, gaussian_quantile(np.where(inside, t, 0.5)), np.nan)
     if power == 1:
-        points = np.concatenate([points, _cdf_crossings(sides, cells, s_lo, s_hi)], 1)
+        points = np.concatenate([points, _cdf_crossings(st, transport, s_lo, s_hi)], 1)
     try:
         value = integrate(integrand, (np.full(n, s_lo), np.full(n, s_hi)), points=points,
                           abs_tol=1e-10, rel_tol=1e-8)
@@ -461,43 +465,33 @@ def _quantile_coupling(m: Measures, power: int) -> np.ndarray:
         raise QuadratureError(
             f"quantile-coupling integral failed near the endpoints: {exc}"
         ) from exc
-    clip = np.full(n, _T_CLIP)  # the quantile differences at both clip points
-    tail_bound = np.max(_T_CLIP * ((np.abs(sides[0].invert(clip, rows) - s_lo) + 1.0) ** power
-                                   + (np.abs(sides[1].invert(clip, rows) + s_hi) + 1.0) ** power))
+    # the quantile differences at both clip points
+    q_lo, q_hi = st.invert(np.full(2 * n, _T_CLIP), np.arange(2 * n) >= n, np.tile(rows, 2)).reshape(2, n)
+    tail_bound = np.max(_T_CLIP * ((np.abs(q_lo - s_lo) + 1.0) ** power
+                                   + (np.abs(q_hi - s_hi) + 1.0) ** power))
     if tail_bound > 1e-8:
         raise QuadratureError(f"clipped endpoint mass bound {tail_bound:.3e} is not negligible")
     return value
 
 
-def _transport_map(sides, s: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """``F_m^{-1}(Phi(s))``, the monotone map pushing gamma to ``m``, on the
-    quantile-coupling window, at ``s[i]`` for the measure ``row[i]`` of the
-    stacked ``sides``: the mass ``Phi(s)`` below ``s <= 0`` is inverted from
-    the left end, and ``Phi(-s)`` above ``s > 0`` from the right end."""
-    out = np.empty_like(s)
-    lower = s <= 0.0
-    out[lower] = sides[0].invert(np.clip(gaussian_cdf(s[lower]), _T_CLIP, 0.5), row[lower])
-    out[~lower] = -sides[1].invert(np.clip(gaussian_sf(s[~lower]), _T_CLIP, 0.5), row[~lower])
-    return out
-
-
-def _cdf_crossings(sides, cells, lo: float, hi: float) -> np.ndarray:
+def _cdf_crossings(st: MeasureStack, transport, lo: float, hi: float) -> np.ndarray:
     """Where ``F_m`` crosses ``Phi`` in ``[lo, hi]``, per row (NaN-padded):
     the kinks of the W_1 integrand.  ``F_m - Phi`` is monotone between the
     cell edges and the ratio crossings (its derivative is ``density - phi``),
     so each such piece holds at most one zero, found by one elementwise root
     solve where the piece's ends differ in sign.  The solve reads the map's
-    offset ``F_m^{-1}(Phi(s)) - s``, of the opposite sign and with upper
-    masses by ``sf``: ``cdf - Phi`` is rounding noise where both near 1."""
-    ends = np.concatenate([cells[0], _ratio_crossings(*cells)], 1)
+    offset ``transport(s) - s``, ``transport(s) = F_m^{-1}(Phi(s))``, of the
+    opposite sign and with upper masses read from the right end: ``cdf -
+    Phi`` is rounding noise where both near 1."""
+    ends = np.concatenate([st.edges, _ratio_crossings(st.edges, st.beta, st.log_amp)], 1)
     ends = np.sort(np.clip(np.where(np.isnan(ends), lo, ends), lo, hi), 1)
     row = np.repeat(np.arange(len(ends)), ends.shape[1]).reshape(ends.shape)
-    g = (_transport_map(sides, ends.ravel(), row.ravel()) - ends.ravel()).reshape(ends.shape)
+    g = (transport(ends.ravel(), row.ravel()) - ends.ravel()).reshape(ends.shape)
     change = np.sign(g[:, :-1]) * np.sign(g[:, 1:]) < 0.0
     crossings = np.full(change.shape, np.nan)
     if change.any():
         at = row[:, 1:][change]
-        crossings[change] = find_root(lambda x: _transport_map(sides, x, at) - x,
+        crossings[change] = find_root(lambda x: transport(x, at) - x,
                                       (ends[:, :-1][change], ends[:, 1:][change]))
     return np.concatenate([np.where(g == 0.0, ends, np.nan), crossings], 1)
 

@@ -110,6 +110,26 @@ def test_tolerance_flags_are_gone(flag, tmp_path, capsys):
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("measure, metric", [("example23", "mixture_l1"), ("needles", "w1")])
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_sweep_rejects_a_metric_its_family_lacks(tmp_path, capsys, monkeypatch, measure, metric, source):
+    # rejected as a configuration error before any family is realized
+    calls = []
+    for module in (isolab.needles, isolab.rates):
+        monkeypatch.setattr(module, "generate_ensemble", lambda config: calls.append(config))
+    if source == "flags":
+        argv = ["sweep", "--measure", measure, "--metric", metric]
+    else:
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"measure": measure, "metric": metric}))
+        argv = ["sweep", "--config", str(cfg_file)]
+    code = main([*argv, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: ") and "mixture_l1" in err[0]
+    assert calls == []
+
+
 def test_config_file_command_mismatch(tmp_path, capsys):
     cfg_file = tmp_path / "run.json"
     cfg_file.write_text(json.dumps({"command": "sweep"}))

@@ -117,7 +117,7 @@ def test_potential_config_round_trip(config, direct, shift):
     assert back.domain == spec.domain
     for name in ("edges", "slopes", "offsets"):
         np.testing.assert_array_equal(getattr(back, name), getattr(spec, name), strict=True)
-    assert normalize(back).log_normalizer == normalize(spec).log_normalizer
+    np.testing.assert_array_equal(normalize(back).log_amp, normalize(spec).log_amp, strict=True)
 
 
 def test_potential_config_errors():
@@ -220,8 +220,24 @@ def test_theta_point_is_the_quantile_and_the_density_there(rows, theta):
         alone = stacked(m).theta_point(theta)  # a stack of one: one binary search
         assert (q[i], density[i]) == (m.quantile(theta), alone[1][0])
         assert alone[0][0] == q[i]
-        # Measure1D.density forms exp(-psi) from the potential, not the cells
-        assert density[i] == pytest.approx(m.density(q[i]), rel=1e-15)
+        # one density expression: Measure1D.density reads the same cell
+        assert density[i] == m.density(q[i])
+
+
+@pytest.mark.parametrize("s", [0.3, -1.7, 6.92])
+def test_translate_keeps_the_log_amplitudes_bit_for_bit(s):
+    m = PerturbedSweepFamily.seeded(3).measure_at(1.0)
+    moved = m.translate(s)
+    np.testing.assert_array_equal(moved.log_amp, m.log_amp, strict=True)
+    np.testing.assert_array_equal(moved.potential.edges, m.potential.edges + s, strict=True)
+
+
+def test_centering_twice_keeps_the_log_amplitudes():
+    m = PerturbedSweepFamily.seeded(3).measure_at(1.0)
+    once = center(m, 0.3)[0]
+    twice = center(once, 0.3)[0]
+    np.testing.assert_array_equal(once.log_amp, m.log_amp, strict=True)
+    np.testing.assert_array_equal(twice.log_amp, m.log_amp, strict=True)
 
 
 def test_translate_moves_quantiles():
@@ -586,9 +602,12 @@ def _probe_points(m):
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_normalizer_matches_decimal_oracle(case):
+    # each cell's log amplitude is log sqrt(2 pi) + beta^2/2 - gamma - log Z
+    # (a translate keeps the untranslated cells')
     m, cells, _ = ORACLE_CASES[case]
-    want = float(piecewise_mass_decimal(cells).ln())
-    assert m.log_normalizer == pytest.approx(want, abs=1e-14)
+    log_z = piecewise_mass_decimal(cells).ln()
+    want = [float(_LOG_SQRT_2PI + beta * beta / 2 - gamma - log_z) for _, _, beta, gamma in cells]
+    np.testing.assert_allclose(m.log_amp, want, rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -621,9 +622,29 @@ def test_generation_builds_no_per_needle_objects(monkeypatch):
     ens = generate_ensemble(EnsembleConfig(
         needle_count=1000, deficit_scale=1e-3, bad_fraction=1e-3 ** (0.9 / 8.7), seed=3))
     assert counts == {"Measure1D": 0, "PotentialSpec": 0, "normalize": 0}
-    # the records come on first use, one measure per needle, still unnormalized
+    # the records come on first use, one measure per needle, each a view of
+    # its row of ens.cells: no potential is made and nothing is normalized
     assert len(ens.needles) == 1000 and ens.needles is ens.needles
-    assert counts == {"Measure1D": 1000, "PotentialSpec": 1000, "normalize": 0}
+    assert counts == {"Measure1D": 1000, "PotentialSpec": 0, "normalize": 0}
+
+
+def test_needle_records_and_their_l1_reads_hold_little_memory():
+    # each record's measure is a view of its row of ens.cells, and
+    # needle_l1 reads it without caching anything on it: what the reads
+    # keep is about the list of their values
+    ens = generate_ensemble(EnsembleConfig(
+        needle_count=1000, deficit_scale=1e-3, bad_fraction=1e-3 ** (0.9 / 8.7), seed=3))
+    tracemalloc.start()
+    try:
+        records = ens.needles
+        after_records = tracemalloc.get_traced_memory()[0]
+        values = [needle_l1(nd) for nd in records]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(values) == 1000
+    assert held - after_records <= 0.1e6
+    assert held <= 1.0e6
 
 
 def test_theorem31_experiment_forms_the_aggregate_deficit_once(monkeypatch):

@@ -171,6 +171,19 @@ def test_no_module_imports_a_private_name_of_another():
     assert imports == []
 
 
+def test_no_module_but_measure1d_reads_the_cell_layout():
+    # a stack's sides (its rows read from either end, padded, with their
+    # cumulative masses) are measure1d's own: other modules read cells
+    # through the stack's cdf, knot_cdf, invert and theta_point
+    layout = {"sides", "left", "right", "cum"}
+    reads = []
+    for path in Path(isolab.__file__).parent.glob("*.py"):
+        if path.name != "measure1d.py":
+            reads += [(path.name, node.attr) for node in ast.walk(ast.parse(path.read_text()))
+                      if isinstance(node, ast.Attribute) and node.attr in layout]
+    assert reads == []
+
+
 # -- integrate ----------------------------------------------------------------
 
 

@@ -12,8 +12,8 @@ from oracle_l1 import l1_quadrature
 from oracle_erf import lp_translated_gaussian_decimal, truncated_deficit_decimal
 from oracle_ot import discrete_w2_oracle
 from isolab.measure1d import stacked
-from isolab.numerics import TAIL_CUTOFF
-from isolab.stability import _transport_map, solve_truncation_for_deficit, truncated_deficit
+from isolab.numerics import TAIL_CUTOFF, gaussian_cdf
+from isolab.stability import solve_truncation_for_deficit, truncated_deficit
 from isolab import (
     DEFAULT_DELTA_GRID,
     DomainError,
@@ -259,10 +259,12 @@ def test_transport_shifted_gaussian_equals_shift():
 
 
 def test_transport_map_upper_tail_as_precise_as_lower():
-    # F^{-1}(Phi(s)) = s + 0.3 for the translate: inverting 1 - Phi(s) from
-    # the left would lose 5.8e-6 at s = 7
+    # F^{-1}(Phi(s)) = s + 0.3 for the translate, read as the quantile
+    # coupling reads it: the lesser tail Phi(-|s|) inverted from its end.
+    # Inverting 1 - Phi(s) from the left would lose 5.8e-6 at s = 7
     s = np.arange(-7.0, 8.0)
-    got = _transport_map(stacked([GAUSSIAN.translate(0.3)]).sides, s, np.zeros(s.size, dtype=int))
+    got = stacked([GAUSSIAN.translate(0.3)]).invert(gaussian_cdf(-np.abs(s)), s > 0.0,
+                                                    np.zeros(s.size, dtype=int))
     np.testing.assert_allclose(got - s - 0.3, 0.0, rtol=0.0, atol=1e-12)
 
 
