@@ -118,6 +118,9 @@ class RunConfig:
             extra = set(self.ensemble) - set(_ENSEMBLE_KEYS)
             if extra:
                 raise ConfigError(f"unknown ensemble keys: {sorted(extra)}")
+            count = self.ensemble.get("needle_count", 1)
+            if type(count) not in (int, float) or not (count >= 1 and float(count).is_integer()):
+                raise ConfigError(f"ensemble needle_count must be an integer >= 1, got {count!r}")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -710,7 +713,7 @@ _FAULTS = {
     # jumps up by 1e-3 at the first breakpoint
     "convexity": (measure1d, "perturbed_gaussian_potential",
                   lambda f: lambda *a, **k: _raise_right_of_first_breakpoint(f(*a, **k))),
-    # every W_1 and W_2 quantile-coupling integral, scaled by 1 + 1e-6
+    # every W_2 quantile-coupling integral, scaled by 1 + 1e-6
     "coupling": (stability, "_quantile_coupling",
                  lambda f: lambda *a: f(*a) * (1.0 + 1e-6)),
     # every power-law fit: the slope scaled by 1 + 1e-9

@@ -129,14 +129,6 @@ class PotentialSpec:
     slopes: np.ndarray
     offsets: np.ndarray
 
-    def knots(self) -> Tuple[float, ...]:
-        """Interior non-smooth points: the cell edges inside the domain.
-
-        Quadratures align their pieces with these so that each piece
-        integrates a smooth function.
-        """
-        return tuple(self.edges[1:-1].tolist())
-
     def value(self, x: ArrayLike) -> ArrayLike:
         def impl(a: np.ndarray) -> np.ndarray:
             i = cell_index(self.edges, a)
@@ -357,10 +349,6 @@ class Measure1D:
         beta = self.cells.beta[0]
         return PotentialSpec(self.domain, self.cells.edges[0], beta,
                              LOG_SQRT_2PI + 0.5 * beta**2 - self.log_amp)
-
-    def psi(self, x: ArrayLike) -> ArrayLike:
-        """Normalized potential; finite on the domain, meaningless off it."""
-        return _vec(lambda a: -self.cells.left.log_density(a), x)
 
     def density(self, x: ArrayLike) -> ArrayLike:
         """``exp(-psi)`` on the domain, 0 outside (and at the endpoints)."""

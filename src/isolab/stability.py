@@ -19,9 +19,8 @@ is the smallness parameter of every estimate in this module:
   closed form at ``p = 1``;
 * ``relative_entropy`` of ``m`` with respect to the Gaussian and the
   Talagrand inequality ``W_2^2 <= 2 Ent``;
-* ``w1_to_gaussian`` / ``w2_to_gaussian`` through the one-dimensional
-  quantile coupling, plus a Kantorovich-Rubinstein style upper bound for
-  ``W_1``;
+* ``w2_to_gaussian`` by quadrature of the quantile coupling, and
+  ``w1_to_gaussian`` and a dual upper bound for it as closed moment sums;
 * the exactly solvable truncated-Gaussian family (:func:`example23`) whose
   closed forms make the order ``delta^{1/p}`` sharp.
 
@@ -47,7 +46,6 @@ from .measure1d import (
     Measure1D,
     MeasureStack,
     cell_index,
-    cell_log_masses,
     gaussian_profile,
     gaussian_psi,
     normalize,
@@ -89,8 +87,8 @@ __all__ = [
     "solve_truncation_for_deficit",
 ]
 
-# t-range for quantile-coupling integrals; the discarded Gaussian-type tails
-# are accounted for by an analytic error bound in _quantile_coupling.
+# mass window of the quantile-coupling integral and the cdf-crossing search:
+# _quantile_coupling bounds the tails it drops, _cdf_crossings states its cost
 _T_CLIP = 1e-12
 # deficits below this are treated as the exact equality case
 _EQUALITY_TOL = 1e-13
@@ -397,6 +395,16 @@ def lp_distance(m: Measures, p: float):
     return _shaped(np.exp(shift / p) * (inside + outside) ** (1.0 / p), m)
 
 
+def _cell_moments(lo, hi, beta, log_amp):
+    """The mass and first moment of ``exp(log_amp) * phi(x + beta)`` over
+    ``(lo, hi)``, elementwise: with ``a = lo + beta`` and ``b = hi + beta``
+    the moment is ``exp(log_amp) * (phi(a) - phi(b)) - beta * mass``."""
+    a, b = lo + beta, hi + beta
+    mass = np.exp(log_amp + gaussian_log_mass(a, b))
+    moment = np.exp(log_amp - 0.5 * a * a - LOG_SQRT_2PI) - np.exp(log_amp - 0.5 * b * b - LOG_SQRT_2PI)
+    return mass, moment - beta * mass
+
+
 def relative_entropy(m: Measures):
     """``Ent(m | gamma) = int_I (psi_g - psi) dm >= 0``, in closed form: a
     float for one measure, an array for measures sharing a cell count.
@@ -404,33 +412,52 @@ def relative_entropy(m: Measures):
     On cell ``i``, where the density is ``w_i * phi(x + beta_i)``, ``psi_g -
     psi`` is the line ``a_i - beta_i * x`` with ``a_i = log w_i -
     beta_i^2/2``, so ``Ent = sum_i (a_i * m_i - beta_i * mu_i)``, where
-    ``m_i`` is the cell's mass and ``mu_i = w_i * (phi(e_i + beta_i) -
-    phi(e_{i+1} + beta_i)) - beta_i * m_i`` its first moment.  The sum is
-    read off the normalized cells of :func:`stacked`.  Negative rounding
-    noise down to -1e-11 is clamped to 0; a more negative value would
-    contradict Jensen's inequality and raises ``InvariantViolation``.
+    ``m_i`` and ``mu_i`` are the cell's mass and first moment
+    (:func:`_cell_moments`), on the normalized cells of :func:`stacked`.
+    Negative rounding noise down to -1e-11 is clamped to 0; a more negative
+    value would contradict Jensen's inequality and raises
+    ``InvariantViolation``.
     """
     st = stacked(m)
-    beta, log_w = st.beta, st.log_amp  # w_i * phi(y) is formed in log space
-    icpt = log_w - 0.5 * beta**2
-    a, b = st.edges[:, :-1] + beta, st.edges[:, 1:] + beta
-    mass = np.exp(cell_log_masses(st.edges, beta, log_w))
-    moment = np.exp(log_w - 0.5 * a * a - LOG_SQRT_2PI) - np.exp(log_w - 0.5 * b * b - LOG_SQRT_2PI)
-    moment -= beta * mass
-    value = np.sum(icpt * mass - beta * moment, axis=1)
+    mass, moment = _cell_moments(st.edges[:, :-1], st.edges[:, 1:], st.beta, st.log_amp)
+    value = np.sum((st.log_amp - 0.5 * st.beta**2) * mass - st.beta * moment, axis=1)
     if np.any(value < -1e-11):
         raise InvariantViolation(f"relative entropy came out negative: {float(np.min(value))!r}")
     return _shaped(np.maximum(value, 0.0), m)
 
 
-def _quantile_coupling(m: Measures, power: int) -> np.ndarray:
-    """``int_0^1 |F_m^{-1}(t) - Phi^{-1}(t)|^power dt`` by quadrature, an
-    array with one row per measure of ``m``.
+def _moment_gap(st: MeasureStack, cuts: np.ndarray, c: float = 0.0) -> np.ndarray:
+    """Per row of ``st``, ``sum_J |int_J (x - c) d(m - gamma)|`` over the
+    stretches ``J`` between the row's ``cuts`` (NaN-padded), which is ``int
+    |x - c| d|m - gamma|`` where the cuts leave ``(x - c)(m - gamma)`` one
+    sign on each.  Cut also at the cell edges and at both infinities, each
+    piece holds one cell of ``m`` (none off its domain) and of ``gamma``."""
+    n, ends = len(st), np.full((len(st), 1), math.inf)
+    points = np.sort(np.concatenate([-ends, st.edges, np.where(np.isnan(cuts), math.inf, cuts), ends], 1), 1)
+    lo, hi = points[:, :-1], points[:, 1:]
+    k = cell_index(st.edges, lo.ravel(), np.repeat(np.arange(n), lo.shape[1])).reshape(lo.shape)
+    e_lo, e_hi = np.take_along_axis(st.edges, k, 1), np.take_along_axis(st.edges, k + 1, 1)
+    mass, moment = _cell_moments(np.clip(lo, e_lo, e_hi), np.clip(hi, e_lo, e_hi),
+                                 np.take_along_axis(st.beta, k, 1), np.take_along_axis(st.log_amp, k, 1))
+    mass_g, moment_g = _cell_moments(lo, hi, 0.0, 0.0)
+    gap = (moment - moment_g) - c * (mass - mass_g)
+    # a piece's stretch is the number of cuts at or below its lower end
+    stretch = np.sum(cuts[:, None, :] <= lo[:, :, None], axis=2) + lo.shape[1] * np.arange(n)[:, None]
+    return np.abs(np.bincount(stretch.ravel(), gap.ravel(), minlength=gap.size)).reshape(gap.shape).sum(1)
 
-    Computed after the substitution ``t = Phi(s)`` as ``int |F_m^{-1}(Phi(s))
-    - s|^power phi(s) ds``: in the ``t`` variable the integrand piles into
-    boundary layers at 0 and 1, while in ``s`` it is a Gaussian-damped,
-    polynomially growing profile that adaptive quadrature resolves cleanly.
+
+def _transport(st: MeasureStack, s: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """``F_m^{-1}(Phi(s))``, the monotone map pushing gamma to ``m``, at
+    ``s[i]`` for row ``row[i]``: the lesser tail ``Phi(-|s|)`` inverted."""
+    return st.invert(np.clip(gaussian_cdf(-np.abs(s)), _T_CLIP, 0.5), s > 0.0, row)
+
+
+def _quantile_coupling(m: Measures) -> np.ndarray:
+    """``int_0^1 (F_m^{-1}(t) - Phi^{-1}(t))^2 dt`` by quadrature, one row
+    per measure of ``m``, as ``int (F_m^{-1}(Phi(s)) - s)^2 phi(s) ds``: in
+    ``t`` the integrand piles into boundary layers at 0 and 1, while in ``s``
+    it is a Gaussian-damped, polynomially growing profile that adaptive
+    quadrature resolves cleanly.
     The s-range is clipped to the ``[1e-12, 1 - 1e-12]`` quantile window;
     the discarded tails are bounded analytically using the quantile
     differences at the clip points (1-convexity keeps the difference from
@@ -442,56 +469,49 @@ def _quantile_coupling(m: Measures, power: int) -> np.ndarray:
     n, rows = len(st), np.arange(len(st))
     s_lo, s_hi = gaussian_quantile(_T_CLIP), gaussian_quantile(1.0 - _T_CLIP)
 
-    def transport(s: np.ndarray, row: np.ndarray) -> np.ndarray:
-        """``F_m^{-1}(Phi(s))``, the monotone map pushing gamma to ``m``, at
-        ``s[i]`` for row ``row[i]``: the lesser tail ``Phi(-|s|)`` inverted."""
-        return st.invert(np.clip(gaussian_cdf(-np.abs(s)), _T_CLIP, 0.5), s > 0.0, row)
-
     def integrand(s: np.ndarray, row: np.ndarray) -> np.ndarray:
-        return np.abs(transport(s, row) - s) ** power * gaussian_pdf(s)
+        return (_transport(st, s, row) - s) ** 2 * gaussian_pdf(s)
 
     # The map s -> F_m^{-1}(Phi(s)) has derivative jumps at the images of the
-    # potential's kinks; hand those to the quadrature as interior breakpoints,
-    # and for W_1 the kinks of |F_m^{-1}(Phi(s)) - s| too.
+    # potential's kinks; hand those to the quadrature as interior breakpoints
     t = st.knot_cdf
     inside = (t > _T_CLIP) & (t < 1.0 - _T_CLIP)
     points = np.where(inside, gaussian_quantile(np.where(inside, t, 0.5)), np.nan)
-    if power == 1:
-        points = np.concatenate([points, _cdf_crossings(st, transport, s_lo, s_hi)], 1)
     try:
         value = integrate(integrand, (np.full(n, s_lo), np.full(n, s_hi)), points=points,
                           abs_tol=1e-10, rel_tol=1e-8)
     except QuadratureError as exc:
-        raise QuadratureError(
-            f"quantile-coupling integral failed near the endpoints: {exc}"
-        ) from exc
+        raise QuadratureError(f"quantile-coupling integral failed near the endpoints: {exc}") from exc
     # the quantile differences at both clip points
     q_lo, q_hi = st.invert(np.full(2 * n, _T_CLIP), np.arange(2 * n) >= n, np.tile(rows, 2)).reshape(2, n)
-    tail_bound = np.max(_T_CLIP * ((np.abs(q_lo - s_lo) + 1.0) ** power
-                                   + (np.abs(q_hi - s_hi) + 1.0) ** power))
+    tail_bound = np.max(_T_CLIP * ((np.abs(q_lo - s_lo) + 1.0) ** 2 + (np.abs(q_hi - s_hi) + 1.0) ** 2))
     if tail_bound > 1e-8:
         raise QuadratureError(f"clipped endpoint mass bound {tail_bound:.3e} is not negligible")
     return value
 
 
-def _cdf_crossings(st: MeasureStack, transport, lo: float, hi: float) -> np.ndarray:
-    """Where ``F_m`` crosses ``Phi`` in ``[lo, hi]``, per row (NaN-padded):
-    the kinks of the W_1 integrand.  ``F_m - Phi`` is monotone between the
-    cell edges and the ratio crossings (its derivative is ``density - phi``),
-    so each such piece holds at most one zero, found by one elementwise root
-    solve where the piece's ends differ in sign.  The solve reads the map's
-    offset ``transport(s) - s``, ``transport(s) = F_m^{-1}(Phi(s))``, of the
-    opposite sign and with upper masses read from the right end: ``cdf -
-    Phi`` is rounding noise where both near 1."""
+def _cdf_crossings(st: MeasureStack) -> np.ndarray:
+    """Where ``F_m`` crosses ``Phi``, per row (NaN-padded): the ends of the
+    stretches on which ``F_m - Phi`` keeps its sign.  ``F_m - Phi`` is
+    monotone between the cell edges and the ratio crossings (its derivative
+    is ``density - phi``), so each such piece holds at most one zero, found
+    by one elementwise root solve where the piece's ends differ in sign.
+    The solve reads the map's offset ``transport(s) - s``, ``transport(s) =
+    F_m^{-1}(Phi(s))``, of the opposite sign and with upper masses read from
+    the right end: ``cdf - Phi`` is rounding noise where both near 1.  Only
+    the window ``[Phi^{-1}(1e-12), Phi^{-1}(1 - 1e-12)]`` is searched: a
+    zero outside it is not found, which merges the stretches beyond it and
+    costs ``W_1`` at most twice ``int |F_m - Phi|`` beyond the window."""
+    lo, hi = gaussian_quantile(_T_CLIP), gaussian_quantile(1.0 - _T_CLIP)
     ends = np.concatenate([st.edges, _ratio_crossings(st.edges, st.beta, st.log_amp)], 1)
     ends = np.sort(np.clip(np.where(np.isnan(ends), lo, ends), lo, hi), 1)
     row = np.repeat(np.arange(len(ends)), ends.shape[1]).reshape(ends.shape)
-    g = (transport(ends.ravel(), row.ravel()) - ends.ravel()).reshape(ends.shape)
+    g = (_transport(st, ends.ravel(), row.ravel()) - ends.ravel()).reshape(ends.shape)
     change = np.sign(g[:, :-1]) * np.sign(g[:, 1:]) < 0.0
     crossings = np.full(change.shape, np.nan)
     if change.any():
         at = row[:, 1:][change]
-        crossings[change] = find_root(lambda x: transport(x, at) - x,
+        crossings[change] = find_root(lambda x: _transport(st, x, at) - x,
                                       (ends[:, :-1][change], ends[:, 1:][change]))
     return np.concatenate([np.where(g == 0.0, ends, np.nan), crossings], 1)
 
@@ -503,13 +523,17 @@ def w2_to_gaussian(m: Measures):
     One-dimensional optimal transport is the monotone (quantile) coupling:
     ``W_2^2 = int_0^1 (F_m^{-1}(t) - Phi^{-1}(t))^2 dt``.
     """
-    return _shaped(np.sqrt(np.maximum(_quantile_coupling(m, 2), 0.0)), m)
+    return _shaped(np.sqrt(np.maximum(_quantile_coupling(m), 0.0)), m)
 
 
 def w1_to_gaussian(m: Measures):
-    """First Wasserstein distance to the Gaussian (quantile coupling), shaped
-    as :func:`w2_to_gaussian`'s; always ``<= w2_to_gaussian`` by Hoelder."""
-    return _shaped(_quantile_coupling(m, 1), m)
+    """First Wasserstein distance to the Gaussian, shaped as
+    :func:`w2_to_gaussian`'s and ``<= w2_to_gaussian`` by Hoelder: ``int |F_m
+    - Phi| dx``, which by parts is ``sum_J |int_J x d(m - gamma)|`` over the
+    stretches between the zeros of ``F_m - Phi`` (:func:`_cdf_crossings`),
+    where ``F_m = Phi``: a closed sum of first moments (:func:`_moment_gap`)."""
+    st = stacked(m)
+    return _shaped(_moment_gap(st, _cdf_crossings(st)), m)
 
 
 def talagrand_check(m: Measure1D) -> TalagrandReport:
@@ -520,35 +544,20 @@ def talagrand_check(m: Measure1D) -> TalagrandReport:
 
 
 def w1_dual_bound(m: Measure1D, theta: float, shift: Optional[float] = None) -> float:
-    """Kantorovich-Rubinstein style upper bound for ``W_1(m, gamma)``.
-
-    Returns ``int |x - a_theta| * |exp(psi_g - psi) - 1| dgamma`` with the
-    off-domain ratio-0 convention (the integrand is ``|x - a_theta|`` times
-    the Gaussian density off ``I``).  ``m`` is centered internally, by
-    ``shift`` when the caller holds it (as :func:`deficit` reports it); for a
-    centered measure ``w1_to_gaussian(m) <= w1_dual_bound(m, theta) + 1e-8``.
-    The test function ``x -> |x - a_theta|`` is 1-Lipschitz, which is what
-    makes this a valid dual bound.
-    """
-    centered = center(m, theta)[0] if shift is None else m.translate(shift)
-    pot = centered.potential
+    """Kantorovich-Rubinstein style upper bound for ``W_1(m, gamma)``:
+    ``int |x - a_theta| * |exp(psi_g - psi) - 1| dgamma`` with the off-domain
+    ratio-0 convention (the integrand is ``|x - a_theta|`` times the Gaussian
+    density off ``I``), the closed sum of :func:`_moment_gap` about ``c =
+    a_theta`` over the pieces between the cell edges, the ratio crossings and
+    ``a_theta``, where the integrand keeps its sign.  The test function ``x
+    -> |x - a_theta|`` is 1-Lipschitz, which makes this a valid dual bound.
+    ``m`` is centered internally, by ``shift`` when the caller holds it (as
+    :func:`deficit` reports it); for a centered measure ``w1_to_gaussian(m)
+    <= w1_dual_bound(m, theta) + 1e-8``."""
+    st = (center(m, theta)[0] if shift is None else m.translate(shift)).cells
     a_theta = gaussian_quantile(theta)
-
-    def inside(x: np.ndarray) -> np.ndarray:
-        ratio_gap = np.abs(np.expm1(gaussian_psi(x) - centered.psi(x)))
-        return np.abs(x - a_theta) * ratio_gap * gaussian_pdf(x)
-
-    total = integrate(
-        inside, centered.domain,
-        points=np.concatenate([pot.knots(), [a_theta],
-                               _ratio_crossings(pot.edges, pot.slopes, centered.log_amp)]),
-    )
-    # off the domain the integrand is |x - a_theta| phi(x), and a_theta lies
-    # inside it, so both tails have closed forms (0 at an infinite end)
-    dom = centered.domain
-    total += a_theta * gaussian_cdf(dom.lo) + gaussian_pdf(dom.lo)
-    total += gaussian_pdf(dom.hi) - a_theta * gaussian_sf(dom.hi)
-    return float(total)
+    cuts = np.concatenate([st.edges, _ratio_crossings(st.edges, st.beta, st.log_amp), [[a_theta]]], 1)
+    return float(_moment_gap(st, cuts, a_theta)[0])
 
 
 def example23(D: float) -> Tuple[Measure1D, Example23Family, Example23ClosedForms]:

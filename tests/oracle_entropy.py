@@ -23,9 +23,9 @@ from oracle_erf import PRECISION, _phi_decimal, pi_decimal
 
 def relative_entropy_quadrature(m: Measure1D) -> float:
     def integrand(x: np.ndarray) -> np.ndarray:
-        return (gaussian_psi(x) - m.psi(x)) * m.density(x)
+        return (gaussian_psi(x) - m.potential.value(x)) * m.density(x)
 
-    return integrate(integrand, m.domain, points=m.potential.knots())
+    return integrate(integrand, m.domain, points=m.potential.edges[1:-1])
 
 
 def relative_entropy_decimal(edges, beta, log_amp) -> Decimal:

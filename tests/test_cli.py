@@ -58,11 +58,31 @@ def test_runconfig_rejects_unknown_keys():
         {"command": "sweep", "delta_grid": (-1e-3,)},
         {"command": "needles", "epsilon": 1.0},
         {"command": "needles", "seed": -2},
+        {"command": "needles", "ensemble": {"needle_count": 2.5}},
+        {"command": "needles", "ensemble": {"needle_count": float("nan")}},
+        {"command": "needles", "ensemble": {"needle_count": "abc"}},
     ],
 )
 def test_runconfig_validation(kwargs):
     with pytest.raises(ConfigError):
         RunConfig(**kwargs)
+
+
+@pytest.mark.parametrize("count", [2.5, float("nan"), "abc"])
+@pytest.mark.parametrize("argv", [["needles"], ["sweep", "--measure", "needles", "--metric", "mixture_l1"]],
+                         ids=["needles", "sweep"])
+def test_config_file_needle_count_must_be_a_whole_number(tmp_path, capsys, monkeypatch, argv, count):
+    # was truncated (2.5 ran 2 needles) or a ValueError traceback (NaN, "abc")
+    calls = []
+    for module in (isolab.needles, isolab.rates):
+        monkeypatch.setattr(module, "generate_ensemble", lambda config: calls.append(config))
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({"ensemble": {"needle_count": count}}))
+    code = main([*argv, "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: ") and "needle_count" in err[0]
+    assert calls == []
 
 
 def test_config_file_applies_and_flags_win(tmp_path):

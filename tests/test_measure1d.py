@@ -79,10 +79,10 @@ def test_tabulated_rejects_non_one_convex_table():
 
 def test_knots_follow_translation():
     spec = perturbed_gaussian_potential((-0.5, 0.8), (-0.2, 0.0, 0.4))
-    assert spec.knots() == (-0.5, 0.8)
+    assert spec.edges[1:-1].tolist() == [-0.5, 0.8]
     moved = translate_potential(spec, 1.25)
-    assert moved.knots() == pytest.approx((0.75, 2.05))
-    assert gaussian_potential().knots() == ()
+    assert moved.edges[1:-1].tolist() == pytest.approx([0.75, 2.05])
+    assert gaussian_potential().edges[1:-1].size == 0
 
 
 _TABLE_XS = [-3.0, -1.0, 0.0, 0.5, 2.0, 4.0]
@@ -597,7 +597,7 @@ def _oracle_masses(cells, shift, x):
 def _probe_points(m):
     lo = max(m.domain.lo, -6.0 + m.quantile(0.5))
     hi = min(m.domain.hi, 8.0 + m.quantile(0.5))
-    return [*np.linspace(lo, hi, 11)[1:-1], *m.potential.knots()]
+    return [*np.linspace(lo, hi, 11)[1:-1], *m.potential.edges[1:-1]]
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))

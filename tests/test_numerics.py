@@ -160,6 +160,30 @@ def test_only_numerics_imports_scipy():
     assert importers == {"numerics.py"}
 
 
+def test_quadrature_paths_are_named():
+    # each function that calls integrate, by module: a new quadrature path
+    # shows up as a change of this list
+    callers = set()
+
+    def visit(node, module, function=None):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name == "integrate":
+                callers.add((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in Path(isolab.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text()), path.name)
+    assert callers == {
+        ("stability.py", "lp_distance"), ("stability.py", "_quantile_coupling"),
+        ("needles.py", "_mixture_l1"), ("needles.py", "disintegration_check"),
+        ("needles.py", "shifted_gaussian_l1"), ("cli.py", "integrate_check"),
+    }
+
+
 def test_no_module_imports_a_private_name_of_another():
     # a module's underscore names are its own: what another module needs is
     # public, so moving code between modules cannot hide a private coupling

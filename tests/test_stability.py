@@ -316,11 +316,11 @@ def test_distances_on_a_sequence_need_one_cell_count():
 
 def _w1_cdf_form(m):
     """``int |F_m - Phi| dx`` by QUADPACK, the upper half through the upper
-    tails ``sf``, split at the knots and at 0."""
+    tails ``sf``, split at the interior cell edges and at 0."""
     from scipy import integrate as quadpack, special
 
     def halves(lo_half):
-        cut = [k for k in m.potential.knots() if (k < 0.0) == lo_half]
+        cut = [k for k in m.potential.edges[1:-1] if (k < 0.0) == lo_half]
         ends = [-np.inf, *sorted(cut), 0.0] if lo_half else [0.0, *sorted(cut), np.inf]
         f = ((lambda x: abs(m.cdf(x) - special.ndtr(x))) if lo_half
              else (lambda x: abs(m.sf(x) - special.ndtr(-x))))
@@ -330,13 +330,18 @@ def _w1_cdf_form(m):
     return halves(True) + halves(False)
 
 
-def test_w1_meets_its_tolerance_against_the_cdf_form():
-    # F_m crosses Phi at s = 0 here; without that kink as a breakpoint,
-    # delta = 1e-4 .. 1e-6 miss this oracle by about 1e-7 relative
-    ms = _sweep_measures(PerturbedSweepFamily.seeded(123456))
+@pytest.mark.parametrize("family, rtol", [(Example23SweepFamily(), 1e-10),
+                                          (PerturbedSweepFamily.seeded(123456), 1e-9)],
+                         ids=["example23", "perturbed"])
+def test_w1_meets_its_tolerance_against_the_cdf_form(family, rtol):
+    # F_m crosses Phi at s = 0 on both families.  A quadrature of the
+    # quantile coupling clipped to [1e-12, 1 - 1e-12] missed the example23
+    # oracle by 4.8e-7 at delta = 1e-6; a quadrature without the crossing as
+    # a breakpoint missed the perturbed one by about 1e-7
+    ms = _sweep_measures(family)
     got = w1_to_gaussian(ms)
     want = np.array([_w1_cdf_form(m) for m in ms])
-    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
 
 
 def test_w1_dual_bound_dominates():
@@ -361,6 +366,36 @@ def test_w1_dual_bound_tails_in_closed_form():
     # the value both tails gave as half-line quadratures
     m = normalize(truncated_gaussian_potential(lo=-1.0, hi=3.0))
     assert w1_dual_bound(m, 0.5) == pytest.approx(0.31666076178447455, abs=1e-12)
+
+
+def _w1_dual_bound_quadpack(m, theta):
+    """The dual bound ``int |x - a_theta| |f - phi| dx`` of ``m`` centered at
+    ``theta`` by QUADPACK, split at the cell edges, at ``a_theta`` and where
+    ``log f - log phi``, linear on each cell, is 0; ``f`` is 0 off the domain."""
+    from scipy import integrate as quadpack
+
+    c, _ = center(m, theta)
+    a = gaussian_quantile(theta)
+    edges, beta, log_amp = c.cells.edges[0], c.cells.beta[0], c.cells.log_amp[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        zero = (log_amp - 0.5 * beta**2) / beta
+    zero = zero[(zero > edges[:-1]) & (zero < edges[1:])]
+    cut = sorted({-np.inf, *edges.tolist(), a, *zero.tolist(), np.inf})
+
+    def integrand(x):
+        return abs(x - a) * abs(c.density(x) - math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi))
+
+    return sum(quadpack.quad(integrand, lo, hi, epsabs=1e-15, epsrel=1e-12, limit=400)[0]
+               for lo, hi in zip(cut, cut[1:]))
+
+
+@pytest.mark.parametrize("theta", [0.3, 0.5, 0.8])
+def test_w1_dual_bound_matches_its_quadrature(theta):
+    # the quadrature the closed moment sum replaced, as an oracle
+    measures = [TRUNCATED_2, KINKED, normalize(truncated_gaussian_potential(lo=-1.0, hi=3.0)),
+                *(PerturbedSweepFamily.seeded(seed).measure_at(1.0) for seed in (3, 331872))]
+    for m in measures:
+        assert w1_dual_bound(m, theta) == pytest.approx(_w1_dual_bound_quadpack(m, theta), rel=1e-10)
 
 
 def test_w2_against_discrete_transport_oracle():
@@ -421,7 +456,7 @@ def test_gap_constants_are_extrema_over_range_ends_and_edges():
     def brute_gap(lo, hi):
         edges = centered.potential.edges
         xs = np.concatenate([np.linspace(lo, hi, 100_001), edges[(edges > lo) & (edges < hi)]])
-        gap = centered.psi(xs) - (0.5 * xs * xs + math.log(math.sqrt(2.0 * math.pi)))
+        gap = centered.potential.value(xs) - (0.5 * xs * xs + math.log(math.sqrt(2.0 * math.pi)))
         return gap - rep.slope_gap * (xs - a_theta)
 
     lower = -np.min(brute_gap(lo, hi)) / rep.deficit
@@ -429,7 +464,8 @@ def test_gap_constants_are_extrema_over_range_ends_and_edges():
     assert rep.fitted_lower_constant == pytest.approx(lower, rel=1e-12)
     assert rep.fitted_upper_constant == pytest.approx(upper, rel=1e-12)
     # g is convex here, so the least valid lower constant is -g(a_theta)/delta
-    g_at_a = float(centered.psi(a_theta)) - (0.5 * a_theta**2 + math.log(math.sqrt(2.0 * math.pi)))
+    g_at_a = float(centered.potential.value(a_theta)) - (0.5 * a_theta**2
+                                                          + math.log(math.sqrt(2.0 * math.pi)))
     assert rep.fitted_lower_constant == pytest.approx(-g_at_a / rep.deficit, rel=1e-12)
     assert rep.fitted_lower_constant == pytest.approx(2.0851925, abs=1e-7)
 
