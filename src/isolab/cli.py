@@ -118,8 +118,11 @@ class RunConfig:
             extra = set(self.ensemble) - set(_ENSEMBLE_KEYS)
             if extra:
                 raise ConfigError(f"unknown ensemble keys: {sorted(extra)}")
+            for key, value in self.ensemble.items():
+                if type(value) not in (int, float):
+                    raise ConfigError(f"ensemble {key} must be a number, got {value!r}")
             count = self.ensemble.get("needle_count", 1)
-            if type(count) not in (int, float) or not (count >= 1 and float(count).is_integer()):
+            if not (count >= 1 and float(count).is_integer()):
                 raise ConfigError(f"ensemble needle_count must be an integer >= 1, got {count!r}")
 
     def to_dict(self) -> dict:
@@ -640,9 +643,9 @@ def _selftest_battery() -> Sequence[Tuple[str, Callable[[], Optional[str]]]]:
             return f"translate(0.3): W2^2 = {rep.lhs!r}, 2 Ent = {rep.rhs!r}, expected 0.09"
         return None
 
-    def shifted_l1_check() -> Optional[str]:
+    def needle_l1_check() -> Optional[str]:
         s = 0.5
-        v = needles.shifted_gaussian_l1(s)
+        v = needles.needle_l1(needles.make_needle(1.0, gaussian_measure().translate(s), 0.5))
         exact = 4.0 * numerics.gaussian_cdf(s / 2.0) - 2.0
         if abs(v - exact) > 1e-9:
             return f"l1 = {v!r}, closed {exact!r}"
@@ -690,7 +693,7 @@ def _selftest_battery() -> Sequence[Tuple[str, Callable[[], Optional[str]]]]:
         ("stability.deficit", deficit_check),
         ("stability.lp_distance", lp_check),
         ("stability.talagrand_check", talagrand_selfcheck),
-        ("needles.shifted_gaussian_l1", shifted_l1_check),
+        ("needles.needle_l1", needle_l1_check),
         ("needles.generate_ensemble", ensemble_check),
         ("rates.fit_exponent", fit_check),
     )

@@ -38,8 +38,8 @@ so each step above is an array operation, not a loop over needles:
   and the classifications compare the stored perimeters and quantiles with
   their thresholds;
 * ``disintegration_check``'s needlewise side is one batched quadrature over
-  every needle's own support, and the crossings of ``rho`` and ``phi`` are
-  refined by one elementwise root solve.
+  every needle's own support, and the mixture L^1 is the total variation of
+  the mixture cdf less ``Phi``, read where ``rho - phi`` changes sign.
 
 ``generate_ensemble`` builds seeded synthetic ensembles with controlled
 aggregate deficit and a prescribed mass of deliberately "bad" (far
@@ -51,12 +51,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import BracketError, ConfigError, DomainError, InvariantViolation, QuadratureError
+from .errors import BracketError, ConfigError, DomainError, InvariantViolation
 from .measure1d import Measure1D, MeasureStack, gaussian_profile
 from .numerics import (
     LOG_SQRT_2PI,
@@ -66,7 +66,6 @@ from .numerics import (
     gaussian_cdf,
     gaussian_pdf,
     gaussian_quantile,
-    gaussian_sf,
     integrate,
 )
 from .stability import lp_distance, solve_truncation_for_deficit
@@ -84,7 +83,6 @@ __all__ = [
     "disintegration_check",
     "classify_good",
     "classify_centered",
-    "shifted_gaussian_l1",
     "needle_l1",
     "aggregate_l1",
     "theorem31_experiment",
@@ -190,20 +188,23 @@ class NeedleEnsemble:
 
     @cached_property
     def _mixture_terms(self) -> Tuple[list, list, Tuple[np.ndarray, ...]]:
-        """The mixture's terms, ``c_q * phi(x + beta_q)`` on ``(lo_q, hi_q)``
-        with ``c_q = w_q * exp(log_amp_q)``, in three kinds:
+        """The mixture's terms: :meth:`_terms` of ``c_q = w_q * exp(log_amp_q)``."""
+        return self._terms(self.weights * np.exp(self.log_amp))
+
+    def _terms(self, coef: np.ndarray) -> Tuple[list, list, Tuple[np.ndarray, ...]]:
+        """The terms of ``sum_q coef_q * phi(x + beta_q)`` on ``(lo_q, hi_q)``,
+        in three kinds:
 
         * needles that share their ``beta`` form one group ``(beta, lo
-          sorted, cumsum of c by lo, hi sorted, cumsum of c by hi)``;
+          sorted, cumsum of coef by lo, hi sorted, cumsum of coef by hi)``;
         * the other full-line needles (``lo = -inf``, ``hi = inf``) are sorted
           into clusters, each every ``beta`` within ``_CLUSTER_WIDTH`` of its
           smallest member.  A cluster of more needles than its expansion has
           terms is one Hermite expansion ``(centre, A)`` about the midpoint
-          ``centre`` of its extremes: ``A_n = sum_q (c_q / sqrt(2*pi))
+          ``centre`` of its extremes: ``A_n = sum_q (coef_q / sqrt(2*pi))
           (-t_q)^n / n!`` with ``t_q = beta_q - centre``, n < ``_HERMITE_TERMS``;
-        * the rest are kept as the arrays ``(beta, lo, hi, c / sqrt(2*pi))``.
+        * the rest are kept as the arrays ``(beta, lo, hi, coef / sqrt(2*pi))``.
         """
-        coef = self.weights * np.exp(self.log_amp)
         slopes, group, count = np.unique(self.beta, return_inverse=True, return_counts=True)
         groups = []
         for k in np.nonzero(count > 1)[0]:
@@ -326,7 +327,12 @@ def _hermite_sum(coefs: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def mixture_density(ens: NeedleEnsemble, x) -> float | np.ndarray:
-    """``rho(x) = sum_q w_q exp(-sigma_q(x))`` (0 off every needle).
+    """``rho(x) = sum_q w_q exp(-sigma_q(x))`` (0 off every needle), by :func:`_term_sum`."""
+    return _term_sum(ens._mixture_terms, x)
+
+
+def _term_sum(terms: Tuple[list, list, Tuple[np.ndarray, ...]], x) -> float | np.ndarray:
+    """The sum of :meth:`NeedleEnsemble._terms` at ``x``.
 
     A group of needles with one ``beta`` contributes ``phi(x + beta)`` times
     the sum of ``c_q`` over the needles with ``lo_q < x < hi_q``: the ``c``
@@ -340,7 +346,7 @@ def mixture_density(ens: NeedleEnsemble, x) -> float | np.ndarray:
     arr = np.asarray(x, dtype=float)
     flat = arr.ravel()
     acc = np.zeros_like(flat)
-    groups, expansions, (beta, lo, hi, coef) = ens._mixture_terms
+    groups, expansions, (beta, lo, hi, coef) = terms
     for b, lo_sorted, below_lo, hi_sorted, below_hi in groups:
         inside = (below_lo[np.searchsorted(lo_sorted, flat, side="left")]
                   - below_hi[np.searchsorted(hi_sorted, flat, side="right")])
@@ -397,41 +403,48 @@ def _integration_range(ens: NeedleEnsemble) -> Tuple[Interval, np.ndarray]:
     return span, ends[np.isfinite(ends)]
 
 
-_PROBE_STEP = 0.01  # sign-change probe pitch of _sign_change_roots
-
-
-def _sign_change_roots(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-) -> np.ndarray:
-    """Locate roots of a continuous elementwise function of arrays: probe
-    every ``_PROBE_STEP``, then refine every bracketed sign change in one
-    root solve; used to split ``|rho - phi|`` at its crossing points."""
-    n = max(16, int(math.ceil((hi - lo) / _PROBE_STEP)) + 1)
-    xs = np.linspace(lo, hi, n)
-    sign = np.sign(np.asarray(f(xs), dtype=float))
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    if flips.size > 500:
-        raise QuadratureError(
-            f"{flips.size} sign changes of rho - phi; integrand too oscillatory"
-        )
-    if not flips.size:
-        return xs[flips]
-    return find_root(f, (xs[flips], xs[flips + 1]), tol=1e-12)
-
-
 def _mixture_l1(ens: NeedleEnsemble) -> float:
-    """``|| rho e^{psi_g} - 1 ||_{L^1(gamma)} = int |rho - phi| dx`` plus the
-    analytic Gaussian tail mass beyond the covered range."""
+    """``|| rho e^{psi_g} - 1 ||_{L^1(gamma)} = int |rho - phi| dx`` in closed form.
+
+    It is the total variation of ``D = R - Phi``, ``R`` the mixture cdf:
+    ``sum_k |D(t_{k+1}) - D(t_k)|`` over the points where ``rho - phi``
+    changes sign, ``D = 0`` at both infinities and ``rho < 1e-55`` beyond the
+    span, which is cut at every needle end and, for short root solves, at the
+    integers.  The points are the span's ends, the cuts where ``rho - phi``
+    flips or reads 0 (both underflow), and the zeros inside the pieces.  On a
+    piece the live needles are fixed, so ``log(rho/phi) = log sum_q c_q
+    e^{-beta_q x - beta_q^2/2}`` is convex: one zero where the inside ends
+    differ in sign, none where both are negative, and where both are positive
+    two or none, two when ``rho < phi`` at the minimum of ``rho/phi``, the
+    zero of ``M = sum_q c_q beta_q phi(x + beta_q) = -(rho' + x rho)``, inside
+    where ``M`` falls from positive to negative (slopes of both signs).
+    """
     span, inner = _integration_range(ens)
+    cuts = np.unique(np.clip(np.concatenate([inner, np.arange(math.floor(span.lo), span.hi + 1.0)]),
+                             span.lo, span.hi))
+    lo, hi = np.nextafter(cuts[:-1], math.inf), np.nextafter(cuts[1:], -math.inf)  # inside ends
 
     def diff(x):
         return mixture_density(ens, x) - gaussian_pdf(x)
 
-    crossings = _sign_change_roots(diff, span.lo, span.hi)
-    body = integrate(lambda x: np.abs(diff(x)), span, points=np.concatenate([inner, crossings]))
-    return body + gaussian_cdf(span.lo) + gaussian_sf(span.hi)
+    sign_lo, sign_hi = np.split(np.sign(diff(np.concatenate([lo, hi]))), 2)
+    one = sign_lo * sign_hi < 0.0
+    brackets = [(lo[one], hi[one])]
+    both = np.nonzero((sign_lo > 0.0) & (sign_hi > 0.0))[0]
+    if both.size and ens.beta.min() < 0.0 < ens.beta.max():
+        slope = partial(_term_sum, ens._terms(ens.weights * np.exp(ens.log_amp) * ens.beta))  # M
+        m_lo, m_hi = np.split(slope(np.concatenate([lo[both], hi[both]])), 2)
+        dips = both[(m_lo > 0.0) & (m_hi < 0.0)]
+        bottom = find_root(slope, (lo[dips], hi[dips]), tol=1e-12)
+        two = diff(bottom) < 0.0
+        brackets += [(lo[dips[two]], bottom[two]), (bottom[two], hi[dips[two]])]
+    zeros = find_root(diff, tuple(np.concatenate(ends) for ends in zip(*brackets)), tol=1e-12)
+    jumps = cuts[1:-1][sign_hi[:-1] * sign_lo[1:] <= 0.0]
+    t = np.sort(np.concatenate([cuts[[0, -1]], jumps, zeros]))
+    q = ens.weights.size  # the cdf is read at most _BLOCK needle-point pairs at a time
+    mixture_cdf = np.concatenate([ens.cells.cdf(np.repeat(x, q), np.tile(np.arange(q), x.size)).reshape(x.size, q)
+                                  @ ens.weights for x in np.split(t, np.arange(0, t.size, max(1, _BLOCK // q))[1:])])
+    return float(np.abs(np.diff(mixture_cdf - gaussian_cdf(t), prepend=0.0, append=0.0)).sum())
 
 
 def disintegration_check(
@@ -552,28 +565,6 @@ def _classify_centered(
 # -- L^1 quantities -----------------------------------------------------------
 
 
-def shifted_gaussian_l1(s: float) -> float:
-    """``|| gamma(. - s) - gamma ||_{L^1(dx)}`` by quadrature.
-
-    The two densities cross exactly once, at ``s/2``, which gives the closed
-    form ``4*Phi(|s|/2) - 2``; it is bounded by ``2|s|/sqrt(2*pi)`` (mean
-    value bound on ``Phi``).  This function *computes* the integral and is
-    checked against the closed form in tests.
-    """
-    s = float(s)
-    if not math.isfinite(s):
-        raise DomainError("shift must be finite")
-    if s == 0.0:
-        return 0.0
-
-    def integrand(x: np.ndarray) -> np.ndarray:
-        return np.abs(gaussian_pdf(x - s) - gaussian_pdf(x))
-
-    lo = min(-9.0, s - 9.0)
-    hi = max(9.0, s + 9.0)
-    return integrate(integrand, Interval(lo, hi), points=(0.5 * s,))
-
-
 def _check_trivial_bound(values: np.ndarray) -> None:
     """Each needle L1 is at most 2: the integrand is bounded by ``exp(psi_g -
     sigma_q) + 1``, whose integral is the needle mass plus the Gaussian
@@ -600,7 +591,7 @@ def aggregate_l1(ens: NeedleEnsemble) -> AggregateReport:
     (triangle inequality plus the disintegration); violation beyond 1e-8
     indicates an implementation bug and raises.  The needle L1 values are
     :func:`needle_l1`'s closed form, one :func:`lp_distance` call on the
-    ensemble's ``cells``; the mixture is integrated.
+    ensemble's ``cells``; the mixture's is :func:`_mixture_l1`'s closed form.
     """
     per = lp_distance(ens.cells, 1.0)
     _check_trivial_bound(per)
@@ -693,7 +684,7 @@ class EnsembleConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if int(self.needle_count) != self.needle_count or self.needle_count < 1:
+        if not (math.isfinite(self.needle_count) and int(self.needle_count) == self.needle_count >= 1):
             raise ConfigError(f"needle_count={self.needle_count!r} must be an integer >= 1")
         if not 0.0 < self.theta < 1.0:
             raise ConfigError(f"theta={self.theta!r} outside (0, 1)")
@@ -705,7 +696,7 @@ class EnsembleConfig:
             )
         if not 0.0 <= self.bad_fraction <= 1.0:
             raise ConfigError(f"bad_fraction={self.bad_fraction!r} outside [0, 1]")
-        if int(self.seed) != self.seed or self.seed < 0:
+        if not (math.isfinite(self.seed) and int(self.seed) == self.seed >= 0):
             raise ConfigError(f"seed={self.seed!r} must be a nonnegative integer")
         if 0.0 < self.bad_fraction < 1.0 and self.needle_count < 2:
             raise ConfigError("mixed good/bad ensemble needs needle_count >= 2")

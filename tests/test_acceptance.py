@@ -31,8 +31,9 @@ from isolab import (
     gaussian_profile,
     generate_ensemble,
     lp_distance,
+    make_needle,
+    needle_l1,
     relative_entropy,
-    shifted_gaussian_l1,
     sweep,
     talagrand_check,
     w1_to_gaussian,
@@ -185,7 +186,7 @@ def test_criterion_7_needle_aggregation_suite():
             (0.5, oc.SHIFTED_L1_S05),
             (1.0, oc.SHIFTED_L1_S10),
         ):
-            value = shifted_gaussian_l1(s)
+            value = needle_l1(make_needle(1.0, gaussian_measure().translate(s), 0.5))
             assert abs(value - frozen) <= 1e-9
             assert value <= 2.0 * s / SQRT_2PI
 

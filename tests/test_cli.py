@@ -61,6 +61,8 @@ def test_runconfig_rejects_unknown_keys():
         {"command": "needles", "ensemble": {"needle_count": 2.5}},
         {"command": "needles", "ensemble": {"needle_count": float("nan")}},
         {"command": "needles", "ensemble": {"needle_count": "abc"}},
+        {"command": "needles", "ensemble": {"deficit_scale": "abc"}},
+        {"command": "needles", "ensemble": {"bad_fraction": [0.1]}},
     ],
 )
 def test_runconfig_validation(kwargs):
@@ -83,6 +85,18 @@ def test_config_file_needle_count_must_be_a_whole_number(tmp_path, capsys, monke
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error: ") and "needle_count" in err[0]
     assert calls == []
+
+
+@pytest.mark.parametrize("ensemble", [{"deficit_scale": "abc"}, {"bad_fraction": [0.1]}],
+                         ids=["deficit_scale", "bad_fraction"])
+def test_config_file_ensemble_values_must_be_numbers(tmp_path, capsys, ensemble):
+    # were a ValueError or TypeError traceback from float() in cmd_needles
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({"command": "needles", "ensemble": ensemble}))
+    code = main(["needles", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: ") and next(iter(ensemble)) in err[0]
 
 
 def test_config_file_applies_and_flags_win(tmp_path):

@@ -1,16 +1,20 @@
 import math
 import tracemalloc
 import warnings
+from typing import Tuple
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 import isolab
 import oracle_constants as oc
 from oracle_erf import gaussian_cdf_oracle
 from oracle_l1 import l1_quadrature
+from oracle_mixture_l1 import mixture_l1_quadrature
 from isolab import (
     ConfigError,
     DomainError,
@@ -23,13 +27,13 @@ from isolab import (
     disintegration_check,
     gaussian_cdf,
     gaussian_measure,
+    gaussian_pdf,
     generate_ensemble,
     make_needle,
     mixture_density,
     needle_l1,
     normalize,
     perturbed_gaussian_potential,
-    shifted_gaussian_l1,
     theorem31_experiment,
     truncated_gaussian_potential,
 )
@@ -285,29 +289,35 @@ def test_mixture_mass_is_one():
 # -- shifted-Gaussian L1 ------------------------------------------------------
 
 
+def translated_gaussian_l1(s: float) -> float:
+    """``|| gamma(. - s) - gamma ||_{L^1(dx)}``: the needle L^1 of the
+    Gaussian translated by ``s``."""
+    return needle_l1(make_needle(1.0, GAUSSIAN.translate(s), 0.5))
+
+
 def test_shifted_gaussian_l1_frozen_values():
-    assert shifted_gaussian_l1(0.1) == pytest.approx(oc.SHIFTED_L1_S01, abs=1e-9)
-    assert shifted_gaussian_l1(0.5) == pytest.approx(oc.SHIFTED_L1_S05, abs=1e-9)
-    assert shifted_gaussian_l1(1.0) == pytest.approx(oc.SHIFTED_L1_S10, abs=1e-9)
-    assert shifted_gaussian_l1(0.0) == 0.0
+    assert translated_gaussian_l1(0.1) == pytest.approx(oc.SHIFTED_L1_S01, abs=1e-15)
+    assert translated_gaussian_l1(0.5) == pytest.approx(oc.SHIFTED_L1_S05, abs=1e-15)
+    assert translated_gaussian_l1(1.0) == pytest.approx(oc.SHIFTED_L1_S10, abs=1e-15)
+    assert translated_gaussian_l1(0.0) == 0.0
 
 
 @given(s=st.floats(min_value=-3.0, max_value=3.0))
 @settings(max_examples=30, deadline=None)
-# shifts whose quadrature range reaches beyond the tail cutoff of 40
+# shifts whose densities part beyond the tail cutoff of 40
 @example(s=35.0)
 @example(s=-45.0)
 @example(s=80.0)
 def test_shifted_gaussian_l1_closed_form_and_bound(s):
-    got = shifted_gaussian_l1(s)
+    got = translated_gaussian_l1(s)
     closed = 4.0 * gaussian_cdf(abs(s) / 2.0) - 2.0
-    assert got == pytest.approx(closed, abs=1e-9)
+    assert got == pytest.approx(closed, abs=1e-14)
     assert got <= 2.0 * abs(s) / SQRT_2PI + 1e-12
 
 
 def test_shifted_gaussian_l1_rejects_infinite():
     with pytest.raises(DomainError):
-        shifted_gaussian_l1(math.inf)
+        translated_gaussian_l1(math.inf)
 
 
 # -- needle and aggregate L1 --------------------------------------------------
@@ -448,6 +458,96 @@ def test_far_translated_needle_is_integrated_beyond_the_tail_cutoff():
     assert aggregate_l1(ens).mixture_l1 == pytest.approx(1.0, abs=1e-8)
 
 
+# -- the mixture L1 in closed form --------------------------------------------
+
+
+def random_ensemble(rng) -> NeedleEnsemble:
+    """2 to 6 needles with slopes in (-3, 3), of either sign, each end finite
+    with probability 0.8."""
+    q = int(rng.integers(2, 7))
+    beta = rng.uniform(-3.0, 3.0, q)
+    lo = rng.uniform(-2.0, 0.5, q)
+    hi = lo + rng.uniform(0.5, 3.0, q)
+    lo[rng.random(q) < 0.2] = -INF
+    hi[rng.random(q) < 0.2] = INF
+    weights = rng.uniform(0.2, 1.0, q)
+    weights /= weights.sum()
+    weights[-1] = 1.0 - weights[:-1].sum()
+    return NeedleEnsemble(weights, lo, hi, beta, 0.5, 0.1)
+
+
+def test_mixture_l1_matches_the_quadrature_on_random_ensembles(monkeypatch):
+    # a piece with two zeros is split at the minimum of rho/phi, a root of
+    # a first find_root call, which then ends two brackets of the second
+    calls = []
+    find_root = isolab.needles.find_root
+
+    def recorded(f, bracket, **kwargs):
+        calls.append((bracket, find_root(f, bracket, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(isolab.needles, "find_root", recorded)
+    rng = np.random.default_rng(5)
+    two_zero_pieces = 0
+    for _ in range(40):
+        ens = random_ensemble(rng)
+        calls.clear()
+        got = aggregate_l1(ens).mixture_l1
+        if len(calls) == 2:
+            two_zero_pieces += np.count_nonzero(np.isin(calls[1][0][1], calls[0][1]))
+        assert got == pytest.approx(mixture_l1_quadrature(ens), rel=0.0, abs=1e-12)
+    assert two_zero_pieces >= 1
+
+
+def l1_split_at_zeros(ens: NeedleEnsemble) -> Tuple[float, list]:
+    """``int |rho - phi| dx`` over (-40, 40) by QUADPACK, split at the needle
+    ends and at the zeros of ``rho - phi`` that brentq refines from a grid of
+    pitch 1e-4 on each piece between them; and those zeros.  Beyond 40 both
+    densities are below 1e-290 for these slopes."""
+
+    def diff(x):
+        return mixture_density(ens, x) - gaussian_pdf(x)
+
+    ends = np.concatenate([ens.lo, ens.hi, [-40.0, 40.0]])
+    ends = np.unique(ends[np.isfinite(ends)])
+    zeros = []
+    for a, b in zip(ends, ends[1:]):
+        xs = np.linspace(np.nextafter(a, b), np.nextafter(b, a), int((b - a) / 1e-4) + 2)
+        f = diff(xs)
+        zeros += [brentq(diff, xs[k], xs[k + 1], xtol=1e-15)
+                  for k in np.nonzero(np.sign(f[:-1]) * np.sign(f[1:]) < 0.0)[0]]
+    cuts = np.sort(np.concatenate([ends, zeros]))
+    return sum(quad(lambda x: abs(diff(x)), a, b, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+               for a, b in zip(cuts, cuts[1:])), zeros
+
+
+# b and w put the minimum of rho/phi = w K(b) e^{-bx} + (1 - w) K(-b) e^{bx}
+# on (-0.5, 1.5), K(b) = e^{-b^2/2} / gamma(-0.5 + b, 1.5 + b), at x = 0.5
+# and 1e-5 below 1
+CLOSE_ZEROS = NeedleEnsemble([0.6126690922288273, 0.3873309077711727], [-0.5, -0.5], [1.5, 1.5],
+                             [1.8430633238568503, -1.8430633238568503], 0.5, 0.1)
+
+
+def test_mixture_l1_sees_two_zeros_closer_than_the_old_probe_step():
+    want, zeros = l1_split_at_zeros(CLOSE_ZEROS)
+    assert len(zeros) == 2 and 0.0 < zeros[0] < 0.5 < zeros[1] < 1.0  # one piece
+    assert zeros[1] - zeros[0] < 0.01
+    got = aggregate_l1(CLOSE_ZEROS).mixture_l1
+    assert got == pytest.approx(want, rel=0.0, abs=1e-12)
+
+
+def test_mixture_l1_sees_a_zero_next_to_a_needle_end():
+    # rho - phi jumps across 0 at the end 0.9041 and crosses back at 0.9048:
+    # a 0.01 probe sees neither, and a quadrature without that kink was
+    # 1.6e-7 off
+    ens = NeedleEnsemble([0.5746, 0.1088, 0.0858, 0.1176, 0.1132], [-INF, -INF, -1.647, -INF, -INF],
+                         [INF, 1.2807, -0.4498, 0.9041, 1.3836],
+                         [0.0, -2.7104, -1.8107, 0.8177, 1.7331], 0.5, 0.1)
+    want, zeros = l1_split_at_zeros(ens)
+    assert any(0.9041 < z < 0.905 for z in zeros)
+    assert aggregate_l1(ens).mixture_l1 == pytest.approx(want, rel=0.0, abs=1e-12)
+
+
 # -- the decomposition experiment ---------------------------------------------
 
 
@@ -537,6 +637,11 @@ def test_ensemble_config_round_trip_and_validation():
         EnsembleConfig(needle_count=0)
     with pytest.raises(ConfigError):
         EnsembleConfig(needle_count=5, bad_fraction=1.5)
+    for bad in (math.inf, math.nan):  # were OverflowError and ValueError from int()
+        with pytest.raises(ConfigError):
+            EnsembleConfig(needle_count=bad)
+        with pytest.raises(ConfigError):
+            EnsembleConfig(needle_count=5, seed=bad)
     with pytest.raises(TypeError):
         EnsembleConfig(needle_count=5, stray_key=1)
 
@@ -570,7 +675,8 @@ def test_needle_experiment_makes_the_same_calls_at_any_needle_count(monkeypatch)
         theorem31_experiment(ens, 1e-3)
         seen.append(dict(counts))
     assert seen[0] == seen[1]
-    assert seen[0]["integrate"] <= 3 and seen[0]["find_root"] <= 2
+    # the two sides of disintegration_check; the mixture L1 is a closed form
+    assert seen[0]["integrate"] == 2 and seen[0]["find_root"] <= 2
 
 
 def test_needle_experiment_at_ten_thousand_needles():

@@ -290,8 +290,8 @@ def test_transport_chain_on_truncations(D):
 # -- distances on sequences: one quadrature, one row per measure -------------
 
 
-def _sweep_measures(family):
-    return [m for m in family.at_deficit(DEFAULT_DELTA_GRID, 0.5)]
+def _sweep_measures(family, theta=0.5):
+    return [m for m in family.at_deficit(DEFAULT_DELTA_GRID, theta)]
 
 
 @pytest.mark.parametrize("family", [Example23SweepFamily(), PerturbedSweepFamily.seeded(123456)],
@@ -316,11 +316,21 @@ def test_distances_on_a_sequence_need_one_cell_count():
 
 def _w1_cdf_form(m):
     """``int |F_m - Phi| dx`` by QUADPACK, the upper half through the upper
-    tails ``sf``, split at the interior cell edges and at 0."""
-    from scipy import integrate as quadpack, special
+    tails ``sf``, split at the interior cell edges, at 0 and at the zeros of
+    ``F_m - Phi`` that brentq refines from a grid of pitch 1e-3 on (-10, 10),
+    where ``|F_m - Phi|`` has its kinks."""
+    from scipy import integrate as quadpack, optimize, special
+
+    def gap(x):  # the sign of F_m - Phi, each half read from its own tail
+        return m.cdf(x) - special.ndtr(x) if x < 0.0 else special.ndtr(-x) - m.sf(x)
+
+    xs = np.linspace(-10.0, 10.0, 20001)
+    g = np.where(xs < 0.0, m.cdf_many(xs) - special.ndtr(xs), special.ndtr(-xs) - m.sf(xs))
+    zeros = [optimize.brentq(gap, xs[k], xs[k + 1], xtol=1e-15)
+             for k in np.nonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0.0)[0]]
 
     def halves(lo_half):
-        cut = [k for k in m.potential.edges[1:-1] if (k < 0.0) == lo_half]
+        cut = [k for k in [*m.potential.edges[1:-1], *zeros] if (k < 0.0) == lo_half]
         ends = [-np.inf, *sorted(cut), 0.0] if lo_half else [0.0, *sorted(cut), np.inf]
         f = ((lambda x: abs(m.cdf(x) - special.ndtr(x))) if lo_half
              else (lambda x: abs(m.sf(x) - special.ndtr(-x))))
@@ -330,15 +340,17 @@ def _w1_cdf_form(m):
     return halves(True) + halves(False)
 
 
-@pytest.mark.parametrize("family, rtol", [(Example23SweepFamily(), 1e-10),
-                                          (PerturbedSweepFamily.seeded(123456), 1e-9)],
-                         ids=["example23", "perturbed"])
-def test_w1_meets_its_tolerance_against_the_cdf_form(family, rtol):
-    # F_m crosses Phi at s = 0 on both families.  A quadrature of the
-    # quantile coupling clipped to [1e-12, 1 - 1e-12] missed the example23
-    # oracle by 4.8e-7 at delta = 1e-6; a quadrature without the crossing as
-    # a breakpoint missed the perturbed one by about 1e-7
-    ms = _sweep_measures(family)
+@pytest.mark.parametrize("family, theta, rtol", [(Example23SweepFamily(), 0.5, 1e-10),
+                                                 (PerturbedSweepFamily.seeded(123456), 0.5, 1e-9),
+                                                 (Example23SweepFamily(), 0.3, 1e-10)],
+                         ids=["example23", "perturbed", "example23-theta0.3"])
+def test_w1_meets_its_tolerance_against_the_cdf_form(family, theta, rtol):
+    # F_m crosses Phi at s = 0 on both families at theta = 0.5, and at
+    # -0.524 on example23 at theta = 0.3.  A quadrature of the quantile
+    # coupling clipped to [1e-12, 1 - 1e-12] missed the example23 oracle by
+    # 4.8e-7 at delta = 1e-6; a quadrature without the crossing as a
+    # breakpoint missed the perturbed one by about 1e-7
+    ms = _sweep_measures(family, theta)
     got = w1_to_gaussian(ms)
     want = np.array([_w1_cdf_form(m) for m in ms])
     np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
