@@ -603,12 +603,19 @@ def _selftest_battery() -> Sequence[Tuple[str, Callable[[], Optional[str]]]]:
         return None
 
     def minimizer_check() -> Optional[str]:
-        res = measure1d.brute_force_minimizer(gaussian_measure(), 0.5)
-        target = 1.0 / SQRT_2PI
-        if abs(res.perimeter - target) > 1e-6:
-            return f"min perimeter = {res.perimeter!r}, expected {target!r}"
-        if not res.is_half_line:
-            return "gaussian minimizer is not a half-line"
+        # the Gaussian's half-line below 0, and on (-3, 1), where the profile
+        # is lower on the left, the half-line above q(0.2)
+        for m, theta, upper in ((gaussian_measure(), 0.5, False),
+                                (normalize(measure1d.truncated_gaussian_potential(lo=-3.0, hi=1.0)), 0.8, True)):
+            res = measure1d.brute_force_minimizer(m, theta)
+            lo, hi = numerics.gaussian_cdf(m.domain.lo), numerics.gaussian_cdf(m.domain.hi)
+            cut = numerics.gaussian_quantile(hi - theta * (hi - lo) if upper else lo + theta * (hi - lo))
+            target, bset = float(numerics.gaussian_pdf(cut)) / (hi - lo), res.boundary_set
+            if not res.is_half_line or abs(res.perimeter - target) > 1e-6:
+                return f"theta={theta}: perimeter {res.perimeter!r} of {bset}, expected {target!r} of a half-line"
+            points = np.array(bset.boundary_points)
+            if abs(bset.total_measure - theta) > 1e-12 or points.shape != (1,) or abs(points[0] - cut) > 1e-12:
+                return f"theta={theta}: {bset}, expected mass {theta} cut at {cut!r}"
         return None
 
     def deficit_check() -> Optional[str]:

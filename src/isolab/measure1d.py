@@ -391,6 +391,27 @@ class Measure1D:
 
         return _vec(impl, theta)
 
+    def _profile(self, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``quantile(u)`` and ``density`` there, the same floats, from one
+        inversion: the density in the cell each point was inverted in, read
+        through :meth:`density` where the point is that cell's end (a domain
+        end, which reads 0, or an edge that it reads in the next cell)."""
+        q, reads = self.cells._invert(np.minimum(u, 1.0 - u), u > 0.5, None)
+        J, on_end = np.empty_like(q), np.empty(q.shape, dtype=bool)
+        with np.errstate(over="ignore"):
+            for at, point, (lo, hi, beta, log_amp) in reads:
+                J[at] = np.exp(_cell_log_density(point, beta, log_amp))
+                on_end[at] = (point == lo) | (point == hi)
+        if on_end.any():
+            J[on_end] = self.density(q[on_end])
+        return q, J
+
+    @cached_property
+    def _span(self) -> float:
+        """The span of the quantiles at ``_MASS_EPS`` and ``1 - _MASS_EPS``: the minimizer's grid."""
+        q_lo, q_hi = self.quantile(np.array([_MASS_EPS, 1.0 - _MASS_EPS])).tolist()
+        return q_hi - q_lo
+
 
 class _Side(NamedTuple):
     """A normalized measure's cells read from one end: ``log_amp[i]`` is the
@@ -430,13 +451,12 @@ class _Side(NamedTuple):
         k = cell_index(self.edges, x)
         return _cell_log_density(x, self.slopes[k], self.log_amp[k])
 
-    def invert(self, mass: np.ndarray, row=None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The point with ``mass`` below it, for ``0 < mass <= 1/2``, and the
-        slope and log amplitude of its cell ``k``: ``cum[k] < mass <= cum[k+1]``."""
+    def invert(self, mass: np.ndarray, row=None) -> Tuple[np.ndarray, tuple]:
+        """The point with ``mass`` below it, for ``0 < mass <= 1/2``, and its cell
+        ``k``, ``cum[k] < mass <= cum[k+1]``, as ``(lo, hi, slope, log amplitude)``."""
         k = self._cell(self.cum, mass, "left", row)
-        beta, log_amp = self.slopes[k], self.log_amp[k]
-        return _cell_quantile(self.edges[k], self.edges[k + 1], beta, log_amp,
-                              self.sign[k], self.start[k], self.base[k], mass), beta, log_amp
+        cell = self.edges[k], self.edges[k + 1], self.slopes[k], self.log_amp[k]
+        return _cell_quantile(*cell, self.sign[k], self.start[k], self.base[k], mass), cell
 
 
 class MeasureStack(Sequence):
@@ -479,12 +499,9 @@ class MeasureStack(Sequence):
     def _side(self, edges: np.ndarray, beta: np.ndarray, log_amp: np.ndarray, mass: np.ndarray) -> _Side:
         n, width = edges.shape
         cum = np.concatenate([np.zeros((n, 1)), np.cumsum(mass, axis=1)], 1)
-        lo, hi = edges[:, :-1] + beta, edges[:, 1:] + beta
-        upper = lo > 0.0  # Phi(lo) may round to 1: read from the upper end
-        sign = np.where(upper, -1.0, 1.0)
         cells = np.full((5, n, width), np.nan)  # the cell fields, padded by one
-        cells[:, :, :-1] = (beta, log_amp, sign, gaussian_log_cdf(sign * np.where(upper, hi, lo)),
-                            np.where(upper, cum[:, 1:], cum[:, :-1]))
+        cells[:, :, :-1] = (beta, log_amp, *_inversion_end(edges[:, :-1], edges[:, 1:], beta,
+                                                            cum[:, :-1], cum[:, 1:]))
         beta, log_amp, sign, start, base = cells.reshape(5, -1)
         return _Side(edges.ravel(), beta, log_amp, cum.ravel(), sign, start, base, width)
 
@@ -515,31 +532,34 @@ class MeasureStack(Sequence):
         return self._invert(tail, upper, row)[0]
 
     def _invert(self, tail: np.ndarray, upper: np.ndarray, row) -> Tuple[np.ndarray, list]:
-        """:meth:`invert`'s points and, per side read, its mask and the point,
-        slope and log amplitude that side inverted.  The one choice of a side:
-        a mass below is inverted from the left end, a mass above from the
-        (mirrored) right end, and a side is built only when it is read."""
+        """:meth:`invert`'s points and, per side read, its mask, the points
+        it inverted and their cells ``(lo, hi, slope, log amplitude)``.  The
+        one choice of a side: a mass below is inverted from the left end, a
+        mass above from the (mirrored) right end, and a side is built only
+        when it is read."""
         x, reads = np.empty_like(tail), []
         for at, sign in ((~upper, 1.0), (upper, -1.0)):
             if np.count_nonzero(at):
                 side = self.left if sign > 0.0 else self.right
-                point, beta, log_amp = side.invert(tail[at], None if row is None else row[at])
+                point, cell = side.invert(tail[at], None if row is None else row[at])
                 x[at] = sign * point
-                reads.append((at, point, beta, log_amp))
+                reads.append((at, point, cell))
         return x, reads
 
     def theta_point(self, theta: float) -> Tuple[np.ndarray, np.ndarray]:
         """Each row's ``theta``-quantile ``q`` and the density at ``q`` in the
-        cell ``q`` was inverted in (a mirrored cell's is its mirror's).  A
-        stack of one row takes a single binary search."""
-        n = len(self)
-        q, reads = self._invert(np.full(n, min(theta, 1.0 - theta)), np.full(n, theta > 0.5),
-                                None if n == 1 else np.arange(n))
-        density = np.empty(n)
+        cell ``q`` was inverted in, as :meth:`invert` reads them; but only the
+        cell holding each row's mass is read, and no side is built."""
+        sign, order = (-1.0, slice(None, None, -1)) if theta > 0.5 else (1.0, slice(None))
+        edges, beta = sign * self.edges[:, order], sign * self.beta[:, order]  # as :attr:`right` mirrors them
+        cum, tail = np.cumsum(self._mass[:, order], axis=1), min(theta, 1.0 - theta)
+        k = np.count_nonzero(cum[:, :-1] < tail, axis=1)
+        rows = np.arange(len(self))
+        cell = edges[rows, k], edges[rows, k + 1], beta[rows, k], self.log_amp[:, order][rows, k]
+        point = _cell_quantile(*cell, *_inversion_end(*cell[:3], np.where(k > 0, cum[rows, k - 1], 0.0),
+                                                      cum[rows, k]), tail)
         with np.errstate(over="ignore"):  # root brackets probe far into cells' tails
-            for at, point, beta, log_amp in reads:
-                density[at] = np.exp(_cell_log_density(point, beta, log_amp))
-        return q, density
+            return sign * point, np.exp(_cell_log_density(point, cell[2], cell[3]))
 
 
 def stacked(measures) -> MeasureStack:
@@ -551,6 +571,16 @@ def stacked(measures) -> MeasureStack:
     if len({r.edges.shape[1] for r in rows}) != 1:
         raise DomainError("stacked measures must share a cell count")
     return MeasureStack(*(np.concatenate(a) for a in zip(*((r.edges, r.beta, r.log_amp) for r in rows))))
+
+
+def _inversion_end(lo, hi, beta, below, above):
+    """``sign``, ``start`` and ``base`` (see :class:`_Side`) of cells ``(lo, hi)`` of slope ``beta``
+    with masses ``below`` and ``above`` their ends: a cell in the upper half of its
+    Gaussian, where ``Phi(lo + beta)`` may round to 1, is inverted from its upper end."""
+    lo, hi = lo + beta, hi + beta
+    upper = lo > 0.0
+    sign = np.where(upper, -1.0, 1.0)
+    return sign, gaussian_log_cdf(sign * np.where(upper, hi, lo)), np.where(upper, above, below)
 
 
 def _cell_quantile(lo, hi, beta, log_amp, sign, start, base, mass):
@@ -654,8 +684,7 @@ def boundary_set(m: Measure1D, pieces: Sequence[Interval]) -> BoundarySet:
     handed in merged -- a shared endpoint would fabricate boundary where
     the union has none).  A piece is measured as ``cdf(hi) - cdf(lo)``, or
     as ``sf(lo) - sf(hi)`` when it lies in the upper half, so upper pieces
-    keep the relative precision of lower ones; ``cdf`` and ``sf`` are
-    evaluated on all endpoints at once.
+    keep the relative precision of lower ones.
     """
     clipped = []
     for p in pieces:
@@ -669,18 +698,23 @@ def boundary_set(m: Measure1D, pieces: Sequence[Interval]) -> BoundarySet:
             raise DomainError(
                 f"pieces overlap or touch: ({left.lo}, {left.hi}) and ({right.lo}, {right.hi})"
             )
-    n = len(clipped)
-    ends = np.array([q.lo for q in clipped] + [q.hi for q in clipped])
-    below, above = m.cdf_many(ends), m.sf(ends)
-    # a piece in the upper half is measured from the right end, where
-    # 1 - cdf would cancel
-    masses = np.where(below[:n] < 0.5, below[n:] - below[:n], above[:n] - above[n:])
+    return _measured(m, clipped)
+
+
+def _measured(m: Measure1D, pieces: Sequence[Interval]) -> BoundarySet:
+    """The :class:`BoundarySet` of ``pieces``, already inside the domain,
+    sorted and apart.  A piece's mass is ``cdf(hi) - cdf(lo)``, or ``sf(lo)
+    - sf(hi)`` where ``cdf(lo) >= 1/2``, since there ``1 - cdf`` would
+    cancel; ``sf`` is read only there."""
+    ends = np.array([[q.lo for q in pieces], [q.hi for q in pieces]])
+    below = m.cdf_many(ends)
+    masses, upper = below[1] - below[0], below[0] >= 0.5
+    if upper.any():
+        above = m.sf(ends[:, upper])
+        masses[upper] = above[0] - above[1]
     inside = (ends > m.domain.lo) & (ends < m.domain.hi)
-    return BoundarySet(
-        pieces=tuple(clipped),
-        boundary_points=tuple(sorted(ends[inside].tolist())),
-        total_measure=float(sum(masses.tolist())),
-    )
+    return BoundarySet(pieces=tuple(pieces), boundary_points=tuple(sorted(ends[inside].tolist())),
+                       total_measure=float(sum(masses.tolist())))
 
 
 def perimeter(m: Measure1D, bset: BoundarySet) -> float:
@@ -751,22 +785,25 @@ def brute_force_minimizer(m: Measure1D, theta: float) -> MinimizerResult:
     single-interval mass grid matches an x-pitch of roughly ``_GRID_STEP``
     through the bulk of the measure.
 
-    ``J`` is read only where a candidate can still beat the half-lines
-    (masses outside (0, 1) read ``+inf``).  A first array call reads it at
-    the half-lines, the endpoints of the coarse families and the block ends
-    of the single-interval and complement sweeps.  A block of
-    ``_BOUND_BLOCK`` of those candidates is skipped when its lower bound
-    (:func:`_pair_floor`) exceeds the lesser half-line perimeter by more
-    than the relative ``_BOUND_SLACK``, and a second array call reads ``J``
-    for the candidates left.  A split's two-interval block is formed only
-    when a bound on its least perimeter, the least first interval plus the
-    best disjoint second one, reaches that threshold.  Each family's
-    perimeters are broadcast sums of ``J`` columns, left to right, with
-    ``+inf`` where two intervals overlap or run out of mass, or where a
-    block was skipped; the first minimum in search order wins.  It then
-    competes against the exact half-lines; ties within 1e-12 go to the
+    Once per measure, the quantiles at ``_MASS_EPS`` and ``1 - _MASS_EPS``
+    set the single-interval grid (``Measure1D._span``).  A call inverts
+    masses twice, each point's ``J`` read in the cell it was inverted in
+    (``Measure1D._profile``), and only where a candidate can still beat the
+    half-lines (masses outside (0, 1) read ``+inf``): first at the
+    half-lines, the endpoints of the coarse families and the block ends of
+    the single-interval and complement sweeps, then for the candidates left
+    once a block of ``_BOUND_BLOCK`` of those is skipped where its lower
+    bound (:func:`_pair_floor`) exceeds the lesser half-line perimeter by
+    more than the relative ``_BOUND_SLACK``.  A split's two-interval block
+    is formed only when a bound on its least perimeter, the least first
+    interval plus the best disjoint second one, reaches that threshold.
+    Each family's perimeters are broadcast sums of ``J`` columns, left to
+    right, with ``+inf`` where two intervals overlap or run out of mass, or
+    where a block was skipped; the first minimum in search order wins.  It
+    then competes against the exact half-lines; ties within 1e-12 go to the
     half-line.  The winner's endpoints and perimeter, and the half-lines',
-    are read from the ``J`` reads, and only the set returned is measured.
+    are read from the ``J`` reads, and only the set returned is measured (a
+    half-line's piece, built by the search, is not validated again).
 
     The result is that of the search over every candidate: each ``J`` read
     is the same value, summed in the same order, and a skipped candidate's
@@ -781,9 +818,7 @@ def brute_force_minimizer(m: Measure1D, theta: float) -> MinimizerResult:
 
     dom = m.domain
     eps, gap, inf = _MASS_EPS, _MASS_GAP, math.inf
-    q_lo, q_hi = m.quantile(np.array([eps, 1.0 - eps])).tolist()
-    span = q_hi - q_lo
-    k_single = int(min(2000.0, max(160.0, math.ceil(span / _GRID_STEP) + 1.0)))
+    k_single = int(min(2000.0, max(160.0, math.ceil(m._span / _GRID_STEP) + 1.0)))
     k_pair, k_split = 64, 11
 
     # endpoint masses of the families tagged 2..6 below, one row per split;
@@ -795,8 +830,10 @@ def brute_force_minimizer(m: Measure1D, theta: float) -> MinimizerResult:
     rest = theta - s
     lo4, hi4 = s + gap, 1.0 - rest - eps
     ok4 = hi4 > lo4
-    t4 = np.full((k_split, k_pair), np.nan)
-    t4[ok4] = np.linspace(lo4[ok4], hi4[ok4], k_pair, axis=1)
+    # the rows np.linspace(lo4, hi4, k_pair, axis=1) makes, bit for bit
+    t4 = np.arange(k_pair) * ((hi4 - lo4) / (k_pair - 1))[:, None] + lo4[:, None]
+    t4[:, -1] = hi4
+    t4[~ok4] = np.nan
     ok5 = 1.0 - theta - gap > eps
     t5 = np.linspace(eps, 1.0 - theta - gap, k_pair) if ok5 else np.full(k_pair, np.nan)
     base = np.linspace(eps, 1.0 - eps, k_pair)
@@ -807,16 +844,14 @@ def brute_force_minimizer(m: Measure1D, theta: float) -> MinimizerResult:
     pairs = (np.stack([t2, t2 + theta]), np.stack([t3, t3 + (1.0 - theta)]))
 
     def read(cols: Sequence[np.ndarray]) -> Tuple[list, list]:
-        """``quantile`` and ``J`` at the masses of ``cols``, each in one
-        array call, split back into the columns' shapes; a mass outside (0,
+        """``quantile`` and ``J`` at the masses of ``cols``, in one
+        inversion, split back into the columns' shapes; a mass outside (0,
         1), or NaN, reads NaN and ``+inf``."""
         u = np.concatenate([c.ravel() for c in cols])
         inside = (u > 0.0) & (u < 1.0)
-        q = np.full(u.size, np.nan)
-        J = np.full(u.size, inf)
+        q, J = np.full(u.size, np.nan), np.full(u.size, inf)
         if inside.any():
-            q[inside] = m.quantile(u[inside])
-            J[inside] = m.density(q[inside])
+            q[inside], J[inside] = m._profile(u[inside])
         stops = np.cumsum([c.size for c in cols]).tolist()
         spans = list(zip([0] + stops, stops, (c.shape for c in cols)))
         return ([q[a:b].reshape(shape) for a, b, shape in spans],
@@ -862,20 +897,11 @@ def brute_force_minimizer(m: Measure1D, theta: float) -> MinimizerResult:
     n6 = int(np.maximum(valid.sum(axis=1)[:, None] - first, 0).sum())
     checked = 2 + t2.size + t3.size + k_pair * int(ok4.sum()) + k_split * k_pair * ok5 + n6
 
-    # (tag, perimeters, endpoints broadcastable to them) in search order;
-    # tags 0 and 1 are the exact half-lines
-    blocks = [(0, Jh[:1], (Qh[:1],)), (1, Jh[1:], (Qh[1:],)),
-              (2, P2, (Q2, Qu2)), (3, P3, (Q3, Qu3))]
-    for i in range(k_split):
-        blocks += [(4, P4[i], (Qs[i], Q4[i], Qu4[i])), (5, P5[i], (Q5, Qu5[i], Qc5[i])),
-                   (6, P6[i], (Qb[:, None], Qb1[i, :, None], Qb, Qb2[i]))]
-    # the first block holding the least perimeter, and its first minimum
+    # the least perimeter of each block in search order: the exact
+    # half-lines (tags 0 and 1), families 2 and 3, then per split 4, 5, 6
     lows = np.concatenate([Jh, [np.min(P2, initial=inf), np.min(P3, initial=inf)],
                            np.stack([P4.min(axis=1), P5.min(axis=1), [p.min() for p in P6]], 1).ravel()])
-    win_tag, p, ends = blocks[int(np.argmin(lows))]
-    at = np.unravel_index(int(np.argmin(p)), p.shape)
-    best_q = [float(np.broadcast_to(e, p.shape)[at]) for e in ends]
-    best_peri = float(p[at])
+    win = int(np.argmin(lows))  # the first block holding the least perimeter
 
     def pieces_for(tag: int, inner: Sequence[float]) -> list:
         """Family ``tag``'s pieces with endpoints ``inner``; half-lines end at the domain's."""
@@ -884,8 +910,14 @@ def brute_force_minimizer(m: Measure1D, theta: float) -> MinimizerResult:
 
     half_tag = 0 if Jh[0] <= Jh[1] else 1
     half_peri = float(Jh[half_tag])
-    if half_peri <= best_peri + 1e-12:
-        half_set = boundary_set(m, pieces_for(half_tag, [float(Qh[half_tag])]))
-        return MinimizerResult(half_set, half_peri, True, checked)
-    return MinimizerResult(boundary_set(m, pieces_for(win_tag, best_q)), best_peri,
-                           win_tag in (0, 1), checked)
+    if half_peri <= float(lows[win]) + 1e-12:  # so does a half-line block that wins
+        return MinimizerResult(_measured(m, pieces_for(half_tag, [float(Qh[half_tag])])),
+                               half_peri, True, checked)
+    # the winning block's perimeters and endpoints broadcastable to them
+    i, family = divmod(win - 4, 3)
+    win_tag, p, ends = ((2, P2, (Q2, Qu2)), (3, P3, (Q3, Qu3)))[win - 2] if win < 4 else (
+        (4, P4[i], (Qs[i], Q4[i], Qu4[i])), (5, P5[i], (Q5, Qu5[i], Qc5[i])),
+        (6, P6[i], (Qb[:, None], Qb1[i, :, None], Qb, Qb2[i])))[family]
+    at = np.unravel_index(int(np.argmin(p)), p.shape)
+    best_q = [float(np.broadcast_to(e, p.shape)[at]) for e in ends]
+    return MinimizerResult(boundary_set(m, pieces_for(win_tag, best_q)), float(p[at]), False, checked)

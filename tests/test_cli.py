@@ -573,6 +573,22 @@ def test_selftest_sees_a_truncated_hermite_series(tmp_path, capsys, monkeypatch)
         "needles.generate_ensemble"]
 
 
+def test_selftest_sees_a_biased_piece_mass(tmp_path, capsys, monkeypatch):
+    # the minimizer's half-lines and boundary_set share one mass rule; a set
+    # reported 1e-9 heavier than theta fails the minimizer check alone
+    measured = isolab.measure1d._measured
+
+    def biased(m, pieces):
+        bset = measured(m, pieces)
+        return dataclasses.replace(bset, total_measure=bset.total_measure + 1e-9)
+
+    monkeypatch.setattr(isolab.measure1d, "_measured", biased)
+    assert main(["selftest", "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "selftest_report.json").read_text())
+    assert [r["name"] for r in report["results"] if not r["passed"]] == [
+        "measure1d.brute_force_minimizer"]
+
+
 def test_needles_sees_a_truncated_hermite_series(tmp_path, capsys, monkeypatch):
     # with 12 terms the mixture of the Q = 1000 ensemble is off by about
     # 1e-8; its mass cannot show it, the cos(3.5 (x + c)) check does

@@ -13,7 +13,7 @@ import oracle_constants as oc
 from oracle_erf import gaussian_cdf_oracle, log_sqrt_2pi_decimal, piecewise_mass_decimal
 from oracle_minimizer import oracle_minimizer
 from isolab import measure1d
-from isolab.measure1d import stacked
+from isolab.measure1d import MeasureStack, stacked
 from isolab import (
     DomainError,
     Interval,
@@ -222,6 +222,27 @@ def test_theta_point_is_the_quantile_and_the_density_there(rows, theta):
         assert alone[0][0] == q[i]
         # one density expression: Measure1D.density reads the same cell
         assert density[i] == m.density(q[i])
+
+
+@pytest.mark.parametrize("theta", [0.1, 0.5, 0.8])
+def test_theta_point_is_invert_and_the_density_in_its_cell(theta):
+    """``theta_point`` reads one cell per row, and returns the floats of
+    ``invert`` through a whole side and the density in the cell it inverted
+    in, on stacks of perturbed measures as built row by row and as a root
+    step of the perturbed solve builds them."""
+    scales = np.array([0.0, 0.01, 0.3, 1.0, 2.5, 8.0, 64.0])
+    for seed in (3, 5, 11):
+        fam = PerturbedSweepFamily.seeded(seed)
+        for stack in (stacked([fam.measure_at(lam) for lam in scales]), fam._cells_at(scales)):
+            n = len(stack)
+            q, reads = stack._invert(np.full(n, min(theta, 1.0 - theta)), np.full(n, theta > 0.5), np.arange(n))
+            density = np.empty(n)
+            with np.errstate(over="ignore"):
+                for at, point, (lo, hi, beta, log_amp) in reads:
+                    density[at] = np.exp(measure1d._cell_log_density(point, beta, log_amp))
+            got = stack.theta_point(theta)
+            np.testing.assert_array_equal(got[0], q, strict=True)
+            np.testing.assert_array_equal(got[1], density, strict=True)
 
 
 @pytest.mark.parametrize("s", [0.3, -1.7, 6.92])
@@ -443,31 +464,43 @@ def test_minimizer_matches_oracle_where_other_sets_win():
 
 
 def test_minimizer_reads_the_profile_in_three_array_calls(monkeypatch):
-    """No candidate is read on its own: ``quantile`` takes at most three
-    array calls a search (the span, the bounds, the candidates left),
-    whatever the grid size, and the bounds leave out most of the masses
-    that the search over every candidate reads (33,608 on these cases)."""
-    quantile = Measure1D.quantile
+    """No candidate is read on its own: a search inverts masses in at most
+    three array calls of ``MeasureStack._invert`` on a fresh measure (the
+    span, the bounds, the candidates left) and in two once the measure holds
+    its span, whatever the grid size, and the bounds leave out most of the
+    masses that the search over every candidate reads (33,608 on these
+    cases)."""
+    cases = ((GAUSSIAN, 0.3), (TRUNCATED_2, 0.999), (KINKED, 0.01), (GAUSSIAN, 1.5e-9),
+             (KINKED, 1.0 - 5e-7), (TRUNCATED_2, 1.0 - 1.5e-9))
+    wants = [oracle_minimizer(m, theta) for m, theta in cases]
+    invert = MeasureStack._invert
     calls = []
 
-    def counted(self, theta):
-        calls.append(theta.size if isinstance(theta, np.ndarray) else None)
-        return quantile(self, theta)
+    def counted(self, tail, upper, row):
+        calls.append(tail.size if tail.ndim else None)
+        return invert(self, tail, upper, row)
 
+    monkeypatch.setattr(MeasureStack, "_invert", counted)
     # near 0 and 1 the single-interval, complement and interval + right
     # half-line families run out of room and drop out of the count
     masses = 0
-    for m, theta in ((GAUSSIAN, 0.3), (TRUNCATED_2, 0.999), (KINKED, 0.01), (GAUSSIAN, 1.5e-9),
-                     (KINKED, 1.0 - 5e-7), (TRUNCATED_2, 1.0 - 1.5e-9)):
-        want = oracle_minimizer(m, theta)
+    for (m, theta), want in zip(cases, wants):
+        fresh = Measure1D(m.cells)  # a measure that has not read its span
         calls.clear()
-        monkeypatch.setattr(Measure1D, "quantile", counted)
-        res = brute_force_minimizer(m, theta)
-        monkeypatch.undo()
+        res = brute_force_minimizer(fresh, theta)
         assert None not in calls and len(calls) <= 3, (theta, calls)
-        masses += sum(calls)
         assert res == want  # candidates_checked included
+        masses += sum(calls)
+        calls.clear()
+        assert brute_force_minimizer(fresh, theta) == want
+        assert None not in calls and len(calls) <= 2, (theta, calls)
     assert masses <= 0.6 * 33_608, masses
+    # nine theta on one fresh measure: the span once, then two reads a search
+    fresh = Measure1D(GAUSSIAN.cells)
+    calls.clear()
+    for theta in np.linspace(0.1, 0.9, 9):
+        brute_force_minimizer(fresh, theta)
+    assert len(calls) == 1 + 2 * 9, calls
 
 
 def _valley_cases(seed):
@@ -485,6 +518,23 @@ def _valley_cases(seed):
 # psi_hat jumps up by 2 at x = 0.5: the density drops by e^-2 across that edge
 _JUMP_DOWN = normalize(PotentialSpec(Interval(-math.inf, math.inf), np.array([-math.inf, 0.5, math.inf]),
                                      np.zeros(2), np.array([0.0, 2.0])))
+
+
+@pytest.mark.parametrize("theta", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_minimizer_measures_its_half_line_as_boundary_set_does(theta):
+    """A winning half-line is measured by the rule of ``boundary_set``,
+    field for field: below the median an upper half-line's measure is
+    ``sf(q) - sf(hi)``, above it ``cdf(hi) - cdf(q)``, and on seed 153468
+    ``cdf(hi)`` is not exactly 1."""
+    measures = (GAUSSIAN, TRUNCATED_2, *(PerturbedSweepFamily.seeded(k).measure_at(1.0) for k in (91817, 153468)),
+                _isoperimetry_measures()[-1], _JUMP_DOWN)
+    uppers = 0
+    for m in measures:
+        res = brute_force_minimizer(m, theta)
+        if res.is_half_line:
+            assert res.boundary_set == boundary_set(m, res.boundary_set.pieces), (m.potential, theta)
+            uppers += res.boundary_set.pieces[0].lo > m.domain.lo
+    assert uppers or theta == 0.5  # at 1/2 only lower half-lines win here
 
 
 def test_minimizer_block_bounds_hold(monkeypatch):

@@ -487,15 +487,17 @@ def test_mixture_l1_matches_the_quadrature_on_random_ensembles(monkeypatch):
         return calls[-1][1]
 
     monkeypatch.setattr(isolab.needles, "find_root", recorded)
-    rng = np.random.default_rng(5)
     two_zero_pieces = 0
-    for _ in range(40):
-        ens = random_ensemble(rng)
-        calls.clear()
-        got = aggregate_l1(ens).mixture_l1
-        if len(calls) == 2:
-            two_zero_pieces += np.count_nonzero(np.isin(calls[1][0][1], calls[0][1]))
-        assert got == pytest.approx(mixture_l1_quadrature(ens), rel=0.0, abs=1e-12)
+    # on seeds 21 and 2027 a zero lies within 0.001 of a needle end
+    for seed in (5, 21, 2027):
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            ens = random_ensemble(rng)
+            calls.clear()
+            got = aggregate_l1(ens).mixture_l1
+            if len(calls) == 2:
+                two_zero_pieces += np.count_nonzero(np.isin(calls[1][0][1], calls[0][1]))
+            assert got == pytest.approx(mixture_l1_quadrature(ens), rel=0.0, abs=1e-12), seed
     assert two_zero_pieces >= 1
 
 
