@@ -3,19 +3,21 @@
 Subcommands::
 
     verify      one measure: deficit, gap bounds, L^p/W_1/W_2/entropy, Talagrand
-    sweep       deficit sweep of one metric over a parametric family + fit
+    sweep       deficit sweep of one metric over a measure family + fit
     needles     per-deficit needle-ensemble aggregation experiments
     example23   closed-form truncated-Gaussian reproduction (default D = 2)
     selftest    deterministic battery of closed-form and invariant checks
 
 Configuration comes from an optional JSON file (``--config``) updated with
 the flags given (flags win): every option's ``dest`` is the
-:class:`RunConfig` field, or ``ensemble`` key, that it sets, and options left
-off the command line are absent.  Every command ends in :func:`_emit`, which
-writes its JSON report (stable key order) to ``--out`` and prints its table,
-a ``[PASS]``/``[FAIL]`` line per check and the verdict; ``sweep`` and
-``needles`` also write a CSV with a fixed header row.  Every command is
-deterministic given (config, seed) -- outputs are byte-identical across runs.
+:class:`RunConfig` field, or ``ensemble`` key, that it sets, options left off
+the command line are absent, and each subcommand takes only the flags it
+reads (a config file may hold keys another command reads).  Every command
+ends in :func:`_emit`, which writes its JSON report (stable key order) to
+``--out`` and prints its table, a ``[PASS]``/``[FAIL]`` line per check and
+the verdict; ``sweep`` and ``needles`` also write a CSV with a fixed header
+row.  Every command is deterministic given (config, seed) -- outputs are
+byte-identical across runs.
 
 Exit status: 0 when all hard invariants/checks pass, 1 on invariant or
 check failures (partial reports are still written), 2 on configuration
@@ -54,14 +56,15 @@ class RunConfig:
     """One fully resolved invocation; round-trips through ``to_dict``.
 
     ``measure`` selects a measure (``gaussian``, ``truncated:D``,
-    ``perturbed[:seed]``, a JSON potential file) or, for ``sweep``, a family
-    (``example23``, ``perturbed[:seed]``, ``needles``, ``gaussian``).
-    ``ensemble`` holds generator overrides (keys ``needle_count``,
+    ``perturbed[:seed]``, a JSON potential file) or, for ``sweep``, a measure
+    family (``example23``, ``perturbed[:seed]``, ``gaussian``).  ``ensemble``
+    holds the ``needles`` generator overrides (keys ``needle_count``,
     ``deficit_scale``, ``bad_fraction``); ``alpha_min``/``alpha_max`` are the
-    optional sweep acceptance band.  Construction normalizes once:
-    ``p_list`` becomes a sorted tuple of floats, ``delta_grid`` a tuple of
-    floats and ``ensemble`` a dict.  Unknown keys are rejected by
-    :meth:`from_dict`.
+    optional sweep acceptance band.  Construction checks every field's type
+    and range, since a config file may hold any JSON value, and then
+    normalizes once: ``p_list`` becomes a sorted tuple of floats,
+    ``delta_grid`` a tuple of floats and ``ensemble`` a dict.  Unknown keys
+    are rejected by :meth:`from_dict`.
     """
 
     command: str
@@ -79,10 +82,19 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.p_list is not None:
-            object.__setattr__(self, "p_list", tuple(sorted(float(p) for p in self.p_list)))
-        if self.delta_grid is not None:
-            object.__setattr__(self, "delta_grid", tuple(float(d) for d in self.delta_grid))
+        for name in ("command", "measure", "metric", "output_dir"):
+            if not isinstance(getattr(self, name), str):
+                raise ConfigError(f"{name} must be a string, got {getattr(self, name)!r}")
+        for name in ("theta", "epsilon", "c_threshold", "alpha_min", "alpha_max"):
+            value = getattr(self, name)
+            if not _is_number(value) and not (value is None and name.startswith("alpha")):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+        for name in ("p_list", "delta_grid"):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)) or not all(map(_is_number, value)):
+                raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+        object.__setattr__(self, "p_list", tuple(sorted(float(p) for p in self.p_list)))
+        object.__setattr__(self, "delta_grid", tuple(float(d) for d in self.delta_grid))
         if self.ensemble is not None:
             if not isinstance(self.ensemble, Mapping):
                 raise ConfigError("ensemble spec must be an object")
@@ -104,22 +116,19 @@ class RunConfig:
             if not (0.0 < d and math.isfinite(d)):
                 raise ConfigError(f"delta grid entry out of range: {d!r}")
         try:
-            metric = Metric.parse(self.metric)
+            Metric.parse(self.metric)
         except (DomainError, ValueError) as exc:
             raise ConfigError(f"bad metric {self.metric!r}: {exc}") from exc
-        if self.command == "sweep" and (self.measure.strip() == "needles") != (metric.kind == "mixture_l1"):
-            raise ConfigError(f"sweep metric {self.metric!r} does not fit the family {self.measure!r}: "
-                              "mixture_l1 is the metric of the needles family, and its only one")
         if not (self.c_threshold > 0.0):
             raise ConfigError(f"c_threshold out of range: {self.c_threshold!r}")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
+        if not (type(self.seed) is int and self.seed >= 0):
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.ensemble is not None:
             extra = set(self.ensemble) - set(_ENSEMBLE_KEYS)
             if extra:
                 raise ConfigError(f"unknown ensemble keys: {sorted(extra)}")
             for key, value in self.ensemble.items():
-                if type(value) not in (int, float):
+                if not _is_number(value):
                     raise ConfigError(f"ensemble {key} must be a number, got {value!r}")
             count = self.ensemble.get("needle_count", 1)
             if not (count >= 1 and float(count).is_integer()):
@@ -141,6 +150,11 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
 
+def _is_number(value: object) -> bool:
+    """Whether ``value`` is an int or a float, and not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 # -- argument parsing ---------------------------------------------------------
 
 
@@ -152,38 +166,37 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical checks of Gaussian isoperimetric stability on 1-convex measures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, help: str, common: bool = True) -> argparse.ArgumentParser:
+    options = {
+        "--config": dict(metavar="FILE", help="JSON config file; flags override it"),
+        "--measure": dict(help="gaussian | truncated:D | perturbed[:seed] | potential JSON file "
+                               "(sweep: example23 | gaussian | perturbed[:seed])"),
+        "--theta": dict(type=float, help="mass split in (0,1)"),
+        "--p": dict(dest="p_list", action="append", metavar="P[,P..]", help="L^p orders (repeatable / comma list)"),
+        "--epsilon": dict(type=float, help="needle-rate parameter in (0,1)"),
+        "--delta-grid": dict(metavar="D1,D2,..", help="deficit grid (comma list)"),
+        "--seed": dict(type=int, help="generator seed"),
+        "--metric": dict(help="lp:P | w1 | w2 | entropy"),
+        "--alpha-min": dict(type=float, help="acceptance band: fitted exponent lower bound"),
+        "--alpha-max": dict(type=float, help="acceptance band: fitted exponent upper bound"),
+        "--needle-count": dict(type=int, help="needles per ensemble"),
+        "--c-threshold": dict(type=float, help="centered-classification constant"),
+        "--deficit-scale": dict(type=float, help="pin generator deficit scale (default: the grid delta)"),
+        "--bad-fraction": dict(type=float, help="pin generator bad fraction (default: delta^alpha)"),
+        "--inject-fault": dict(metavar="NAME", help="corrupt one routine (testing the battery itself)"),
+        "--out": dict(dest="output_dir", metavar="DIR", help="output directory for reports"),
+    }
+    for name, help, flags in (
+        ("verify", "verify one measure end to end", "--config --measure --theta --p --seed"),
+        ("sweep", "deficit sweep of one metric over a measure family",
+         "--config --measure --theta --delta-grid --seed --metric --alpha-min --alpha-max"),
+        ("needles", "needle-ensemble aggregation experiments", "--config --theta --epsilon --delta-grid "
+         "--seed --needle-count --c-threshold --deficit-scale --bad-fraction"),
+        ("example23", "truncated-Gaussian closed-form reproduction", "--config --measure --p"),
+        ("selftest", "run the built-in check battery", "--inject-fault"),
+    ):
         p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
-        if common:
-            p.add_argument("--config", metavar="FILE", help="JSON config file; flags override it")
-            p.add_argument("--measure", help="gaussian | truncated:D | perturbed[:seed] | potential JSON file (sweep: family name)")
-            p.add_argument("--theta", type=float, help="mass split in (0,1)")
-            p.add_argument("--p", dest="p_list", action="append", metavar="P[,P..]", help="L^p orders (repeatable / comma list)")
-            p.add_argument("--epsilon", type=float, help="needle-rate parameter in (0,1)")
-            p.add_argument("--delta-grid", metavar="D1,D2,..", help="deficit grid (comma list)")
-            p.add_argument("--seed", type=int, help="generator seed")
-            p.add_argument("--out", dest="output_dir", metavar="DIR", help="output directory for reports")
-        return p
-
-    command("verify", "verify one measure end to end")
-    s = command("sweep", "deficit sweep of one metric over a family")
-    s.add_argument("--metric", help="lp:P | w1 | w2 | entropy | mixture_l1")
-    s.add_argument("--alpha-min", type=float, help="acceptance band: fitted exponent lower bound")
-    s.add_argument("--alpha-max", type=float, help="acceptance band: fitted exponent upper bound")
-
-    n = command("needles", "needle-ensemble aggregation experiments")
-    n.add_argument("--needle-count", type=int, help="needles per ensemble")
-    n.add_argument("--c-threshold", type=float, help="centered-classification constant")
-    n.add_argument("--deficit-scale", type=float, help="pin generator deficit scale (default: the grid delta)")
-    n.add_argument("--bad-fraction", type=float, help="pin generator bad fraction (default: delta^alpha)")
-
-    command("example23", "truncated-Gaussian closed-form reproduction")
-    t = command("selftest", "run the built-in check battery", common=False)
-    t.add_argument("--out", dest="output_dir", metavar="DIR", help="output directory for the report")
-    t.add_argument("--seed", type=int, help="generator seed")
-    t.add_argument("--inject-fault", metavar="NAME", help="corrupt one routine (testing the battery itself)")
-
+        for flag in (*flags.split(), "--out"):
+            p.add_argument(flag, **options[flag])
     return parser
 
 
@@ -312,15 +325,9 @@ def _build_family(cfg: RunConfig):
         return rates.Example23SweepFamily()
     if text == "gaussian":
         return rates.GaussianSweepFamily()
-    if text == "needles":
-        count = int((cfg.ensemble or {}).get("needle_count", 100))
-        return rates.NeedleSweepFamily(needle_count=count, epsilon=cfg.epsilon, seed=cfg.seed)
     family = _perturbed_family(text, cfg)
     if family is None:
-        raise ConfigError(
-            f"unknown sweep family {text!r} "
-            "(expected example23 | gaussian | perturbed[:seed] | needles)"
-        )
+        raise ConfigError(f"unknown sweep family {text!r} (expected example23 | gaussian | perturbed[:seed])")
     return family
 
 

@@ -739,6 +739,9 @@ _GRID_STEP = 0.01  # x-pitch of the single-interval mass grid in the bulk
 _BOUND_BLOCK = 32  # candidates per bounded block of the single-interval and complement families
 _BOUND_SLACK = 1e-9  # relative room a bound leaves for the rounding of the sums it bounds
 _EDGE_ROOM = 1e-12  # widening of each cell edge's mass, so that rounding drops no edge from a range
+# the two-interval family's first endpoint masses, which depend on neither theta nor the measure
+_PAIR_BASE = np.linspace(_MASS_EPS, 1.0 - _MASS_EPS, 64)
+_PAIR_BASE.setflags(write=False)
 
 
 def _block_ends(n: int) -> np.ndarray:
@@ -819,7 +822,7 @@ def brute_force_minimizer(m: Measure1D, theta: float) -> MinimizerResult:
     dom = m.domain
     eps, gap, inf = _MASS_EPS, _MASS_GAP, math.inf
     k_single = int(min(2000.0, max(160.0, math.ceil(m._span / _GRID_STEP) + 1.0)))
-    k_pair, k_split = 64, 11
+    k_pair, k_split = _PAIR_BASE.size, 11
 
     # endpoint masses of the families tagged 2..6 below, one row per split;
     # a family without room has no rows (2, 3) or NaN rows (4, 5), which
@@ -836,7 +839,7 @@ def brute_force_minimizer(m: Measure1D, theta: float) -> MinimizerResult:
     t4[~ok4] = np.nan
     ok5 = 1.0 - theta - gap > eps
     t5 = np.linspace(eps, 1.0 - theta - gap, k_pair) if ok5 else np.full(k_pair, np.nan)
-    base = np.linspace(eps, 1.0 - eps, k_pair)
+    base = _PAIR_BASE
     b1, b2 = base + s[:, None], base + rest[:, None]
     c5 = 1.0 - rest
     u4, u5 = t4 + rest[:, None], t5 + s[:, None]

@@ -1,12 +1,13 @@
 """Empirical convergence orders: deficit sweeps and log-log power-law fits.
 
-A *family* maps a requested deficit ``delta`` to a centered measure (or a
-needle ensemble) realizing it; :func:`sweep` evaluates one metric per grid
-point and :func:`fit_exponent` least-squares fits ``log value = alpha * log
-delta + c``.  The theory's orders to compare against are ``1/p`` for the
-L^p distance (sharp on the truncated-Gaussian family), ``1/2`` for W_2
+A *family* maps a requested deficit ``delta`` to a centered measure
+realizing it; :func:`sweep` evaluates one metric per grid point and
+:func:`fit_exponent` least-squares fits ``log value = alpha * log delta +
+c``.  The theory's orders to compare against are ``1/p`` for the L^p
+distance (sharp on the truncated-Gaussian family) and ``1/2`` for W_2
 (possibly with logarithmic corrections -- the fit is reported, optimality is
-not asserted), and ``(1-eps)/(9-3eps)`` for the needle-mixture L^1.
+not asserted).  The needle-mixture L^1 and its order ``(1-eps)/(9-3eps)``
+are the ``needles`` module's, fitted by the same :func:`fit_exponent`.
 
 Default grid: 9 log-spaced points from 1e-2 down to 1e-6, inside the
 "sufficiently small deficit" regime where the stability estimates apply
@@ -14,9 +15,9 @@ while quadratures stay well-conditioned.
 
 A family takes the whole grid at once: its parameters are solved from the
 deltas by one elementwise bracketed root solve, and a grid point whose solve
-fails is skipped and logged, never silently filled.  A measure family hands
-the metric its points' cells as one :class:`MeasureStack`, and the metric
-reads them all in one call.
+fails is skipped and logged, never silently filled.  A family hands the
+metric its points' cells as one :class:`MeasureStack`, and the metric reads
+them all in one call.
 """
 from __future__ import annotations
 
@@ -37,13 +38,6 @@ from .measure1d import (
     normalize,
     perturbed_gaussian_potential,
 )
-from .needles import (
-    EnsembleConfig,
-    NeedleEnsemble,
-    aggregate_l1,
-    generate_ensemble,
-    rate_exponent,
-)
 from .numerics import find_root, gaussian_quantile
 from .stability import (
     lp_distance,
@@ -62,7 +56,6 @@ __all__ = [
     "Example23SweepFamily",
     "PerturbedSweepFamily",
     "GaussianSweepFamily",
-    "NeedleSweepFamily",
 ]
 
 logger = logging.getLogger("isolab.rates")
@@ -81,13 +74,13 @@ _FIT_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class Metric:
-    """Sweep metric selector: ``lp`` (with its ``p``), ``w1``, ``w2``,
-    ``entropy``, or ``mixture_l1`` (ensembles only)."""
+    """Sweep metric selector: ``lp`` (with its ``p``), ``w1``, ``w2`` or
+    ``entropy``."""
 
     kind: str
     p: Optional[float] = None
 
-    _KINDS = ("lp", "w1", "w2", "entropy", "mixture_l1")
+    _KINDS = ("lp", "w1", "w2", "entropy")
 
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
@@ -155,10 +148,10 @@ class SweepResult:
 
 
 class Realizations(Sequence):
-    """A family's answer for a deficit grid: ``realized`` holds what realizes
-    the points ``found``, in grid order (a :class:`MeasureStack` for measure
-    families), and ``failed`` maps every other point to its ``BracketError``.
-    Point ``i`` is its measure (made then), ensemble or error."""
+    """A family's answer for a deficit grid: ``realized`` holds the measures
+    of the points ``found``, in grid order, and ``failed`` maps every other
+    point to its ``BracketError``.  Point ``i`` is its measure (made then) or
+    error."""
 
     def __init__(self, realized, found: Sequence[int], failed: Dict[int, BracketError]) -> None:
         self.realized, self.found, self.failed = realized, list(found), failed
@@ -166,7 +159,7 @@ class Realizations(Sequence):
     def __len__(self) -> int:
         return len(self.found) + len(self.failed)
 
-    def __getitem__(self, i: int) -> Union[Measure1D, NeedleEnsemble, BracketError]:
+    def __getitem__(self, i: int) -> Union[Measure1D, BracketError]:
         i = range(len(self))[i]
         return self.failed[i] if i in self.failed else self.realized[self.found.index(i)]
 
@@ -207,26 +200,6 @@ def fit_exponent(points: Sequence[Tuple[float, float]]) -> Tuple[float, float, f
     return _fit(positive)
 
 
-def _evaluate_metric(metric: Metric, realized) -> list:
-    """The metric's value on each realization, or the ``BracketError`` that
-    kept it from one: a measure metric in one call on the stack."""
-    ensembles = metric.kind == "mixture_l1"
-    if isinstance(realized, MeasureStack) == ensembles:
-        raise DomainError("metric mixture_l1 needs a needle-ensemble family" if ensembles
-                          else f"metric {metric.kind!r} needs a measure family")
-    if not ensembles:
-        measure_metric = {"w1": w1_to_gaussian, "w2": w2_to_gaussian, "entropy": relative_entropy,
-                          "lp": lambda stack: lp_distance(stack, float(metric.p))}[metric.kind]
-        return measure_metric(realized).tolist() if len(realized) else []
-    out: list = []
-    for ens in realized:
-        try:
-            out.append(aggregate_l1(ens).mixture_l1)
-        except BracketError as exc:
-            out.append(exc)
-    return out
-
-
 def sweep(
     family: SweepFamily,
     theta: float,
@@ -236,9 +209,9 @@ def sweep(
     """Evaluate ``metric`` on ``family`` across a deficit grid and fit.
 
     One point per grid entry, in descending order of delta; the family
-    realizes the whole grid in one call, and a quadrature metric takes every
-    realized point in one call.  A point with a ``BracketError`` instead of
-    a realization or a value is skipped with a log message; the surviving
+    realizes the whole grid in one call, and the metric takes every realized
+    point in one call.  A point with a ``BracketError`` instead of a
+    realization is skipped with a log message; the surviving
     points are fitted by :func:`fit_exponent`, so the fit fields are NaN
     when fewer than 3 values clear its noise floor.
     """
@@ -249,7 +222,11 @@ def sweep(
         raise DomainError("delta grid entries must be positive and finite")
 
     outcome = family.at_deficit(grid, theta)
-    values = {**outcome.failed, **dict(zip(outcome.found, _evaluate_metric(metric, outcome.realized)))}
+    stack = outcome.realized
+    measure_metric = {"w1": w1_to_gaussian, "w2": w2_to_gaussian, "entropy": relative_entropy,
+                      "lp": lambda stack: lp_distance(stack, float(metric.p))}[metric.kind]
+    found = measure_metric(stack).tolist() if len(stack) else []
+    values = {**outcome.failed, **dict(zip(outcome.found, found))}
     points, skipped = [], []
     for d, value in zip(grid, (values[i] for i in range(len(grid)))):
         if isinstance(value, BracketError):
@@ -404,30 +381,3 @@ class PerturbedSweepFamily:
                          (np.zeros(target.size), hi[solved]), tol=1e-12)
         return _centered_at(self._cells_at(lams), solved, deltas, theta)
 
-
-@dataclass(frozen=True)
-class NeedleSweepFamily:
-    """Seeded needle ensembles calibrated per grid point.
-
-    At deficit ``delta`` the ensemble is generated with ``deficit_scale =
-    delta`` and ``bad_fraction = delta^{(1-eps)/(9-3eps)}`` -- the bad mass
-    exactly at the rate the aggregate L^1 bound should follow.
-    """
-
-    needle_count: int = 100
-    epsilon: float = 0.1
-    seed: int = 0
-    name: str = "needle_ensemble"
-
-    def at_deficit(self, deltas: Sequence[float], theta: float) -> Realizations:
-        alpha = rate_exponent(self.epsilon)
-        out = Realizations([], [], {})
-        for i, delta in enumerate(map(float, deltas)):
-            try:
-                out.realized.append(generate_ensemble(EnsembleConfig(
-                    needle_count=self.needle_count, theta=theta, epsilon=self.epsilon,
-                    deficit_scale=delta, bad_fraction=min(1.0, delta**alpha), seed=self.seed)))
-                out.found.append(i)
-            except BracketError as exc:
-                out.failed[i] = exc
-        return out

@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 PASS/FAIL lines; each criterion also enforces its own wall-clock budget.
 """
+import json
 import math
 import time
 from contextlib import contextmanager
@@ -17,7 +18,6 @@ from isolab import (
     EnsembleConfig,
     Example23SweepFamily,
     Metric,
-    NeedleSweepFamily,
     PerturbedSweepFamily,
     aggregate_l1,
     brute_force_minimizer,
@@ -39,6 +39,7 @@ from isolab import (
     w1_to_gaussian,
     w2_to_gaussian,
 )
+from isolab.cli import main
 
 SQRT_2PI = 1.0 / oc.INV_SQRT_2PI
 
@@ -191,15 +192,17 @@ def test_criterion_7_needle_aggregation_suite():
             assert value <= 2.0 * s / SQRT_2PI
 
 
-def test_criterion_8_mixture_l1_scaling_rate():
+def test_criterion_8_mixture_l1_scaling_rate(tmp_path):
     with criterion(8, "mixture L1 follows the calibrated needle rate", 120.0):
         eps = 0.1
         rate = (1.0 - eps) / (9.0 - 3.0 * eps)
-        fam = NeedleSweepFamily(needle_count=100, epsilon=eps, seed=0)
-        res = sweep(fam, 0.5, Metric(kind="mixture_l1"), DEFAULT_DELTA_GRID)
-        assert not res.skipped
-        assert res.fitted_exponent >= rate - 0.05, (
-            f"fitted {res.fitted_exponent} vs rate {rate}"
+        main(["needles", "--needle-count", "100", "--epsilon", str(eps), "--seed", "0",
+              "--out", str(tmp_path)])
+        report = json.loads((tmp_path / "needles_report.json").read_text())
+        # every grid point has its mixture L1: none was skipped
+        assert [row["delta"] for row in report["rows"] if "mixture_l1" in row] == list(DEFAULT_DELTA_GRID)
+        assert report["fitted_exponent"] >= rate - 0.05, (
+            f"fitted {report['fitted_exponent']} vs rate {rate}"
         )
 
 

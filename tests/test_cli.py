@@ -71,13 +71,11 @@ def test_runconfig_validation(kwargs):
 
 
 @pytest.mark.parametrize("count", [2.5, float("nan"), "abc"])
-@pytest.mark.parametrize("argv", [["needles"], ["sweep", "--measure", "needles", "--metric", "mixture_l1"]],
-                         ids=["needles", "sweep"])
+@pytest.mark.parametrize("argv", [["needles"]], ids=["needles"])
 def test_config_file_needle_count_must_be_a_whole_number(tmp_path, capsys, monkeypatch, argv, count):
     # was truncated (2.5 ran 2 needles) or a ValueError traceback (NaN, "abc")
     calls = []
-    for module in (isolab.needles, isolab.rates):
-        monkeypatch.setattr(module, "generate_ensemble", lambda config: calls.append(config))
+    monkeypatch.setattr(isolab.needles, "generate_ensemble", lambda config: calls.append(config))
     cfg_file = tmp_path / "run.json"
     cfg_file.write_text(json.dumps({"ensemble": {"needle_count": count}}))
     code = main([*argv, "--config", str(cfg_file), "--out", str(tmp_path / "out")])
@@ -97,6 +95,30 @@ def test_config_file_ensemble_values_must_be_numbers(tmp_path, capsys, ensemble)
     err = capsys.readouterr().err.splitlines()
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error: ") and next(iter(ensemble)) in err[0]
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        ("verify", {"p_list": "12"}),  # ran p = 1 and p = 2
+        ("verify", {"delta_grid": "1e-3"}),  # these three were ValueError tracebacks
+        ("verify", {"p_list": [2, "x"]}),
+        ("verify", {"theta": "0.5"}),
+        ("verify", {"measure": 5}),  # an AttributeError traceback
+        ("sweep", {"alpha_min": "a"}),  # a TypeError after the whole sweep
+        ("verify", {"seed": True}),  # these two were accepted
+        ("needles", {"c_threshold": True}),
+    ],
+    ids=lambda v: v if isinstance(v, str) else json.dumps(v),
+)
+def test_config_file_values_of_a_wrong_type_are_config_errors(tmp_path, capsys, command, data):
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps(data))
+    code = main([command, "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: ") and next(iter(data)) in err[0]
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_file_applies_and_flags_win(tmp_path):
@@ -144,13 +166,41 @@ def test_tolerance_flags_are_gone(flag, tmp_path, capsys):
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--epsilon", "0.2"),
+        ("verify", "--delta-grid", "1e-3"),
+        ("example23", "--theta", "0.3"),  # reported theta = 0.5 all the same
+        ("example23", "--epsilon", "0.2"),
+        ("example23", "--delta-grid", "1e-3"),
+        ("example23", "--seed", "1"),
+        ("sweep", "--p", "2"),
+        ("sweep", "--epsilon", "0.2"),
+        ("needles", "--measure", "perturbed:3"),  # ran the default ensembles
+        ("needles", "--p", "2"),
+        ("selftest", "--seed", "1"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_each_command_takes_only_the_flags_it_reads(tmp_path, capsys, argv):
+    # each of these flags was accepted and changed nothing
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("measure, metric", [("example23", "mixture_l1"), ("needles", "w1")])
 @pytest.mark.parametrize("source", ["flags", "config"])
 def test_sweep_rejects_a_metric_its_family_lacks(tmp_path, capsys, monkeypatch, measure, metric, source):
-    # rejected as a configuration error before any family is realized
+    # the needle-mixture L1 is measured by `isolab needles` alone: neither the
+    # family `needles` nor the metric `mixture_l1` is a sweep's, and each is a
+    # configuration error before any family is realized
     calls = []
-    for module in (isolab.needles, isolab.rates):
-        monkeypatch.setattr(module, "generate_ensemble", lambda config: calls.append(config))
+    monkeypatch.setattr(isolab.needles, "generate_ensemble", lambda config: calls.append(config))
+    monkeypatch.setattr(isolab.rates, "sweep", lambda *args: calls.append(args))
     if source == "flags":
         argv = ["sweep", "--measure", measure, "--metric", metric]
     else:
@@ -160,8 +210,9 @@ def test_sweep_rejects_a_metric_its_family_lacks(tmp_path, capsys, monkeypatch, 
     code = main([*argv, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err.splitlines()
     assert code == 2
-    assert len(err) == 1 and err[0].startswith("error: ") and "mixture_l1" in err[0]
-    assert calls == []
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert (f"bad metric {metric!r}" if metric == "mixture_l1" else f"unknown sweep family {measure!r}") in err[0]
+    assert calls == [] and not (tmp_path / "out").exists()
 
 
 def test_config_file_command_mismatch(tmp_path, capsys):
@@ -257,7 +308,7 @@ def test_verify_failure_writes_partial_report(tmp_path, capsys, monkeypatch):
     "argv",
     [
         ("verify", "--p", "abc"),
-        ("verify", "--delta-grid", "1e-3,x"),
+        ("sweep", "--delta-grid", "1e-3,x"),
         ("verify", "--measure", "truncated:x"),
         ("verify", "--measure", "perturbed:x"),
         ("example23", "--measure", "truncated:x"),

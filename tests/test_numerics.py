@@ -194,6 +194,20 @@ def test_no_module_imports_a_private_name_of_another():
     assert imports == []
 
 
+def test_rates_imports_only_the_measure_layers():
+    # rates sweeps measure families: it reads measures, their distances and
+    # numerics, and nothing of the needle ensembles
+    imported = []
+    for node in ast.walk(ast.parse((Path(isolab.__file__).parent / "rates.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            prefix = ".".join(filter(None, ["isolab" if node.level else None, node.module]))
+            imported += [f"{prefix}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [a.name for a in node.names]
+    layers = {(name.split(".") + [""])[1] for name in imported if name.split(".")[0] == "isolab"}
+    assert layers == {"measure1d", "stability", "numerics", "errors"}
+
+
 def test_no_module_but_measure1d_reads_the_cell_layout():
     # a stack's sides (its rows read from either end, padded, with their
     # cumulative masses) are measure1d's own: other modules read cells
