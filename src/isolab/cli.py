@@ -61,7 +61,8 @@ class RunConfig:
     holds the ``needles`` generator overrides (keys ``needle_count``,
     ``deficit_scale``, ``bad_fraction``); ``alpha_min``/``alpha_max`` are the
     optional sweep acceptance band.  Construction checks every field's type
-    and range, since a config file may hold any JSON value, and then
+    and range, and that every number is finite, since a config file may hold
+    any JSON value (``NaN`` and ``Infinity`` among them), and then
     normalizes once: ``p_list`` becomes a sorted tuple of floats,
     ``delta_grid`` a tuple of floats and ``ensemble`` a dict.  Unknown keys
     are rejected by :meth:`from_dict`.
@@ -88,11 +89,11 @@ class RunConfig:
         for name in ("theta", "epsilon", "c_threshold", "alpha_min", "alpha_max"):
             value = getattr(self, name)
             if not _is_number(value) and not (value is None and name.startswith("alpha")):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         for name in ("p_list", "delta_grid"):
             value = getattr(self, name)
             if not isinstance(value, (list, tuple)) or not all(map(_is_number, value)):
-                raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+                raise ConfigError(f"{name} must be a list of finite numbers, got {value!r}")
         object.__setattr__(self, "p_list", tuple(sorted(float(p) for p in self.p_list)))
         object.__setattr__(self, "delta_grid", tuple(float(d) for d in self.delta_grid))
         if self.ensemble is not None:
@@ -113,7 +114,7 @@ class RunConfig:
         if not self.delta_grid:
             raise ConfigError("delta grid is empty")
         for d in self.delta_grid:
-            if not (0.0 < d and math.isfinite(d)):
+            if not 0.0 < d:
                 raise ConfigError(f"delta grid entry out of range: {d!r}")
         try:
             Metric.parse(self.metric)
@@ -129,7 +130,7 @@ class RunConfig:
                 raise ConfigError(f"unknown ensemble keys: {sorted(extra)}")
             for key, value in self.ensemble.items():
                 if not _is_number(value):
-                    raise ConfigError(f"ensemble {key} must be a number, got {value!r}")
+                    raise ConfigError(f"ensemble {key} must be a finite number, got {value!r}")
             count = self.ensemble.get("needle_count", 1)
             if not (count >= 1 and float(count).is_integer()):
                 raise ConfigError(f"ensemble needle_count must be an integer >= 1, got {count!r}")
@@ -151,8 +152,14 @@ class RunConfig:
 
 
 def _is_number(value: object) -> bool:
-    """Whether ``value`` is an int or a float, and not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """Whether ``value`` is an int or a float, not a bool, and a finite
+    float once converted."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the largest float
+        return False
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -321,7 +328,7 @@ def _build_measure(cfg: RunConfig) -> Measure1D:
 
 def _build_family(cfg: RunConfig):
     text = cfg.measure.strip()
-    if text in ("example23", "truncated", "truncated_gaussian"):
+    if text == "example23":
         return rates.Example23SweepFamily()
     if text == "gaussian":
         return rates.GaussianSweepFamily()
@@ -364,7 +371,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         report.update(talagrand=tal.to_dict(), talagrand_pass=tal.passed)
         checks["talagrand"] = bool(tal.passed)
         checks["w1_le_w2"] = w1 <= w2 + _CHECK_TOL
-        report["w1_dual_bound"] = dual = stability.w1_dual_bound(m, cfg.theta, drep.shift)
+        report["w1_dual_bound"] = dual = stability.w1_dual_bound(m, cfg.theta)
         checks["w1_le_dual_bound"] = w1 <= dual + _CHECK_TOL
     except IsolabError as exc:
         report["error"] = f"{type(exc).__name__}: {exc}"
@@ -592,9 +599,8 @@ def _selftest_battery() -> Sequence[Tuple[str, Callable[[], Optional[str]]]]:
         return None
 
     def convexity_check() -> Optional[str]:
-        good = measure1d.check_one_convexity(
-            measure1d.perturbed_gaussian_potential((0.0,), (-0.25, 0.25))
-        )
+        spec = measure1d.perturbed_gaussian_potential((0.0,), (-0.25, 0.25))
+        good = measure1d.check_one_convexity(spec)
         if not good.passed:
             return f"perturbed potential flagged, worst={good.worst_violation!r}"
         xs = np.linspace(-3.0, 3.0, 41)
@@ -603,10 +609,9 @@ def _selftest_battery() -> Sequence[Tuple[str, Callable[[], Optional[str]]]]:
             return "quarter-parabola (not 1-convex) was accepted"
         except InvalidPotentialError:
             pass
-        # the same table let past construction must fail the check itself
-        bad = measure1d.tabulated_potential(xs, 0.25 * xs**2, convexity_tol=1e6)
-        if measure1d.check_one_convexity(bad).passed:
-            return "quarter-parabola (not 1-convex) passed check_one_convexity"
+        # the slope drops by 0.5 at 0 once the cells' slopes are swapped
+        if measure1d.check_one_convexity(dataclasses.replace(spec, slopes=spec.slopes[::-1])).passed:
+            return "swapped slopes (not 1-convex) passed check_one_convexity"
         return None
 
     def minimizer_check() -> Optional[str]:

@@ -231,18 +231,13 @@ def perturbed_gaussian_potential(
     return _cells(domain, np.concatenate([[-math.inf], b, [math.inf]]), s, offsets)
 
 
-def tabulated_potential(
-    xs: Sequence[float],
-    values: Sequence[float],
-    *,
-    convexity_tol: float = 1e-9,
-) -> PotentialSpec:
+def tabulated_potential(xs: Sequence[float], values: Sequence[float]) -> PotentialSpec:
     """Potential from a table of ``(x, psi_hat(x))`` samples.
 
     The *convex part* ``t(x) = psi_hat(x) - x^2/2`` is interpolated linearly
     between the grid points, so the reconstructed potential is exactly
     1-convex provided the tabulated convex part has nondecreasing secant
-    slopes; tables violating that (beyond ``convexity_tol``) are rejected.
+    slopes; tables that fail :func:`check_one_convexity` are rejected.
     The domain is the open hull of the grid, and each grid interval is one
     cell, whose slope is the secant slope of ``t``.
     """
@@ -256,13 +251,13 @@ def tabulated_potential(
         raise InvalidPotentialError("sample abscissae must be strictly increasing")
     t = v - 0.5 * x * x
     secants = np.diff(t) / np.diff(x)
-    if np.any(np.diff(secants) < -convexity_tol):
-        worst = float(np.min(np.diff(secants)))
-        raise InvalidPotentialError(
-            f"tabulated convex part is not convex: secant slope drops by {-worst:.3e}"
-        )
-    return PotentialSpec(Interval(float(x[0]), float(x[-1])), x.copy(), secants,
+    spec = PotentialSpec(Interval(float(x[0]), float(x[-1])), x.copy(), secants,
                          t[:-1] - secants * x[:-1])
+    report = check_one_convexity(spec)
+    if not report.passed:
+        raise InvalidPotentialError(f"tabulated convex part is not convex: violation "
+                                    f"{report.worst_violation:.3e} at x = {report.worst_edge!r}")
+    return spec
 
 
 def translate_potential(spec: PotentialSpec, s: float) -> PotentialSpec:

@@ -14,10 +14,12 @@ estimates that turns per-needle isoperimetric deficits into an L^1 bound on
 ``rho`` against the Gaussian:
 
 * the disintegration identity ``int h rho dx = sum_q w_q int h dm_q``,
-* the Markov step: needles whose half-line perimeter at the theta-quantile
-  exceeds the profile by at least ``sqrt(delta)`` carry mass at most
-  ``sqrt(delta)`` when the aggregate deficit is at most ``delta``,
-* a centering criterion: needles whose quantiles ``r_q^-, r_q^+`` deviate
+* the Markov step (``classify_good``): needles whose half-line perimeter at
+  the theta-quantile exceeds the profile by at least ``sqrt(delta)`` carry
+  mass at most ``sqrt(delta)`` when the aggregate deficit is at most
+  ``delta``,
+* a centering criterion, which ``theorem31_experiment`` applies and reports
+  as ``centered_mass``: needles whose quantiles ``r_q^-, r_q^+`` deviate
   from the Gaussian quantiles ``a_theta, a_{1-theta}`` by more than
   ``C * delta^{(1-eps)/(9-3eps)}`` are set aside,
 * per-needle L^1 distances (each trivially ``<= 2``), the closed-form
@@ -52,7 +54,7 @@ import math
 import warnings
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, partial
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -82,7 +84,6 @@ __all__ = [
     "mixture_density",
     "disintegration_check",
     "classify_good",
-    "classify_centered",
     "needle_l1",
     "aggregate_l1",
     "theorem31_experiment",
@@ -237,11 +238,9 @@ class NeedleEnsemble:
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Outcome of a needle classification; the mass a given classifier did
-    not compute is left as None."""
+    """Outcome of :func:`classify_good`."""
 
-    good_mass: Optional[float]
-    centered_mass: Optional[float]
+    good_mass: float
     aggregate_deficit: float
     threshold_used: float
 
@@ -521,45 +520,21 @@ def classify_good(ens: NeedleEnsemble, delta: float) -> ClassificationReport:
         )
     return ClassificationReport(
         good_mass=good,
-        centered_mass=None,
         aggregate_deficit=agg,
         threshold_used=threshold,
     )
 
 
-def classify_centered(
-    ens: NeedleEnsemble, delta: float, c_threshold: float = 1.0
-) -> ClassificationReport:
-    """Mass of needles whose quantiles track the Gaussian quantiles.
-
-    A needle passes when ``max(|a_theta - r_minus|, |a_{1-theta} - r_plus|)
-    <= c_threshold * delta^{(1-eps)/(9-3eps)}``.  The constant is not given
-    by the theory (only the power of ``delta`` is), hence it is exposed as
-    a parameter with default 1.0.
-    """
-    return _classify_centered(ens, delta, c_threshold, _aggregate_deficit(ens))[1]
-
-
-def _classify_centered(
-    ens: NeedleEnsemble, delta: float, c_threshold: float, aggregate: float
-) -> Tuple[np.ndarray, ClassificationReport]:
-    """:func:`classify_centered`'s report, and which needles passed, for the
-    ensemble's aggregate deficit ``aggregate``."""
-    delta = float(delta)
-    if not (delta > 0.0 and math.isfinite(delta)):
-        raise DomainError(f"delta={delta!r} must be positive")
-    if not c_threshold > 0.0:
-        raise DomainError(f"c_threshold={c_threshold!r} must be positive")
-    threshold = c_threshold * delta**ens.scaling_exponent
+def _centered(ens: NeedleEnsemble, delta: float, c_threshold: float) -> np.ndarray:
+    """Which needles' quantiles track the Gaussian quantiles: those with
+    ``max(|a_theta - r_minus|, |a_{1-theta} - r_plus|) <= c_threshold *
+    delta^{(1-eps)/(9-3eps)}``.  The constant is not given by the theory
+    (only the power of ``delta`` is), hence a parameter."""
+    if not (c_threshold > 0.0 and math.isfinite(c_threshold)):
+        raise DomainError(f"c_threshold={c_threshold!r} must be positive and finite")
     dev = np.maximum(np.abs(gaussian_quantile(ens.theta) - ens.r_minus),
                      np.abs(gaussian_quantile(1.0 - ens.theta) - ens.r_plus))
-    centered = dev <= threshold
-    return centered, ClassificationReport(
-        good_mass=None,
-        centered_mass=float(np.dot(ens.weights, centered.astype(float))),
-        aggregate_deficit=aggregate,
-        threshold_used=threshold,
-    )
+    return dev <= c_threshold * delta**ens.scaling_exponent
 
 
 # -- L^1 quantities -----------------------------------------------------------
@@ -621,9 +596,8 @@ def theorem31_experiment(
     reported, not fatal.
     """
     good_rep = classify_good(ens, delta)
-    cent_mask, cent_rep = _classify_centered(ens, delta, c_threshold, good_rep.aggregate_deficit)
-    both = (ens.perimeter < good_rep.threshold_used) & cent_mask
-    w = ens.weights
+    w, centered = ens.weights, _centered(ens, float(delta), c_threshold)
+    both = (ens.perimeter < good_rep.threshold_used) & centered
     both_mass = float(np.dot(w, both.astype(float)))
     bad_mass = 1.0 - both_mass
 
@@ -651,8 +625,8 @@ def theorem31_experiment(
         epsilon=ens.epsilon,
         mixture_l1=agg.mixture_l1,
         rate_bound_exponent=alpha,
-        good_mass=float(good_rep.good_mass),
-        centered_mass=float(cent_rep.centered_mass),
+        good_mass=good_rep.good_mass,
+        centered_mass=float(np.dot(w, centered.astype(float))),
         bad_mass=bad_mass,
         good_contribution=good_contribution,
         needlewise_sum=agg.needlewise_sum,

@@ -7,12 +7,16 @@ Gaussian profile ``exp(-psi_g(a_theta))``.  The *deficit*
 
     delta = exp(-psi(a_theta)) - exp(-psi_g(a_theta))  >= 0
 
-is the smallness parameter of every estimate in this module:
+is the smallness parameter of every estimate in this module.
+:func:`deficit` reads it once, at ``m``'s own ``theta``-quantile, with the
+shift that moves that point to ``a_theta``; each estimate that centers ``m``
+translates it by that shift:
 
-* two-sided potential-gap bounds: ``psi - psi_g`` dominates its tangent line
-  of slope ``psi'_+(a_theta) - a_theta`` up to ``O(delta)`` from below on all
-  of ``I``, and stays within ``O(sqrt(delta))`` of it from above on a window
-  around ``a_theta`` that widens as ``delta`` shrinks;
+* :func:`check_gap_bounds`, the two-sided potential-gap bounds: ``psi -
+  psi_g`` dominates its tangent line of slope ``psi'_+(a_theta) - a_theta``
+  up to ``O(delta)`` from below on all of ``I``, and stays within
+  ``O(sqrt(delta))`` of it from above on a window around ``a_theta`` that
+  widens as ``delta`` shrinks; its report carries the slope and the window;
 * ``lp_distance``: the L^p(gamma) distance of the density ratio
   ``exp(psi_g - psi)`` from 1, with the convention that the ratio is 0 off
   ``I`` (so the integrand is 1 there, weighted by ``gamma(R \\ I)``), in
@@ -72,9 +76,7 @@ __all__ = [
     "TalagrandReport",
     "Example23Family",
     "Example23ClosedForms",
-    "center",
     "deficit",
-    "slope_gap",
     "check_gap_bounds",
     "lp_distance",
     "relative_entropy",
@@ -191,22 +193,6 @@ class Example23ClosedForms:
     lp: Callable[[float], float]
 
 
-def center(m: Measure1D, theta: float) -> Tuple[Measure1D, float]:
-    """Translate ``m`` so its ``theta``-quantile sits at ``a_theta``.
-
-    Returns ``(m_centered, shift)`` where ``shift = a_theta - quantile(m,
-    theta)`` is the translation applied; centering a measure twice is a
-    no-op and a pre-translated Gaussian comes back standard.  Translation
-    preserves 1-convexity and normalization.
-    """
-    theta = float(theta)
-    if not 0.0 < theta < 1.0:
-        raise DomainError(f"center: theta={theta!r} outside (0, 1)")
-    a_theta = gaussian_quantile(theta)
-    shift = a_theta - m.quantile(theta)
-    return m.translate(shift), shift
-
-
 def deficit(m: Measures, theta: float) -> DeficitReport:
     """Isoperimetric deficit of the half-line at ``a_theta``, of a measure
     or of measures sharing a cell count (read on their stack).
@@ -227,33 +213,6 @@ def deficit(m: Measures, theta: float) -> DeficitReport:
                          deficit=_shaped(peri - prof, m))
 
 
-def slope_gap(m: Measure1D, theta: float) -> float:
-    """Right-slope mismatch ``psi'_+(a_theta) - a_theta`` after centering.
-
-    Zero for the Gaussian and for any family whose potential is ``x^2/2 +
-    const`` near ``a_theta``; equals the kink size for a potential with a
-    slope jump exactly at ``a_theta``.  Translation moves the slope with
-    the point, so it is read at ``m``'s own ``theta``-quantile.
-    """
-    return float(m.potential.right_derivative(m.quantile(theta))) - gaussian_quantile(theta)
-
-
-def default_gap_window(centered: Measure1D, theta: float, delta: float) -> Interval:
-    """Default window for the upper gap bound of a measure centered at
-    ``theta`` (as :func:`center` returns it):
-    ``[a_theta - sqrt(2 ln(1/delta)), a_theta + sqrt(2 ln(1/delta))]``
-    intersected with the domain (it widens as the deficit shrinks)."""
-    a_theta = gaussian_quantile(theta)
-    if delta >= 1.0 or delta <= 0.0:
-        half = 1.0
-    else:
-        half = math.sqrt(2.0 * math.log(1.0 / delta))
-    win = Interval(a_theta - half, a_theta + half).intersect(centered.domain)
-    if win is None:  # cannot happen: a_theta is interior after centering
-        raise DomainError("window does not intersect the centered domain")
-    return win
-
-
 def check_gap_bounds(
     m: Measure1D,
     theta: float,
@@ -266,8 +225,9 @@ def check_gap_bounds(
     ``m`` is centered once, by the shift of its :func:`deficit` report,
     whose deficit is the ``delta`` of both bounds.  The lower bound's range
     is the domain cut to its ``[1e-12, 1 - 1e-12]`` quantiles and to the
-    tail cutoff, widened to hold the window; the upper bound's range is
-    :func:`default_gap_window`.
+    tail cutoff, widened to hold the window; the upper bound's range is the
+    window ``a_theta +- sqrt(2 ln(1/delta))`` (``+- 1`` for ``delta >= 1``)
+    cut to the domain, which widens as the deficit shrinks.
     On each cell ``g(x) = psi(x) - psi_g(x) - s*(x - a_theta)`` is linear,
     so its extrema over a range lie at the range ends and the cell edges
     inside it, and ``g`` is evaluated there only: the constants are exact
@@ -278,7 +238,9 @@ def check_gap_bounds(
     """
     rep = deficit(m, theta)
     centered, a_theta, delta = m.translate(rep.shift), rep.a_theta, rep.deficit
-    window = default_gap_window(centered, theta, max(delta, _EQUALITY_TOL))
+    small = max(delta, _EQUALITY_TOL)
+    half = math.sqrt(2.0 * math.log(1.0 / small)) if small < 1.0 else 1.0
+    window = Interval(a_theta - half, a_theta + half).intersect(centered.domain)
     sg = float(centered.potential.right_derivative(a_theta)) - a_theta
     clip_lo, clip_hi = centered.quantile(np.array([_T_CLIP, 1.0 - _T_CLIP])).tolist()
     lo = max(min(window.lo, clip_lo), -TAIL_CUTOFF)
@@ -543,7 +505,7 @@ def talagrand_check(m: Measure1D) -> TalagrandReport:
     return TalagrandReport(lhs=lhs, rhs=rhs, passed=bool(lhs <= rhs + 1e-8))
 
 
-def w1_dual_bound(m: Measure1D, theta: float, shift: Optional[float] = None) -> float:
+def w1_dual_bound(m: Measure1D, theta: float) -> float:
     """Kantorovich-Rubinstein style upper bound for ``W_1(m, gamma)``:
     ``int |x - a_theta| * |exp(psi_g - psi) - 1| dgamma`` with the off-domain
     ratio-0 convention (the integrand is ``|x - a_theta|`` times the Gaussian
@@ -551,11 +513,11 @@ def w1_dual_bound(m: Measure1D, theta: float, shift: Optional[float] = None) -> 
     a_theta`` over the pieces between the cell edges, the ratio crossings and
     ``a_theta``, where the integrand keeps its sign.  The test function ``x
     -> |x - a_theta|`` is 1-Lipschitz, which makes this a valid dual bound.
-    ``m`` is centered internally, by ``shift`` when the caller holds it (as
-    :func:`deficit` reports it); for a centered measure ``w1_to_gaussian(m)
-    <= w1_dual_bound(m, theta) + 1e-8``."""
-    st = (center(m, theta)[0] if shift is None else m.translate(shift)).cells
-    a_theta = gaussian_quantile(theta)
+    ``m`` is centered internally, by the shift of its :func:`deficit`
+    report; for a centered measure ``w1_to_gaussian(m) <= w1_dual_bound(m,
+    theta) + 1e-8``."""
+    rep = deficit(m, theta)
+    st, a_theta = m.translate(rep.shift).cells, rep.a_theta
     cuts = np.concatenate([st.edges, _ratio_crossings(st.edges, st.beta, st.log_amp), [[a_theta]]], 1)
     return float(_moment_gap(st, cuts, a_theta)[0])
 

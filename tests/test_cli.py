@@ -63,6 +63,8 @@ def test_runconfig_rejects_unknown_keys():
         {"command": "needles", "ensemble": {"needle_count": "abc"}},
         {"command": "needles", "ensemble": {"deficit_scale": "abc"}},
         {"command": "needles", "ensemble": {"bad_fraction": [0.1]}},
+        {"command": "verify", "p_list": [10**400]},  # these two were OverflowError tracebacks
+        {"command": "needles", "ensemble": {"needle_count": 10**400}},
     ],
 )
 def test_runconfig_validation(kwargs):
@@ -118,6 +120,43 @@ def test_config_file_values_of_a_wrong_type_are_config_errors(tmp_path, capsys, 
     err = capsys.readouterr().err.splitlines()
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error: ") and next(iter(data)) in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("source", ["flags", "config"])
+@pytest.mark.parametrize(
+    "command, key, flag, value",
+    [
+        ("sweep", "alpha_min", "--alpha-min", "nan"),  # ran the sweep, then [FAIL] exponent_in_band
+        ("sweep", "alpha_max", "--alpha-max", "-inf"),
+        ("needles", "c_threshold", "--c-threshold", "inf"),  # every needle counted as centered
+        ("verify", "theta", "--theta", "nan"),
+        ("needles", "epsilon", "--epsilon", "nan"),
+        ("verify", "p_list", "--p", "inf"),
+        ("sweep", "delta_grid", "--delta-grid", "nan"),
+        ("needles", "deficit_scale", "--deficit-scale", "inf"),
+    ],
+    ids=lambda v: v,
+)
+def test_config_numbers_must_be_finite(tmp_path, capsys, monkeypatch, command, key, flag, value, source):
+    calls = []
+    monkeypatch.setitem(isolab.cli._COMMANDS, command, lambda cfg, **extra: calls.append(cfg))
+    argv = [command]
+    if source == "flags":
+        argv.append(f"{flag}={value}")
+    else:
+        number = float(value)
+        data = {key: [number]} if key in ("p_list", "delta_grid") else {key: number}
+        if key in _ENSEMBLE_KEYS:
+            data = {"ensemble": data}
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps(data))
+        argv += ["--config", str(cfg_file)]
+    code = main([*argv, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: ") and key in err[0] and "finite" in err[0]
+    assert calls == []
     assert not (tmp_path / "out").exists()
 
 
@@ -490,11 +529,13 @@ def test_sweep_rejects_empty_grid_and_unknown_family(tmp_path, capsys):
     assert code == 2
     assert "empty numeric list" in capsys.readouterr().err
 
-    code = main(
-        ["sweep", "--measure", "witch-hat", "--out", str(tmp_path)]
-    )
-    assert code == 2
-    assert "unknown sweep family" in capsys.readouterr().err
+    # truncated was an undocumented alias of example23
+    for family in ("witch-hat", "truncated", "truncated_gaussian"):
+        code = main(
+            ["sweep", "--measure", family, "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert "unknown sweep family" in capsys.readouterr().err
 
 
 # -- needles ------------------------------------------------------------------

@@ -23,8 +23,8 @@ from isolab import (
     PotentialSpec,
     boundary_set,
     brute_force_minimizer,
-    center,
     check_one_convexity,
+    deficit,
     gaussian_measure,
     gaussian_potential,
     gaussian_profile,
@@ -75,6 +75,18 @@ def test_tabulated_rejects_non_one_convex_table():
     xs = np.linspace(-2.0, 2.0, 41)
     with pytest.raises(InvalidPotentialError):
         tabulated_potential(xs, 0.25 * xs**2)  # psi - x^2/2 concave
+
+
+@pytest.mark.parametrize("drop, accepted", [(5e-10, True), (2e-9, False)])
+def test_tabulated_keeps_the_checks_slope_drop_bound(drop, accepted):
+    # one rule for tables: a secant slope may drop by at most 1e-9
+    xs = np.linspace(-2.0, 2.0, 5)
+    values = 0.5 * xs**2 - drop * np.maximum(xs, 0.0)
+    if accepted:
+        assert check_one_convexity(tabulated_potential(xs, values)).passed
+    else:
+        with pytest.raises(InvalidPotentialError):
+            tabulated_potential(xs, values)
 
 
 def test_knots_follow_translation():
@@ -253,10 +265,15 @@ def test_translate_keeps_the_log_amplitudes_bit_for_bit(s):
     np.testing.assert_array_equal(moved.potential.edges, m.potential.edges + s, strict=True)
 
 
+def centered(m, theta):
+    """``m`` translated by the centering shift of its deficit report."""
+    return m.translate(deficit(m, theta).shift)
+
+
 def test_centering_twice_keeps_the_log_amplitudes():
     m = PerturbedSweepFamily.seeded(3).measure_at(1.0)
-    once = center(m, 0.3)[0]
-    twice = center(once, 0.3)[0]
+    once = centered(m, 0.3)
+    twice = centered(once, 0.3)
     np.testing.assert_array_equal(once.log_amp, m.log_amp, strict=True)
     np.testing.assert_array_equal(twice.log_amp, m.log_amp, strict=True)
 
@@ -270,17 +287,16 @@ def test_translate_moves_quantiles():
 
 def test_center_puts_quantile_at_a_theta():
     for theta in (0.2, 0.5, 0.8):
-        centered, shift = center(KINKED, theta)
+        shift = deficit(KINKED, theta).shift
         a_theta = gaussian_quantile(theta)
-        assert centered.quantile(theta) == pytest.approx(a_theta, abs=1e-9)
+        assert centered(KINKED, theta).quantile(theta) == pytest.approx(a_theta, abs=1e-9)
         assert shift == pytest.approx(a_theta - KINKED.quantile(theta), abs=1e-12)
 
 
 def test_center_undoes_translation_of_gaussian():
     shifted = GAUSSIAN.translate(0.61)
-    centered, shift = center(shifted, 0.5)
-    assert shift == pytest.approx(-0.61, abs=1e-9)
-    assert centered.quantile(0.5) == pytest.approx(0.0, abs=1e-9)
+    assert deficit(shifted, 0.5).shift == pytest.approx(-0.61, abs=1e-9)
+    assert centered(shifted, 0.5).quantile(0.5) == pytest.approx(0.0, abs=1e-9)
 
 
 # -- convexity check ----------------------------------------------------------
@@ -295,10 +311,17 @@ def test_one_convexity_accepts_the_construction():
         assert (report.worst_edge is None) == (spec is not KINKED.potential)
 
 
+def table_spec(xs, values):
+    """The cells :func:`tabulated_potential` would build from the table,
+    built without its convexity check: the checker itself must catch it."""
+    t = values - 0.5 * xs * xs
+    secants = np.diff(t) / np.diff(xs)
+    return PotentialSpec(Interval(xs[0], xs[-1]), xs, secants, t[:-1] - secants * xs[:-1])
+
+
 def test_one_convexity_rejects_quarter_parabola():
     xs = np.linspace(-2.0, 2.0, 41)
-    # sneak the non-1-convex table past construction, the checker must catch it
-    spec = tabulated_potential(xs, 0.25 * xs**2, convexity_tol=1e6)
+    spec = table_spec(xs, 0.25 * xs**2)
     report = check_one_convexity(spec)
     assert not report.passed
     assert report.worst_violation > 1e-3
@@ -308,7 +331,7 @@ def test_one_convexity_finds_a_slope_drop_far_from_the_minimum():
     # psi_hat - x^2/2 loses 0.05 of slope at x = 12, 12 away from its minimum
     xs = np.linspace(-20.0, 20.0, 41)
     convex = np.where(xs > 12.0, -0.05 * (xs - 12.0), 0.0)
-    spec = tabulated_potential(xs, 0.5 * xs**2 + convex, convexity_tol=1.0)
+    spec = table_spec(xs, 0.5 * xs**2 + convex)
     report = check_one_convexity(spec)
     assert not report.passed
     assert report.worst_edge == 12.0

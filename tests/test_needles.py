@@ -22,7 +22,6 @@ from isolab import (
     NeedleEnsemble,
     aggregate_l1,
     check_one_convexity,
-    classify_centered,
     classify_good,
     disintegration_check,
     gaussian_cdf,
@@ -402,7 +401,6 @@ def test_aggregate_l1_all_gaussian_is_zero():
 def test_classify_good_all_gaussian():
     rep = classify_good(single_needle(GAUSSIAN), 1e-4)
     assert rep.good_mass == 1.0
-    assert rep.centered_mass is None
     assert abs(rep.aggregate_deficit) <= 1e-10
 
 
@@ -417,16 +415,15 @@ def test_classify_good_markov_bound():
 
 
 def test_classify_centered_all_gaussian():
-    rep = classify_centered(single_needle(GAUSSIAN), 1e-4)
-    assert rep.centered_mass == 1.0
-    assert rep.good_mass is None
+    assert theorem31_experiment(single_needle(GAUSSIAN), 1e-4).centered_mass == 1.0
 
 
 def test_classify_centered_vacuous_threshold():
     # far-shifted needles still count once the threshold swallows the line
     ens = gaussian_pair(2.0)
-    strict = classify_centered(ens, 1e-4, c_threshold=1.0)
-    vacuous = classify_centered(ens, 1e-4, c_threshold=1e6)
+    with pytest.warns(RuntimeWarning, match="preconditions not met"):
+        strict = theorem31_experiment(ens, 1e-4, c_threshold=1.0)
+    vacuous = theorem31_experiment(ens, 1e-4, c_threshold=1e6)
     assert strict.centered_mass == 0.0
     assert vacuous.centered_mass == 1.0
 
@@ -435,8 +432,9 @@ def test_classify_validation():
     ens = single_needle(GAUSSIAN)
     with pytest.raises(DomainError):
         classify_good(ens, -1.0)
-    with pytest.raises(DomainError):
-        classify_centered(ens, 1e-3, c_threshold=0.0)
+    for c in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            theorem31_experiment(ens, 1e-3, c_threshold=c)
 
 
 @pytest.mark.parametrize("s", range(50, 2001, 50))

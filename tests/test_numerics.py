@@ -221,6 +221,24 @@ def test_no_module_but_measure1d_reads_the_cell_layout():
     assert reads == []
 
 
+def test_every_public_name_is_read_outside_the_package_init():
+    # no API that nothing calls: each name of isolab.__all__ is loaded in a
+    # module of the package or in the benchmark, as a bare name or as an
+    # attribute of isolab or one of its modules
+    package = Path(isolab.__file__).parent
+    modules = {"isolab", *(path.stem for path in package.glob("*.py"))}
+    paths = [path for path in package.glob("*.py") if path.name != "__init__.py"]
+    paths += sorted((Path(__file__).parent.parent / "bench").glob("*.py"))
+    loaded = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+                loaded.add(node.attr)
+    assert sorted(set(isolab.__all__) - loaded) == []
+
+
 # -- integrate ----------------------------------------------------------------
 
 

@@ -18,9 +18,7 @@ from isolab import (
     DEFAULT_DELTA_GRID,
     DomainError,
     Example23SweepFamily,
-    center,
     check_gap_bounds,
-    default_gap_window,
     deficit,
     example23,
     gaussian_measure,
@@ -30,7 +28,6 @@ from isolab import (
     perturbed_gaussian_potential,
     PerturbedSweepFamily,
     relative_entropy,
-    slope_gap,
     talagrand_check,
     tabulated_potential,
     truncated_gaussian_potential,
@@ -42,6 +39,13 @@ from isolab import (
 GAUSSIAN = gaussian_measure()
 TRUNCATED_2 = normalize(truncated_gaussian_potential(2.0))
 KINKED = normalize(perturbed_gaussian_potential((-0.4, 0.9), (-0.5, 0.0, 0.7)))
+
+
+def side_centered(m, theta):
+    """``m`` translated so that its ``theta``-quantile, read by the side
+    inversion ``Measure1D.quantile`` rather than the theta-point read of
+    :func:`deficit`, sits at ``a_theta``."""
+    return m.translate(gaussian_quantile(theta) - m.quantile(theta))
 
 
 # -- deficit ------------------------------------------------------------------
@@ -103,8 +107,8 @@ def test_deficit_nonnegative_property(b, step, tilt, theta):
 
 
 def test_slope_gap_smooth_cases():
-    assert slope_gap(GAUSSIAN, 0.3) == pytest.approx(0.0, abs=1e-9)
-    assert slope_gap(TRUNCATED_2, 0.5) == pytest.approx(0.0, abs=1e-9)
+    assert check_gap_bounds(GAUSSIAN, 0.3).slope_gap == pytest.approx(0.0, abs=1e-9)
+    assert check_gap_bounds(TRUNCATED_2, 0.5).slope_gap == pytest.approx(0.0, abs=1e-9)
 
 
 # -- example 2.3 closed forms -------------------------------------------------
@@ -358,20 +362,19 @@ def test_w1_meets_its_tolerance_against_the_cdf_form(family, theta, rtol):
 
 def test_w1_dual_bound_dominates():
     for m, theta in ((TRUNCATED_2, 0.5), (KINKED, 0.3)):
-        c, _ = center(m, theta)
-        assert w1_to_gaussian(c) <= w1_dual_bound(m, theta) + 1e-8
+        assert w1_to_gaussian(side_centered(m, theta)) <= w1_dual_bound(m, theta) + 1e-8
 
 
-def test_w1_dual_bound_takes_the_shift_it_is_given(monkeypatch):
+def test_w1_dual_bound_reads_no_quantile(monkeypatch):
     # the shift of the deficit report centers the measure: no quantile read
     cases = ((TRUNCATED_2, 0.5), (KINKED, 0.3), (KINKED, 0.8))
-    want = [w1_dual_bound(m, theta) for m, theta in cases]
-    shifts = [deficit(m, theta).shift for m, theta in cases]
+    want = [float(_w1_dual_bound_quadpack(m, theta)) for m, theta in cases]
     reads = []
     quantile = isolab.Measure1D.quantile
     monkeypatch.setattr(isolab.Measure1D, "quantile", lambda self, t: reads.append(t) or quantile(self, t))
-    assert [w1_dual_bound(m, theta, s) for (m, theta), s in zip(cases, shifts)] == want
+    got = [w1_dual_bound(m, theta) for m, theta in cases]
     assert reads == []
+    assert got == pytest.approx(want, rel=1e-10)
 
 
 def test_w1_dual_bound_tails_in_closed_form():
@@ -386,7 +389,7 @@ def _w1_dual_bound_quadpack(m, theta):
     ``log f - log phi``, linear on each cell, is 0; ``f`` is 0 off the domain."""
     from scipy import integrate as quadpack
 
-    c, _ = center(m, theta)
+    c = side_centered(m, theta)
     a = gaussian_quantile(theta)
     edges, beta, log_amp = c.cells.edges[0], c.cells.beta[0], c.cells.log_amp[0]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -460,7 +463,7 @@ def test_gap_constants_are_extrema_over_range_ends_and_edges():
     # coarser than the cell misses it
     m = normalize(perturbed_gaussian_potential((0.0, 0.001), (-0.5, 0.0, 0.5)))
     rep = check_gap_bounds(m, 0.5)
-    centered, _ = center(m, 0.5)
+    centered = side_centered(m, 0.5)
     a_theta = gaussian_quantile(0.5)
     lo = max(min(rep.window.lo, centered.quantile(1e-12)), -TAIL_CUTOFF)
     hi = min(max(rep.window.hi, centered.quantile(1.0 - 1e-12)), TAIL_CUTOFF)
@@ -484,10 +487,21 @@ def test_gap_constants_are_extrema_over_range_ends_and_edges():
 
 def test_default_gap_window_widens_as_deficit_shrinks():
     a = gaussian_quantile(0.3)
-    narrow = default_gap_window(GAUSSIAN, 0.3, 1e-2)
-    wide = default_gap_window(GAUSSIAN, 0.3, 1e-6)
-    assert narrow.lo < a < narrow.hi and wide.lo < a < wide.hi
-    assert wide.length > narrow.length
+    halves, lengths = [], []
+    for D in (2.0, 4.0):
+        m = normalize(truncated_gaussian_potential(D))
+        rep, shift = check_gap_bounds(m, 0.3), deficit(m, 0.3).shift
+        # a_theta +- sqrt(2 ln(1/delta)), cut to the centered domain
+        half = math.sqrt(2.0 * math.log(1.0 / rep.deficit))
+        assert rep.window.lo == pytest.approx(max(a - half, -D + shift), rel=1e-12)
+        assert rep.window.hi == pytest.approx(min(a + half, D + shift), rel=1e-12)
+        halves.append(half)
+        lengths.append(rep.window.length)
+    assert halves[1] > halves[0] and lengths[1] > lengths[0]
+    # on the whole line nothing is cut
+    rep = check_gap_bounds(KINKED, 0.3)
+    half = math.sqrt(2.0 * math.log(1.0 / rep.deficit))
+    assert (rep.window.lo, rep.window.hi) == pytest.approx((a - half, a + half), rel=1e-12)
 
 
 # Radii of oracle_erf.truncation_radius_decimal, a 100-digit bisection of the
