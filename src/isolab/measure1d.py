@@ -18,8 +18,9 @@ that bound is, so this module provides:
   piecewise-linear perturbations of it and tabulated potentials,
 * :class:`MeasureStack`, probability measures sharing a cell count as
   normalized cells ``(edges, beta, log_amp)`` with a row per measure, the
-  one reader of such cells, and :class:`Measure1D`, one such row and
-  nothing else, held as a stack of one that answers each of its reads,
+  one reader of such cells, which reads upper tails as the lower tails of
+  its mirror image, and :class:`Measure1D`, one such row and nothing else,
+  held as a stack of one that answers each of its reads,
 * an exact :func:`check_one_convexity` test on the cell edges: ``psi_hat -
   x^2/2`` is convex when it neither jumps nor loses slope at any of them,
 * perimeter of finite unions of intervals (sum of ``exp(-psi)`` over the
@@ -50,7 +51,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -349,9 +350,10 @@ class Measure1D:
         """``exp(-psi)`` on the domain, 0 outside (and at the endpoints)."""
 
         def impl(a: np.ndarray) -> np.ndarray:
-            inside = (a > self.domain.lo) & (a < self.domain.hi)
+            k = cell_index(self.cells.edges[0], a)
             with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-                return np.where(inside, np.exp(self.cells.left.log_density(a)), 0.0)
+                density = np.exp(_cell_log_density(a, self.cells.beta[0][k], self.log_amp[k]))
+            return np.where((a > self.domain.lo) & (a < self.domain.hi), density, 0.0)
 
         return _vec(impl, x)
 
@@ -370,9 +372,10 @@ class Measure1D:
     cdf = cdf_many
 
     def sf(self, x: ArrayLike) -> ArrayLike:
-        """Mass of ``(x, inf)``; floats or arrays.  Summed from the right
-        end, so it keeps its relative precision where ``1 - cdf`` cancels."""
-        return _vec(lambda a: self.cells.right.mass_below(-a), x)
+        """Mass of ``(x, inf)``; floats or arrays: the cdf of the mirrored
+        measure at ``-x``, summed from the right end, so it keeps its
+        relative precision where ``1 - cdf`` cancels."""
+        return _vec(lambda a: self.cells._mirror.cdf(-a), x)
 
     def quantile(self, theta: ArrayLike) -> ArrayLike:
         """Generalized inverse of the cdf on (0, 1); floats or arrays: the
@@ -408,52 +411,6 @@ class Measure1D:
         return q_hi - q_lo
 
 
-class _Side(NamedTuple):
-    """A normalized measure's cells read from one end: ``log_amp[i]`` is the
-    log of the mass of cell ``i``'s Gaussian ``exp(-psi)`` over the whole line
-    and ``cum[i]`` the mass below ``edges[i]``.  A cell is inverted from its
-    lower end, or from its upper end (``sign[i] = -1``) when it lies in the
-    upper half of its Gaussian: ``base[i]`` is the mass below that end and
-    ``start[i]`` the log of ``Phi(sign[i] * (end + beta_i))``.  Every field
-    holds ``width`` entries per measure (cell fields padded by one)."""
-
-    edges: np.ndarray
-    slopes: np.ndarray
-    log_amp: np.ndarray
-    cum: np.ndarray
-    sign: np.ndarray
-    start: np.ndarray
-    base: np.ndarray
-    width: int
-
-    def _cell(self, ends: np.ndarray, x: np.ndarray, side: str, row) -> np.ndarray:
-        """Flat index of the entry of ``ends`` opening the cell of ``x``."""
-        if row is None:
-            return cell_index(ends, x, side=side)
-        return row * self.width + cell_index(ends.reshape(-1, self.width), x, row, side)
-
-    def mass_below(self, x: np.ndarray, row=None) -> np.ndarray:
-        """Mass of ``(-inf, x]``: the cells below ``x`` plus the ``Phi``
-        difference inside the cell of ``x``."""
-        k = self._cell(self.edges, x, "right", row)
-        x = np.minimum(np.maximum(x, self.edges[k]), self.edges[k + 1])
-        beta = self.slopes[k]
-        part = np.exp(self.log_amp[k] + gaussian_log_mass(self.edges[k] + beta, x + beta))
-        return np.minimum(self.cum[k] + part, 1.0)
-
-    def log_density(self, x: np.ndarray) -> np.ndarray:
-        """The log density at ``x`` of a measure's one row, on the cell holding it."""
-        k = cell_index(self.edges, x)
-        return _cell_log_density(x, self.slopes[k], self.log_amp[k])
-
-    def invert(self, mass: np.ndarray, row=None) -> Tuple[np.ndarray, tuple]:
-        """The point with ``mass`` below it, for ``0 < mass <= 1/2``, and its cell
-        ``k``, ``cum[k] < mass <= cum[k+1]``, as ``(lo, hi, slope, log amplitude)``."""
-        k = self._cell(self.cum, mass, "left", row)
-        cell = self.edges[k], self.edges[k + 1], self.slopes[k], self.log_amp[k]
-        return _cell_quantile(*cell, self.sign[k], self.start[k], self.base[k], mass), cell
-
-
 class MeasureStack(Sequence):
     """Probability measures sharing a cell count, as normalized cells with a
     row per measure: row ``i`` has density ``exp(log_amp[i, j]) * phi(x +
@@ -462,8 +419,9 @@ class MeasureStack(Sequence):
     normalized cells: :meth:`normalized` scales rows to mass 1, :meth:`cdf`
     and :attr:`knot_cdf` read masses, :meth:`invert` and
     :meth:`theta_point` points; a read takes the row of each point, or none
-    for a stack of one row.  Inside this module :attr:`left` and
-    :attr:`right` read the rows from either end, each built on first use."""
+    for a stack of one row.  A stack reads its rows from its lower end, with
+    their cumulative masses and each cell's inversion end built on first
+    use; its upper ends are the lower ends of its mirror, ``x -> -x``."""
 
     def __init__(self, edges: np.ndarray, beta: np.ndarray, log_amp: np.ndarray) -> None:
         self.edges, self.beta, self.log_amp = edges, beta, log_amp
@@ -488,38 +446,64 @@ class MeasureStack(Sequence):
 
     @cached_property
     def _mass(self) -> np.ndarray:
-        """Each cell's mass, which both sides sum."""
+        """Each cell's mass."""
         return np.exp(cell_log_masses(self.edges, self.beta, self.log_amp))
 
-    def _side(self, edges: np.ndarray, beta: np.ndarray, log_amp: np.ndarray, mass: np.ndarray) -> _Side:
-        n, width = edges.shape
-        cum = np.concatenate([np.zeros((n, 1)), np.cumsum(mass, axis=1)], 1)
-        cells = np.full((5, n, width), np.nan)  # the cell fields, padded by one
-        cells[:, :, :-1] = (beta, log_amp, *_inversion_end(edges[:, :-1], edges[:, 1:], beta,
-                                                            cum[:, :-1], cum[:, 1:]))
-        beta, log_amp, sign, start, base = cells.reshape(5, -1)
-        return _Side(edges.ravel(), beta, log_amp, cum.ravel(), sign, start, base, width)
+    @cached_property
+    def _cum(self) -> np.ndarray:
+        """Each row's mass below each of its edges."""
+        return np.concatenate([np.zeros((len(self), 1)), np.cumsum(self._mass, axis=1)], 1)
 
     @cached_property
-    def left(self) -> _Side:
-        """Every row seen from the left end."""
-        return self._side(self.edges, self.beta, self.log_amp, self._mass)
+    def _flat(self) -> Tuple[np.ndarray, ...]:
+        """Edges and cumulative masses, then slopes and log amplitudes,
+        flattened: cell ``k`` of row ``r`` is entry ``r*cells + k`` of a
+        cell field, and its lower edge entry ``r*cells + k + r``."""
+        return self.edges.ravel(), self._cum.ravel(), self.beta.ravel(), self.log_amp.ravel()
 
     @cached_property
-    def right(self) -> _Side:
-        """Every row mirrored (``x -> -x``) so that its right end comes
-        first: upper tails are lower tails of the mirror, as precise."""
-        return self._side(-self.edges[:, ::-1], -self.beta[:, ::-1], self.log_amp[:, ::-1],
-                          self._mass[:, ::-1])
+    def _ends(self) -> Tuple[np.ndarray, ...]:
+        """Each cell's inversion end (:func:`_inversion_end`), flattened."""
+        e, c = self.edges, self._cum
+        return tuple(a.ravel() for a in _inversion_end(e[:, :-1], e[:, 1:], self.beta, c[:, :-1], c[:, 1:]))
+
+    @cached_property
+    def _mirror(self) -> "MeasureStack":
+        """The rows under ``x -> -x``: their upper tails are its lower tails, as precise."""
+        mirror = MeasureStack(-self.edges[:, ::-1], -self.beta[:, ::-1], self.log_amp[:, ::-1])
+        mirror._mass = self._mass[:, ::-1]
+        return mirror
+
+    def _cell(self, ends: np.ndarray, x: np.ndarray, side: str, row) -> Tuple[np.ndarray, np.ndarray]:
+        """The flat index of the cell of each ``x`` among ``ends``, a row of
+        edge-aligned values per measure, and of its lower end."""
+        if row is None:
+            k = cell_index(ends[0], x, side=side)
+            return k, k
+        k = row * (ends.shape[1] - 1) + cell_index(ends, x, row, side)
+        return k, k + row
 
     def cdf(self, x: np.ndarray, row=None) -> np.ndarray:
-        """Mass of ``(-inf, x]``, summed from the left end."""
-        return self.left.mass_below(x, row)
+        """Mass of ``(-inf, x]``: the cells below ``x`` plus the ``Phi``
+        difference inside the cell of ``x``."""
+        k, e = self._cell(self.edges, x, "right", row)
+        edges, cum, beta, log_amp = self._flat
+        x, beta = np.minimum(np.maximum(x, edges[e]), edges[e + 1]), beta[k]
+        part = np.exp(log_amp[k] + gaussian_log_mass(edges[e] + beta, x + beta))
+        return np.minimum(cum[e] + part, 1.0)
 
     @property
     def knot_cdf(self) -> np.ndarray:
         """Each row's cdf at its interior edges, its cells' cumulative masses."""
-        return self.left.cum.reshape(len(self), -1)[:, 1:-1]
+        return self._cum[:, 1:-1]
+
+    def _below(self, mass: np.ndarray, row) -> Tuple[np.ndarray, tuple]:
+        """The point with ``mass`` below it, for ``0 < mass <= 1/2``, and its cell
+        ``k``, ``cum[k] < mass <= cum[k+1]``, as ``(lo, hi, slope, log amplitude)``."""
+        k, e = self._cell(self._cum, mass, "left", row)
+        edges, _, beta, log_amp = self._flat
+        cell = edges[e], edges[e + 1], beta[k], log_amp[k]
+        return _cell_quantile(*cell, *(a[k] for a in self._ends), mass), cell
 
     def invert(self, tail: np.ndarray, upper: np.ndarray, row=None) -> np.ndarray:
         """The point with the mass ``tail`` (in ``(0, 1/2]``) below it, or
@@ -527,34 +511,28 @@ class MeasureStack(Sequence):
         return self._invert(tail, upper, row)[0]
 
     def _invert(self, tail: np.ndarray, upper: np.ndarray, row) -> Tuple[np.ndarray, list]:
-        """:meth:`invert`'s points and, per side read, its mask, the points
-        it inverted and their cells ``(lo, hi, slope, log amplitude)``.  The
-        one choice of a side: a mass below is inverted from the left end, a
-        mass above from the (mirrored) right end, and a side is built only
-        when it is read."""
+        """:meth:`invert`'s points and, per end read, its mask, the points
+        it inverted and their cells ``(lo, hi, slope, log amplitude)``: a
+        mass below is inverted from this stack, a mass above from its
+        mirror, built only when it is read."""
         x, reads = np.empty_like(tail), []
         for at, sign in ((~upper, 1.0), (upper, -1.0)):
             if np.count_nonzero(at):
-                side = self.left if sign > 0.0 else self.right
-                point, cell = side.invert(tail[at], None if row is None else row[at])
+                stack = self if sign > 0.0 else self._mirror
+                point, cell = stack._below(tail[at], None if row is None else row[at])
                 x[at] = sign * point
                 reads.append((at, point, cell))
         return x, reads
 
     def theta_point(self, theta: float) -> Tuple[np.ndarray, np.ndarray]:
         """Each row's ``theta``-quantile ``q`` and the density at ``q`` in the
-        cell ``q`` was inverted in, as :meth:`invert` reads them; but only the
-        cell holding each row's mass is read, and no side is built."""
-        sign, order = (-1.0, slice(None, None, -1)) if theta > 0.5 else (1.0, slice(None))
-        edges, beta = sign * self.edges[:, order], sign * self.beta[:, order]  # as :attr:`right` mirrors them
-        cum, tail = np.cumsum(self._mass[:, order], axis=1), min(theta, 1.0 - theta)
-        k = np.count_nonzero(cum[:, :-1] < tail, axis=1)
-        rows = np.arange(len(self))
-        cell = edges[rows, k], edges[rows, k + 1], beta[rows, k], self.log_amp[:, order][rows, k]
-        point = _cell_quantile(*cell, *_inversion_end(*cell[:3], np.where(k > 0, cum[rows, k - 1], 0.0),
-                                                      cum[rows, k]), tail)
+        cell ``q`` was inverted in, the floats of :meth:`invert`."""
+        stack, sign = (self._mirror, -1.0) if theta > 0.5 else (self, 1.0)
+        n = len(self)
+        point, (_, _, beta, log_amp) = stack._below(np.full(n, min(theta, 1.0 - theta)),
+                                                   None if n == 1 else np.arange(n))
         with np.errstate(over="ignore"):  # root brackets probe far into cells' tails
-            return sign * point, np.exp(_cell_log_density(point, cell[2], cell[3]))
+            return sign * point, np.exp(_cell_log_density(point, beta, log_amp))
 
 
 def stacked(measures) -> MeasureStack:
@@ -569,9 +547,11 @@ def stacked(measures) -> MeasureStack:
 
 
 def _inversion_end(lo, hi, beta, below, above):
-    """``sign``, ``start`` and ``base`` (see :class:`_Side`) of cells ``(lo, hi)`` of slope ``beta``
-    with masses ``below`` and ``above`` their ends: a cell in the upper half of its
-    Gaussian, where ``Phi(lo + beta)`` may round to 1, is inverted from its upper end."""
+    """The end that cells ``(lo, hi)`` of slope ``beta``, with masses ``below`` and
+    ``above`` their ends, are inverted from: ``sign`` is -1 for a cell in the upper
+    half of its Gaussian, where ``Phi(lo + beta)`` may round to 1, inverted from its
+    upper end, and 1 otherwise; ``base`` is the mass below that end and ``start``
+    the log of ``Phi(sign * (end + beta))``."""
     lo, hi = lo + beta, hi + beta
     upper = lo > 0.0
     sign = np.where(upper, -1.0, 1.0)
@@ -582,7 +562,7 @@ def _cell_quantile(lo, hi, beta, log_amp, sign, start, base, mass):
     """The point ``x`` with ``mass`` below it inside the cell ``(lo, hi)`` of
     a probability measure of density ``exp(log_amp) * phi(x + beta)`` there,
     elementwise, read from the end of the cell (of ``sign``, ``start`` and
-    ``base`` as a :class:`_Side` holds them): ``Phi(sign * (x + beta)) =
+    ``base`` as :func:`_inversion_end` gives them): ``Phi(sign * (x + beta)) =
     exp(start) + sign * (mass - base) / exp(log_amp)``, a sum of nonnegative
     terms, inverted in log space.  From the upper end ``Phi(-(x + beta))``
     keeps the digits that ``Phi(x + beta)``, near 1, would round away."""

@@ -173,7 +173,8 @@ class NeedleEnsemble:
         for name, column in arrays.items():
             column.setflags(write=False)
             object.__setattr__(self, name, column)
-        # the stack without the sides read above, which hold 14 floats a needle
+        # the stack without what the reads above cached, 14 floats a needle: cell masses,
+        # cumulative masses and inversion ends from either end, the mirror's edges and slopes
         object.__setattr__(self, "cells", MeasureStack(cells.edges, cells.beta, cells.log_amp))
 
     @cached_property

@@ -238,10 +238,10 @@ def test_theta_point_is_the_quantile_and_the_density_there(rows, theta):
 
 @pytest.mark.parametrize("theta", [0.1, 0.5, 0.8])
 def test_theta_point_is_invert_and_the_density_in_its_cell(theta):
-    """``theta_point`` reads one cell per row, and returns the floats of
-    ``invert`` through a whole side and the density in the cell it inverted
-    in, on stacks of perturbed measures as built row by row and as a root
-    step of the perturbed solve builds them."""
+    """``theta_point`` returns the floats of ``invert`` on every row, and
+    the density in the cell it inverted in, on stacks of perturbed measures
+    as built row by row and as a root step of the perturbed solve builds
+    them."""
     scales = np.array([0.0, 0.01, 0.3, 1.0, 2.5, 8.0, 64.0])
     for seed in (3, 5, 11):
         fam = PerturbedSweepFamily.seeded(seed)
@@ -255,6 +255,20 @@ def test_theta_point_is_invert_and_the_density_in_its_cell(theta):
             got = stack.theta_point(theta)
             np.testing.assert_array_equal(got[0], q, strict=True)
             np.testing.assert_array_equal(got[1], density, strict=True)
+
+
+def test_density_reads_its_row_without_building_masses(monkeypatch):
+    # density reads the cell of each point and its log amplitude: on a
+    # built measure it forms no cell mass, cumulative mass or inversion end
+    m = PerturbedSweepFamily.seeded(3).measure_at(1.0)
+    calls = []
+    for name in ("gaussian_log_mass", "gaussian_log_cdf"):
+        fn = getattr(measure1d, name)
+        monkeypatch.setattr(measure1d, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    x = np.linspace(-3.0, 3.0, 7)
+    np.testing.assert_allclose(m.density(x), np.exp(-m.potential.value(x)), rtol=1e-14)
+    assert m.density(0.3) == pytest.approx(math.exp(-m.potential.value(0.3)), rel=1e-14)
+    assert calls == []
 
 
 @pytest.mark.parametrize("s", [0.3, -1.7, 6.92])

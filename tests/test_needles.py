@@ -734,6 +734,15 @@ def test_generation_builds_no_per_needle_objects(monkeypatch):
     assert counts == {"Measure1D": 1000, "PotentialSpec": 0, "normalize": 0}
 
 
+def test_ensemble_cells_hold_no_cache_of_its_theta_point_reads():
+    # the two theta_point reads of __post_init__ leave cumulative masses,
+    # flat cells, inversion ends and a mirror on the stack they read; the
+    # ensemble keeps a stack of its cell arrays alone, so that what it holds
+    # grows by the few columns a needle and no more
+    ens = generate_ensemble(EnsembleConfig(needle_count=50, deficit_scale=1e-3, bad_fraction=0.1, seed=1))
+    assert set(vars(ens.cells)) == {"edges", "beta", "log_amp"}
+
+
 def test_needle_records_and_their_l1_reads_hold_little_memory():
     # each record's measure is a view of its row of ens.cells, and
     # needle_l1 reads it without caching anything on it: what the reads

@@ -160,27 +160,38 @@ def test_only_numerics_imports_scipy():
     assert importers == {"numerics.py"}
 
 
-def test_quadrature_paths_are_named():
-    # each function that calls integrate, by module: a new quadrature path
-    # shows up as a change of this list
+def _callers(name):
+    """Each ``(module, function)`` of the package that calls ``name``."""
     callers = set()
 
     def visit(node, module, function=None):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        if isinstance(node, ast.Call):
-            name = getattr(node.func, "id", getattr(node.func, "attr", None))
-            if name == "integrate":
-                callers.add((module, function))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == name:
+            callers.add((module, function))
         for child in ast.iter_child_nodes(node):
             visit(child, module, function)
 
     for path in Path(isolab.__file__).parent.glob("*.py"):
         visit(ast.parse(path.read_text()), path.name)
-    assert callers == {
+    return callers
+
+
+def test_quadrature_paths_are_named():
+    # each function that calls integrate, by module: a new quadrature path
+    # shows up as a change of this list
+    assert _callers("integrate") == {
         ("stability.py", "lp_distance"), ("stability.py", "_quantile_coupling"),
         ("needles.py", "disintegration_check"), ("cli.py", "integrate_check"),
     }
+
+
+def test_one_function_inverts_a_cell():
+    # every quantile, theta-point and transport map reads its point through
+    # one cell inversion: one function picks each cell's inversion end, and
+    # one inverts a mass in its cell
+    assert _callers("_inversion_end") == {("measure1d.py", "_ends")}
+    assert _callers("_cell_quantile") == {("measure1d.py", "_below")}
 
 
 def test_no_module_imports_a_private_name_of_another():
@@ -208,16 +219,26 @@ def test_rates_imports_only_the_measure_layers():
     assert layers == {"measure1d", "stability", "numerics", "errors"}
 
 
-def test_no_module_but_measure1d_reads_the_cell_layout():
-    # a stack's sides (its rows read from either end, padded, with their
-    # cumulative masses) are measure1d's own: other modules read cells
-    # through the stack's cdf, knot_cdf, invert and theta_point
-    layout = {"sides", "left", "right", "cum"}
+def test_a_module_reads_only_the_underscore_attributes_it_defines():
+    # a private attribute is its module's own: a stack's cumulative masses,
+    # flat cells, inversion ends and mirror are read in measure1d only, and
+    # other modules read cells through the stack's cdf, knot_cdf, invert and
+    # theta_point
     reads = []
     for path in Path(isolab.__file__).parent.glob("*.py"):
-        if path.name != "measure1d.py":
-            reads += [(path.name, node.attr) for node in ast.walk(ast.parse(path.read_text()))
-                      if isinstance(node, ast.Attribute) and node.attr in layout]
+        tree = ast.parse(path.read_text())
+        defined = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                defined.add(node.attr)
+        reads += [(path.name, node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                  and node.attr.startswith("_") and not node.attr.endswith("__")
+                  and node.attr not in defined]
     assert reads == []
 
 

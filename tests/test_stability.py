@@ -41,9 +41,9 @@ TRUNCATED_2 = normalize(truncated_gaussian_potential(2.0))
 KINKED = normalize(perturbed_gaussian_potential((-0.4, 0.9), (-0.5, 0.0, 0.7)))
 
 
-def side_centered(m, theta):
-    """``m`` translated so that its ``theta``-quantile, read by the side
-    inversion ``Measure1D.quantile`` rather than the theta-point read of
+def quantile_centered(m, theta):
+    """``m`` translated so that its ``theta``-quantile, read by
+    ``Measure1D.quantile`` rather than the theta-point read of
     :func:`deficit`, sits at ``a_theta``."""
     return m.translate(gaussian_quantile(theta) - m.quantile(theta))
 
@@ -362,7 +362,7 @@ def test_w1_meets_its_tolerance_against_the_cdf_form(family, theta, rtol):
 
 def test_w1_dual_bound_dominates():
     for m, theta in ((TRUNCATED_2, 0.5), (KINKED, 0.3)):
-        assert w1_to_gaussian(side_centered(m, theta)) <= w1_dual_bound(m, theta) + 1e-8
+        assert w1_to_gaussian(quantile_centered(m, theta)) <= w1_dual_bound(m, theta) + 1e-8
 
 
 def test_w1_dual_bound_reads_no_quantile(monkeypatch):
@@ -389,7 +389,7 @@ def _w1_dual_bound_quadpack(m, theta):
     ``log f - log phi``, linear on each cell, is 0; ``f`` is 0 off the domain."""
     from scipy import integrate as quadpack
 
-    c = side_centered(m, theta)
+    c = quantile_centered(m, theta)
     a = gaussian_quantile(theta)
     edges, beta, log_amp = c.cells.edges[0], c.cells.beta[0], c.cells.log_amp[0]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -463,7 +463,7 @@ def test_gap_constants_are_extrema_over_range_ends_and_edges():
     # coarser than the cell misses it
     m = normalize(perturbed_gaussian_potential((0.0, 0.001), (-0.5, 0.0, 0.5)))
     rep = check_gap_bounds(m, 0.5)
-    centered = side_centered(m, 0.5)
+    centered = quantile_centered(m, 0.5)
     a_theta = gaussian_quantile(0.5)
     lo = max(min(rep.window.lo, centered.quantile(1e-12)), -TAIL_CUTOFF)
     hi = min(max(rep.window.hi, centered.quantile(1.0 - 1e-12)), TAIL_CUTOFF)
