@@ -10,9 +10,9 @@ Subcommands::
 
 Configuration comes from an optional JSON file (``--config``) updated with
 the flags given (flags win): every option's ``dest`` is the
-:class:`RunConfig` field, or ``ensemble`` key, that it sets, options left off
-the command line are absent, and each subcommand takes only the flags it
-reads (a config file may hold keys another command reads).  Every command
+:class:`RunConfig` field that it sets, and options left off the command line
+are absent.  Each subcommand reads the fields of its own options and no
+other, and takes no other flag or config key.  Every command
 ends in :func:`_emit`, which writes its JSON report (stable key order) to
 ``--out`` and prints its table, a ``[PASS]``/``[FAIL]`` line per check and
 the verdict; ``sweep`` and ``needles`` also write a CSV with a fixed header
@@ -47,7 +47,6 @@ from .rates import DEFAULT_DELTA_GRID, Metric
 
 __all__ = ["RunConfig", "main"]
 
-_ENSEMBLE_KEYS = ("needle_count", "deficit_scale", "bad_fraction")
 _CHECK_TOL = 1e-8  # closed-form / inequality slack used by CLI checks
 
 
@@ -57,20 +56,21 @@ class RunConfig:
 
     ``measure`` selects a measure (``gaussian``, ``truncated:D``,
     ``perturbed[:seed]``, a JSON potential file) or, for ``sweep``, a measure
-    family (``example23``, ``perturbed[:seed]``, ``gaussian``).  ``ensemble``
-    holds the ``needles`` generator overrides (keys ``needle_count``,
-    ``deficit_scale``, ``bad_fraction``); ``alpha_min``/``alpha_max`` are the
-    optional sweep acceptance band.  Construction checks every field's type
-    and range, and that every number is finite, since a config file may hold
-    any JSON value (``NaN`` and ``Infinity`` among them), and then
-    normalizes once: ``p_list`` becomes a sorted tuple of floats,
-    ``delta_grid`` a tuple of floats and ``ensemble`` a dict.  Unknown keys
-    are rejected by :meth:`from_dict`.
+    family (``example23``, ``perturbed[:seed]``, ``gaussian``).
+    ``needle_count`` is the ``needles`` ensemble size, and
+    ``deficit_scale``/``bad_fraction`` pin its generator (None: the grid
+    delta and ``delta^alpha``); ``alpha_min``/``alpha_max`` are the optional
+    sweep acceptance band.  Construction checks every field's type and
+    range, and that every number is finite, since a config file may hold any
+    JSON value (``NaN`` and ``Infinity`` among them), and then normalizes
+    once: every number field becomes a float (``needle_count`` an int),
+    ``p_list`` a sorted tuple and ``delta_grid`` a tuple.  Unknown keys are
+    rejected by :meth:`from_dict`; which fields a subcommand reads is
+    :func:`config_from_args`' concern.
     """
 
     command: str
     measure: str = "gaussian"
-    ensemble: Optional[Mapping[str, float]] = None
     theta: float = 0.5
     p_list: Tuple[float, ...] = (1.0, 2.0)
     epsilon: float = 0.1
@@ -81,25 +81,32 @@ class RunConfig:
     alpha_max: Optional[float] = None
     output_dir: str = "out"
     seed: int = 0
+    needle_count: int = 100
+    deficit_scale: Optional[float] = None
+    bad_fraction: Optional[float] = None
 
     def __post_init__(self) -> None:
         for name in ("command", "measure", "metric", "output_dir"):
             if not isinstance(getattr(self, name), str):
                 raise ConfigError(f"{name} must be a string, got {getattr(self, name)!r}")
-        for name in ("theta", "epsilon", "c_threshold", "alpha_min", "alpha_max"):
+        optional = ("alpha_min", "alpha_max", "deficit_scale", "bad_fraction")
+        for name in ("theta", "epsilon", "c_threshold", *optional):
             value = getattr(self, name)
-            if not _is_number(value) and not (value is None and name.startswith("alpha")):
+            if value is None and name in optional:
+                continue
+            if not _is_number(value):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         for name in ("p_list", "delta_grid"):
             value = getattr(self, name)
             if not isinstance(value, (list, tuple)) or not all(map(_is_number, value)):
                 raise ConfigError(f"{name} must be a list of finite numbers, got {value!r}")
         object.__setattr__(self, "p_list", tuple(sorted(float(p) for p in self.p_list)))
         object.__setattr__(self, "delta_grid", tuple(float(d) for d in self.delta_grid))
-        if self.ensemble is not None:
-            if not isinstance(self.ensemble, Mapping):
-                raise ConfigError("ensemble spec must be an object")
-            object.__setattr__(self, "ensemble", dict(self.ensemble))
+        if not (_is_number(self.needle_count) and self.needle_count >= 1
+                and float(self.needle_count).is_integer()):
+            raise ConfigError(f"needle_count must be an integer >= 1, got {self.needle_count!r}")
+        object.__setattr__(self, "needle_count", int(self.needle_count))
         if self.command not in _COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
         if not (0.0 < self.theta < 1.0):
@@ -124,16 +131,6 @@ class RunConfig:
             raise ConfigError(f"c_threshold out of range: {self.c_threshold!r}")
         if not (type(self.seed) is int and self.seed >= 0):
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if self.ensemble is not None:
-            extra = set(self.ensemble) - set(_ENSEMBLE_KEYS)
-            if extra:
-                raise ConfigError(f"unknown ensemble keys: {sorted(extra)}")
-            for key, value in self.ensemble.items():
-                if not _is_number(value):
-                    raise ConfigError(f"ensemble {key} must be a finite number, got {value!r}")
-            count = self.ensemble.get("needle_count", 1)
-            if not (count >= 1 and float(count).is_integer()):
-                raise ConfigError(f"ensemble needle_count must be an integer >= 1, got {count!r}")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -165,6 +162,47 @@ def _is_number(value: object) -> bool:
 # -- argument parsing ---------------------------------------------------------
 
 
+# every option; its dest, given or argparse's from the flag, is the RunConfig
+# field it sets (but for --config and --inject-fault)
+_OPTIONS = {
+    "--config": dict(metavar="FILE", help="JSON config file; flags override it"),
+    "--measure": dict(help="gaussian | truncated:D | perturbed[:seed] | potential JSON file "
+                           "(sweep: example23 | gaussian | perturbed[:seed])"),
+    "--theta": dict(type=float, help="mass split in (0,1)"),
+    "--p": dict(dest="p_list", action="append", metavar="P[,P..]", help="L^p orders (repeatable / comma list)"),
+    "--epsilon": dict(type=float, help="needle-rate parameter in (0,1)"),
+    "--delta-grid": dict(metavar="D1,D2,..", help="deficit grid (comma list)"),
+    "--seed": dict(type=int, help="generator seed"),
+    "--metric": dict(help="lp:P | w1 | w2 | entropy"),
+    "--alpha-min": dict(type=float, help="acceptance band: fitted exponent lower bound"),
+    "--alpha-max": dict(type=float, help="acceptance band: fitted exponent upper bound"),
+    "--needle-count": dict(type=int, help="needles per ensemble"),
+    "--c-threshold": dict(type=float, help="centered-classification constant"),
+    "--deficit-scale": dict(type=float, help="pin generator deficit scale (default: the grid delta)"),
+    "--bad-fraction": dict(type=float, help="pin generator bad fraction (default: delta^alpha)"),
+    "--inject-fault": dict(metavar="NAME", help="corrupt one routine (testing the battery itself)"),
+    "--out": dict(dest="output_dir", metavar="DIR", help="output directory for reports"),
+}
+
+# subcommand -> (help, its options): the one list of what each command reads
+_SUBCOMMANDS = {
+    "verify": ("verify one measure end to end", "--config --measure --theta --p --seed --out"),
+    "sweep": ("deficit sweep of one metric over a measure family",
+              "--config --measure --theta --delta-grid --seed --metric --alpha-min --alpha-max --out"),
+    "needles": ("needle-ensemble aggregation experiments", "--config --theta --epsilon --delta-grid "
+                "--seed --needle-count --c-threshold --deficit-scale --bad-fraction --out"),
+    "example23": ("truncated-Gaussian closed-form reproduction", "--config --measure --p --out"),
+    "selftest": ("run the built-in check battery", "--inject-fault --out"),
+}
+
+
+def _reads(command: str) -> frozenset:
+    """The :class:`RunConfig` fields that ``command`` reads, the dests of its
+    options."""
+    flags = _SUBCOMMANDS[command][1].split()
+    return frozenset(_OPTIONS[f].get("dest", f[2:].replace("-", "_")) for f in flags) - {"config", "inject_fault"}
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process, on first use."""
@@ -173,37 +211,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical checks of Gaussian isoperimetric stability on 1-convex measures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    options = {
-        "--config": dict(metavar="FILE", help="JSON config file; flags override it"),
-        "--measure": dict(help="gaussian | truncated:D | perturbed[:seed] | potential JSON file "
-                               "(sweep: example23 | gaussian | perturbed[:seed])"),
-        "--theta": dict(type=float, help="mass split in (0,1)"),
-        "--p": dict(dest="p_list", action="append", metavar="P[,P..]", help="L^p orders (repeatable / comma list)"),
-        "--epsilon": dict(type=float, help="needle-rate parameter in (0,1)"),
-        "--delta-grid": dict(metavar="D1,D2,..", help="deficit grid (comma list)"),
-        "--seed": dict(type=int, help="generator seed"),
-        "--metric": dict(help="lp:P | w1 | w2 | entropy"),
-        "--alpha-min": dict(type=float, help="acceptance band: fitted exponent lower bound"),
-        "--alpha-max": dict(type=float, help="acceptance band: fitted exponent upper bound"),
-        "--needle-count": dict(type=int, help="needles per ensemble"),
-        "--c-threshold": dict(type=float, help="centered-classification constant"),
-        "--deficit-scale": dict(type=float, help="pin generator deficit scale (default: the grid delta)"),
-        "--bad-fraction": dict(type=float, help="pin generator bad fraction (default: delta^alpha)"),
-        "--inject-fault": dict(metavar="NAME", help="corrupt one routine (testing the battery itself)"),
-        "--out": dict(dest="output_dir", metavar="DIR", help="output directory for reports"),
-    }
-    for name, help, flags in (
-        ("verify", "verify one measure end to end", "--config --measure --theta --p --seed"),
-        ("sweep", "deficit sweep of one metric over a measure family",
-         "--config --measure --theta --delta-grid --seed --metric --alpha-min --alpha-max"),
-        ("needles", "needle-ensemble aggregation experiments", "--config --theta --epsilon --delta-grid "
-         "--seed --needle-count --c-threshold --deficit-scale --bad-fraction"),
-        ("example23", "truncated-Gaussian closed-form reproduction", "--config --measure --p"),
-        ("selftest", "run the built-in check battery", "--inject-fault"),
-    ):
+    for name, (help, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
-        for flag in (*flags.split(), "--out"):
-            p.add_argument(flag, **options[flag])
+        for flag in flags.split():
+            p.add_argument(flag, **_OPTIONS[flag])
     return parser
 
 
@@ -235,20 +246,26 @@ def _read_object(path: str, what: str) -> dict:
 
 
 def config_from_args(flags: Mapping[str, object]) -> RunConfig:
-    """The ``--config`` file's keys updated with the parsed ``flags``."""
+    """The ``--config`` file's keys updated with the parsed ``flags``.
+
+    The file may hold ``command``, which must name the subcommand, and the
+    fields the subcommand reads (:func:`_reads`); any other key is a
+    ``ConfigError``, so a report never states a setting its command ignored.
+    """
     flags = dict(flags)
     command = flags["command"]
     path = flags.pop("config", None)
     data = _read_object(path, "config file") if path is not None else {}
     if data.get("command", command) != command:
         raise ConfigError(f"config file command {data['command']!r} does not match {command!r}")
+    reads = _reads(command)
+    extra = sorted(set(data) - reads - {"command"})
+    if extra:
+        raise ConfigError(f"unknown config keys: {extra} ({command} reads {', '.join(sorted(reads))})")
     if "p_list" in flags:  # --p repeats, and each takes a comma list
         flags["p_list"] = _floats(",".join(flags["p_list"]))
     if "delta_grid" in flags:
         flags["delta_grid"] = _floats(flags["delta_grid"])
-    ensemble = {key: flags.pop(key) for key in _ENSEMBLE_KEYS if key in flags}
-    if ensemble:
-        flags["ensemble"] = {**dict(data.get("ensemble") or {}), **ensemble}
     data.update(flags)
     if command == "example23":
         data.setdefault("measure", "truncated:2")
@@ -464,17 +481,14 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_needles(cfg: RunConfig) -> int:
-    spec = cfg.ensemble or {}
-    needle_count = int(spec.get("needle_count", 100))
-    pinned_scale, pinned_bad = spec.get("deficit_scale"), spec.get("bad_fraction")
     alpha = needles.rate_exponent(cfg.epsilon)
 
     rows = []
     for d in sorted(set(cfg.delta_grid), reverse=True):
-        scale = float(pinned_scale) if pinned_scale is not None else d
-        bad = float(pinned_bad) if pinned_bad is not None else min(1.0, d**alpha)
+        scale = cfg.deficit_scale if cfg.deficit_scale is not None else d
+        bad = cfg.bad_fraction if cfg.bad_fraction is not None else min(1.0, d**alpha)
         config = needles.EnsembleConfig(  # a bad config is a ConfigError, exit 2
-            needle_count=needle_count, theta=cfg.theta, epsilon=cfg.epsilon,
+            needle_count=cfg.needle_count, theta=cfg.theta, epsilon=cfg.epsilon,
             deficit_scale=scale, bad_fraction=bad, seed=cfg.seed,
         )
         row: dict = {"delta": d, "deficit_scale": scale, "bad_fraction": bad}
@@ -509,7 +523,7 @@ def cmd_needles(cfg: RunConfig) -> int:
            *(",".join(_g(x) for x in (*(row[c] for c in columns), fitted)) for row in done))
 
     checks = {"all_rows_ok": all(row["ok"] for row in rows)}
-    if pinned_scale is None and pinned_bad is None:
+    if cfg.deficit_scale is None and cfg.bad_fraction is None:
         values = [row["mixture_l1"] for row in done]
         if len(values) >= 2:
             checks["mixture_l1_nonincreasing"] = all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
@@ -517,10 +531,10 @@ def cmd_needles(cfg: RunConfig) -> int:
             checks["exponent_ge_rate_minus_0.05"] = fitted >= alpha - 0.05
 
     fully_bad = bool(rows) and all(row.get("fully_bad", False) for row in rows)
-    report = dict(command="needles", needle_count=needle_count, theta=cfg.theta, epsilon=cfg.epsilon,
+    report = dict(command="needles", needle_count=cfg.needle_count, theta=cfg.theta, epsilon=cfg.epsilon,
                   c_threshold=cfg.c_threshold, seed=cfg.seed, rate_exponent=alpha,
                   fitted_exponent=fitted, fully_bad_ensemble=fully_bad, rows=rows)
-    lines = [f"needles: count={needle_count} epsilon={cfg.epsilon:g} theta={cfg.theta:g} seed={cfg.seed}",
+    lines = [f"needles: count={cfg.needle_count} epsilon={cfg.epsilon:g} theta={cfg.theta:g} seed={cfg.seed}",
              "  delta        mixture_l1    good_mass   centered_mass"]
     lines += [f"  {row['delta']:<12.6g} {row['mixture_l1']:<13.8g} {row['good_mass']:<11.8g} "
               f"{row['centered_mass']:.8g}" for row in done]

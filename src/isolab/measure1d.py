@@ -535,15 +535,14 @@ class MeasureStack(Sequence):
             return sign * point, np.exp(_cell_log_density(point, beta, log_amp))
 
 
-def stacked(measures) -> MeasureStack:
-    """A stack as it is, a measure's own stack, or measures that share a
-    cell count stacked."""
-    if isinstance(measures, (Measure1D, MeasureStack)):
-        return measures.cells if isinstance(measures, Measure1D) else measures
-    rows = [m.cells for m in measures]
-    if len({r.edges.shape[1] for r in rows}) != 1:
-        raise DomainError("stacked measures must share a cell count")
-    return MeasureStack(*(np.concatenate(a) for a in zip(*((r.edges, r.beta, r.log_amp) for r in rows))))
+def stacked(m) -> MeasureStack:
+    """A measure's own stack of one row, or a stack as it is; anything else,
+    a list of measures among them, is a ``DomainError``."""
+    if isinstance(m, Measure1D):
+        return m.cells
+    if isinstance(m, MeasureStack):
+        return m
+    raise DomainError(f"expected a Measure1D or a MeasureStack, got {type(m).__name__}")
 
 
 def _inversion_end(lo, hi, beta, below, above):

@@ -72,10 +72,6 @@ class Interval:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
-
     def intersect(self, other: "Interval") -> Optional["Interval"]:
         lo = max(self.lo, other.lo)
         hi = min(self.hi, other.hi)

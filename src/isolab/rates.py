@@ -25,7 +25,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Optional, Protocol, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -147,21 +147,15 @@ class SweepResult:
         }
 
 
-class Realizations(Sequence):
+@dataclass(frozen=True)
+class Realizations:
     """A family's answer for a deficit grid: ``realized`` holds the measures
-    of the points ``found``, in grid order, and ``failed`` maps every other
-    point to its ``BracketError``.  Point ``i`` is its measure (made then) or
-    error."""
+    of the grid points ``found``, a row each in grid order, and ``failed``
+    maps every other point to its ``BracketError``."""
 
-    def __init__(self, realized, found: Sequence[int], failed: Dict[int, BracketError]) -> None:
-        self.realized, self.found, self.failed = realized, list(found), failed
-
-    def __len__(self) -> int:
-        return len(self.found) + len(self.failed)
-
-    def __getitem__(self, i: int) -> Union[Measure1D, BracketError]:
-        i = range(len(self))[i]
-        return self.failed[i] if i in self.failed else self.realized[self.found.index(i)]
+    realized: MeasureStack
+    found: List[int]
+    failed: Dict[int, BracketError]
 
 
 class SweepFamily(Protocol):
@@ -274,7 +268,7 @@ def _centered_at(stack: MeasureStack, solved: np.ndarray, deltas: np.ndarray,
     keep = np.array([i not in failed for i in found.tolist()], dtype=bool)
     s = (gaussian_quantile(theta) - q[keep])[:, None]  # the centering shifts
     return Realizations(MeasureStack(stack.edges[keep] + s, stack.beta[keep] - s, stack.log_amp[keep]),
-                        found[keep], failed)
+                        found[keep].tolist(), failed)
 
 
 @dataclass(frozen=True)
@@ -302,7 +296,7 @@ class GaussianSweepFamily:
     def at_deficit(self, deltas: Sequence[float], theta: float) -> Realizations:
         n = len(deltas)
         stack = MeasureStack(np.tile([-math.inf, math.inf], (n, 1)), np.zeros((n, 1)), np.zeros((n, 1)))
-        return Realizations(stack, range(n), {})
+        return Realizations(stack, list(range(n)), {})
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,24 @@ import pytest
 import isolab
 import oracle_constants as oc
 from isolab import ConfigError, QuadratureError, stability
-from isolab.cli import _ENSEMBLE_KEYS, _FAULTS, RunConfig, build_parser, main
+from isolab.cli import _FAULTS, RunConfig, build_parser, main
+
+
+def options(command):
+    """The options of ``command``'s parser, as :func:`build_parser` makes
+    it, by dest."""
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {a.dest: a for a in commands.choices[command]._actions if a.dest != "help"}
+
+
+def reads(command):
+    """The config fields ``command`` reads: its options' dests but for
+    ``--config`` and ``--inject-fault``."""
+    return set(options(command)) - {"config", "inject_fault"}
+
+
+COMMANDS = sorted(isolab.cli._COMMANDS)
+FIELDS = [f.name for f in dataclasses.fields(RunConfig) if f.name != "command"]
 
 
 def run(tmp_path, *argv):
@@ -44,8 +61,9 @@ def test_runconfig_round_trips():
 def test_runconfig_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"command": "verify", "colour": "blue"})
-    with pytest.raises(ConfigError):
-        RunConfig(command="verify", ensemble={"spin": 1.0})
+    # the needles generator's settings are fields of their own, not an object
+    with pytest.raises(ConfigError, match=r"unknown config keys: \['ensemble'\]"):
+        RunConfig.from_dict({"command": "needles", "ensemble": {"needle_count": 10}})
 
 
 @pytest.mark.parametrize(
@@ -58,13 +76,13 @@ def test_runconfig_rejects_unknown_keys():
         {"command": "sweep", "delta_grid": (-1e-3,)},
         {"command": "needles", "epsilon": 1.0},
         {"command": "needles", "seed": -2},
-        {"command": "needles", "ensemble": {"needle_count": 2.5}},
-        {"command": "needles", "ensemble": {"needle_count": float("nan")}},
-        {"command": "needles", "ensemble": {"needle_count": "abc"}},
-        {"command": "needles", "ensemble": {"deficit_scale": "abc"}},
-        {"command": "needles", "ensemble": {"bad_fraction": [0.1]}},
+        {"command": "needles", "needle_count": 2.5},
+        {"command": "needles", "needle_count": float("nan")},
+        {"command": "needles", "needle_count": "abc"},
+        {"command": "needles", "deficit_scale": "abc"},
+        {"command": "needles", "bad_fraction": [0.1]},
         {"command": "verify", "p_list": [10**400]},  # these two were OverflowError tracebacks
-        {"command": "needles", "ensemble": {"needle_count": 10**400}},
+        {"command": "needles", "needle_count": 10**400},
     ],
 )
 def test_runconfig_validation(kwargs):
@@ -79,7 +97,7 @@ def test_config_file_needle_count_must_be_a_whole_number(tmp_path, capsys, monke
     calls = []
     monkeypatch.setattr(isolab.needles, "generate_ensemble", lambda config: calls.append(config))
     cfg_file = tmp_path / "run.json"
-    cfg_file.write_text(json.dumps({"ensemble": {"needle_count": count}}))
+    cfg_file.write_text(json.dumps({"needle_count": count}))
     code = main([*argv, "--config", str(cfg_file), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err.splitlines()
     assert code == 2
@@ -87,16 +105,20 @@ def test_config_file_needle_count_must_be_a_whole_number(tmp_path, capsys, monke
     assert calls == []
 
 
-@pytest.mark.parametrize("ensemble", [{"deficit_scale": "abc"}, {"bad_fraction": [0.1]}],
+@pytest.mark.parametrize("setting", [{"deficit_scale": "abc"}, {"bad_fraction": [0.1]}],
                          ids=["deficit_scale", "bad_fraction"])
-def test_config_file_ensemble_values_must_be_numbers(tmp_path, capsys, ensemble):
+def test_config_file_ensemble_values_must_be_numbers(tmp_path, capsys, monkeypatch, setting):
     # were a ValueError or TypeError traceback from float() in cmd_needles
+    calls = []
+    monkeypatch.setattr(isolab.needles, "generate_ensemble", lambda config: calls.append(config))
     cfg_file = tmp_path / "run.json"
-    cfg_file.write_text(json.dumps({"command": "needles", "ensemble": ensemble}))
+    cfg_file.write_text(json.dumps({"command": "needles", **setting}))
     code = main(["needles", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err.splitlines()
     assert code == 2
-    assert len(err) == 1 and err[0].startswith("error: ") and next(iter(ensemble)) in err[0]
+    assert len(err) == 1 and err[0].startswith("error: ") and next(iter(setting)) in err[0]
+    assert "finite number" in err[0]
+    assert calls == [] and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -104,6 +126,7 @@ def test_config_file_ensemble_values_must_be_numbers(tmp_path, capsys, ensemble)
     [
         ("verify", {"p_list": "12"}),  # ran p = 1 and p = 2
         ("verify", {"delta_grid": "1e-3"}),  # these three were ValueError tracebacks
+        ("sweep", {"delta_grid": "1e-3"}),  # verify reads no delta_grid: its key is unknown there
         ("verify", {"p_list": [2, "x"]}),
         ("verify", {"theta": "0.5"}),
         ("verify", {"measure": 5}),  # an AttributeError traceback
@@ -147,8 +170,6 @@ def test_config_numbers_must_be_finite(tmp_path, capsys, monkeypatch, command, k
     else:
         number = float(value)
         data = {key: [number]} if key in ("p_list", "delta_grid") else {key: number}
-        if key in _ENSEMBLE_KEYS:
-            data = {"ensemble": data}
         cfg_file = tmp_path / "run.json"
         cfg_file.write_text(json.dumps(data))
         argv += ["--config", str(cfg_file)]
@@ -178,15 +199,79 @@ def test_config_file_applies_and_flags_win(tmp_path):
 
 
 def test_parser_dests_are_config_fields():
-    # every option sets the RunConfig field (or ensemble key) of its dest;
-    # --config and --inject-fault are the two that are not configuration
+    # every option sets the RunConfig field of its dest, and every field but
+    # the command is some option's; --config and --inject-fault are the two
+    # that are not configuration
     parser = build_parser()
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     dests = {a.dest for sub in commands.choices.values() for a in sub._actions}
     fields = {f.name for f in dataclasses.fields(RunConfig)}
-    assert dests - {"help", "config", "inject_fault"} == (
-        fields - {"command", "ensemble"}
-    ) | set(_ENSEMBLE_KEYS)
+    assert dests - {"help", "config", "inject_fault"} == fields - {"command"}
+    assert sorted(commands.choices) == COMMANDS
+
+
+# a value, not the default, of every field some command reads; measure is
+# the one whose values differ by command, and a perturbed measure without a
+# seed of its own reads the seed field
+SETTINGS = {
+    "theta": 0.4, "p_list": [1.0, 4.0], "epsilon": 0.2, "delta_grid": [1e-2, 1e-3, 1e-4],
+    "seed": 2, "metric": "lp:1", "alpha_min": 0.8, "alpha_max": 1.2, "c_threshold": 2.0,
+    "needle_count": 10, "deficit_scale": 1e-3, "bad_fraction": 0.1,
+}
+MEASURES = {"verify": "perturbed", "sweep": "perturbed", "example23": "truncated:3"}
+UNREAD = [(command, field) for command in COMMANDS if "config" in options(command)
+          for field in FIELDS if field not in reads(command)]
+
+
+def test_every_field_is_read_by_some_command_and_has_a_setting():
+    assert len(UNREAD) == 31  # verify 9, sweep 6, needles 5, example23 11
+    assert {field for command in COMMANDS for field in reads(command)} == set(FIELDS)
+    assert set(SETTINGS) | {"measure", "output_dir"} == set(FIELDS)
+
+
+@pytest.mark.parametrize("command, field", UNREAD, ids=lambda v: v)
+def test_config_file_key_the_command_does_not_read_exits_2(tmp_path, capsys, monkeypatch, command, field):
+    # each of these was accepted and changed nothing: {"theta": 0.3} ran
+    # example23 at theta 0.5 and reported so
+    calls = []
+    monkeypatch.setitem(isolab.cli._COMMANDS, command, lambda cfg, **extra: calls.append(cfg))
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({field: SETTINGS.get(field, "gaussian")}))
+    code = main([command, "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith(f"error: unknown config keys: [{field!r}]")
+    assert calls == [] and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [c for c in COMMANDS if "config" in options(c)])
+def test_config_file_of_every_key_a_command_reads_equals_the_flags(tmp_path, capsys, command):
+    values = {key: MEASURES[command] if key == "measure" else SETTINGS[key]
+              for key in sorted(reads(command) - {"output_dir"})}
+    argv = [command]
+    for key, value in values.items():
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        argv += [options(command)[key].option_strings[0], text]
+    code = main([*argv, "--out", str(tmp_path / "flags")])
+    out = capsys.readouterr().out
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({**values, "output_dir": str(tmp_path / "file")}))
+    assert main([command, "--config", str(cfg_file)]) == code
+    assert capsys.readouterr().out == out
+    names = sorted(path.name for path in (tmp_path / "flags").iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "file").iterdir()) and names
+    for name in names:
+        assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
+
+
+def test_config_file_ensemble_object_is_unknown(tmp_path, capsys):
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({"ensemble": {"needle_count": 10}}))
+    code = main(["needles", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: unknown config keys: ['ensemble']")
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_file_rejects_tolerance_keys(tmp_path, capsys):
@@ -723,6 +808,14 @@ def test_report_keys_are_stable(tmp_path):
         "one_convex", "passed", "perimeter_at_a", "profile_at_theta", "shift",
         "talagrand", "talagrand_pass", "theta", "w1", "w1_dual_bound", "w2",
     }
+    verify = json.loads((tmp_path / "v" / "verify_report.json").read_text())
+    assert set(verify["gap"]) == {
+        "deficit", "equality_case", "fitted_lower_constant", "fitted_upper_constant",
+        "slope_gap", "theta", "window",
+    }
+    assert set(verify["talagrand"]) == {"lhs", "rhs", "talagrand_pass"}
+    assert set(verify["one_convex"]) == {"passed", "worst_violation"}
+    assert set(verify["lp"][0]) == {"lp", "p"}
     assert main(["example23", "--out", str(tmp_path / "e")]) == 0
     assert keys("e", "example23_report.json") == {
         "D", "cdf_max_error", "checks", "command", "deficit", "delta_E", "entropy",

@@ -46,6 +46,12 @@ KINKED = normalize(
 )
 
 
+def stack(measures):
+    """The measures, which share a cell count, as the rows of one stack."""
+    return MeasureStack(*(np.concatenate([getattr(m.cells, name) for m in measures])
+                          for name in ("edges", "beta", "log_amp")))
+
+
 # -- potentials ---------------------------------------------------------------
 
 
@@ -222,12 +228,21 @@ def test_quantile_in_an_upper_tail_cell_holds_its_mass():
     assert m.cdf(m.quantile(0.5)) == pytest.approx(0.5, abs=1e-12)
 
 
+def test_stacked_takes_a_measure_or_a_stack_only():
+    assert stacked(KINKED) is KINKED.cells
+    cells = stack([GAUSSIAN, GAUSSIAN.translate(1.0)])
+    assert stacked(cells) is cells
+    for other in ([GAUSSIAN], (GAUSSIAN, GAUSSIAN), cells.edges, None):
+        with pytest.raises(DomainError, match="expected a Measure1D or a MeasureStack"):
+            stacked(other)
+
+
 @pytest.mark.parametrize("rows", [1, 9])
 @pytest.mark.parametrize("theta", [0.1, 0.5, 0.7])
 def test_theta_point_is_the_quantile_and_the_density_there(rows, theta):
     fam = PerturbedSweepFamily.seeded(3)
     measures = [fam.measure_at(lam) for lam in np.linspace(0.01, 3.0, rows)]
-    q, density = stacked(measures).theta_point(theta)
+    q, density = stack(measures).theta_point(theta)
     for i, m in enumerate(measures):
         alone = stacked(m).theta_point(theta)  # a stack of one: one binary search
         assert (q[i], density[i]) == (m.quantile(theta), alone[1][0])
@@ -245,14 +260,14 @@ def test_theta_point_is_invert_and_the_density_in_its_cell(theta):
     scales = np.array([0.0, 0.01, 0.3, 1.0, 2.5, 8.0, 64.0])
     for seed in (3, 5, 11):
         fam = PerturbedSweepFamily.seeded(seed)
-        for stack in (stacked([fam.measure_at(lam) for lam in scales]), fam._cells_at(scales)):
-            n = len(stack)
-            q, reads = stack._invert(np.full(n, min(theta, 1.0 - theta)), np.full(n, theta > 0.5), np.arange(n))
+        for cells in (stack([fam.measure_at(lam) for lam in scales]), fam._cells_at(scales)):
+            n = len(cells)
+            q, reads = cells._invert(np.full(n, min(theta, 1.0 - theta)), np.full(n, theta > 0.5), np.arange(n))
             density = np.empty(n)
             with np.errstate(over="ignore"):
                 for at, point, (lo, hi, beta, log_amp) in reads:
                     density[at] = np.exp(measure1d._cell_log_density(point, beta, log_amp))
-            got = stack.theta_point(theta)
+            got = cells.theta_point(theta)
             np.testing.assert_array_equal(got[0], q, strict=True)
             np.testing.assert_array_equal(got[1], density, strict=True)
 

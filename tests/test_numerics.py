@@ -1,4 +1,5 @@
 import ast
+import inspect
 import math
 import os
 import subprocess
@@ -258,6 +259,36 @@ def test_every_public_name_is_read_outside_the_package_init():
             elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
                 loaded.add(node.attr)
     assert sorted(set(isolab.__all__) - loaded) == []
+
+
+def test_every_public_default_is_passed_by_some_call():
+    # no option that nothing sets: each parameter with a default, of each
+    # function of isolab.__all__, is passed by keyword or by position by a
+    # call in a module of the package (its __init__ aside) or in the benchmark
+    package = Path(isolab.__file__).parent
+    paths = [path for path in package.glob("*.py") if path.name != "__init__.py"]
+    paths += sorted((Path(__file__).parent.parent / "bench").glob("*.py"))
+    calls = [node for path in paths for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)]
+
+    def callee(call):
+        func = call.func
+        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+    unset = []
+    for name in isolab.__all__:
+        function = getattr(isolab, name)
+        if not inspect.isfunction(function):
+            continue
+        mine = [call for call in calls if callee(call) == name]
+        for i, param in enumerate(inspect.signature(function).parameters.values()):
+            if param.default is param.empty:
+                continue
+            by_keyword = any(k.arg == param.name for call in mine for k in call.keywords)
+            by_position = param.kind is not param.KEYWORD_ONLY and any(len(call.args) > i for call in mine)
+            if not (by_keyword or by_position):
+                unset.append(f"{name}({param.name})")
+    assert unset == []
 
 
 # -- integrate ----------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,9 +10,9 @@ import isolab
 import oracle_constants as oc
 from oracle_entropy import relative_entropy_decimal, relative_entropy_quadrature
 from oracle_l1 import l1_quadrature
-from oracle_erf import lp_translated_gaussian_decimal, truncated_deficit_decimal
+from oracle_erf import lp_translated_gaussian_decimal, truncated_deficit_decimal, truncation_excess_decimal
 from oracle_ot import discrete_w2_oracle
-from isolab.measure1d import stacked
+from isolab.measure1d import MeasureStack
 from isolab.numerics import TAIL_CUTOFF, gaussian_cdf
 from isolab.stability import solve_truncation_for_deficit, truncated_deficit
 from isolab import (
@@ -39,6 +40,12 @@ from isolab import (
 GAUSSIAN = gaussian_measure()
 TRUNCATED_2 = normalize(truncated_gaussian_potential(2.0))
 KINKED = normalize(perturbed_gaussian_potential((-0.4, 0.9), (-0.5, 0.0, 0.7)))
+
+
+def stack(measures):
+    """The measures, which share a cell count, as the rows of one stack."""
+    return MeasureStack(*(np.concatenate([getattr(m.cells, name) for m in measures])
+                          for name in ("edges", "beta", "log_amp")))
 
 
 def quantile_centered(m, theta):
@@ -82,7 +89,7 @@ def test_deficit_of_a_sequence_is_the_measures_own_reads(theta):
     # the stacked read gives each measure's deficit and shift as the
     # measure's own quantile and density give them
     ms = [PerturbedSweepFamily.seeded(seed).measure_at(lam) for seed, lam in ((3, 0.5), (5, 1.0), (7, 2.0))]
-    rep = deficit(ms, theta)
+    rep = deficit(stack(ms), theta)
     assert isinstance(rep.deficit, np.ndarray) and rep.deficit.shape == (3,)
     for i, m in enumerate(ms):
         q = m.quantile(theta)
@@ -90,7 +97,7 @@ def test_deficit_of_a_sequence_is_the_measures_own_reads(theta):
         assert rep.perimeter_at_a[i] == pytest.approx(m.density(q), rel=1e-13)
         assert rep.deficit[i] == deficit(m, theta).deficit
     with pytest.raises(DomainError):
-        deficit(ms, 1.0)
+        deficit(stack(ms), 1.0)
 
 
 @given(
@@ -202,6 +209,16 @@ def test_entropy_of_example23_is_log1p_delta_e(D):
     assert relative_entropy(m) == pytest.approx(math.log1p(family.delta_E), rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize("D", [2.0, 4.0, 6.0, 7.5])
+def test_example23_delta_e_and_deficit_match_the_decimal_oracle(D):
+    # formed as 1/gamma(I) - 1, delta_E cancelled as D grew: it missed the
+    # oracle by 1.4e-12 at D = 4, 5.4e-8 at D = 6 and 1.4e-3 at D = 7.5
+    _, family, closed = example23(D)
+    want = truncation_excess_decimal(D)
+    assert family.delta_E == pytest.approx(float(want), rel=1e-13, abs=0.0)
+    assert closed.deficit == pytest.approx(float(truncated_deficit_decimal(D, 0.5)), rel=1e-13, abs=0.0)
+
+
 def _entropy_measures():
     xs = np.linspace(-6.0, 6.0, 61)
     convex = 0.3 * np.logaddexp(xs - 0.4, 0.4 - xs) - 0.1 * xs
@@ -235,8 +252,8 @@ def _l1_stacks():
         "example23": Example23SweepFamily().at_deficit(DEFAULT_DELTA_GRID, 0.5).realized,
         **{f"perturbed:{k}": PerturbedSweepFamily.seeded(k).at_deficit(DEFAULT_DELTA_GRID, 0.3).realized
            for k in (3, 518787, 331872)},
-        "tabulated": stacked(normalize(tabulated_potential(xs, 0.5 * xs * xs + convex))),
-        "translates": stacked([GAUSSIAN.translate(s) for s in (-2.5, 0.3, 6.922046728373387, 45.0)]),
+        "tabulated": normalize(tabulated_potential(xs, 0.5 * xs * xs + convex)).cells,
+        "translates": stack([GAUSSIAN.translate(s) for s in (-2.5, 0.3, 6.922046728373387, 45.0)]),
     }
 
 
@@ -267,8 +284,8 @@ def test_transport_map_upper_tail_as_precise_as_lower():
     # coupling reads it: the lesser tail Phi(-|s|) inverted from its end.
     # Inverting 1 - Phi(s) from the left would lose 5.8e-6 at s = 7
     s = np.arange(-7.0, 8.0)
-    got = stacked([GAUSSIAN.translate(0.3)]).invert(gaussian_cdf(-np.abs(s)), s > 0.0,
-                                                    np.zeros(s.size, dtype=int))
+    got = GAUSSIAN.translate(0.3).cells.invert(gaussian_cdf(-np.abs(s)), s > 0.0,
+                                               np.zeros(s.size, dtype=int))
     np.testing.assert_allclose(got - s - 0.3, 0.0, rtol=0.0, atol=1e-12)
 
 
@@ -291,11 +308,15 @@ def test_transport_chain_on_truncations(D):
     assert w2**2 <= 2.0 * relative_entropy(m) + 1e-8
 
 
-# -- distances on sequences: one quadrature, one row per measure -------------
+# -- distances on stacks: one quadrature, one row per measure ----------------
 
 
 def _sweep_measures(family, theta=0.5):
-    return [m for m in family.at_deficit(DEFAULT_DELTA_GRID, theta)]
+    """The stack of ``family`` realized on the default grid, every point
+    found."""
+    outcome = family.at_deficit(DEFAULT_DELTA_GRID, theta)
+    assert outcome.found == list(range(len(DEFAULT_DELTA_GRID))) and outcome.failed == {}
+    return outcome.realized
 
 
 @pytest.mark.parametrize("family", [Example23SweepFamily(), PerturbedSweepFamily.seeded(123456)],
@@ -311,11 +332,15 @@ def test_distances_on_a_sequence_equal_the_per_measure_calls(family):
         np.testing.assert_allclose(rows, alone, rtol=1e-13, atol=0.0)
 
 
-def test_distances_on_a_sequence_need_one_cell_count():
-    with pytest.raises(DomainError, match="share a cell count"):
-        lp_distance([GAUSSIAN, KINKED], 2.0)
-    with pytest.raises(DomainError, match="share a cell count"):
-        w2_to_gaussian([TRUNCATED_2, KINKED])
+def test_distances_reject_a_list_of_measures():
+    # measures are read together as the rows of one MeasureStack; a list is
+    # no input, whether its measures share a cell count or not
+    readers = (lambda m: deficit(m, 0.5), lambda m: lp_distance(m, 1.0), lambda m: lp_distance(m, 2.0),
+               relative_entropy, w1_to_gaussian, w2_to_gaussian)
+    for ms in ([GAUSSIAN, KINKED], [TRUNCATED_2, KINKED], [GAUSSIAN, GAUSSIAN.translate(0.3)], [KINKED]):
+        for read in readers:
+            with pytest.raises(DomainError, match="expected a Measure1D or a MeasureStack, got list"):
+                read(ms)
 
 
 def _w1_cdf_form(m):
@@ -437,15 +462,9 @@ def test_gap_bounds_truncated():
     assert rep.fitted_upper_constant >= 0.0
     assert math.isfinite(rep.fitted_upper_constant)
     assert rep.window.lo < 0.0 < rep.window.hi
-    d = rep.to_dict()
-    assert {"deficit", "slope_gap", "fitted_lower_constant", "fitted_upper_constant"} <= set(d)
-
-
-def test_gap_bounds_caps_reported():
-    rep = check_gap_bounds(TRUNCATED_2, 0.5, lower_cap=1e9, upper_cap=1e9)
-    assert rep.passed_lower and rep.passed_upper
-    uncapped = check_gap_bounds(TRUNCATED_2, 0.5)
-    assert uncapped.passed_lower is None and uncapped.passed_upper is None
+    assert set(rep.to_dict()) == {f.name for f in dataclasses.fields(rep)} == {
+        "theta", "deficit", "slope_gap", "window", "fitted_lower_constant", "fitted_upper_constant",
+        "equality_case"}
 
 
 def test_gap_bounds_read_the_deficit_report_bit_for_bit():
@@ -496,7 +515,7 @@ def test_default_gap_window_widens_as_deficit_shrinks():
         assert rep.window.lo == pytest.approx(max(a - half, -D + shift), rel=1e-12)
         assert rep.window.hi == pytest.approx(min(a + half, D + shift), rel=1e-12)
         halves.append(half)
-        lengths.append(rep.window.length)
+        lengths.append(rep.window.hi - rep.window.lo)
     assert halves[1] > halves[0] and lengths[1] > lengths[0]
     # on the whole line nothing is cut
     rep = check_gap_bounds(KINKED, 0.3)
