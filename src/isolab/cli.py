@@ -52,7 +52,7 @@ _CHECK_TOL = 1e-8  # closed-form / inequality slack used by CLI checks
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One fully resolved invocation; round-trips through ``to_dict``.
+    """One fully resolved invocation.
 
     ``measure`` selects a measure (``gaussian``, ``truncated:D``,
     ``perturbed[:seed]``, a JSON potential file) or, for ``sweep``, a measure
@@ -131,11 +131,6 @@ class RunConfig:
             raise ConfigError(f"c_threshold out of range: {self.c_threshold!r}")
         if not (type(self.seed) is int and self.seed >= 0):
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
-
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["p_list"], d["delta_grid"] = list(self.p_list), list(self.delta_grid)
-        return d
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "RunConfig":
@@ -383,10 +378,12 @@ def cmd_verify(cfg: RunConfig) -> int:
         # keeps the ones before it
         report["w1"] = w1 = stability.w1_to_gaussian(centered)
         report["w2"] = w2 = stability.w2_to_gaussian(centered)
-        report["entropy"] = stability.relative_entropy(centered)
-        tal = stability.talagrand_check(centered)
-        report.update(talagrand=tal.to_dict(), talagrand_pass=tal.passed)
-        checks["talagrand"] = bool(tal.passed)
+        report["entropy"] = entropy = stability.relative_entropy(centered)
+        # Talagrand's inequality W_2^2 <= 2 Ent, a theorem for 1-convex measures
+        lhs, rhs = w2**2, 2.0 * entropy
+        talagrand = lhs <= rhs + _CHECK_TOL
+        report.update(talagrand={"lhs": lhs, "rhs": rhs, "talagrand_pass": talagrand}, talagrand_pass=talagrand)
+        checks["talagrand"] = talagrand
         checks["w1_le_w2"] = w1 <= w2 + _CHECK_TOL
         report["w1_dual_bound"] = dual = stability.w1_dual_bound(m, cfg.theta)
         checks["w1_le_dual_bound"] = w1 <= dual + _CHECK_TOL
@@ -411,14 +408,14 @@ def cmd_example23(cfg: RunConfig) -> int:
     if not text.startswith("truncated:"):
         raise ConfigError(f"example23 needs a truncated:D measure spec, got {text!r}")
     D = _radius(text)
-    m, fam, closed = stability.example23(D)
+    m, fam = stability.example23(D)
 
     def compare(exact: float, numeric: float) -> dict:
         return {"closed": exact, "numeric": numeric, "error": abs(numeric - exact)}
 
     report: dict = {"command": "example23", "D": fam.D, "delta_E": fam.delta_E, "theta": 0.5}
-    report["deficit"] = compare(closed.deficit, stability.deficit(m, 0.5).deficit)
-    report["lp"] = [{"p": p, **compare(closed.lp(p), stability.lp_distance(m, p))} for p in cfg.p_list]
+    report["deficit"] = compare(fam.deficit, stability.deficit(m, 0.5).deficit)
+    report["lp"] = [{"p": p, **compare(fam.lp(p), stability.lp_distance(m, p))} for p in cfg.p_list]
     report["entropy"] = compare(math.log1p(fam.delta_E), stability.relative_entropy(m))
 
     xs = np.linspace(-D + 1e-9, D - 1e-9, 101)
@@ -648,32 +645,34 @@ def _selftest_battery() -> Sequence[Tuple[str, Callable[[], Optional[str]]]]:
         d0 = stability.deficit(gaussian_measure(), 0.5).deficit
         if abs(d0) > 1e-12:
             return f"gaussian deficit = {d0!r}"
-        m, fam, closed = stability.example23(2.0)
+        m, fam = stability.example23(2.0)
         d = stability.deficit(m, 0.5).deficit
-        if abs(d - closed.deficit) > 1e-10:
-            return f"truncated deficit = {d!r}, closed {closed.deficit!r}"
+        if abs(d - fam.deficit) > 1e-10:
+            return f"truncated deficit = {d!r}, closed {fam.deficit!r}"
         return None
 
     def lp_check() -> Optional[str]:
         z = stability.lp_distance(gaussian_measure(), 2.0)
         if abs(z) > 1e-12:
             return f"gaussian lp(2) = {z!r}"
-        m, _, closed = stability.example23(2.0)
+        m, fam = stability.example23(2.0)
         v = stability.lp_distance(m, 2.0)
-        if abs(v - closed.lp(2.0)) > 1e-8:
-            return f"truncated lp(2) = {v!r}, closed {closed.lp(2.0)!r}"
+        if abs(v - fam.lp(2.0)) > 1e-8:
+            return f"truncated lp(2) = {v!r}, closed {fam.lp(2.0)!r}"
         return None
 
     def talagrand_selfcheck() -> Optional[str]:
-        m, _, _ = stability.example23(1.5)
-        rep = stability.talagrand_check(m)
-        if not rep.passed:
-            return f"W2^2 = {rep.lhs!r} > 2 Ent = {rep.rhs!r}"
+        def sides(m: Measure1D) -> Tuple[float, float]:  # W_2^2 <= 2 Ent
+            return stability.w2_to_gaussian(m) ** 2, 2.0 * stability.relative_entropy(m)
+
+        lhs, rhs = sides(stability.example23(1.5)[0])
+        if not lhs <= rhs + _CHECK_TOL:
+            return f"W2^2 = {lhs!r} > 2 Ent = {rhs!r}"
         # the equality case: for the Gaussian translated by s both sides
         # are s^2, so no slack hides a small fault
-        rep = stability.talagrand_check(gaussian_measure().translate(0.3))
-        if abs(rep.lhs - 0.09) > 1e-8 or abs(rep.rhs - 0.09) > 1e-8:
-            return f"translate(0.3): W2^2 = {rep.lhs!r}, 2 Ent = {rep.rhs!r}, expected 0.09"
+        lhs, rhs = sides(gaussian_measure().translate(0.3))
+        if abs(lhs - 0.09) > 1e-8 or abs(rhs - 0.09) > 1e-8:
+            return f"translate(0.3): W2^2 = {lhs!r}, 2 Ent = {rhs!r}, expected 0.09"
         return None
 
     def needle_l1_check() -> Optional[str]:
@@ -725,7 +724,7 @@ def _selftest_battery() -> Sequence[Tuple[str, Callable[[], Optional[str]]]]:
         ("measure1d.brute_force_minimizer", minimizer_check),
         ("stability.deficit", deficit_check),
         ("stability.lp_distance", lp_check),
-        ("stability.talagrand_check", talagrand_selfcheck),
+        ("stability.talagrand", talagrand_selfcheck),
         ("needles.needle_l1", needle_l1_check),
         ("needles.generate_ensemble", ensemble_check),
         ("rates.fit_exponent", fit_check),

@@ -38,8 +38,9 @@ from .measure1d import (
     normalize,
     perturbed_gaussian_potential,
 )
-from .numerics import find_root, gaussian_quantile
+from .numerics import find_root
 from .stability import (
+    deficit,
     lp_distance,
     relative_entropy,
     solve_truncation_for_deficit,
@@ -248,26 +249,27 @@ def _centered_at(stack: MeasureStack, solved: np.ndarray, deltas: np.ndarray,
     """The grid points ``solved`` as the rows of ``stack``, each checked and
     centered at ``theta``, and a ``BracketError`` for every other point.
 
-    A row's ``theta``-point ``q``, read by :meth:`MeasureStack.theta_point`,
-    is checked by forward reads: it must hold the mass ``theta`` below it
-    to 1e-12, and its density, the perimeter, must give the requested
-    deficit to 5%.  So a fault of the inversion that gave ``q`` (and the
-    perturbed solver's deficits) cannot pass.  A row that passes is
-    translated by its centering shift ``a_theta - q``: its edges move by
-    it, its slopes by minus it, and its log amplitudes stay."""
+    Each row is centered by the shift of its :func:`deficit` report, which
+    moves its ``theta``-point to ``a_theta``: its edges move by the shift,
+    its slopes by minus it, and its log amplitudes stay.  The centered rows
+    are checked by forward reads: each must hold the mass ``theta`` below
+    ``a_theta`` to 1e-12, and its deficit must be the requested one to 5%.
+    So a fault of the inversion that gave the ``theta``-point (and the
+    perturbed solver's deficits) cannot pass."""
     failed = {i: BracketError(f"could not bracket deficit {d:.3e}")
               for i, d in enumerate(deltas) if not solved[i]}
     found = np.flatnonzero(solved)
-    q, density = stack.theta_point(theta)
-    held, d = stack.cdf(q, np.arange(len(stack))), density - gaussian_profile(theta)
-    for i, h, got, want in zip(found.tolist(), held.tolist(), d.tolist(), deltas[found].tolist()):
+    rep = deficit(stack, theta)
+    s = rep.shift[:, None]
+    centered = MeasureStack(stack.edges + s, stack.beta - s, stack.log_amp)
+    held = centered.cdf(np.full(len(stack), rep.a_theta), np.arange(len(stack)))
+    for i, h, got, want in zip(found.tolist(), held.tolist(), rep.deficit.tolist(), deltas[found].tolist()):
         if abs(h - theta) > 1e-12:
             failed[i] = BracketError(f"solved theta-point holds mass {h:.6e}, not {theta:.6e}")
         elif abs(got - want) > _SOLVE_RTOL * want:
             failed[i] = BracketError(f"solved deficit {got:.6e} misses requested {want:.6e} by >5%")
     keep = np.array([i not in failed for i in found.tolist()], dtype=bool)
-    s = (gaussian_quantile(theta) - q[keep])[:, None]  # the centering shifts
-    return Realizations(MeasureStack(stack.edges[keep] + s, stack.beta[keep] - s, stack.log_amp[keep]),
+    return Realizations(MeasureStack(centered.edges[keep], centered.beta[keep], centered.log_amp[keep]),
                         found[keep].tolist(), failed)
 
 

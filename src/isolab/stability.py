@@ -21,8 +21,9 @@ translates it by that shift:
   ``exp(psi_g - psi)`` from 1, with the convention that the ratio is 0 off
   ``I`` (so the integrand is 1 there, weighted by ``gamma(R \\ I)``), in
   closed form at ``p = 1``;
-* ``relative_entropy`` of ``m`` with respect to the Gaussian and the
-  Talagrand inequality ``W_2^2 <= 2 Ent``;
+* ``relative_entropy`` of ``m`` with respect to the Gaussian, which bounds
+  ``W_2^2`` by Talagrand's inequality ``W_2^2 <= 2 Ent`` (checked by the
+  ``verify`` command on the two numbers it reports);
 * ``w2_to_gaussian`` by quadrature of the quantile coupling, and
   ``w1_to_gaussian`` and a dual upper bound for it as closed moment sums;
 * the exactly solvable truncated-Gaussian family (:func:`example23`) whose
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -73,16 +74,13 @@ from .numerics import (
 __all__ = [
     "DeficitReport",
     "GapBoundReport",
-    "TalagrandReport",
     "Example23Family",
-    "Example23ClosedForms",
     "deficit",
     "check_gap_bounds",
     "lp_distance",
     "relative_entropy",
     "w2_to_gaussian",
     "w1_to_gaussian",
-    "talagrand_check",
     "w1_dual_bound",
     "example23",
     "truncated_deficit",
@@ -162,29 +160,23 @@ class GapBoundReport:
 
 
 @dataclass(frozen=True)
-class TalagrandReport:
-    lhs: float  # W_2^2
-    rhs: float  # 2 * relative entropy
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {"lhs": self.lhs, "rhs": self.rhs, "talagrand_pass": self.passed}
-
-
-@dataclass(frozen=True)
 class Example23Family:
-    """Truncated Gaussian on (-D, D): ``gamma(I) = (1 + delta_E)^{-1}``."""
+    """Truncated Gaussian on (-D, D): ``gamma(I) = (1 + delta_E)^{-1}``, with
+    its exact deficit and L^p distance at ``theta = 1/2``."""
 
     D: float
     delta_E: float
 
+    @property
+    def deficit(self) -> float:
+        return self.delta_E / SQRT_2PI
 
-@dataclass(frozen=True)
-class Example23ClosedForms:
-    """Exact deficit and L^p distance of the truncated family at theta=1/2."""
-
-    deficit: float
-    lp: Callable[[float], float]
+    def lp(self, p: float) -> float:
+        p = float(p)
+        if p < 1.0:
+            raise DomainError("closed-form lp needs p >= 1")
+        d = self.delta_E
+        return ((1.0 + d ** (p - 1.0)) / (1.0 + d)) ** (1.0 / p) * d ** (1.0 / p)
 
 
 def deficit(m: Measures, theta: float) -> DeficitReport:
@@ -481,13 +473,6 @@ def w1_to_gaussian(m: Measures):
     return _shaped(_moment_gap(st, _cdf_crossings(st)), m)
 
 
-def talagrand_check(m: Measure1D) -> TalagrandReport:
-    """Check ``W_2^2 <= 2 Ent`` (a theorem for 1-convex measures)."""
-    lhs = w2_to_gaussian(m) ** 2
-    rhs = 2.0 * relative_entropy(m)
-    return TalagrandReport(lhs=lhs, rhs=rhs, passed=bool(lhs <= rhs + 1e-8))
-
-
 def w1_dual_bound(m: Measure1D, theta: float) -> float:
     """Kantorovich-Rubinstein style upper bound for ``W_1(m, gamma)``:
     ``int |x - a_theta| * |exp(psi_g - psi) - 1| dgamma`` with the off-domain
@@ -505,12 +490,13 @@ def w1_dual_bound(m: Measure1D, theta: float) -> float:
     return float(_moment_gap(st, cuts, a_theta)[0])
 
 
-def example23(D: float) -> Tuple[Measure1D, Example23Family, Example23ClosedForms]:
+def example23(D: float) -> Tuple[Measure1D, Example23Family]:
     """The exactly solvable truncated-Gaussian family on ``(-D, D)``.
 
     The measure is ``(1+delta_E) * gamma`` restricted to ``(-D, D)`` with
-    ``gamma((-D, D)) = (1+delta_E)^{-1}``.  At ``theta = 1/2`` everything is
-    explicit:
+    ``gamma((-D, D)) = (1+delta_E)^{-1}``; it is returned with its
+    :class:`Example23Family`, whose ``deficit`` and ``lp(p)`` are explicit at
+    ``theta = 1/2``:
 
         deficit = delta_E / sqrt(2*pi)
         lp(p)   = ((1 + delta_E^{p-1}) / (1 + delta_E))^{1/p} * delta_E^{1/p}
@@ -524,19 +510,7 @@ def example23(D: float) -> Tuple[Measure1D, Example23Family, Example23ClosedForm
         raise DomainError(f"example23: D={D!r} must be positive and finite")
     tail = gaussian_sf(D)
     delta_E = 2.0 * tail / (1.0 - 2.0 * tail)
-    m = normalize(truncated_gaussian_potential(D))
-    fam = Example23Family(D=float(D), delta_E=float(delta_E))
-
-    def lp_closed(p: float) -> float:
-        p = float(p)
-        if p < 1.0:
-            raise DomainError("closed-form lp needs p >= 1")
-        return ((1.0 + delta_E ** (p - 1.0)) / (1.0 + delta_E)) ** (1.0 / p) * (
-            delta_E ** (1.0 / p)
-        )
-
-    closed = Example23ClosedForms(deficit=delta_E / SQRT_2PI, lp=lp_closed)
-    return m, fam, closed
+    return normalize(truncated_gaussian_potential(D)), Example23Family(D=float(D), delta_E=float(delta_E))
 
 
 def truncated_deficit(D, theta: float):

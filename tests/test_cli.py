@@ -52,7 +52,7 @@ def test_runconfig_round_trips():
         p_list=(1.0, 2.0),
         delta_grid=(1e-2, 1e-3),
     )
-    assert RunConfig.from_dict(cfg.to_dict()) == cfg
+    assert RunConfig.from_dict(dataclasses.asdict(cfg)) == cfg
     # the dict form normalizes p order
     unsorted = RunConfig.from_dict({"command": "verify", "p_list": [4.0, 1.0]})
     assert unsorted.p_list == (1.0, 4.0)
@@ -367,6 +367,19 @@ def test_verify_gaussian_all_checks_pass(tmp_path, capsys):
     assert abs(report["deficit"]) <= 1e-10
     assert report["w2"] <= 1e-8
     assert out.strip().endswith("PASS")
+
+
+def test_verify_reads_w2_and_entropy_once(tmp_path, monkeypatch):
+    # the Talagrand check reads the W_2 and the entropy that verify reports
+    calls = []
+    for name in ("w2_to_gaussian", "relative_entropy"):
+        original = getattr(stability, name)
+        monkeypatch.setattr(stability, name, lambda m, _f=original, _n=name: calls.append(_n) or _f(m))
+    code, report = run(tmp_path, "verify", "--measure", "perturbed:3")
+    assert code == 0
+    assert sorted(calls) == ["relative_entropy", "w2_to_gaussian"]
+    assert report["talagrand"] == {"lhs": report["w2"] ** 2, "rhs": 2.0 * report["entropy"],
+                                   "talagrand_pass": True}
 
 
 def test_verify_truncated_matches_closed_forms(tmp_path):

@@ -36,7 +36,9 @@ from isolab import (
     theorem31_experiment,
     truncated_gaussian_potential,
 )
+from isolab.needles import rate_exponent
 from isolab.numerics import LOG_SQRT_2PI
+from isolab.stability import solve_truncation_for_deficit
 
 GAUSSIAN = gaussian_measure()
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -134,8 +136,7 @@ def test_needle_quantiles_precomputed():
 
 
 def test_scaling_exponent_arithmetic():
-    ens = single_needle(GAUSSIAN)
-    assert ens.scaling_exponent == pytest.approx(0.9 / 8.7, rel=1e-15)
+    assert rate_exponent(0.1) == pytest.approx(0.9 / 8.7, rel=1e-15)
 
 
 # -- mixture density and disintegration ---------------------------------------
@@ -591,6 +592,20 @@ def test_experiment_warns_on_precondition_miss():
         rep = theorem31_experiment(ens, 1e-3)
     assert not rep.bad_mass_within_rate
     assert rep.mixture_l1 <= 2.0 + 1e-9  # trivial bound survives regardless
+
+
+def test_experiment_warns_once_of_an_aggregate_deficit_above_delta():
+    # one symmetric truncation of deficit 1e-3 at delta = 1e-4: good (1e-3 <
+    # sqrt(delta)) and centered, so only the aggregate deficit is off, and
+    # classify_good alone warns of it
+    D = solve_truncation_for_deficit(1e-3, 0.5)
+    ens = single_needle(normalize(truncated_gaussian_potential(D)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rep = theorem31_experiment(ens, 1e-4)
+    assert not rep.markov_applies and rep.bad_mass_within_rate and rep.bad_mass == 0.0
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert "Markov assertion skipped" in str(caught[0].message)
 
 
 # -- the synthetic generator --------------------------------------------------

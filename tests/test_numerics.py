@@ -261,6 +261,27 @@ def test_every_public_name_is_read_outside_the_package_init():
     assert sorted(set(isolab.__all__) - loaded) == []
 
 
+def test_no_dataclass_field_holds_a_callable():
+    # no family built from closures: a dataclass holds numbers and arrays,
+    # and what it computes from them is a method
+    def names(node):
+        """The names and attribute names in ``node``, a string annotation parsed."""
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            node = ast.parse(node.value, mode="eval")
+        return {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)}
+
+    def is_dataclass(cls):
+        return any("dataclass" in names(d.func if isinstance(d, ast.Call) else d) for d in cls.decorator_list)
+
+    held = [f"{path.stem}.{cls.name}.{field.target.id}"
+            for path in sorted(Path(isolab.__file__).parent.glob("*.py"))
+            for cls in ast.walk(ast.parse(path.read_text()))
+            if isinstance(cls, ast.ClassDef) and is_dataclass(cls)
+            for field in cls.body
+            if isinstance(field, ast.AnnAssign) and "Callable" in names(field.annotation)]
+    assert held == []
+
+
 def test_every_public_default_is_passed_by_some_call():
     # no option that nothing sets: each parameter with a default, of each
     # function of isolab.__all__, is passed by keyword or by position by a

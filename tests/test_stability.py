@@ -29,7 +29,6 @@ from isolab import (
     perturbed_gaussian_potential,
     PerturbedSweepFamily,
     relative_entropy,
-    talagrand_check,
     tabulated_potential,
     truncated_gaussian_potential,
     w1_dual_bound,
@@ -122,20 +121,22 @@ def test_slope_gap_smooth_cases():
 
 
 def test_example23_constants():
-    m, family, closed = example23(2.0)
+    m, family = example23(2.0)
     assert family.D == 2.0
     assert family.delta_E == pytest.approx(oc.DELTA_E_D2, rel=1e-11)
-    assert closed.deficit == pytest.approx(oc.DEFICIT_D2, rel=1e-11)
-    assert closed.lp(1) == pytest.approx(oc.LP1_D2, rel=1e-11)
-    assert closed.lp(2) == pytest.approx(oc.LP2_D2, rel=1e-11)
-    assert closed.lp(4) == pytest.approx(oc.LP4_D2, rel=1e-11)
+    assert family.deficit == pytest.approx(oc.DEFICIT_D2, rel=1e-11)
+    assert family.lp(1) == pytest.approx(oc.LP1_D2, rel=1e-11)
+    assert family.lp(2) == pytest.approx(oc.LP2_D2, rel=1e-11)
+    assert family.lp(4) == pytest.approx(oc.LP4_D2, rel=1e-11)
+    with pytest.raises(DomainError):
+        family.lp(0.5)
 
 
 def test_example23_closed_vs_numeric_routes():
-    m, family, closed = example23(2.0)
-    assert deficit(m, 0.5).deficit == pytest.approx(closed.deficit, abs=1e-8)
+    m, family = example23(2.0)
+    assert deficit(m, 0.5).deficit == pytest.approx(family.deficit, abs=1e-8)
     for p in (1, 2, 4):
-        assert lp_distance(m, p) == pytest.approx(closed.lp(p), abs=1e-8)
+        assert lp_distance(m, p) == pytest.approx(family.lp(p), abs=1e-8)
     assert relative_entropy(m) == pytest.approx(math.log1p(family.delta_E), abs=1e-9)
 
 
@@ -205,7 +206,7 @@ def test_entropy_of_shifted_gaussian_is_half_s_squared():
 
 @pytest.mark.parametrize("D", [1.0, 1.5, 2.0, 2.5])
 def test_entropy_of_example23_is_log1p_delta_e(D):
-    m, family, _ = example23(D)
+    m, family = example23(D)
     assert relative_entropy(m) == pytest.approx(math.log1p(family.delta_E), rel=1e-14, abs=0.0)
 
 
@@ -213,10 +214,10 @@ def test_entropy_of_example23_is_log1p_delta_e(D):
 def test_example23_delta_e_and_deficit_match_the_decimal_oracle(D):
     # formed as 1/gamma(I) - 1, delta_E cancelled as D grew: it missed the
     # oracle by 1.4e-12 at D = 4, 5.4e-8 at D = 6 and 1.4e-3 at D = 7.5
-    _, family, closed = example23(D)
+    _, family = example23(D)
     want = truncation_excess_decimal(D)
     assert family.delta_E == pytest.approx(float(want), rel=1e-13, abs=0.0)
-    assert closed.deficit == pytest.approx(float(truncated_deficit_decimal(D, 0.5)), rel=1e-13, abs=0.0)
+    assert family.deficit == pytest.approx(float(truncated_deficit_decimal(D, 0.5)), rel=1e-13, abs=0.0)
 
 
 def _entropy_measures():
@@ -292,9 +293,10 @@ def test_transport_map_upper_tail_as_precise_as_lower():
 def test_talagrand_equality_for_shifted_gaussian():
     # W_2^2 = s^2 = 2 * Ent: the extremal case of the inequality
     m = GAUSSIAN.translate(0.8)
-    rep = talagrand_check(m)
-    assert rep.passed
-    assert rep.lhs == pytest.approx(rep.rhs, abs=1e-8)
+    lhs, rhs = w2_to_gaussian(m) ** 2, 2.0 * relative_entropy(m)
+    assert lhs <= rhs + 1e-8
+    assert lhs == pytest.approx(rhs, abs=1e-8)
+    assert rhs == pytest.approx(0.64, abs=1e-12)
 
 
 @pytest.mark.parametrize("D", [1.5, 2.0, 3.0])
@@ -302,9 +304,7 @@ def test_transport_chain_on_truncations(D):
     m = normalize(truncated_gaussian_potential(D))
     w1 = w1_to_gaussian(m)
     w2 = w2_to_gaussian(m)
-    rep = talagrand_check(m)
     assert 0.0 < w1 <= w2 + 1e-10
-    assert rep.passed
     assert w2**2 <= 2.0 * relative_entropy(m) + 1e-8
 
 
