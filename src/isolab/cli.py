@@ -752,7 +752,7 @@ _FAULTS = {
     "coupling": (stability, "_quantile_coupling",
                  lambda f: lambda *a: f(*a) * (1.0 + 1e-6)),
     # every power-law fit: the slope scaled by 1 + 1e-9
-    "fit_slope": (rates, "_fit",
+    "fit_slope": (rates, "fit_exponent",
                   lambda f: lambda points: (lambda a, c, r2: (a * (1.0 + 1e-9), c, r2))(*f(points))),
 }
 

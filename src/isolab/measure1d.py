@@ -55,7 +55,7 @@ from typing import Callable, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError, InvalidPotentialError, NonIntegrableError
+from .errors import DomainError, InvalidPotentialError, IsolabError, NonIntegrableError
 from .numerics import (
     LOG_SQRT_2PI,
     REAL_LINE,
@@ -121,8 +121,8 @@ class PotentialSpec:
 
     ``psi_hat(x) = x^2/2 + slopes[i]*x + offsets[i]`` on the cell
     ``(edges[i], edges[i+1])``; ``edges`` runs from ``domain.lo`` to
-    ``domain.hi``.  ``value`` and ``right_derivative`` accept floats or
-    numpy arrays.
+    ``domain.hi``.  Its one method, ``value``, accepts floats or numpy
+    arrays.
     """
 
     domain: Interval
@@ -136,9 +136,6 @@ class PotentialSpec:
             return 0.5 * a * a + self.slopes[i] * a + self.offsets[i]
 
         return _vec(impl, x)
-
-    def right_derivative(self, x: ArrayLike) -> ArrayLike:
-        return _vec(lambda a: a + self.slopes[cell_index(self.edges, a)], x)
 
 
 def cell_log_masses(edges, beta, log_amp):
@@ -281,37 +278,39 @@ def potential_from_config(config: Mapping[str, object]) -> PotentialSpec:
     ``family`` key names the constructor (``gaussian``,
     ``truncated_gaussian``, ``perturbed_gaussian`` or ``tabulated_convex``),
     the other keys are that constructor's arguments, and an optional
-    ``shift`` translates the result."""
-    try:
-        return _potential_from_config(config)
-    except KeyError as exc:
-        raise DomainError(f"potential config missing key: {exc.args[0]!r}") from None
-
-
-def _potential_from_config(config: Mapping[str, object]) -> PotentialSpec:
+    ``shift`` translates the result.  A missing key, or a value that does
+    not convert, raises ``DomainError``; the package's own errors pass
+    through as raised."""
     cfg = dict(config)
     family = cfg.pop("family", None)
-    shift = float(cfg.pop("shift", 0.0))
-    if family == "gaussian":
-        spec = gaussian_potential()
-    elif family == "truncated_gaussian":
-        if "D" in cfg:
-            spec = truncated_gaussian_potential(float(cfg.pop("D")))
-        else:
-            spec = truncated_gaussian_potential(
-                lo=float(cfg.pop("lo")), hi=float(cfg.pop("hi"))
+    try:
+        shift = float(cfg.pop("shift", 0.0))
+        if family == "gaussian":
+            spec = gaussian_potential()
+        elif family == "truncated_gaussian":
+            if "D" in cfg:
+                spec = truncated_gaussian_potential(float(cfg.pop("D")))
+            else:
+                spec = truncated_gaussian_potential(
+                    lo=float(cfg.pop("lo")), hi=float(cfg.pop("hi"))
+                )
+        elif family == "perturbed_gaussian":
+            dom = REAL_LINE
+            if "lo" in cfg or "hi" in cfg:
+                dom = Interval(float(cfg.pop("lo", -math.inf)), float(cfg.pop("hi", math.inf)))
+            spec = perturbed_gaussian_potential(
+                tuple(cfg.pop("breakpoints")), tuple(cfg.pop("slopes")), dom  # type: ignore[arg-type]
             )
-    elif family == "perturbed_gaussian":
-        dom = REAL_LINE
-        if "lo" in cfg or "hi" in cfg:
-            dom = Interval(float(cfg.pop("lo", -math.inf)), float(cfg.pop("hi", math.inf)))
-        spec = perturbed_gaussian_potential(
-            tuple(cfg.pop("breakpoints")), tuple(cfg.pop("slopes")), dom  # type: ignore[arg-type]
-        )
-    elif family == "tabulated_convex":
-        spec = tabulated_potential(cfg.pop("xs"), cfg.pop("values"))  # type: ignore[arg-type]
-    else:
-        raise DomainError(f"unknown potential family: {family!r}")
+        elif family == "tabulated_convex":
+            spec = tabulated_potential(cfg.pop("xs"), cfg.pop("values"))  # type: ignore[arg-type]
+        else:
+            raise DomainError(f"unknown potential family: {family!r}")
+    except KeyError as exc:
+        raise DomainError(f"potential config missing key: {exc.args[0]!r}") from None
+    except IsolabError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"bad value in potential config: {exc}") from None
     if cfg:
         raise DomainError(f"unknown keys in potential config: {sorted(cfg)}")
     return translate_potential(spec, shift) if shift else spec

@@ -16,10 +16,10 @@ and where an unbounded integral is cut; every other module calls these:
   failure mode: if the estimated error exceeds the requested tolerance a
   ``QuadratureError`` is raised instead of silently returning a bad value.
   An infinite end is cut at ``TAIL_CUTOFF``; a finite one is kept.
-* ``find_root`` -- one elementwise bracketed solver (Chandrupatla's method)
-  with one loop: a bracket is a pair ``(lo, hi)`` of floats, for a single
-  root, or of arrays, for one root per element; brackets are validated
-  explicitly.
+* ``find_root`` -- one elementwise bracketed solver (Chandrupatla's method),
+  one function that validates the brackets and runs one loop: a bracket is
+  a pair ``(lo, hi)`` of floats, for a single root, or of arrays, for one
+  root per element; brackets are validated explicitly.
 """
 from __future__ import annotations
 
@@ -309,19 +309,44 @@ def find_root(f: Callable, bracket, tol: float = 1e-13, *, full_output: bool = F
     lo, hi = np.broadcast_arrays(*(np.asarray(e, dtype=float) for e in bracket))
     if not np.all(np.isfinite(lo) & np.isfinite(hi)):
         raise DomainError("find_root requires bounded brackets")
-    root, steps = _roots_of_array_function(f, lo, hi, tol)
+    # x1 is the newest point, x2 the bracket end where f has the other sign,
+    # x3 the point dropped last; an element is advanced while it has not
+    # converged and held once it has
+    x1, x2 = lo, hi
+    f1, f2 = np.asarray(f(lo), dtype=float), np.asarray(f(hi), dtype=float)
+    no_sign_change = ((f1 > 0.0) == (f2 > 0.0)) & (f1 != 0.0) & (f2 != 0.0)
+    for i in np.argwhere(np.isnan(f1) | np.isnan(f2) | no_sign_change):
+        i = tuple(i.tolist())
+        raise BracketError(f"no sign change on [{lo[i]}, {hi[i]}]{f' (element {i})' if i else ''}: "
+                           f"f(lo)={f1[i]:.6e}, f(hi)={f2[i]:.6e}")
+    steps = np.zeros(lo.shape, dtype=int)
+    x3, f3 = x2, f2
+    for step in range(_MAX_ROOT_STEPS + 1):
+        best = np.abs(f1) < np.abs(f2)
+        root = np.where(best, x1, x2)
+        width = np.abs(x2 - x1)
+        xtol = tol + _ROOT_RTOL * np.abs(root)
+        active = (np.where(best, f1, f2) != 0.0) & (width >= xtol)
+        if not np.any(active):
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = _step_fraction(x1, x2, x3, f1, f2, f3) if step else f1 / (f1 - f2)
+        t_min = 0.5 * xtol / np.where(active, width, 1.0)
+        x = np.where(active, x1 + np.clip(t, t_min, 1.0 - t_min) * (x2 - x1), root)
+        fx = np.asarray(f(x), dtype=float)
+        for i in np.argwhere(np.isnan(fx) & active):
+            i = tuple(i.tolist())
+            raise BracketError(f"f is NaN at {x[i]} (element {i})")
+        steps += active
+        same = (fx > 0.0) == (f1 > 0.0)
+        x3, f3 = np.where(active, np.where(same, x1, x2), x3), np.where(active, np.where(same, f1, f2), f3)
+        x2, f2 = np.where(active & ~same, x1, x2), np.where(active & ~same, f1, f2)
+        x1, f1 = np.where(active, x, x1), np.where(active, fx, f1)
+    else:
+        raise BracketError(f"no root to {tol:g} after {_MAX_ROOT_STEPS} steps on some bracket")
     if not root.ndim:
         root, steps = float(root), int(steps)
     return (root, steps) if full_output else root
-
-
-def _check_bracket(lo, hi, f_lo, f_hi, where="") -> None:
-    if math.isnan(f_lo) or math.isnan(f_hi) or (
-        (f_lo > 0.0) == (f_hi > 0.0) and f_lo != 0.0 and f_hi != 0.0
-    ):
-        raise BracketError(
-            f"no sign change on [{lo}, {hi}]{where}: f(lo)={f_lo:.6e}, f(hi)={f_hi:.6e}"
-        )
 
 
 def _step_fraction(x1, x2, x3, f1, f2, f3):
@@ -336,39 +361,3 @@ def _step_fraction(x1, x2, x3, f1, f2, f3):
         quadratic = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
         t = f1 / (f1 - f2) * f3 / (f3 - f2) - alpha * f1 / (f3 - f1) * f2 / (f2 - f3)
     return np.where(quadratic, t, 0.5)
-
-
-def _roots_of_array_function(f, lo: np.ndarray, hi: np.ndarray, tol: float):
-    """The elementwise loop of :func:`find_root`: the state of every element
-    is advanced where it has not converged and held where it has."""
-    # x1 is the newest point, x2 the bracket end where f has the other sign,
-    # x3 the point dropped last
-    x1, x2 = lo, hi
-    f1, f2 = np.asarray(f(lo), dtype=float), np.asarray(f(hi), dtype=float)
-    for i in np.argwhere(np.isnan(f1) | np.isnan(f2) | ((f1 > 0.0) == (f2 > 0.0))):
-        i = tuple(i.tolist())
-        _check_bracket(lo[i], hi[i], f1[i], f2[i], f" (element {i})" if i else "")
-    steps = np.zeros(lo.shape, dtype=int)
-    x3, f3 = x2, f2
-    for step in range(_MAX_ROOT_STEPS + 1):
-        best = np.abs(f1) < np.abs(f2)
-        root = np.where(best, x1, x2)
-        width = np.abs(x2 - x1)
-        xtol = tol + _ROOT_RTOL * np.abs(root)
-        active = (np.where(best, f1, f2) != 0.0) & (width >= xtol)
-        if not np.any(active):
-            return root, steps
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = _step_fraction(x1, x2, x3, f1, f2, f3) if step else f1 / (f1 - f2)
-        t_min = 0.5 * xtol / np.where(active, width, 1.0)
-        x = np.where(active, x1 + np.clip(t, t_min, 1.0 - t_min) * (x2 - x1), root)
-        fx = np.asarray(f(x), dtype=float)
-        for i in np.argwhere(np.isnan(fx) & active):
-            i = tuple(i.tolist())
-            raise BracketError(f"f is NaN at {x[i]} (element {i})")
-        steps += active
-        same = (fx > 0.0) == (f1 > 0.0)
-        x3, f3 = np.where(active, np.where(same, x1, x2), x3), np.where(active, np.where(same, f1, f2), f3)
-        x2, f2 = np.where(active & ~same, x1, x2), np.where(active & ~same, f1, f2)
-        x1, f1 = np.where(active, x, x1), np.where(active, fx, f1)
-    raise BracketError(f"no root to {tol:g} after {_MAX_ROOT_STEPS} steps on some bracket")

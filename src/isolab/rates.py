@@ -25,7 +25,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import ClassVar, Dict, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -148,32 +148,15 @@ class SweepResult:
         }
 
 
-@dataclass(frozen=True)
-class Realizations:
-    """A family's answer for a deficit grid: ``realized`` holds the measures
-    of the grid points ``found``, a row each in grid order, and ``failed``
-    maps every other point to its ``BracketError``."""
-
-    realized: MeasureStack
-    found: List[int]
-    failed: Dict[int, BracketError]
-
-
 class SweepFamily(Protocol):
+    """A family's answer for a deficit grid is the pair ``(stack, failed)``:
+    ``stack`` holds the measures of the realized grid points, a row each in
+    grid order, and ``failed`` maps every other grid index to its
+    ``BracketError``."""
+
     name: str
 
-    def at_deficit(self, deltas: Sequence[float], theta: float) -> Realizations: ...
-
-
-def _fit(points: Sequence[Tuple[float, float]]) -> Tuple[float, float, float]:
-    ln_d = np.log([d for d, _ in points])
-    ln_v = np.log([v for _, v in points])
-    slope, intercept = np.polyfit(ln_d, ln_v, 1)
-    pred = slope * ln_d + intercept
-    ss_res = float(np.sum((ln_v - pred) ** 2))
-    ss_tot = float(np.sum((ln_v - ln_v.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(slope), float(intercept), r2
+    def at_deficit(self, deltas: Sequence[float], theta: float) -> Tuple[MeasureStack, Dict[int, BracketError]]: ...
 
 
 def fit_exponent(points: Sequence[Tuple[float, float]]) -> Tuple[float, float, float]:
@@ -192,7 +175,14 @@ def fit_exponent(points: Sequence[Tuple[float, float]]) -> Tuple[float, float, f
     positive = [(d, v) for d, v in points if v > _FIT_FLOOR]
     if len(positive) < 3:
         return math.nan, math.nan, math.nan
-    return _fit(positive)
+    ln_d = np.log([d for d, _ in positive])
+    ln_v = np.log([v for _, v in positive])
+    slope, intercept = np.polyfit(ln_d, ln_v, 1)
+    pred = slope * ln_d + intercept
+    ss_res = float(np.sum((ln_v - pred) ** 2))
+    ss_tot = float(np.sum((ln_v - ln_v.mean()) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    return float(slope), float(intercept), r2
 
 
 def sweep(
@@ -216,19 +206,17 @@ def sweep(
     if any(not (d > 0.0 and math.isfinite(d)) for d in grid):
         raise DomainError("delta grid entries must be positive and finite")
 
-    outcome = family.at_deficit(grid, theta)
-    stack = outcome.realized
+    stack, failed = family.at_deficit(grid, theta)
     measure_metric = {"w1": w1_to_gaussian, "w2": w2_to_gaussian, "entropy": relative_entropy,
                       "lp": lambda stack: lp_distance(stack, float(metric.p))}[metric.kind]
-    found = measure_metric(stack).tolist() if len(stack) else []
-    values = {**outcome.failed, **dict(zip(outcome.found, found))}
+    values = iter(measure_metric(stack).tolist() if len(stack) else [])
     points, skipped = [], []
-    for d, value in zip(grid, (values[i] for i in range(len(grid)))):
-        if isinstance(value, BracketError):
-            logger.warning("skipping delta=%.3e for family %s: %s", d, family.name, value)
+    for i, d in enumerate(grid):
+        if i in failed:
+            logger.warning("skipping delta=%.3e for family %s: %s", d, family.name, failed[i])
             skipped.append(d)
         else:
-            points.append((d, value))
+            points.append((d, next(values)))
     alpha, c, r2 = fit_exponent(points)
     return SweepResult(
         points=tuple(points),
@@ -245,7 +233,7 @@ def sweep(
 
 
 def _centered_at(stack: MeasureStack, solved: np.ndarray, deltas: np.ndarray,
-                 theta: float) -> Realizations:
+                 theta: float) -> Tuple[MeasureStack, Dict[int, BracketError]]:
     """The grid points ``solved`` as the rows of ``stack``, each checked and
     centered at ``theta``, and a ``BracketError`` for every other point.
 
@@ -269,17 +257,16 @@ def _centered_at(stack: MeasureStack, solved: np.ndarray, deltas: np.ndarray,
         elif abs(got - want) > _SOLVE_RTOL * want:
             failed[i] = BracketError(f"solved deficit {got:.6e} misses requested {want:.6e} by >5%")
     keep = np.array([i not in failed for i in found.tolist()], dtype=bool)
-    return Realizations(MeasureStack(centered.edges[keep], centered.beta[keep], centered.log_amp[keep]),
-                        found[keep].tolist(), failed)
+    return MeasureStack(centered.edges[keep], centered.beta[keep], centered.log_amp[keep]), failed
 
 
 @dataclass(frozen=True)
 class Example23SweepFamily:
     """Truncated Gaussians ``(-D, D)`` parametrized by the deficit."""
 
-    name: str = "example23"
+    name: ClassVar[str] = "example23"
 
-    def at_deficit(self, deltas: Sequence[float], theta: float) -> Realizations:
+    def at_deficit(self, deltas: Sequence[float], theta: float) -> Tuple[MeasureStack, Dict[int, BracketError]]:
         deltas = np.asarray(deltas, dtype=float)
         radii = solve_truncation_for_deficit(deltas, theta)
         solved = ~np.isnan(radii)
@@ -293,12 +280,12 @@ class GaussianSweepFamily:
     """Degenerate family: the standard Gaussian at every delta (deficit 0).
     All metrics vanish, so sweeps over it exercise the fit-skipped path."""
 
-    name: str = "gaussian"
+    name: ClassVar[str] = "gaussian"
 
-    def at_deficit(self, deltas: Sequence[float], theta: float) -> Realizations:
+    def at_deficit(self, deltas: Sequence[float], theta: float) -> Tuple[MeasureStack, Dict[int, BracketError]]:
         n = len(deltas)
         stack = MeasureStack(np.tile([-math.inf, math.inf], (n, 1)), np.zeros((n, 1)), np.zeros((n, 1)))
-        return Realizations(stack, list(range(n)), {})
+        return stack, {}
 
 
 @dataclass(frozen=True)
@@ -356,7 +343,7 @@ class PerturbedSweepFamily:
         cells = self._cells_at(np.asarray(lams, dtype=float))
         return cells.theta_point(theta)[1] - gaussian_profile(theta)
 
-    def at_deficit(self, deltas: Sequence[float], theta: float) -> Realizations:
+    def at_deficit(self, deltas: Sequence[float], theta: float) -> Tuple[MeasureStack, Dict[int, BracketError]]:
         deltas = np.asarray(deltas, dtype=float)
         # a target at or below the deficit read at scale 0, the Gaussian's
         # rounding noise, has no bracket on (0, hi): that point fails

@@ -216,26 +216,27 @@ def check_gap_bounds(m: Measure1D, theta: float) -> GapBoundReport:
     """
     rep = deficit(m, theta)
     centered, a_theta, delta = m.translate(rep.shift), rep.a_theta, rep.deficit
+    edges, beta = centered.cells.edges[0], centered.cells.beta[0]
     small = max(delta, _EQUALITY_TOL)
     half = math.sqrt(2.0 * math.log(1.0 / small)) if small < 1.0 else 1.0
     window = Interval(a_theta - half, a_theta + half).intersect(centered.domain)
-    sg = float(centered.potential.right_derivative(a_theta)) - a_theta
+    # psi's slope right of a_theta, less psi_g's
+    sg = float(a_theta + beta[cell_index(edges, a_theta)]) - a_theta
     clip_lo, clip_hi = centered.quantile(np.array([_T_CLIP, 1.0 - _T_CLIP])).tolist()
     lo = max(min(window.lo, clip_lo), -TAIL_CUTOFF)
     hi = min(max(window.hi, clip_hi), TAIL_CUTOFF)
 
     # on cell i, g is the line slope[i]*x + icpt[i]: psi - psi_g is
     # beta_i*x + beta_i^2/2 - log_amp_i there
-    pot = centered.potential
-    slope = pot.slopes - sg
-    icpt = 0.5 * pot.slopes**2 - centered.log_amp + sg * a_theta
+    slope = beta - sg
+    icpt = 0.5 * beta**2 - centered.log_amp + sg * a_theta
 
     def gap(start: float, stop: float) -> np.ndarray:
         """``g`` at both ends of each piece that the edges cut ``[start,
         stop]`` into, on the piece's own cell."""
-        inner = pot.edges[(pot.edges > start) & (pot.edges < stop)]
+        inner = edges[(edges > start) & (edges < stop)]
         xs = np.concatenate([[start], inner, [stop]])
-        i = np.searchsorted(pot.edges[1:-1], xs[:-1], side="right")
+        i = np.searchsorted(edges[1:-1], xs[:-1], side="right")
         return np.concatenate([slope[i] * xs[:-1] + icpt[i], slope[i] * xs[1:] + icpt[i]])
 
     equality = delta <= _EQUALITY_TOL

@@ -113,7 +113,8 @@ def test_criterion_4_w2_exponent_and_transport_chain():
         assert res.fitted_exponent >= 0.45
 
         for d, _ in res.points:
-            m = fam.at_deficit([d], 0.5).realized[0]
+            (m,), failed = fam.at_deficit([d], 0.5)
+            assert failed == {}
             w2 = w2_to_gaussian(m)
             assert w2**2 <= 2.0 * relative_entropy(m) + 1e-8, f"Talagrand fails at delta={d}"
             assert w1_to_gaussian(m) <= w2 + 1e-10
@@ -139,7 +140,8 @@ def test_criterion_6_gap_bound_constants_are_stable():
             fam = PerturbedSweepFamily.seeded(seed)
             lower, upper = [], []
             for d in grid:
-                m = fam.at_deficit([d], 0.5).realized[0]
+                (m,), failed = fam.at_deficit([d], 0.5)
+                assert failed == {}
                 rep = check_gap_bounds(m, 0.5)
                 assert not rep.equality_case
                 assert math.isfinite(rep.fitted_lower_constant)

@@ -506,6 +506,30 @@ def test_verify_rejects_malformed_potential_file(tmp_path, capsys):
     assert "missing key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"family": "truncated_gaussian", "D": "x"},  # these were ValueError or TypeError tracebacks
+        {"family": "truncated_gaussian", "D": None},
+        {"family": "truncated_gaussian", "D": 1.5, "shift": "abc"},
+        {"family": "perturbed_gaussian", "breakpoints": 5, "slopes": [0, 1]},
+        {"family": "perturbed_gaussian", "breakpoints": [0.1], "slopes": [0, 1], "lo": "a"},
+        {"family": "tabulated_convex", "xs": "abc", "values": [1, 2, 3]},
+        pytest.param({"family": "truncated_gaussian", "D": 10**400}, id="D=10**400"),  # an OverflowError traceback
+    ],
+    ids=json.dumps,
+)
+def test_potential_file_values_of_a_wrong_type_exit_2(tmp_path, capsys, data):
+    path = tmp_path / "potential.json"
+    path.write_text(json.dumps(data))
+    code = main(["verify", "--measure", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: potential file {path}: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 # -- example23 ----------------------------------------------------------------
 
 

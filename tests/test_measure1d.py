@@ -58,7 +58,6 @@ def stack(measures):
 def test_gaussian_potential_is_normalized_already():
     spec = gaussian_potential()
     assert math.exp(-float(spec.value(0.0))) == pytest.approx(oc.INV_SQRT_2PI, rel=1e-14)
-    assert float(spec.right_derivative(1.7)) == pytest.approx(1.7)
 
 
 def test_truncated_potential_domain():
@@ -145,6 +144,11 @@ def test_potential_config_errors():
         potential_from_config({"family": "perturbed_gaussian"})  # missing keys
     with pytest.raises(DomainError):
         potential_from_config({"family": "gaussian", "stray": 1})
+    # the package's own errors pass through, as they were raised
+    with pytest.raises(DomainError, match=r"^truncation radius D=-1\.0 must be positive and finite$"):
+        potential_from_config({"family": "truncated_gaussian", "D": -1.0})
+    with pytest.raises(InvalidPotentialError, match=r"^slopes must be nondecreasing"):
+        potential_from_config({"family": "perturbed_gaussian", "breakpoints": [0.1], "slopes": [1, 0]})
 
 
 # -- normalized measures ------------------------------------------------------

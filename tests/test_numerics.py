@@ -284,25 +284,34 @@ def test_no_dataclass_field_holds_a_callable():
 
 def test_every_public_default_is_passed_by_some_call():
     # no option that nothing sets: each parameter with a default, of each
-    # function of isolab.__all__, is passed by keyword or by position by a
-    # call in a module of the package (its __init__ aside) or in the benchmark
+    # function of isolab.__all__ and of the constructor of each of its
+    # classes (exceptions aside), is passed by keyword or by position by a
+    # call in a module of the package (its __init__ aside) or in the
+    # benchmark; a cls(...) call in a class's body is a call of that class
     package = Path(isolab.__file__).parent
     paths = [path for path in package.glob("*.py") if path.name != "__init__.py"]
     paths += sorted((Path(__file__).parent.parent / "bench").glob("*.py"))
-    calls = [node for path in paths for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(node, ast.Call)]
 
-    def callee(call):
+    def callee(call, owner):
         func = call.func
-        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return owner if name == "cls" else name
+
+    calls = []
+    for tree in (ast.parse(path.read_text()) for path in paths):
+        # ast.walk meets an outer class before the classes it holds
+        owner = {id(node): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for node in ast.walk(cls)}
+        calls += [(callee(node, owner.get(id(node))), node) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)]
 
     unset = []
     for name in isolab.__all__:
-        function = getattr(isolab, name)
-        if not inspect.isfunction(function):
+        obj = getattr(isolab, name)
+        if not (inspect.isfunction(obj) or inspect.isclass(obj) and not issubclass(obj, BaseException)):
             continue
-        mine = [call for call in calls if callee(call) == name]
-        for i, param in enumerate(inspect.signature(function).parameters.values()):
+        mine = [call for called, call in calls if called == name]
+        for i, param in enumerate(inspect.signature(obj).parameters.values()):
             if param.default is param.empty:
                 continue
             by_keyword = any(k.arg == param.name for call in mine for k in call.keywords)

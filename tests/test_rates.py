@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from isolab import (
     deficit,
     fit_exponent,
     sweep,
+    w2_to_gaussian,
 )
 
 
@@ -135,13 +137,15 @@ def test_sweep_result_validation_and_dict():
 def test_example23_family_hits_requested_deficit():
     fam = Example23SweepFamily()
     for d in (1e-2, 1e-4):
-        m = fam.at_deficit([d], 0.5).realized[0]
+        (m,), failed = fam.at_deficit([d], 0.5)
+        assert failed == {}
         assert deficit(m, 0.5).deficit == pytest.approx(d, rel=1e-6)
 
 
 def test_gaussian_family_is_degenerate():
     fam = GaussianSweepFamily()
-    m = fam.at_deficit([1e-3], 0.5).realized[0]  # delta is ignored: the deficit is 0
+    (m,), failed = fam.at_deficit([1e-3], 0.5)  # delta is ignored: the deficit is 0
+    assert failed == {}
     assert abs(deficit(m, 0.5).deficit) <= 1e-12
 
 
@@ -155,7 +159,8 @@ def test_perturbed_family_seeded_deterministic():
 
 def test_perturbed_family_solves_deficit():
     fam = PerturbedSweepFamily.seeded(0)
-    m = fam.at_deficit([1e-3], 0.5).realized[0]
+    (m,), failed = fam.at_deficit([1e-3], 0.5)
+    assert failed == {}
     assert deficit(m, 0.5).deficit == pytest.approx(1e-3, rel=5e-2)
 
 
@@ -284,12 +289,12 @@ def test_example23_family_checks_every_point_by_forward_reads(monkeypatch):
 
     monkeypatch.setattr(isolab.Measure1D, "quantile", counted_quantile)
     monkeypatch.setattr(isolab.rates, "normalize", counted_normalize)
-    outcome = Example23SweepFamily().at_deficit([1e-2, 1e-3, 1e-4], 0.5)
-    assert isinstance(outcome.realized, isolab.measure1d.MeasureStack) and len(outcome.realized) == 3
-    assert outcome.found == [0, 1, 2] and outcome.failed == {}
+    stack, failed = Example23SweepFamily().at_deficit([1e-2, 1e-3, 1e-4], 0.5)
+    assert isinstance(stack, isolab.measure1d.MeasureStack) and len(stack) == 3
+    assert failed == {}
     assert quantiles == [] and normalized == []
-    assert all(isinstance(m, isolab.Measure1D) for m in outcome.realized)
-    for d, m in zip([1e-2, 1e-3, 1e-4], outcome.realized):
+    assert all(isinstance(m, isolab.Measure1D) for m in stack)
+    for d, m in zip([1e-2, 1e-3, 1e-4], stack):
         rep = deficit(m, 0.5)
         assert rep.deficit == pytest.approx(d, rel=5e-2)
         assert abs(rep.shift) <= 1e-15
@@ -308,10 +313,10 @@ def test_sweep_check_sees_a_fault_of_the_quantile_inversion(family, theta, monke
     grid = DEFAULT_DELTA_GRID[::2]
     res = sweep(family, theta, Metric.parse("w2"), grid)
     assert res.points == () and res.skipped == grid
-    outcome = family.at_deficit(grid, theta)
-    assert outcome.found == [] and len(outcome.realized) == 0
-    assert sorted(outcome.failed) == list(range(len(grid)))
-    assert all("holds mass" in str(error) for error in outcome.failed.values())
+    stack, failed = family.at_deficit(grid, theta)
+    assert len(stack) == 0
+    assert sorted(failed) == list(range(len(grid)))
+    assert all("holds mass" in str(error) for error in failed.values())
 
 
 def test_perturbed_bracket_doubling_stops_before_the_noise():
@@ -319,9 +324,9 @@ def test_perturbed_bracket_doubling_stops_before_the_noise():
     # -0.399 at 1024, 7.9e13 at 0.25 * 2^32; a target of 1e3 is never
     # bracketed from it, so the point is skipped as unbracketed
     fam = PerturbedSweepFamily.seeded(3)
-    outcome = fam.at_deficit([1e3], 0.5)
-    assert outcome.found == [] and len(outcome.realized) == 0
-    (point,) = outcome.failed.values()
+    stack, failed = fam.at_deficit([1e3], 0.5)
+    assert len(stack) == 0
+    (point,) = failed.values()
     assert isinstance(point, isolab.BracketError)
     assert "could not bracket deficit 1.000e+03" in str(point)
 
@@ -344,8 +349,31 @@ def test_sweep_skips_only_the_unreachable_point(family, unreachable):
     assert res.skipped == (unreachable,)
     assert [d for d, _ in res.points] == [1e-3, 1e-4, 1e-5]
     for d, _ in res.points:
-        m = family.at_deficit([d], 0.5).realized[0]
+        (m,), failed = family.at_deficit([d], 0.5)
+        assert failed == {}
         assert deficit(m, 0.5).deficit == pytest.approx(d, rel=5e-2)
+
+
+def test_sweep_pairs_the_values_around_a_failed_middle_point(caplog):
+    # a family that realizes grid points 0 and 2 and fails point 1: the
+    # stack's two rows are paired with points 0 and 2, in grid order
+    grid = [1e-2, 1e-3, 1e-4]
+    stack, failed = Example23SweepFamily().at_deficit([grid[0], grid[2]], 0.5)
+    assert len(stack) == 2 and failed == {}
+
+    class Stub:
+        name = "stub"
+
+        def at_deficit(self, deltas, theta):
+            assert list(deltas) == grid
+            return stack, {1: isolab.BracketError("could not bracket deficit 1.000e-03")}
+
+    with caplog.at_level(logging.WARNING, logger="isolab.rates"):
+        res = sweep(Stub(), 0.5, Metric.parse("w2"), grid)
+    assert res.points == tuple(zip([grid[0], grid[2]], w2_to_gaussian(stack).tolist()))
+    assert res.skipped == (grid[1],)
+    assert [r.getMessage() for r in caplog.records] == [
+        "skipping delta=1.000e-03 for family stub: could not bracket deficit 1.000e-03"]
 
 
 @pytest.mark.parametrize("seed", [0, 3, 7, 4242])

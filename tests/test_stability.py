@@ -235,13 +235,21 @@ def test_entropy_matches_the_quadrature_oracle():
         assert relative_entropy(m) == pytest.approx(relative_entropy_quadrature(m), abs=1e-10)
 
 
+def _sweep_measures(family, theta=0.5):
+    """The stack of ``family`` realized on the default grid, every point
+    found."""
+    stack, failed = family.at_deficit(DEFAULT_DELTA_GRID, theta)
+    assert len(stack) == len(DEFAULT_DELTA_GRID) and failed == {}
+    return stack
+
+
 @pytest.mark.parametrize("seed", [3, 518787, 331872])
 @pytest.mark.parametrize("theta", [0.3, 0.5, 0.7])
 def test_stacked_entropy_matches_the_decimal_sum_over_its_cells(seed, theta):
     # the sweep's own cells, read as they are: at delta = 1e-6 the entropy
     # is 4e-12 to 1e-10, and rebuilding each row as a Measure1D moves it by
     # up to 1e-5 of itself
-    cells = PerturbedSweepFamily.seeded(seed).at_deficit(DEFAULT_DELTA_GRID, theta).realized
+    cells = _sweep_measures(PerturbedSweepFamily.seeded(seed), theta)
     want = [float(relative_entropy_decimal(*row)) for row in zip(cells.edges, cells.beta, cells.log_amp)]
     np.testing.assert_allclose(relative_entropy(cells), want, rtol=1e-9, atol=0.0)
 
@@ -250,9 +258,8 @@ def _l1_stacks():
     xs = np.linspace(-6.0, 6.0, 61)
     convex = 0.3 * np.logaddexp(xs - 0.4, 0.4 - xs) - 0.1 * xs
     return {
-        "example23": Example23SweepFamily().at_deficit(DEFAULT_DELTA_GRID, 0.5).realized,
-        **{f"perturbed:{k}": PerturbedSweepFamily.seeded(k).at_deficit(DEFAULT_DELTA_GRID, 0.3).realized
-           for k in (3, 518787, 331872)},
+        "example23": _sweep_measures(Example23SweepFamily()),
+        **{f"perturbed:{k}": _sweep_measures(PerturbedSweepFamily.seeded(k), 0.3) for k in (3, 518787, 331872)},
         "tabulated": normalize(tabulated_potential(xs, 0.5 * xs * xs + convex)).cells,
         "translates": stack([GAUSSIAN.translate(s) for s in (-2.5, 0.3, 6.922046728373387, 45.0)]),
     }
@@ -309,14 +316,6 @@ def test_transport_chain_on_truncations(D):
 
 
 # -- distances on stacks: one quadrature, one row per measure ----------------
-
-
-def _sweep_measures(family, theta=0.5):
-    """The stack of ``family`` realized on the default grid, every point
-    found."""
-    outcome = family.at_deficit(DEFAULT_DELTA_GRID, theta)
-    assert outcome.found == list(range(len(DEFAULT_DELTA_GRID))) and outcome.failed == {}
-    return outcome.realized
 
 
 @pytest.mark.parametrize("family", [Example23SweepFamily(), PerturbedSweepFamily.seeded(123456)],
